@@ -52,7 +52,7 @@
 //! capped at 2 s — and the report gains a `failover` block, separate from
 //! the error ledger: client retries, how many waits honoured `Retry-After`,
 //! how many requests completed only after a retry, plus the router-side
-//! failover/respawn/cache counters scraped from `/metrics`. Because solves
+//! failover/respawn counters scraped from `/metrics`. Because solves
 //! are deterministic by `(problem, seed)`, retries are idempotent; a run
 //! with retries still asserts the zero-loss books — every request ends as
 //! exactly one final outcome.
@@ -766,8 +766,6 @@ fn main() {
             "crash_loops_quarantined": metrics["service"]["crash_loops_quarantined"].clone(),
             "cell_kills_injected": metrics["service"]["chaos_cell_kills_injected"].clone(),
             "deadline_budget_exhausted": metrics["service"]["deadline_budget_exhausted"].clone(),
-            "router_cache_hits": metrics["service"]["router_cache_hits"].clone(),
-            "router_cache_misses": metrics["service"]["router_cache_misses"].clone(),
         }),
         "integrity": serde_json::json!({
             "violations": metrics["service"]["integrity_violations"].clone(),

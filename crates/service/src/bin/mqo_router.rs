@@ -4,8 +4,8 @@
 //! mqo_router --cells 127.0.0.1:7700,127.0.0.1:7701 [--addr 127.0.0.1:7600]
 //!            [--forwarders N] [--epsilon F] [--io-timeout-ms N]
 //!            [--breaker-threshold N] [--breaker-open-ms N]
-//!            [--warm-exemplars N] [--response-cache N] [--max-connections N]
-//!            [--request-deadline-ms N] [--accept-shards N] [--max-pipeline N]
+//!            [--max-connections N] [--request-deadline-ms N]
+//!            [--accept-shards N] [--max-pipeline N]
 //!            [--failover-budget-ms N] [--journal-depth N]
 //!            [--failover-rounds N] [--round-backoff-ms N]
 //!            [--supervise 'CMD --addr {addr}'] [--supervise-cell I:CMD]
@@ -20,9 +20,8 @@
 //! Shards `POST /solve` requests across the cells by the instance's QUBO
 //! structure hash so each cell's embedding cache serves a consistent slice
 //! of the workload; unreachable cells are skipped via per-cell circuit
-//! breakers, failed forwards replay transparently on healthy cells inside
-//! the client's deadline budget, and recovered cells get their caches
-//! warmed from recent exemplar requests.
+//! breakers, and failed forwards replay transparently on healthy cells
+//! inside the client's deadline budget.
 //!
 //! With `--supervise`, the router *owns* its cells: the command template
 //! (whitespace-split; `{addr}` substitutes the cell address) is spawned
@@ -76,12 +75,6 @@ fn parse_options() -> Result<Options, String> {
             }
             "--breaker-open-ms" => {
                 config.breaker.open_ms = parse(&value("--breaker-open-ms")?, "--breaker-open-ms")?
-            }
-            "--warm-exemplars" => {
-                config.warm_exemplars = parse(&value("--warm-exemplars")?, "--warm-exemplars")?
-            }
-            "--response-cache" => {
-                config.response_cache = parse(&value("--response-cache")?, "--response-cache")?
             }
             "--failover-budget-ms" => {
                 config.failover.budget_ms =
@@ -179,8 +172,6 @@ fn parse_options() -> Result<Options, String> {
                      --io-timeout-ms N   upstream connect/read/write timeout (10000)\n\
                      --breaker-threshold N  consecutive failures that open a cell breaker (5)\n\
                      --breaker-open-ms N    cell breaker cooling period (1000)\n\
-                     --warm-exemplars N  exemplar requests replayed on cell recovery, 0 = off (32)\n\
-                     --response-cache N  idempotent-repeat response cache entries, 0 = off (128)\n\
                      --failover-budget-ms N  replay window for deadline-less requests (2000)\n\
                      --journal-depth N   outstanding requests per shard, 0 = unbounded (64)\n\
                      --failover-rounds N fleet passes before giving up (4)\n\

@@ -435,25 +435,6 @@ pub fn render_request(method: &str, path: &str, host: &str, body: &[u8], close: 
     bytes
 }
 
-/// Writes a response with a JSON body and closes the exchange
-/// (`Connection: close`).
-pub fn write_json_response<W: Write>(stream: &mut W, status: u16, body: &str) -> io::Result<()> {
-    write_json_response_with(stream, status, body, &[])
-}
-
-/// [`write_json_response`] with extra response headers (e.g. `Retry-After`
-/// on load-shedding 503s). Header names and values must be pre-sanitised
-/// static strings — no client data goes through here.
-pub fn write_json_response_with<W: Write>(
-    stream: &mut W,
-    status: u16,
-    body: &str,
-    extra_headers: &[(&str, &str)],
-) -> io::Result<()> {
-    stream.write_all(&render_response(status, body, extra_headers, true))?;
-    stream.flush()
-}
-
 fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -734,7 +715,9 @@ mod tests {
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/solve");
             assert_eq!(req.body, b"{\"x\":1}");
-            write_json_response(&mut stream, 200, "{\"ok\":true}").unwrap();
+            stream
+                .write_all(&render_response(200, "{\"ok\":true}", &[], true))
+                .unwrap();
         });
         let (status, body) = roundtrip(addr, "POST", "/solve?verbose=1", b"{\"x\":1}").unwrap();
         assert_eq!(status, 200);
@@ -860,8 +843,7 @@ mod tests {
 
     #[test]
     fn extra_headers_are_emitted_in_the_response_head() {
-        let mut out = Vec::new();
-        write_json_response_with(&mut out, 503, "{}", &[("retry-after", "1")]).unwrap();
+        let out = render_response(503, "{}", &[("retry-after", "1")], true);
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),

@@ -36,9 +36,8 @@
 //!   processes: respawn with exponential backoff, crash-loop quarantine,
 //!   deadline-bounded health probes (DESIGN.md §14).
 //! * [`shard`] — the structure-sharded `mqo_router` front with zero-loss
-//!   failover: bounded in-flight journals, deterministic replay on healthy
-//!   cells within the client's deadline budget, and a response cache for
-//!   idempotent repeats.
+//!   failover: bounded in-flight journals and deterministic replay on
+//!   healthy cells within the client's deadline budget.
 //!
 //! The `mqo_serve` binary wires the layers together; the `loadgen` bench bin
 //! (in `mqo-bench`) replays paper-workload request streams against it.

@@ -194,11 +194,6 @@ pub struct Metrics {
     /// Router: replays abandoned because the client's remaining deadline
     /// budget ran out.
     pub deadline_budget_exhausted: AtomicU64,
-    /// Router: idempotent `(structure, weights, seed)` repeats answered
-    /// from the router's response cache without touching a cell.
-    pub router_cache_hits: AtomicU64,
-    /// Router: solve requests that had to be forwarded to a cell.
-    pub router_cache_misses: AtomicU64,
     /// Backend answers that failed the integrity gate (infeasible selection
     /// or cost mismatch) — repaired + rejected.
     pub integrity_violations: AtomicU64,
@@ -298,8 +293,6 @@ impl Metrics {
             health_probe_failures: load(&self.health_probe_failures),
             failovers: load(&self.failovers),
             deadline_budget_exhausted: load(&self.deadline_budget_exhausted),
-            router_cache_hits: load(&self.router_cache_hits),
-            router_cache_misses: load(&self.router_cache_misses),
             integrity_violations: load(&self.integrity_violations),
             integrity_repairs: load(&self.integrity_repairs),
             integrity_rejects: load(&self.integrity_rejects),
@@ -416,12 +409,6 @@ pub struct MetricsSnapshot {
     /// Replays abandoned on an exhausted deadline budget.
     #[serde(default)]
     pub deadline_budget_exhausted: u64,
-    /// Router response-cache hits (idempotent repeats, no cell touched).
-    #[serde(default)]
-    pub router_cache_hits: u64,
-    /// Router response-cache misses (request forwarded to a cell).
-    #[serde(default)]
-    pub router_cache_misses: u64,
     /// Answers that failed the integrity gate.
     #[serde(default)]
     pub integrity_violations: u64,

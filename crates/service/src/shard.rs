@@ -30,17 +30,9 @@
 //!   ([`FailoverJournal`] semantics): admission beyond the per-shard bound
 //!   answers a typed 429 instead of queueing without limit, and the journal
 //!   draining to zero is the drain invariant the kill-chaos tests assert;
-//! * idempotent repeats (same structure, weights, seed, reads, gauges,
-//!   backend) can be answered from a small router-side **response cache**
-//!   without touching a cell — the cached bytes are the exact bytes of the
-//!   first answer;
 //! * cells **quarantined** by the fleet supervisor
 //!   ([`crate::supervisor::Supervisor`]) are skipped like open breakers:
 //!   the fall-through walk *is* the shard-range remap;
-//! * when a cell recovers (its breaker closes after being open), the router
-//!   replays a bounded set of recent *exemplar* requests whose primary
-//!   shard is that cell — warming the respawned cell's embedding cache
-//!   before live traffic returns to it;
 //! * any HTTP answer from a cell — including typed rejections — counts as
 //!   cell transport health; only transport errors trip the breaker, but
 //!   5xx answers are treated as replayable (the last one is passed through
@@ -49,17 +41,17 @@
 //!   computed from the soonest breaker re-probe, not a constant.
 
 use crate::api::{Reject, SolveRequest};
-use crate::breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 use crate::http::{HttpLimits, KeepAliveClient, Request};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::LogicalMapping;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -107,11 +99,6 @@ pub struct MqoRouterConfig {
     pub io_timeout_ms: u64,
     /// Per-cell circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Recent requests retained per structure hash for cache warm-up on
-    /// cell recovery (0 disables warm-up).
-    pub warm_exemplars: usize,
-    /// Response-cache entries for idempotent repeats (0 disables).
-    pub response_cache: usize,
     /// Replay/journal policy.
     pub failover: FailoverConfig,
     /// Spawn and supervise the cells as child processes (respawn on death,
@@ -143,8 +130,6 @@ impl MqoRouterConfig {
             forwarders: 4,
             io_timeout_ms: 10_000,
             breaker: BreakerConfig::default(),
-            warm_exemplars: 32,
-            response_cache: 128,
             failover: FailoverConfig::default(),
             supervisor: None,
             http: HttpLimits::default(),
@@ -194,7 +179,6 @@ struct Cell {
     breaker: CircuitBreaker,
     forwarded: AtomicU64,
     failures: AtomicU64,
-    warmups: AtomicU64,
 }
 
 /// Serialisable per-cell health reported under the router's `/metrics`.
@@ -208,8 +192,6 @@ pub struct CellSnapshot {
     pub forwarded: u64,
     /// Transport failures talking to this cell.
     pub failures: u64,
-    /// Warm-up requests replayed into this cell after recovery.
-    pub warmups: u64,
     /// Idle pooled keep-alive connections to this cell.
     pub pooled: usize,
     /// Whether the supervisor quarantined this cell (shard range remapped).
@@ -291,110 +273,15 @@ impl Drop for JournalGuard {
     }
 }
 
-#[derive(Default)]
-struct ResponseCacheInner {
-    /// Canonical request bytes → (response body, recency stamp).
-    map: HashMap<Vec<u8>, (String, u64)>,
-    /// Recency stamp → key, oldest first; kept in lockstep with `map`.
-    recency: BTreeMap<u64, Vec<u8>>,
-    tick: u64,
-}
-
-/// A bounded LRU of successful `/solve` answers keyed by the *canonical*
-/// request bytes (the request re-serialised without its `deadline_ms`, so
-/// the key covers structure, weights, seed, reads, gauges, and backend
-/// pin — everything the answer depends on, nothing it doesn't). Safe
-/// because solves are deterministic: a hit returns the exact bytes the
-/// fleet produced for the first occurrence. Same counter/poison pattern as
-/// [`crate::cache::EmbeddingCache`]: a poisoned lock invalidates the whole
-/// cache rather than trusting interrupted LRU bookkeeping.
-struct ResponseCache {
-    inner: Mutex<ResponseCacheInner>,
-    capacity: usize,
-}
-
-impl ResponseCache {
-    fn new(capacity: usize) -> Self {
-        ResponseCache {
-            inner: Mutex::new(ResponseCacheInner::default()),
-            capacity,
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ResponseCacheInner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut inner = poisoned.into_inner();
-                inner.map.clear();
-                inner.recency.clear();
-                self.inner.clear_poison();
-                inner
-            }
-        }
-    }
-
-    fn get(&self, key: &[u8]) -> Option<String> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (body, stamp) = inner.map.get_mut(key)?;
-        let old = std::mem::replace(stamp, tick);
-        let body = body.clone();
-        inner.recency.remove(&old);
-        inner.recency.insert(tick, key.to_vec());
-        Some(body)
-    }
-
-    fn insert(&self, key: &[u8], body: &str) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((_, old)) = inner.map.insert(key.to_vec(), (body.to_string(), tick)) {
-            inner.recency.remove(&old);
-        }
-        inner.recency.insert(tick, key.to_vec());
-        while inner.map.len() > self.capacity {
-            let Some((&oldest, _)) = inner.recency.iter().next() else {
-                break;
-            };
-            let Some(victim) = inner.recency.remove(&oldest) else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-}
-
-/// Shared forwarding state: the cells, the failover machinery, and the
-/// warm-up exemplar store.
+/// Shared forwarding state: the cells and the failover machinery.
 struct Fleet {
     cells: Vec<Cell>,
     io_timeout: Duration,
-    /// Most-recent canonical request body per structure hash, bounded FIFO;
-    /// replayed into a cell when its breaker closes after being open.
-    exemplars: Mutex<VecDeque<(u64, Vec<u8>)>>,
-    warm_exemplars: usize,
     failover: FailoverConfig,
     /// Per-cell quarantine flags; shared with the supervisor when one is
     /// running, all-false otherwise.
     quarantined: Arc<Vec<AtomicBool>>,
     journal: Arc<FailoverJournal>,
-    response_cache: ResponseCache,
     metrics: Arc<Metrics>,
     lock_recoveries: AtomicU64,
 }
@@ -403,22 +290,6 @@ impl Fleet {
     /// Primary cell of a shard key, before breaker fall-through.
     fn primary(&self, hash: u64) -> usize {
         (hash % self.cells.len() as u64) as usize
-    }
-
-    /// Remembers `body` as the exemplar for `hash` (replacing any previous
-    /// one), evicting the oldest entry beyond the cap.
-    fn remember(&self, hash: u64, body: &[u8]) {
-        if self.warm_exemplars == 0 {
-            return;
-        }
-        let mut exemplars = lock_recover(&self.exemplars, &self.lock_recoveries);
-        if let Some(pos) = exemplars.iter().position(|(h, _)| *h == hash) {
-            exemplars.remove(pos);
-        }
-        exemplars.push_back((hash, body.to_vec()));
-        while exemplars.len() > self.warm_exemplars {
-            exemplars.pop_front();
-        }
     }
 
     /// `Retry-After` seconds for a request no cell could take: the soonest
@@ -438,10 +309,9 @@ impl Fleet {
     /// 5xx, within the request's deadline budget. Non-5xx HTTP answers are
     /// passed through verbatim.
     fn forward(&self, hash: u64, request: &SolveRequest, admitted: Instant) -> Response {
-        // Canonical bytes: the request without its deadline. Response-cache
-        // key, warm-up exemplar, and the upstream body for deadline-less
-        // requests are all this serialisation.
-        let canonical = {
+        // The upstream body for deadline-less requests (and the fallback
+        // when a deadline-carrying copy cannot be serialised).
+        let without_deadline = {
             let mut canon = request.clone();
             canon.deadline_ms = None;
             match serde_json::to_string(&canon) {
@@ -453,13 +323,6 @@ impl Fleet {
                 }
             }
         };
-        if self.response_cache.enabled() {
-            if let Some(body) = self.response_cache.get(&canonical) {
-                Metrics::inc(&self.metrics.router_cache_hits);
-                return Response::json(200, body);
-            }
-            Metrics::inc(&self.metrics.router_cache_misses);
-        }
 
         let n = self.cells.len();
         let budget = request.deadline_ms;
@@ -528,13 +391,11 @@ impl Fleet {
                         fwd.deadline_ms = Some(deadline);
                         match serde_json::to_string(&fwd) {
                             Ok(json) => json.into_bytes(),
-                            Err(_) => canonical.clone(),
+                            Err(_) => without_deadline.clone(),
                         }
                     }
-                    None => canonical.clone(),
+                    None => without_deadline.clone(),
                 };
-                let was_unhealthy = cell.breaker.state() != BreakerState::Closed
-                    || cell.breaker.snapshot().consecutive_failures > 0;
                 match self.try_cell(cell, &body) {
                     Ok((status, resp_body)) => {
                         cell.breaker.record_success();
@@ -551,15 +412,8 @@ impl Fleet {
                             continue;
                         }
                         Metrics::inc(&cell.forwarded);
-                        self.remember(hash, &canonical);
-                        if was_unhealthy {
-                            self.warm_cell(idx);
-                        }
                         if failed_attempts > 0 {
                             Metrics::inc(&self.metrics.failovers);
-                        }
-                        if status == 200 {
-                            self.response_cache.insert(&canonical, &resp_body);
                         }
                         return Response::json(status, resp_body);
                     }
@@ -604,31 +458,6 @@ impl Fleet {
         result
     }
 
-    /// Replays the exemplars whose primary shard is `idx` into that cell,
-    /// warming its embedding cache after a respawn. Best-effort: replay
-    /// failures are ignored (live traffic will re-trip the breaker).
-    fn warm_cell(&self, idx: usize) {
-        if self.warm_exemplars == 0 {
-            return;
-        }
-        let mine: Vec<Vec<u8>> = lock_recover(&self.exemplars, &self.lock_recoveries)
-            .iter()
-            .filter(|(hash, _)| self.primary(*hash) == idx)
-            .map(|(_, body)| body.clone())
-            .collect();
-        if mine.is_empty() {
-            return;
-        }
-        let cell = &self.cells[idx];
-        let mut client = KeepAliveClient::with_timeout(cell.addr, Some(self.io_timeout));
-        for body in mine {
-            if client.request("POST", "/solve", &body).is_err() {
-                return;
-            }
-            Metrics::inc(&cell.warmups);
-        }
-    }
-
     fn cell_snapshots(&self) -> Vec<CellSnapshot> {
         self.cells
             .iter()
@@ -638,7 +467,6 @@ impl Fleet {
                 breaker: cell.breaker.snapshot(),
                 forwarded: cell.forwarded.load(Ordering::Relaxed),
                 failures: cell.failures.load(Ordering::Relaxed),
-                warmups: cell.warmups.load(Ordering::Relaxed),
                 pooled: lock_recover(&cell.pool, &self.lock_recoveries).len(),
                 quarantined: self.quarantined[idx].load(Ordering::SeqCst),
                 journal_outstanding: self.journal.outstanding(idx),
@@ -682,7 +510,6 @@ impl Handler for RouterHandler {
                     "service": self.metrics.snapshot(),
                     "router": serde_json::json!({
                         "cells": self.fleet.cell_snapshots(),
-                        "response_cache_len": self.fleet.response_cache.len(),
                         "journal_depth": self.fleet.failover.journal_depth,
                     }),
                     "supervisor": supervisor,
@@ -817,7 +644,6 @@ impl MqoRouter {
                     breaker: CircuitBreaker::new(config.breaker),
                     forwarded: AtomicU64::new(0),
                     failures: AtomicU64::new(0),
-                    warmups: AtomicU64::new(0),
                 })
             })
             .collect::<io::Result<Vec<Cell>>>()?;
@@ -828,12 +654,9 @@ impl MqoRouter {
         let fleet = Arc::new(Fleet {
             cells,
             io_timeout: Duration::from_millis(config.io_timeout_ms.max(1)),
-            exemplars: Mutex::new(VecDeque::new()),
-            warm_exemplars: config.warm_exemplars,
             failover: config.failover,
             quarantined,
             journal,
-            response_cache: ResponseCache::new(config.response_cache),
             metrics: Arc::clone(&metrics),
             lock_recoveries: AtomicU64::new(0),
         });
@@ -918,7 +741,7 @@ impl MqoRouter {
         &self.metrics
     }
 
-    /// Per-cell health (breaker state, traffic, warm-ups, pool size,
+    /// Per-cell health (breaker state, traffic, pool size,
     /// quarantine, journal occupancy).
     #[must_use]
     pub fn cells(&self) -> Vec<CellSnapshot> {
@@ -1085,7 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_cells_fall_through_and_recovery_warms_the_cache() {
+    fn dead_cells_fall_through_and_the_failover_is_counted() {
         let cell_a = cell_server();
         let cell_b = cell_server();
         let mut config = MqoRouterConfig::new(vec![
@@ -1095,9 +918,6 @@ mod tests {
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 50;
         config.io_timeout_ms = 500;
-        // This test exercises the *uncached* fall-through path: a repeat of
-        // TINY_A must reach a cell, not the response cache.
-        config.response_cache = 0;
         let router = MqoRouter::start(config).expect("bind router");
 
         // Find which cell owns TINY_A's structure, then kill it.
@@ -1174,74 +994,25 @@ mod tests {
     }
 
     #[test]
-    fn repeated_requests_hit_the_response_cache_with_identical_bytes() {
+    fn deeply_nested_bodies_are_a_typed_400_and_both_processes_stay_up() {
+        // Far past the parser's nesting cap and well under the body cap:
+        // without the cap this overflows the decoding thread's stack and
+        // aborts the process.
+        let mut body = br#"{"problem":"#.to_vec();
+        body.resize(body.len() + 100_000, b'[');
         let cell = cell_server();
         let router = router_over(&[&cell]);
-        let (status, first) = roundtrip(router.local_addr(), "POST", "/solve", TINY_A).unwrap();
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&first));
-        let (status, second) = roundtrip(router.local_addr(), "POST", "/solve", TINY_A).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(
-            first, second,
-            "a cache hit returns the exact bytes of the first answer"
-        );
-        let snapshot = router.metrics().snapshot();
-        assert_eq!(snapshot.router_cache_hits, 1);
-        assert_eq!(snapshot.router_cache_misses, 1);
-        assert_eq!(
-            cell.metrics().snapshot().requests_total,
-            1,
-            "the repeat never reached the cell"
-        );
-        // A different deadline must not change the cache key: the answer
-        // depends on (problem, seed, reads, gauges, backend) only.
-        let with_deadline =
-            br#"{"problem": {"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}, "seed": 7, "deadline_ms": 9000}"#;
-        let (status, third) =
-            roundtrip(router.local_addr(), "POST", "/solve", with_deadline).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(third, first, "deadline-only variation is the same answer");
-        assert_eq!(router.metrics().snapshot().router_cache_hits, 2);
-        // A different seed is a different answer and must miss.
-        let other_seed =
-            br#"{"problem": {"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}, "seed": 8}"#;
-        let (status, _) = roundtrip(router.local_addr(), "POST", "/solve", other_seed).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(router.metrics().snapshot().router_cache_misses, 2);
+        for addr in [cell.local_addr(), router.local_addr()] {
+            let (status, reply) = roundtrip(addr, "POST", "/solve", &body).unwrap();
+            assert_eq!(status, 400, "{}", String::from_utf8_lossy(&reply));
+            let v: serde_json::Value = serde_json::from_slice(&reply).unwrap();
+            assert_eq!(v["reason"], "invalid_request");
+            let (status, _) = roundtrip(addr, "GET", "/healthz", b"").unwrap();
+            assert_eq!(status, 200);
+        }
+        assert_eq!(router.cells()[0].forwarded, 0);
         router.shutdown();
         cell.shutdown();
-    }
-
-    #[test]
-    fn cached_responses_are_bit_identical_to_the_uncached_path() {
-        // Same request through a caching router and a cache-disabled
-        // router over equally configured cells: the solution surface is
-        // identical — the cache changes *where* bytes come from, never
-        // *what* they say.
-        let cell_cached = cell_server();
-        let cell_plain = cell_server();
-        let cached_router = router_over(&[&cell_cached]);
-        let mut plain_config = MqoRouterConfig::new(vec![cell_plain.local_addr().to_string()]);
-        plain_config.response_cache = 0;
-        let plain_router = MqoRouter::start(plain_config).expect("bind router");
-
-        // Prime the cache, then read through it.
-        let (_, _) = roundtrip(cached_router.local_addr(), "POST", "/solve", TINY_B).unwrap();
-        let (status_c, via_cache) =
-            roundtrip(cached_router.local_addr(), "POST", "/solve", TINY_B).unwrap();
-        let (status_p, via_plain) =
-            roundtrip(plain_router.local_addr(), "POST", "/solve", TINY_B).unwrap();
-        assert_eq!((status_c, status_p), (200, 200));
-        assert_eq!(cached_router.metrics().snapshot().router_cache_hits, 1);
-        let c: serde_json::Value = serde_json::from_slice(&via_cache).unwrap();
-        let p: serde_json::Value = serde_json::from_slice(&via_plain).unwrap();
-        for field in ["selection", "cost", "backend", "reads", "qubits_used"] {
-            assert_eq!(c[field], p[field], "{field}");
-        }
-        cached_router.shutdown();
-        plain_router.shutdown();
-        cell_cached.shutdown();
-        cell_plain.shutdown();
     }
 
     #[test]
@@ -1319,22 +1090,5 @@ mod tests {
             0,
             "disabled journal stores nothing"
         );
-    }
-
-    #[test]
-    fn response_cache_is_a_bounded_lru() {
-        let cache = ResponseCache::new(2);
-        cache.insert(b"a", "1");
-        cache.insert(b"b", "2");
-        assert_eq!(cache.get(b"a").as_deref(), Some("1"));
-        cache.insert(b"c", "3");
-        assert_eq!(cache.get(b"b"), None, "LRU victim evicted");
-        assert_eq!(cache.get(b"a").as_deref(), Some("1"));
-        assert_eq!(cache.get(b"c").as_deref(), Some("3"));
-        assert_eq!(cache.len(), 2);
-        let disabled = ResponseCache::new(0);
-        disabled.insert(b"a", "1");
-        assert_eq!(disabled.get(b"a"), None);
-        assert_eq!(disabled.len(), 0);
     }
 }

@@ -84,7 +84,6 @@ fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
     config.breaker.failure_threshold = 1;
     config.breaker.open_ms = 100;
     config.io_timeout_ms = 2_000;
-    config.response_cache = 0;
     MqoRouter::start(config).expect("start supervised router")
 }
 
@@ -413,8 +412,6 @@ proptest! {
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 50;
         config.io_timeout_ms = 1_000;
-        // The replay must reach a cell, not the response cache.
-        config.response_cache = 0;
         let router = MqoRouter::start(config).expect("bind router");
 
         let (status, first) =

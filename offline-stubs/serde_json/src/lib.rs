@@ -74,15 +74,23 @@ macro_rules! json {
 
 // ---- parser -------------------------------------------------------------
 
+/// Nesting levels of arrays and objects the parser descends into before it
+/// refuses the input (the registry crate's limit). The parser is recursive
+/// descent, so without a cap a body of `[[[[…` overflows the thread stack
+/// and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -133,8 +141,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -146,6 +154,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value> {
@@ -371,6 +394,16 @@ mod tests {
         assert!(from_str::<Value>("nul").is_err());
         assert!(from_str::<Value>("{\"a\" 1}").is_err());
         assert!(from_str::<Value>("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Unterminated and far past the cap: an error, not a stack overflow.
+        assert!(from_str::<Value>(&"{\"a\":[".repeat(100_000)).is_err());
     }
 
     #[test]
