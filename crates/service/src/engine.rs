@@ -26,7 +26,7 @@ use mqo_chimera::graph::ChimeraGraph;
 use mqo_chimera::packing::{self, Placer};
 use mqo_core::ids::PlanId;
 use mqo_core::integrity::{self, DEFAULT_TOLERANCE};
-use mqo_core::logical::LogicalMapping;
+use mqo_core::logical::{LogicalMapping, DEFAULT_EPSILON};
 use mqo_core::problem::MqoProblem;
 use mqo_core::solution::Selection;
 use mqo_heuristics::HillClimbing;
@@ -93,7 +93,7 @@ impl EngineConfig {
                 ..DeviceConfig::default()
             },
             resilience: ResilienceConfig::default(),
-            epsilon: 0.25,
+            epsilon: DEFAULT_EPSILON,
             cache_capacity: 128,
             router: RouterConfig::default(),
             embed_tries: 16,

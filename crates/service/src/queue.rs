@@ -42,8 +42,6 @@ pub struct QueueConfig {
     pub workers: usize,
     /// Maximum requests one worker claims per wake-up.
     pub batch_size: usize,
-    /// Deadline applied to requests that specify none (0 = unbounded).
-    pub default_deadline_ms: u64,
 }
 
 impl Default for QueueConfig {
@@ -52,7 +50,6 @@ impl Default for QueueConfig {
             depth: 64,
             workers: 2,
             batch_size: 8,
-            default_deadline_ms: 0,
         }
     }
 }
@@ -273,7 +270,8 @@ impl SolveQueue {
                 },
             ));
         }
-        let deadline_ms = req.deadline_ms.unwrap_or(self.config.default_deadline_ms);
+        // A request without `deadline_ms` (or with 0) waits unbounded.
+        let deadline_ms = req.deadline_ms.unwrap_or(0);
         let deadline = (deadline_ms > 0)
             .then(|| Instant::now() + std::time::Duration::from_millis(deadline_ms));
         state.jobs.push_back(Job {

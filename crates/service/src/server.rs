@@ -26,7 +26,7 @@
 use crate::api::{Reject, SolveRequest};
 use crate::engine::{EngineConfig, SolveEngine};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{HttpLimits, Request};
+use crate::http::Request;
 use crate::metrics::{lock_recover, Metrics};
 use crate::queue::{QueueConfig, Responder, SolveQueue};
 use std::io;
@@ -44,26 +44,9 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Admission queue configuration.
     pub queue: QueueConfig,
-    /// Byte/count caps applied while reading each request. The `deadline`
-    /// field is ignored here; the per-request deadline comes from
-    /// [`ServerConfig::request_deadline_ms`].
-    pub http: HttpLimits,
-    /// Whole-request wall-clock deadline, milliseconds (0 disables): the
-    /// budget for reading one request off the socket, slowloris defense.
-    pub request_deadline_ms: u64,
-    /// Keep-alive idle timeout and write-stall timeout, milliseconds: a
-    /// connection with no request in flight, or a client not reading its
-    /// response, is closed after this long.
-    pub io_timeout_ms: u64,
-    /// Concurrent-connection cap; accepts beyond it are shed with a typed
-    /// `503` and `Retry-After`.
-    pub max_connections: usize,
-    /// Event-loop accept shards (threads); each polls its own clone of the
-    /// listener.
-    pub accept_shards: usize,
-    /// Maximum pipelined requests in flight per connection before the
-    /// event loop stops reading from it (backpressure).
-    pub max_pipeline: usize,
+    /// Client-side event-loop front: HTTP caps, read deadline and
+    /// connection cap.
+    pub event_loop: LoopConfig,
 }
 
 impl ServerConfig {
@@ -73,12 +56,7 @@ impl ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             engine,
             queue: QueueConfig::default(),
-            http: HttpLimits::default(),
-            request_deadline_ms: 10_000,
-            io_timeout_ms: 10_000,
-            max_connections: 256,
-            accept_shards: 2,
-            max_pipeline: 32,
+            event_loop: LoopConfig::default(),
         }
     }
 }
@@ -118,14 +96,7 @@ impl Server {
         });
         let event_loop = EventLoop::spawn(
             listener,
-            LoopConfig {
-                shards: config.accept_shards,
-                http: config.http,
-                request_deadline_ms: config.request_deadline_ms,
-                idle_timeout_ms: config.io_timeout_ms,
-                max_connections: config.max_connections,
-                max_pipeline: config.max_pipeline,
-            },
+            config.event_loop,
             handler,
             Arc::clone(&metrics),
             Arc::clone(&shutdown),
@@ -429,7 +400,7 @@ mod tests {
         engine.device.num_reads = 20;
         engine.device.num_gauges = 2;
         let mut config = ServerConfig::new(engine);
-        config.request_deadline_ms = 100;
+        config.event_loop.request_deadline_ms = 100;
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
 
@@ -454,7 +425,7 @@ mod tests {
         engine.device.num_reads = 20;
         engine.device.num_gauges = 2;
         let mut config = ServerConfig::new(engine);
-        config.http.max_line_bytes = 128;
+        config.event_loop.http.max_line_bytes = 128;
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
         let long_path = format!("/{}", "a".repeat(4096));
@@ -477,7 +448,6 @@ mod tests {
             depth: 1,
             workers: 1,
             batch_size: 1,
-            default_deadline_ms: 0,
         };
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
@@ -553,8 +523,8 @@ mod tests {
         engine.device.num_reads = 20;
         engine.device.num_gauges = 2;
         let mut config = ServerConfig::new(engine);
-        config.max_connections = 1;
-        config.request_deadline_ms = 2_000;
+        config.event_loop.max_connections = 1;
+        config.event_loop.request_deadline_ms = 2_000;
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
 

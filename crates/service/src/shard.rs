@@ -1,8 +1,8 @@
 //! The structure-sharded router front (`mqo_router`, DESIGN.md §13–§14).
 //!
 //! A thin front process that consistently shards `POST /solve` requests
-//! across N `mqo_serve` *cells* by the instance's QUBO structure
-//! (`Qubo::structure_hash`, which is weight-independent): structurally
+//! across N `mqo_serve` *cells* by the instance's structure
+//! ([`structure_key`], which is weight-independent): structurally
 //! identical instances always land on the same cell, so each cell's
 //! embedding cache sees the full hit-rate benefit of its shard instead of
 //! every cell re-deriving every embedding.
@@ -43,11 +43,13 @@
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{HttpLimits, KeepAliveClient, Request};
+use crate::http::{KeepAliveClient, Request};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
-use mqo_core::logical::LogicalMapping;
+use mqo_core::logical::DEFAULT_EPSILON;
+use mqo_core::problem::MqoProblem;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,33 +57,17 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Failover policy of the router (DESIGN.md §14).
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverConfig {
-    /// Replay window for requests that carry no `deadline_ms` of their own,
-    /// milliseconds. Requests with a client deadline use that instead.
-    pub budget_ms: u64,
-    /// Outstanding requests allowed per shard (primary cell); admission
-    /// beyond this answers a typed 429. `0` disables the bound.
-    pub journal_depth: usize,
-    /// Maximum passes over the fleet before giving up (at least 1). Each
-    /// pass tries every admissible cell once.
-    pub rounds: u32,
-    /// Pause between passes, milliseconds — gives a respawning cell or a
-    /// cooling breaker a moment before the next pass.
-    pub round_backoff_ms: u64,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            budget_ms: 2_000,
-            journal_depth: 64,
-            rounds: 4,
-            round_backoff_ms: 25,
-        }
-    }
-}
+/// Forwarder threads; each owns pooled upstream connections.
+const FORWARDERS: usize = 4;
+/// Replay window for requests that carry no `deadline_ms` of their own,
+/// milliseconds. Requests with a client deadline use that instead.
+const FAILOVER_BUDGET_MS: u64 = 2_000;
+/// Pause between passes over the fleet, milliseconds: gives a respawning
+/// cell or a cooling breaker a moment before the next pass.
+const ROUND_BACKOFF_MS: u64 = 25;
+/// Outstanding requests allowed per shard (primary cell); admission beyond
+/// this answers a typed 429.
+const JOURNAL_DEPTH: usize = 64;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -90,33 +76,17 @@ pub struct MqoRouterConfig {
     pub addr: String,
     /// Upstream `mqo_serve` cell addresses (at least one).
     pub cells: Vec<String>,
-    /// Epsilon used to build the logical QUBO for the shard key; must match
-    /// the cells' engine epsilon for the key to mirror their cache key.
-    pub epsilon: f64,
-    /// Forwarder threads (each owns pooled upstream connections).
-    pub forwarders: usize,
     /// Upstream connect/read/write timeout, milliseconds.
-    pub io_timeout_ms: u64,
+    pub upstream_timeout_ms: u64,
     /// Per-cell circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Replay/journal policy.
-    pub failover: FailoverConfig,
+    /// Maximum passes over the fleet before a forward gives up (at least
+    /// 1). Each pass tries every admissible cell once.
+    pub failover_rounds: u32,
     /// Spawn and supervise the cells as child processes (respawn on death,
     /// quarantine on crash loop). `None` routes to externally managed
     /// cells exactly as before.
     pub supervisor: Option<SupervisorConfig>,
-    /// Client-side byte/count caps.
-    pub http: HttpLimits,
-    /// Client-side whole-request read deadline, milliseconds.
-    pub request_deadline_ms: u64,
-    /// Client-side idle / write-stall timeout, milliseconds.
-    pub idle_timeout_ms: u64,
-    /// Client-side connection cap.
-    pub max_connections: usize,
-    /// Event-loop accept shards.
-    pub accept_shards: usize,
-    /// Pipelined requests per client connection cap.
-    pub max_pipeline: usize,
 }
 
 impl MqoRouterConfig {
@@ -126,30 +96,35 @@ impl MqoRouterConfig {
         MqoRouterConfig {
             addr: "127.0.0.1:0".to_string(),
             cells,
-            epsilon: 0.25,
-            forwarders: 4,
-            io_timeout_ms: 10_000,
+            upstream_timeout_ms: 10_000,
             breaker: BreakerConfig::default(),
-            failover: FailoverConfig::default(),
+            failover_rounds: 4,
             supervisor: None,
-            http: HttpLimits::default(),
-            request_deadline_ms: 10_000,
-            idle_timeout_ms: 10_000,
-            max_connections: 256,
-            accept_shards: 2,
-            max_pipeline: 32,
         }
     }
 }
 
-/// The shard key of one instance: the structure hash of its logical QUBO.
-/// Weight-independent, so instances differing only in costs/savings values
-/// still map to the same cell (and hit its cached embedding).
+/// The shard key of one instance: a hash of its per-query plan counts and
+/// its savings pairs. Those fix the logical QUBO's edge set, so instances
+/// with equal keys share the cells' embedding-cache key
+/// (`Qubo::structure_hash`). Weight-independent, so instances differing
+/// only in costs/savings values still map to the same cell (and hit its
+/// cached embedding). `epsilon` only scales weights and does not enter the
+/// key.
+///
+/// O(queries + savings): the key never builds the QUBO, whose one-hot
+/// penalty is quadratic in plans per query, on the event-loop thread.
 #[must_use]
-pub fn structure_key(problem: &mqo_core::problem::MqoProblem, epsilon: f64) -> u64 {
-    LogicalMapping::new(problem, epsilon)
-        .qubo()
-        .structure_hash()
+pub fn structure_key(problem: &MqoProblem, _epsilon: f64) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    problem.num_queries().hash(&mut hasher);
+    for q in problem.queries() {
+        problem.num_plans_of(q).hash(&mut hasher);
+    }
+    for &(p1, p2, _) in problem.savings() {
+        (p1.0, p2.0).hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// The forwarded deadline for the next replay attempt: the client's budget
@@ -228,13 +203,6 @@ impl FailoverJournal {
     /// Admits one request against `shard`, or `None` when the shard is at
     /// its journal bound (answer 429, don't queue without limit).
     fn admit(self: &Arc<Self>, shard: usize, hash: u64) -> Option<JournalGuard> {
-        if self.depth == 0 {
-            return Some(JournalGuard {
-                journal: Arc::clone(self),
-                shard,
-                ticket: None,
-            });
-        }
         let mut entries = lock_recover(&self.shards[shard], &self.lock_recoveries);
         if entries.len() >= self.depth {
             return None;
@@ -244,7 +212,7 @@ impl FailoverJournal {
         Some(JournalGuard {
             journal: Arc::clone(self),
             shard,
-            ticket: Some(ticket),
+            ticket,
         })
     }
 
@@ -258,26 +226,25 @@ impl FailoverJournal {
 struct JournalGuard {
     journal: Arc<FailoverJournal>,
     shard: usize,
-    ticket: Option<u64>,
+    ticket: u64,
 }
 
 impl Drop for JournalGuard {
     fn drop(&mut self) {
-        if let Some(ticket) = self.ticket {
-            lock_recover(
-                &self.journal.shards[self.shard],
-                &self.journal.lock_recoveries,
-            )
-            .remove(&ticket);
-        }
+        lock_recover(
+            &self.journal.shards[self.shard],
+            &self.journal.lock_recoveries,
+        )
+        .remove(&self.ticket);
     }
 }
 
 /// Shared forwarding state: the cells and the failover machinery.
 struct Fleet {
     cells: Vec<Cell>,
-    io_timeout: Duration,
-    failover: FailoverConfig,
+    upstream_timeout: Duration,
+    /// Passes over the fleet before a forward gives up.
+    rounds: u32,
     /// Per-cell quarantine flags; shared with the supervisor when one is
     /// running, all-false otherwise.
     quarantined: Arc<Vec<AtomicBool>>,
@@ -327,8 +294,8 @@ impl Fleet {
         let n = self.cells.len();
         let budget = request.deadline_ms;
         // The replay window: the client's own deadline when it sent one,
-        // the configured failover budget otherwise.
-        let window_ms = budget.unwrap_or(self.failover.budget_ms);
+        // the failover budget otherwise.
+        let window_ms = budget.unwrap_or(FAILOVER_BUDGET_MS);
         let mut last_forwarded: Option<u64> = None;
         let mut last_5xx: Option<(u16, String)> = None;
         let mut failed_attempts = 0u32;
@@ -343,14 +310,14 @@ impl Fleet {
             }
         };
 
-        'rounds: for round in 0..self.failover.rounds.max(1) {
+        'rounds: for round in 0..self.rounds.max(1) {
             if round > 0 {
                 let elapsed = admitted.elapsed().as_millis() as u64;
-                if elapsed.saturating_add(self.failover.round_backoff_ms) >= window_ms {
+                if elapsed.saturating_add(ROUND_BACKOFF_MS) >= window_ms {
                     budget_exhausted = true;
                     break 'rounds;
                 }
-                std::thread::sleep(Duration::from_millis(self.failover.round_backoff_ms));
+                std::thread::sleep(Duration::from_millis(ROUND_BACKOFF_MS));
             }
             for step in 0..n {
                 let idx = (self.primary(hash) + step) % n;
@@ -450,7 +417,9 @@ impl Fleet {
     fn try_cell(&self, cell: &Cell, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
         let mut client = lock_recover(&cell.pool, &self.lock_recoveries)
             .pop()
-            .unwrap_or_else(|| KeepAliveClient::with_timeout(cell.addr, Some(self.io_timeout)));
+            .unwrap_or_else(|| {
+                KeepAliveClient::with_timeout(cell.addr, Some(self.upstream_timeout))
+            });
         let result = client.request("POST", "/solve", body);
         if result.is_ok() {
             lock_recover(&cell.pool, &self.lock_recoveries).push(client);
@@ -494,7 +463,6 @@ struct RouterHandler {
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
     supervisor: Option<Arc<Supervisor>>,
-    epsilon: f64,
 }
 
 impl Handler for RouterHandler {
@@ -510,7 +478,7 @@ impl Handler for RouterHandler {
                     "service": self.metrics.snapshot(),
                     "router": serde_json::json!({
                         "cells": self.fleet.cell_snapshots(),
-                        "journal_depth": self.fleet.failover.journal_depth,
+                        "journal_depth": JOURNAL_DEPTH,
                     }),
                     "supervisor": supervisor,
                 });
@@ -527,13 +495,13 @@ impl Handler for RouterHandler {
                         }));
                     }
                 };
-                let hash = structure_key(&solve_request.problem, self.epsilon);
+                let hash = structure_key(&solve_request.problem, DEFAULT_EPSILON);
                 let shard = self.fleet.primary(hash);
                 let Some(guard) = self.fleet.journal.admit(shard, hash) else {
                     Metrics::inc(&self.metrics.rejected_queue_full);
                     return Action::Respond(
                         Response::reject(&Reject::QueueFull {
-                            depth: self.fleet.failover.journal_depth,
+                            depth: JOURNAL_DEPTH,
                         })
                         .with_header("retry-after", "1"),
                     );
@@ -647,14 +615,11 @@ impl MqoRouter {
                 })
             })
             .collect::<io::Result<Vec<Cell>>>()?;
-        let journal = Arc::new(FailoverJournal::new(
-            cells.len(),
-            config.failover.journal_depth,
-        ));
+        let journal = Arc::new(FailoverJournal::new(cells.len(), JOURNAL_DEPTH));
         let fleet = Arc::new(Fleet {
             cells,
-            io_timeout: Duration::from_millis(config.io_timeout_ms.max(1)),
-            failover: config.failover,
+            upstream_timeout: Duration::from_millis(config.upstream_timeout_ms.max(1)),
+            rounds: config.failover_rounds,
             quarantined,
             journal,
             metrics: Arc::clone(&metrics),
@@ -665,7 +630,7 @@ impl MqoRouter {
         let (forward_tx, forward_rx) = mpsc::channel::<ForwardJob>();
         let forward_rx = Arc::new(Mutex::new(forward_rx));
         let mut forwarders = Vec::new();
-        for i in 0..config.forwarders.max(1) {
+        for i in 0..FORWARDERS {
             let fleet = Arc::clone(&fleet);
             let forward_rx = Arc::clone(&forward_rx);
             forwarders.push(
@@ -700,18 +665,10 @@ impl MqoRouter {
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
             supervisor: supervisor.clone(),
-            epsilon: config.epsilon,
         });
         let event_loop = EventLoop::spawn(
             listener,
-            LoopConfig {
-                shards: config.accept_shards,
-                http: config.http,
-                request_deadline_ms: config.request_deadline_ms,
-                idle_timeout_ms: config.idle_timeout_ms,
-                max_connections: config.max_connections,
-                max_pipeline: config.max_pipeline,
-            },
+            LoopConfig::default(),
             handler,
             Arc::clone(&metrics),
             Arc::clone(&shutdown),
@@ -917,7 +874,7 @@ mod tests {
         ]);
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 50;
-        config.io_timeout_ms = 500;
+        config.upstream_timeout_ms = 500;
         let router = MqoRouter::start(config).expect("bind router");
 
         // Find which cell owns TINY_A's structure, then kill it.
@@ -1028,8 +985,8 @@ mod tests {
         let mut config = MqoRouterConfig::new(vec![dead.to_string()]);
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 30_000;
-        config.io_timeout_ms = 200;
-        config.failover.rounds = 1;
+        config.upstream_timeout_ms = 200;
+        config.failover_rounds = 1;
         let router = MqoRouter::start(config).expect("bind router");
 
         let (status, _) = roundtrip(router.local_addr(), "POST", "/solve", TINY_A).unwrap();
@@ -1080,15 +1037,48 @@ mod tests {
         drop(a);
         assert_eq!(journal.outstanding(0), 1, "guard drop releases the slot");
         assert!(journal.admit(0, 15).is_some(), "slot reusable");
-        // Depth 0 disables the bound.
-        let unbounded = Arc::new(FailoverJournal::new(1, 0));
-        for i in 0..100 {
-            assert!(unbounded.admit(0, i).is_some());
+    }
+
+    #[test]
+    fn oversized_bodies_are_keyed_without_building_the_qubo() {
+        // One query of 8 000 plans: ~32 M one-hot edges, far past any
+        // chip. Building the logical QUBO for it takes seconds and
+        // gigabytes; the router must still answer it fast and unchanged.
+        let plans = vec!["1"; 8_000].join(",");
+        let body =
+            format!(r#"{{"problem": {{"queries": [[{plans}]], "savings": []}}, "seed": 3}}"#)
+                .into_bytes();
+        let cell = cell_server();
+        let router = router_over(&[&cell]);
+        let started = Instant::now();
+        let (status, via_router) = roundtrip(router.local_addr(), "POST", "/solve", &body).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&via_router));
+        assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
+        let (status, direct) = roundtrip(cell.local_addr(), "POST", "/solve", &body).unwrap();
+        assert_eq!(status, 200);
+        // Identical apart from the timing fields `wall_us`, `queue_wait_us`.
+        let r: serde_json::Value = serde_json::from_slice(&via_router).unwrap();
+        let d: serde_json::Value = serde_json::from_slice(&direct).unwrap();
+        assert_eq!(r["selection"], serde_json::json!([0]));
+        for field in [
+            "selection",
+            "cost",
+            "backend",
+            "route_reason",
+            "cache_hit",
+            "reads",
+            "qubits_used",
+            "device_time_us",
+            "packed_tenants",
+        ] {
+            assert_eq!(r[field], d[field], "{field}");
         }
-        assert_eq!(
-            unbounded.outstanding(0),
-            0,
-            "disabled journal stores nothing"
-        );
+        for addr in [cell.local_addr(), router.local_addr()] {
+            let (status, _) = roundtrip(addr, "GET", "/healthz", b"").unwrap();
+            assert_eq!(status, 200);
+        }
+        router.shutdown();
+        cell.shutdown();
     }
 }

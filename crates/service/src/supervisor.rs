@@ -10,12 +10,12 @@
 //!   (SIGKILL from the chaos schedule, OOM, a crash bug);
 //! * **deadline-bounded `/healthz` probes**: the process is alive but not
 //!   answering (wedged accept loop, livelock) — after
-//!   `probe_failure_threshold` consecutive probe failures the supervisor
+//!   `PROBE_FAILURE_THRESHOLD` consecutive probe failures the supervisor
 //!   kills it and treats it as crashed;
 //!
 //! — and respawns it with exponential backoff. A cell that keeps dying
 //! right after starting (`crash_loop_threshold` rapid crashes, each within
-//! `crash_loop_window_ms` of its spawn) is **quarantined**: its process is
+//! `CRASH_LOOP_WINDOW_MS` of its spawn) is **quarantined**: its process is
 //! reaped, no further respawns are attempted, and a shared per-cell flag
 //! tells the router's fleet to skip it during shard fall-through — the
 //! cell's shard range is thereby remapped onto the healthy cells.
@@ -41,6 +41,17 @@ use std::time::{Duration, Instant};
 /// Placeholder in a cell command template replaced by the cell's address.
 pub const ADDR_PLACEHOLDER: &str = "{addr}";
 
+/// Probe connect/read deadline, milliseconds.
+const PROBE_TIMEOUT_MS: u64 = 500;
+/// Consecutive probe failures after which a live-but-unresponsive cell is
+/// killed and treated as crashed.
+const PROBE_FAILURE_THRESHOLD: u32 = 3;
+/// A crash with uptime below this window counts as rapid, milliseconds.
+const CRASH_LOOP_WINDOW_MS: u64 = 10_000;
+/// How long [`Supervisor::wait_ready`] allows the initial fleet to become
+/// healthy, milliseconds.
+const STARTUP_TIMEOUT_MS: u64 = 30_000;
+
 /// Fleet-supervision configuration.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
@@ -53,23 +64,14 @@ pub struct SupervisorConfig {
     pub cells: Vec<String>,
     /// Milliseconds between `/healthz` probes of a live cell.
     pub probe_interval_ms: u64,
-    /// Probe connect/read deadline, milliseconds.
-    pub probe_timeout_ms: u64,
-    /// Consecutive probe failures after which a live-but-unresponsive cell
-    /// is killed and treated as crashed. `0` disables probing.
-    pub probe_failure_threshold: u32,
     /// First respawn backoff, milliseconds (doubles per rapid crash).
     pub backoff_initial_ms: u64,
     /// Respawn backoff cap, milliseconds.
     pub backoff_max_ms: u64,
-    /// Rapid crashes (uptime below `crash_loop_window_ms`) that quarantine
-    /// a cell. `0` disables quarantine (the cell respawns forever).
+    /// Rapid crashes (uptime below `CRASH_LOOP_WINDOW_MS`) that
+    /// quarantine a cell. `0` disables quarantine (the cell respawns
+    /// forever).
     pub crash_loop_threshold: u32,
-    /// A crash with uptime below this window counts as rapid, milliseconds.
-    pub crash_loop_window_ms: u64,
-    /// How long `wait_ready` allows the initial fleet to become healthy,
-    /// milliseconds.
-    pub startup_timeout_ms: u64,
     /// Deterministic SIGKILL schedule executed against the fleet
     /// (inert by default).
     pub kill_schedule: CellKillSchedule,
@@ -84,13 +86,9 @@ impl SupervisorConfig {
             commands: vec![command; cells.len()],
             cells,
             probe_interval_ms: 200,
-            probe_timeout_ms: 500,
-            probe_failure_threshold: 3,
             backoff_initial_ms: 100,
             backoff_max_ms: 5_000,
             crash_loop_threshold: 5,
-            crash_loop_window_ms: 10_000,
-            startup_timeout_ms: 30_000,
             kill_schedule: CellKillSchedule::default(),
         }
     }
@@ -138,8 +136,6 @@ pub struct RespawnPolicy {
     pub backoff_max_ms: u64,
     /// Rapid crashes that quarantine (0 = never quarantine).
     pub crash_loop_threshold: u32,
-    /// Uptime below this counts as a rapid crash, milliseconds.
-    pub crash_loop_window_ms: u64,
 }
 
 impl RespawnPolicy {
@@ -147,7 +143,7 @@ impl RespawnPolicy {
     /// within the window extends the run, a healthy stretch resets it to 1.
     #[must_use]
     pub fn next_run(&self, uptime_ms: u64, rapid_crashes: u32) -> u32 {
-        if uptime_ms < self.crash_loop_window_ms {
+        if uptime_ms < CRASH_LOOP_WINDOW_MS {
             rapid_crashes.saturating_add(1)
         } else {
             1
@@ -265,7 +261,6 @@ impl Supervisor {
             backoff_initial_ms: config.backoff_initial_ms,
             backoff_max_ms: config.backoff_max_ms,
             crash_loop_threshold: config.crash_loop_threshold,
-            crash_loop_window_ms: config.crash_loop_window_ms,
         };
         let now = Instant::now();
         let mut cells = Vec::with_capacity(config.cells.len());
@@ -318,8 +313,7 @@ impl Supervisor {
     /// been quarantined, or the startup timeout elapsed. At least one cell
     /// must be healthy for the fleet to be usable.
     pub fn wait_ready(&self) -> Result<(), String> {
-        let deadline =
-            Instant::now() + Duration::from_millis(self.shared.config.startup_timeout_ms);
+        let deadline = Instant::now() + Duration::from_millis(STARTUP_TIMEOUT_MS);
         loop {
             let mut healthy = 0usize;
             let mut settled = 0usize;
@@ -328,16 +322,7 @@ impl Supervisor {
                     settled += 1;
                     continue;
                 }
-                let mut cell = lock_recover(cell, &self.shared.lock_recoveries);
-                // With probing disabled the monitor never marks health, so
-                // the startup gate probes directly.
-                if !cell.healthy_once && self.shared.config.probe_failure_threshold == 0 {
-                    let timeout = Duration::from_millis(self.shared.config.probe_timeout_ms.max(1));
-                    if probe(&cell.addr, "GET", "/healthz", timeout) {
-                        cell.healthy_once = true;
-                    }
-                }
-                if cell.healthy_once {
+                if lock_recover(cell, &self.shared.lock_recoveries).healthy_once {
                     healthy += 1;
                     settled += 1;
                 }
@@ -351,8 +336,8 @@ impl Supervisor {
             }
             if Instant::now() >= deadline {
                 return Err(format!(
-                    "supervised fleet not ready within {} ms ({healthy}/{} cells healthy)",
-                    self.shared.config.startup_timeout_ms,
+                    "supervised fleet not ready within {STARTUP_TIMEOUT_MS} ms \
+                     ({healthy}/{} cells healthy)",
                     self.shared.cells.len()
                 ));
             }
@@ -415,7 +400,7 @@ impl Supervisor {
         if let Some(handle) = lock_recover(&self.monitor, &self.shared.lock_recoveries).take() {
             let _ = handle.join();
         }
-        let timeout = Duration::from_millis(self.shared.config.probe_timeout_ms.max(1));
+        let timeout = Duration::from_millis(PROBE_TIMEOUT_MS);
         let mut report = Vec::with_capacity(self.shared.cells.len());
         for cell in &self.shared.cells {
             let mut cell = lock_recover(cell, &self.shared.lock_recoveries);
@@ -598,15 +583,12 @@ fn monitor_loop(shared: &Shared) {
             }
 
             // Liveness probing.
-            if shared.config.probe_failure_threshold == 0 {
-                continue;
-            }
             let interval = Duration::from_millis(shared.config.probe_interval_ms.max(1));
             if cell.last_probe.elapsed() < interval {
                 continue;
             }
             cell.last_probe = Instant::now();
-            let timeout = Duration::from_millis(shared.config.probe_timeout_ms.max(1));
+            let timeout = Duration::from_millis(PROBE_TIMEOUT_MS);
             let addr = cell.addr.clone();
             // Probe without holding the cell lock: a slow probe must not
             // block kill_cell/snapshots for its full timeout.
@@ -620,7 +602,7 @@ fn monitor_loop(shared: &Shared) {
                 cell.consecutive_probe_failures += 1;
                 cell.probe_failures += 1;
                 Metrics::inc(&shared.metrics.health_probe_failures);
-                if cell.consecutive_probe_failures >= shared.config.probe_failure_threshold {
+                if cell.consecutive_probe_failures >= PROBE_FAILURE_THRESHOLD {
                     // Alive but unresponsive: kill and let the next tick's
                     // exit detection route it through the crash policy.
                     if let Some(child) = cell.child.as_mut() {
@@ -642,7 +624,6 @@ mod tests {
             backoff_initial_ms: 100,
             backoff_max_ms: 1_600,
             crash_loop_threshold: 4,
-            crash_loop_window_ms: 10_000,
         }
     }
 

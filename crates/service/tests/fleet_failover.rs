@@ -52,8 +52,6 @@ fn cell_command() -> Vec<String> {
         "20",
         "--gauges",
         "2",
-        "--workers",
-        "2",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -75,7 +73,6 @@ fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
     let cells: Vec<String> = (0..n).map(|_| free_addr()).collect();
     let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
     sup.probe_interval_ms = 50;
-    sup.probe_timeout_ms = 500;
     sup.backoff_initial_ms = 50;
     sup.backoff_max_ms = 500;
     sup.kill_schedule = kill_schedule;
@@ -83,7 +80,7 @@ fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
     config.supervisor = Some(sup);
     config.breaker.failure_threshold = 1;
     config.breaker.open_ms = 100;
-    config.io_timeout_ms = 2_000;
+    config.upstream_timeout_ms = 2_000;
     MqoRouter::start(config).expect("start supervised router")
 }
 
@@ -366,7 +363,7 @@ fn crash_looping_cell_is_quarantined_and_its_shards_remap() {
     config.supervisor = Some(sup);
     config.breaker.failure_threshold = 1;
     config.breaker.open_ms = 100;
-    config.io_timeout_ms = 2_000;
+    config.upstream_timeout_ms = 2_000;
     let router = MqoRouter::start(config).expect("start with one crash-looping cell");
     let addr = router.local_addr();
 
@@ -411,7 +408,7 @@ proptest! {
         ]);
         config.breaker.failure_threshold = 1;
         config.breaker.open_ms = 50;
-        config.io_timeout_ms = 1_000;
+        config.upstream_timeout_ms = 1_000;
         let router = MqoRouter::start(config).expect("bind router");
 
         let (status, first) =
@@ -482,15 +479,7 @@ proptest! {
 fn supervised_cell_exits_when_the_supervisor_pipe_closes() {
     let addr = free_addr();
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mqo_serve"))
-        .args([
-            "--small",
-            "--addr",
-            &addr,
-            "--reads",
-            "10",
-            "--workers",
-            "1",
-        ])
+        .args(["--small", "--addr", &addr, "--reads", "10"])
         .env("MQO_SUPERVISED", "1")
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::null())
@@ -547,7 +536,7 @@ fn sigkilled_router_leaves_no_orphan_cells() {
     let cell_a = free_addr();
     let cell_b = free_addr();
     let command = format!(
-        "{} --small --addr {{addr}} --reads 10 --workers 1",
+        "{} --small --addr {{addr}} --reads 10",
         env!("CARGO_BIN_EXE_mqo_serve")
     );
     let mut router = std::process::Command::new(env!("CARGO_BIN_EXE_mqo_router"))
