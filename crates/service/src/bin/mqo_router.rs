@@ -2,11 +2,7 @@
 //!
 //! ```text
 //! mqo_router --cells 127.0.0.1:7700,127.0.0.1:7701 [--addr 127.0.0.1:7600]
-//!            [--breaker-threshold N] [--breaker-open-ms N]
 //!            [--supervise 'CMD --addr {addr}'] [--supervise-cell I:CMD]
-//!            [--backoff-initial-ms N] [--backoff-max-ms N]
-//!            [--chaos-kill-seed N] [--chaos-kills N]
-//!            [--chaos-kill-min-ms N] [--chaos-kill-max-ms N]
 //! ```
 //!
 //! Shards `POST /solve` requests across the cells by the instance's
@@ -15,8 +11,8 @@
 //! breakers, and failed forwards replay transparently on healthy cells
 //! inside the client's deadline budget (`FAILOVER_BUDGET_MS` for requests
 //! without one). The rest runs at the library defaults of
-//! [`MqoRouterConfig::new`] and the cells' event-loop front
-//! (`LoopConfig::default()`).
+//! [`MqoRouterConfig::new`] (cell breakers included) and the cells'
+//! event-loop front (`LoopConfig::default()`).
 //!
 //! With `--supervise`, the router *owns* its cells: the command template
 //! (whitespace-split; `{addr}` substitutes the cell address) is spawned
@@ -25,9 +21,9 @@
 //! crashes, each within `CRASH_LOOP_WINDOW_MS` of its spawn) are
 //! quarantined with their shard range remapped onto the survivors.
 //! `--supervise-cell I:CMD` overrides the template for cell I (useful for
-//! canaries). The `--chaos-kill-*` flags arm a seeded kill schedule that
-//! SIGKILLs supervised cells at deterministic times — the fleet-chaos
-//! proof harness.
+//! canaries). Respawn backoff and the seeded kill schedule stay at the
+//! `SupervisorConfig::new` defaults (no kills); `fleet_failover.rs` sets
+//! them through the library.
 //!
 //! Prints `listening on <addr>` (scripts parse that line), serves until
 //! `POST /shutdown`, then prints `drained and stopped` after the router
@@ -40,11 +36,10 @@ fn parse_options() -> Result<MqoRouterConfig, String> {
     let mut cells: Vec<String> = Vec::new();
     let mut config = MqoRouterConfig::new(Vec::new());
     config.addr = "127.0.0.1:7600".to_string();
-    // Supervision knobs are collected first and assembled once the cell
+    // Supervision flags are collected first and assembled once the cell
     // list is known (flag order must not matter).
     let mut supervise_template: Option<Vec<String>> = None;
     let mut cell_overrides: Vec<(usize, Vec<String>)> = Vec::new();
-    let mut sup_defaults = SupervisorConfig::new(Vec::new(), Vec::new());
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -57,13 +52,6 @@ fn parse_options() -> Result<MqoRouterConfig, String> {
                     .filter(|s| !s.is_empty())
                     .collect()
             }
-            "--breaker-threshold" => {
-                config.breaker.failure_threshold =
-                    parse(&value("--breaker-threshold")?, "--breaker-threshold")?
-            }
-            "--breaker-open-ms" => {
-                config.breaker.open_ms = parse(&value("--breaker-open-ms")?, "--breaker-open-ms")?
-            }
             "--supervise" => {
                 supervise_template = Some(split_command(&value("--supervise")?, "--supervise")?)
             }
@@ -75,42 +63,13 @@ fn parse_options() -> Result<MqoRouterConfig, String> {
                 let index: usize = parse(index, "--supervise-cell index")?;
                 cell_overrides.push((index, split_command(command, "--supervise-cell")?));
             }
-            "--backoff-initial-ms" => {
-                sup_defaults.backoff_initial_ms =
-                    parse(&value("--backoff-initial-ms")?, "--backoff-initial-ms")?
-            }
-            "--backoff-max-ms" => {
-                sup_defaults.backoff_max_ms =
-                    parse(&value("--backoff-max-ms")?, "--backoff-max-ms")?
-            }
-            "--chaos-kill-seed" => {
-                sup_defaults.kill_schedule.seed =
-                    parse(&value("--chaos-kill-seed")?, "--chaos-kill-seed")?
-            }
-            "--chaos-kills" => {
-                sup_defaults.kill_schedule.kills = parse(&value("--chaos-kills")?, "--chaos-kills")?
-            }
-            "--chaos-kill-min-ms" => {
-                sup_defaults.kill_schedule.min_delay_ms =
-                    parse(&value("--chaos-kill-min-ms")?, "--chaos-kill-min-ms")?
-            }
-            "--chaos-kill-max-ms" => {
-                sup_defaults.kill_schedule.max_delay_ms =
-                    parse(&value("--chaos-kill-max-ms")?, "--chaos-kill-max-ms")?
-            }
             "--help" | "-h" => {
                 println!(
                     "mqo_router: structure-sharded front for mqo_serve cells\n\
                      --cells A,B,...     upstream cell addresses (required)\n\
                      --addr A            bind address (default 127.0.0.1:7600)\n\
-                     --breaker-threshold N  consecutive failures that open a cell breaker (5)\n\
-                     --breaker-open-ms N    cell breaker cooling period (1000)\n\
                      --supervise CMD     spawn each cell from this template ({{addr}} substituted)\n\
-                     --supervise-cell I:CMD  override the template for cell I\n\
-                     --backoff-initial-ms N respawn backoff seed (100)\n\
-                     --backoff-max-ms N     respawn backoff cap (5000)\n\
-                     --chaos-kill-seed N / --chaos-kills N  seeded SIGKILL schedule (off)\n\
-                     --chaos-kill-min-ms N / --chaos-kill-max-ms N  kill delay bounds (100/2000)"
+                     --supervise-cell I:CMD  override the template for cell I"
                 );
                 std::process::exit(0);
             }
@@ -121,11 +80,7 @@ fn parse_options() -> Result<MqoRouterConfig, String> {
         return Err("--cells is required (comma-separated mqo_serve addresses)".to_string());
     }
     if let Some(template) = supervise_template {
-        let mut sup = SupervisorConfig {
-            commands: vec![template; cells.len()],
-            cells: cells.clone(),
-            ..sup_defaults
-        };
+        let mut sup = SupervisorConfig::new(template, cells.clone());
         for (index, command) in cell_overrides {
             if index >= sup.commands.len() {
                 return Err(format!(

@@ -2,19 +2,17 @@
 //!
 //! ```text
 //! mqo_serve [--addr 127.0.0.1:7700] [--small] [--reads N] [--gauges N]
-//!           [--cache-capacity N] [--breaker-threshold N]
-//!           [--chaos-seed N] [--chaos-panic-rate F] [--chaos-kill-rate F]
-//!           [--chaos-backend-failure-rate F] [--chaos-corruption-rate F]
 //!           [--packing] [--max-tenants N]
 //! ```
 //!
 //! Binds, prints `listening on <addr>` (scripts parse that line), then
 //! serves until `POST /shutdown` arrives; shutdown drains the queue before
-//! the process exits. The `--chaos-*` flags inject deterministic faults
-//! (worker panics/deaths, backend failures) for resilience testing; all
-//! rates default to zero, which is bit-identical to a chaos-free build.
-//! Everything else runs at the library defaults of [`ServerConfig::new`]
-//! (`QueueConfig::default()`, `LoopConfig::default()`).
+//! the process exits and prints `drained and stopped`. Everything else
+//! runs at the library defaults of [`ServerConfig::new`]
+//! (`EngineConfig::new`, `QueueConfig::default()`, `LoopConfig::default()`):
+//! chaos injection stays off, and the embedding cache and backend breakers
+//! keep their default sizes. The chaos and breaker knobs are library
+//! settings that the tests set directly.
 
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::engine::EngineConfig;
@@ -33,34 +31,6 @@ fn parse_options() -> Result<ServerConfig, String> {
             "--small" => engine.graph = ChimeraGraph::new(2, 2),
             "--reads" => engine.device.num_reads = parse(&value("--reads")?, "--reads")?,
             "--gauges" => engine.device.num_gauges = parse(&value("--gauges")?, "--gauges")?,
-            "--cache-capacity" => {
-                engine.cache_capacity = parse(&value("--cache-capacity")?, "--cache-capacity")?
-            }
-            "--breaker-threshold" => {
-                engine.breaker.failure_threshold =
-                    parse(&value("--breaker-threshold")?, "--breaker-threshold")?
-            }
-            "--chaos-seed" => engine.chaos.seed = parse(&value("--chaos-seed")?, "--chaos-seed")?,
-            "--chaos-panic-rate" => {
-                engine.chaos.worker_panic_rate =
-                    parse(&value("--chaos-panic-rate")?, "--chaos-panic-rate")?
-            }
-            "--chaos-kill-rate" => {
-                engine.chaos.worker_kill_rate =
-                    parse(&value("--chaos-kill-rate")?, "--chaos-kill-rate")?
-            }
-            "--chaos-backend-failure-rate" => {
-                engine.chaos.backend_failure_rate = parse(
-                    &value("--chaos-backend-failure-rate")?,
-                    "--chaos-backend-failure-rate",
-                )?
-            }
-            "--chaos-corruption-rate" => {
-                engine.chaos.sample_corruption_rate = parse(
-                    &value("--chaos-corruption-rate")?,
-                    "--chaos-corruption-rate",
-                )?
-            }
             "--packing" => engine.packing = true,
             "--max-tenants" => {
                 engine.packing_max_tenants = parse(&value("--max-tenants")?, "--max-tenants")?
@@ -72,13 +42,6 @@ fn parse_options() -> Result<ServerConfig, String> {
                      --small             4-cell Chimera graph instead of the 12x12 D-Wave 2X\n\
                      --reads N           default annealing reads per request (100)\n\
                      --gauges N          default gauge batches per request (10)\n\
-                     --cache-capacity N  embedding cache entries, 0 disables (128)\n\
-                     --breaker-threshold N  consecutive failures that open a breaker, 0 = off (5)\n\
-                     --chaos-seed N      seed of the chaos streams (0)\n\
-                     --chaos-panic-rate F   per-request worker panic probability (0)\n\
-                     --chaos-kill-rate F    caught-panic worker death probability (0)\n\
-                     --chaos-backend-failure-rate F  per-attempt backend failure probability (0)\n\
-                     --chaos-corruption-rate F  per-request answer corruption probability (0)\n\
                      --packing           pack small requests onto disjoint chip regions per cycle\n\
                      --max-tenants N     tenants per packed cycle cap (16)"
                 );
@@ -90,7 +53,6 @@ fn parse_options() -> Result<ServerConfig, String> {
     engine.device.num_reads = engine.device.num_reads.max(1);
     engine.device.num_gauges = engine.device.num_gauges.clamp(1, engine.device.num_reads);
     engine.packing_max_tenants = engine.packing_max_tenants.max(2);
-    engine.chaos.validate()?;
     Ok(config)
 }
 

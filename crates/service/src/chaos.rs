@@ -24,10 +24,15 @@
 //! * **Backend failure** ([`ChaosConfig::backend_fails`]) — one backend
 //!   attempt fails before running; the engine records it against that
 //!   backend's circuit breaker and falls through to the next candidate.
+//! * **Answer corruption** ([`ChaosConfig::sample_corruption`]) — a
+//!   successful answer is mangled at the API boundary; the integrity gate
+//!   must flag every one.
+//! * **Cell kill** ([`CellKillSchedule`]) — the fleet supervisor SIGKILLs
+//!   `mqo_serve` cell processes on a seeded schedule.
 //!
-//! Client-side chaos (aborted and slow connections) lives in the `loadgen`
-//! bench binary and shares the same stream constants via
-//! [`chaos_roll`], keyed on the request index of the replay.
+//! No binary flag arms any of these: the tests build the configurations
+//! directly (`chaos_drain.rs`, `fleet_failover.rs`, the engine and queue
+//! unit tests), so a served process always runs the inert default.
 
 use crate::api::Backend;
 use mqo_annealer::faults::unit_uniform;
@@ -40,9 +45,6 @@ pub const STREAM_CHAOS_PANIC: u64 = 0x4348_5041_4e49_0001;
 pub const STREAM_CHAOS_KILL: u64 = 0x4348_4b49_4c4c_0002;
 /// Stream tag for per-backend failure rolls.
 pub const STREAM_CHAOS_BACKEND: u64 = 0x4348_4241_434b_0003;
-/// Stream tag for client-side connection chaos (aborts/slow writes in
-/// `loadgen`).
-pub const STREAM_CHAOS_CONN: u64 = 0x4348_434f_4e4e_0004;
 /// Stream tag for sample-corruption rolls (mangled backend answers at the
 /// API boundary, caught by the integrity gate).
 pub const STREAM_CHAOS_CORRUPT: u64 = 0x4348_434f_5252_0005;
@@ -53,7 +55,7 @@ pub const STREAM_CHAOS_CELL_KILL: u64 = 0x4348_4345_4c4c_0006;
 /// One uniform sample in `[0, 1)` for slot `(a, b)` of `stream` under
 /// `chaos_seed` — the single primitive every chaos decision reduces to.
 #[must_use]
-pub fn chaos_roll(chaos_seed: u64, stream: u64, a: u64, b: u64) -> f64 {
+fn chaos_roll(chaos_seed: u64, stream: u64, a: u64, b: u64) -> f64 {
     unit_uniform(derive_seed(chaos_seed, stream, a, b))
 }
 
@@ -118,7 +120,7 @@ impl ChaosConfig {
             && self.sample_corruption_rate <= 0.0
     }
 
-    /// Validates rates; the binaries surface violations before binding.
+    /// Validates rates: each must lie in `[0, 1]`.
     pub fn validate(&self) -> Result<(), &'static str> {
         let rate_ok = |r: f64| (0.0..=1.0).contains(&r);
         if !rate_ok(self.worker_panic_rate)
@@ -221,8 +223,8 @@ impl CellKillSchedule {
         self.kills == 0
     }
 
-    /// Validates the delay bounds; the binaries surface violations before
-    /// binding.
+    /// Validates the delay bounds; [`crate::supervisor::SupervisorConfig::validate`]
+    /// surfaces violations before any cell is spawned.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.min_delay_ms > self.max_delay_ms {
             return Err("cell-kill min delay must not exceed max delay");

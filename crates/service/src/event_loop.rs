@@ -1090,6 +1090,31 @@ mod tests {
         let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 408);
         assert_eq!(metrics.snapshot().rejected_request_timeout, 1);
+        drop(reader);
+        drop(stream);
+        // A client that dies mid-request releases its connection at EOF,
+        // not at the deadline, and the next request is served.
+        let active_reaches = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while metrics.connections_active.load(Ordering::Relaxed) != n {
+                assert!(
+                    Instant::now() < deadline,
+                    "connections_active never reached {n}"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        active_reaches(0);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /half HTTP/1.1\r\ncontent-length: 64\r\n\r\n{\"par")
+            .unwrap();
+        active_reaches(1);
+        drop(stream);
+        active_reaches(0);
+        assert_eq!(metrics.snapshot().rejected_request_timeout, 1);
+        let (status, _) = roundtrip(addr, "GET", "/after-abort", b"").unwrap();
+        assert_eq!(status, 200);
         stop(event_loop, &shutdown);
     }
 

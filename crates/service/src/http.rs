@@ -180,8 +180,13 @@ fn read_line_bounded<S: RequestSource>(
         }
         reader.get_mut().arm_timeout(deadline - now)?;
     }
+    read_capped_line(reader, limits.max_line_bytes)
+}
+
+/// Reads one `\n`-terminated line of at most `cap` bytes (terminator
+/// included). Returns `None` at a clean EOF before any byte of the line.
+fn read_capped_line<R: BufRead>(reader: &mut R, cap: usize) -> Result<Option<String>, HttpError> {
     let mut buf = Vec::new();
-    let cap = limits.max_line_bytes;
     let n = reader
         .by_ref()
         .take(cap as u64 + 1)
@@ -471,34 +476,55 @@ pub struct ResponseParts {
 /// Reads one `content-length`-framed response from a client-side reader.
 /// A clean EOF before the status line is `UnexpectedEof` (pooled clients
 /// use this to detect a stale connection and retry once).
+///
+/// The peer is untrusted: anything may listen at a cell address. The
+/// status line and header lines, the header count, and the declared body
+/// are held to the request caps of [`HttpLimits::default`], checked before
+/// anything is allocated. A tripped cap or broken framing is
+/// `InvalidData`, which callers handle like any transport failure.
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(io::Error::new(
+    let limits = HttpLimits::default();
+    let next_line = |reader: &mut R| {
+        read_capped_line(reader, limits.max_line_bytes).map_err(|e| match e {
+            HttpError::Io(e) => e,
+            HttpError::Timeout => io::ErrorKind::TimedOut.into(),
+            other => invalid_response(&other.to_string()),
+        })
+    };
+    let status_line = next_line(reader)?.ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before a response arrived",
-        ));
-    }
+        )
+    })?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
+        .ok_or_else(|| invalid_response("bad status line"))?;
     let mut content_length = 0usize;
     let mut close = false;
     let mut retry_after = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+    let mut header_count = 0usize;
+    while let Some(header) = next_line(reader)? {
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
+        header_count += 1;
+        if header_count > limits.max_header_count {
+            return Err(invalid_response("too many response headers"));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = value
+                    .trim()
+                    .parse()
+                    .ok()
+                    .filter(|&n| n <= limits.max_body)
+                    .ok_or_else(|| {
+                        invalid_response("content-length unparseable or over the cap")
+                    })?;
             } else if name.eq_ignore_ascii_case("connection")
                 && value.trim().eq_ignore_ascii_case("close")
             {
@@ -518,8 +544,16 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
     })
 }
 
-/// Minimal client used by tests and the load generator: one round trip on a
-/// fresh connection (`Connection: close`), returning `(status, body)`.
+/// An `InvalidData` error for a response that breaks a cap or the framing.
+fn invalid_response(detail: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("upstream response: {detail}"),
+    )
+}
+
+/// Minimal client used by the tests: one round trip on a fresh connection
+/// (`Connection: close`), returning `(status, body)`.
 pub fn roundtrip(
     addr: std::net::SocketAddr,
     method: &str,
@@ -548,7 +582,6 @@ pub struct KeepAliveClient {
     stream: Option<BufReader<TcpStream>>,
     connects: u64,
     reuses: u64,
-    last_connect_us: u64,
 }
 
 /// Batch-exchange failure: the number of responses already read off the
@@ -573,7 +606,6 @@ impl KeepAliveClient {
             stream: None,
             connects: 0,
             reuses: 0,
-            last_connect_us: 0,
         }
     }
 
@@ -589,22 +621,13 @@ impl KeepAliveClient {
         self.reuses
     }
 
-    /// Microseconds the most recent request/batch spent on TCP connect
-    /// (0 when it reused a pooled connection).
-    #[must_use]
-    pub fn last_connect_us(&self) -> u64 {
-        self.last_connect_us
-    }
-
     fn connect(&mut self) -> io::Result<()> {
-        let started = Instant::now();
         let stream = TcpStream::connect(self.addr)?;
         let _ = stream.set_nodelay(true);
         if let Some(timeout) = self.io_timeout {
             stream.set_read_timeout(Some(timeout))?;
             stream.set_write_timeout(Some(timeout))?;
         }
-        self.last_connect_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.connects += 1;
         self.stream = Some(BufReader::new(stream));
         Ok(())
@@ -631,7 +654,6 @@ impl KeepAliveClient {
             return Ok(Vec::new());
         }
         if self.stream.is_some() {
-            self.last_connect_us = 0;
             match self.exchange(reqs) {
                 Ok(responses) => {
                     self.reuses += 1;

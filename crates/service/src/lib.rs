@@ -39,8 +39,11 @@
 //!   failover: bounded in-flight journals and deterministic replay on
 //!   healthy cells within the client's deadline budget.
 //!
-//! The `mqo_serve` binary wires the layers together; the `loadgen` bench bin
-//! (in `mqo-bench`) replays paper-workload request streams against it.
+//! The `mqo_serve` and `mqo_router` binaries wire the layers together. The
+//! serving invariants (bit-identity by `(problem, seed)`, clean chaos
+//! drains, integrity books, zero-loss failover) are proven by this crate's
+//! `cargo test` suite; `bash perfbench/run.sh` drives the binaries under
+//! load.
 
 pub mod api;
 pub mod breaker;

@@ -771,7 +771,7 @@ fn fleet_rx<'a>(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::http::{read_response, render_request, roundtrip};
+    use crate::http::{read_request, read_response, render_request, roundtrip, HttpLimits};
     use crate::server::{Server, ServerConfig};
     use mqo_chimera::graph::ChimeraGraph;
     use std::io::Write;
@@ -824,8 +824,9 @@ mod tests {
                 assert_eq!(r[field], d[field], "{field}");
             }
         }
-        let total: u64 = router.cells().iter().map(|c| c.forwarded).sum();
-        assert_eq!(total, 2);
+        // The two structures shard to different cells: both serve traffic.
+        let loads: Vec<u64> = router.cells().iter().map(|c| c.forwarded).collect();
+        assert_eq!(loads, vec![1, 1]);
         router.shutdown();
         cell_a.shutdown();
         cell_b.shutdown();
@@ -1037,6 +1038,49 @@ mod tests {
         drop(a);
         assert_eq!(journal.outstanding(0), 1, "guard drop releases the slot");
         assert!(journal.admit(0, 15).is_some(), "slot reusable");
+    }
+
+    #[test]
+    fn hostile_upstream_responses_are_a_typed_5xx_and_the_router_stays_up() {
+        // Whatever listens at a cell address is untrusted. Each reply
+        // breaks one response cap; reading it unbounded would allocate a
+        // terabyte (aborting the router), buffer an endless header line,
+        // or accept any number of headers.
+        let long_line = format!("x-pad: {}\r\n", "a".repeat(16 << 10));
+        let many_headers = "x-h: 1\r\n".repeat(100);
+        let replies = [
+            "HTTP/1.1 200 OK\r\ncontent-length: 1099511627776\r\n\r\n".to_string(),
+            format!("HTTP/1.1 200 OK\r\n{long_line}content-length: 0\r\n\r\n"),
+            format!("HTTP/1.1 200 OK\r\n{many_headers}content-length: 0\r\n\r\n"),
+        ];
+        for reply in replies {
+            // A raw "cell": reads the one forwarded request, answers the
+            // hostile reply, closes. One round, one cell: one connection.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let cell = listener.local_addr().unwrap();
+            let fake_cell = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let _ = read_request(&mut stream, &HttpLimits::default());
+                // The router may hang up mid-reply once a cap trips.
+                let _ = stream.write_all(reply.as_bytes());
+            });
+            let mut config = MqoRouterConfig::new(vec![cell.to_string()]);
+            config.upstream_timeout_ms = 2_000;
+            config.failover_rounds = 1;
+            let router = MqoRouter::start(config).expect("bind router");
+            let (status, body) = roundtrip(router.local_addr(), "POST", "/solve", TINY_A).unwrap();
+            assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+            let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
+            assert_eq!(v["reason"], "backend_unavailable");
+            assert!(
+                router.cells()[0].failures >= 1,
+                "counted as a transport failure"
+            );
+            let (status, _) = roundtrip(router.local_addr(), "GET", "/healthz", b"").unwrap();
+            assert_eq!(status, 200);
+            router.shutdown();
+            fake_cell.join().expect("fake cell");
+        }
     }
 
     #[test]

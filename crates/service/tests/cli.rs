@@ -1,9 +1,16 @@
-//! Argument handling of the `mqo_serve` and `mqo_router` binaries: the
-//! flag set each one accepts, and the typed exit code 2 for bad command
-//! lines. Every case fails during parsing, before anything binds or spawns.
+//! The `mqo_serve` and `mqo_router` binaries as processes: the flag set
+//! each one accepts, the typed exit code 2 for bad command lines, and the
+//! served lifecycle — print `listening on`, answer the paper's quickstart
+//! instance at its optimum, then drain on `POST /shutdown` and exit 0.
 
+use mqo_service::http::roundtrip;
 use std::collections::BTreeSet;
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::process::{Child, Command, Output, Stdio};
+use std::sync::mpsc::{self, Receiver};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("run binary")
@@ -43,45 +50,46 @@ fn help_lists_exactly_the_accepted_flags() {
             "--small",
             "--reads",
             "--gauges",
-            "--cache-capacity",
-            "--breaker-threshold",
-            "--chaos-seed",
-            "--chaos-panic-rate",
-            "--chaos-kill-rate",
-            "--chaos-backend-failure-rate",
-            "--chaos-corruption-rate",
             "--packing",
             "--max-tenants",
         ])
     );
     assert_eq!(
         help_flags(env!("CARGO_BIN_EXE_mqo_router")),
-        set(&[
-            "--cells",
-            "--addr",
-            "--breaker-threshold",
-            "--breaker-open-ms",
-            "--supervise",
-            "--supervise-cell",
-            "--backoff-initial-ms",
-            "--backoff-max-ms",
-            "--chaos-kill-seed",
-            "--chaos-kills",
-            "--chaos-kill-min-ms",
-            "--chaos-kill-max-ms",
-        ])
+        set(&["--cells", "--addr", "--supervise", "--supervise-cell"])
     );
 }
 
 #[test]
 fn removed_flags_are_unknown() {
-    let serve = run(env!("CARGO_BIN_EXE_mqo_serve"), &["--accept-shards", "2"]);
-    assert_usage_error(&serve, "unknown flag --accept-shards");
-    let router = run(
-        env!("CARGO_BIN_EXE_mqo_router"),
-        &["--cells", "127.0.0.1:1", "--epsilon", "0.5"],
-    );
-    assert_usage_error(&router, "unknown flag --epsilon");
+    let serve = env!("CARGO_BIN_EXE_mqo_serve");
+    for flag in [
+        "--accept-shards",
+        "--cache-capacity",
+        "--breaker-threshold",
+        "--chaos-seed",
+        "--chaos-panic-rate",
+        "--chaos-kill-rate",
+        "--chaos-backend-failure-rate",
+        "--chaos-corruption-rate",
+    ] {
+        assert_usage_error(&run(serve, &[flag, "1"]), &format!("unknown flag {flag}"));
+    }
+    let router = env!("CARGO_BIN_EXE_mqo_router");
+    for flag in [
+        "--epsilon",
+        "--breaker-threshold",
+        "--breaker-open-ms",
+        "--backoff-initial-ms",
+        "--backoff-max-ms",
+        "--chaos-kill-seed",
+        "--chaos-kills",
+        "--chaos-kill-min-ms",
+        "--chaos-kill-max-ms",
+    ] {
+        let output = run(router, &["--cells", "127.0.0.1:1", flag, "1"]);
+        assert_usage_error(&output, &format!("unknown flag {flag}"));
+    }
 }
 
 #[test]
@@ -102,4 +110,117 @@ fn supervise_cell_needs_supervise_and_an_index_in_range() {
         ],
     );
     assert_usage_error(&out_of_range, "--supervise-cell index 2 out of range");
+}
+
+/// A served binary: the child process, its stdout lines, and the address
+/// it printed after `listening on`.
+struct Served {
+    child: Child,
+    stdout: Receiver<String>,
+    stdout_reader: Option<JoinHandle<()>>,
+    addr: SocketAddr,
+}
+
+impl Served {
+    /// Spawns `bin` and waits for its `listening on <addr>` line.
+    fn start(bin: &str, args: &[&str]) -> Served {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn binary");
+        let (tx, stdout) = mpsc::channel();
+        let pipe = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let stdout_reader = std::thread::spawn(move || {
+            for line in pipe.lines().map_while(Result::ok) {
+                let _ = tx.send(line);
+            }
+        });
+        let mut served = Served {
+            child,
+            stdout,
+            stdout_reader: Some(stdout_reader),
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+        };
+        let line = served.line_starting("listening on ");
+        served.addr = line["listening on ".len()..]
+            .parse()
+            .expect("listen address");
+        served
+    }
+
+    /// The next stdout line starting with `prefix`; earlier lines are
+    /// skipped. Panics if none arrives within 30 s.
+    fn line_starting(&self, prefix: &str) -> String {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let line = self
+                .stdout
+                .recv_timeout(left)
+                .unwrap_or_else(|e| panic!("no {prefix:?} line on stdout: {e}"));
+            if line.starts_with(prefix) {
+                return line;
+            }
+        }
+    }
+
+    /// `POST /shutdown`, then the drain line and a clean exit.
+    fn shutdown(mut self) {
+        let (status, _) = roundtrip(self.addr, "POST", "/shutdown", b"").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(
+            self.line_starting("drained and stopped"),
+            "drained and stopped"
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("poll child") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "process never exited");
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(status.code(), Some(0));
+        if let Some(reader) = self.stdout_reader.take() {
+            reader.join().expect("stdout reader");
+        }
+    }
+}
+
+impl Drop for Served {
+    /// A failed assertion must not leave a serving process behind.
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// The paper's quickstart instance: plan costs [2, 4] and [3, 1], a saving
+/// of 5 between plans 1 and 2. The optimum selects plans 1 and 2 at cost 2.
+fn assert_quickstart_optimum(addr: SocketAddr) {
+    let body = br#"{"problem":{"queries":[[2,4],[3,1]],"savings":[[1,2,5.0]]},"seed":42}"#;
+    let (status, reply) = roundtrip(addr, "POST", "/solve", body).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    let v: serde_json::Value = serde_json::from_slice(&reply).unwrap();
+    assert_eq!(v["cost"], 2.0, "{v}");
+    assert_eq!(v["selection"], serde_json::json!([1, 2]), "{v}");
+}
+
+#[test]
+fn served_processes_answer_the_quickstart_optimum_and_drain_on_shutdown() {
+    let any_port = "127.0.0.1:0";
+    let cell = Served::start(
+        env!("CARGO_BIN_EXE_mqo_serve"),
+        &["--small", "--addr", any_port],
+    );
+    assert_quickstart_optimum(cell.addr);
+    let router = Served::start(
+        env!("CARGO_BIN_EXE_mqo_router"),
+        &["--cells", &cell.addr.to_string(), "--addr", any_port],
+    );
+    assert_quickstart_optimum(router.addr);
+    router.shutdown();
+    cell.shutdown();
 }

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A vector shared across loadgen worker threads.
+/// A vector shared across the drain threads.
 type SharedVec<T> = Arc<Mutex<Vec<T>>>;
 
 /// A free loopback port: bind :0, read the address, drop the listener.
@@ -181,7 +181,16 @@ fn sigkilled_cell_respawns_and_requests_keep_completing() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+    // A graceful router shutdown drains every supervised cell and reaps it.
     router.shutdown();
+    let report = router.supervisor_report();
+    assert_eq!(report.len(), 2, "{report:?}");
+    assert!(
+        report
+            .iter()
+            .all(|line| line.ends_with(": drained and stopped")),
+        "{report:?}"
+    );
 }
 
 #[test]
