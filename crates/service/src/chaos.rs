@@ -120,19 +120,6 @@ impl ChaosConfig {
             && self.sample_corruption_rate <= 0.0
     }
 
-    /// Validates rates: each must lie in `[0, 1]`.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        let rate_ok = |r: f64| (0.0..=1.0).contains(&r);
-        if !rate_ok(self.worker_panic_rate)
-            || !rate_ok(self.worker_kill_rate)
-            || !rate_ok(self.backend_failure_rate)
-            || !rate_ok(self.sample_corruption_rate)
-        {
-            return Err("chaos rates must lie in [0, 1]");
-        }
-        Ok(())
-    }
-
     /// Whether the request with base seed `req_seed` panics inside the
     /// engine. Pure in `(self.seed, req_seed)`.
     #[must_use]
@@ -293,31 +280,6 @@ mod tests {
             ..ChaosConfig::NONE
         }
         .is_inert());
-    }
-
-    #[test]
-    fn validate_rejects_out_of_range_rates() {
-        assert!(ChaosConfig::NONE.validate().is_ok());
-        for bad in [-0.1, 1.5, f64::NAN] {
-            assert!(ChaosConfig {
-                worker_panic_rate: bad,
-                ..ChaosConfig::NONE
-            }
-            .validate()
-            .is_err());
-            assert!(ChaosConfig {
-                backend_failure_rate: bad,
-                ..ChaosConfig::NONE
-            }
-            .validate()
-            .is_err());
-            assert!(ChaosConfig {
-                sample_corruption_rate: bad,
-                ..ChaosConfig::NONE
-            }
-            .validate()
-            .is_err());
-        }
     }
 
     #[test]

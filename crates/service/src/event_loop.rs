@@ -1060,7 +1060,7 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         event_loop.wake();
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader).unwrap();
+        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(parts.status, 200);
         assert!(
             parts.close,
@@ -1079,7 +1079,7 @@ mod tests {
             stream.write_all(&[*byte]).unwrap();
         }
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader).unwrap();
+        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(parts.status, 200);
         drop(reader);
         drop(stream);
@@ -1087,7 +1087,7 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"GET /stall HT").unwrap();
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader).unwrap();
+        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(parts.status, 408);
         assert_eq!(metrics.snapshot().rejected_request_timeout, 1);
         drop(reader);
@@ -1127,9 +1127,9 @@ mod tests {
         wire.extend_from_slice(b"GET /bad HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
         stream.write_all(&wire).unwrap();
         let mut reader = std::io::BufReader::new(&stream);
-        let first = crate::http::read_response(&mut reader).unwrap();
+        let first = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(first.status, 200, "valid leading request still answers");
-        let second = crate::http::read_response(&mut reader).unwrap();
+        let second = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(second.status, 400, "malformed follow-up answers typed 400");
         assert!(second.close, "malformed request closes the connection");
         stop(event_loop, &shutdown);
@@ -1149,7 +1149,7 @@ mod tests {
         }
         let shed = TcpStream::connect(addr).unwrap();
         let mut reader = std::io::BufReader::new(&shed);
-        let parts = crate::http::read_response(&mut reader).unwrap();
+        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(parts.status, 503);
         assert_eq!(metrics.snapshot().connections_shed, 1);
         drop(reader);

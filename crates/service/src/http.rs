@@ -56,10 +56,21 @@ pub struct HttpLimits {
     pub deadline: Option<Instant>,
 }
 
+/// Default cap on a request body, bytes.
+const DEFAULT_MAX_BODY: usize = 1 << 20;
+
+/// Cap on a `/solve` answer body read from a cell: covers the largest
+/// answer to a request within [`HttpLimits::default`]. Such a request
+/// holds at most `max_body / 4` queries (`[0],` each) and `max_body / 2`
+/// plans, so its `selection` is at most `7 / 4 × max_body` bytes
+/// (plan ids of up to six digits, plus commas); every other field is
+/// a few hundred bytes.
+pub const MAX_ANSWER_BODY: usize = 4 * DEFAULT_MAX_BODY;
+
 impl Default for HttpLimits {
     fn default() -> Self {
         HttpLimits {
-            max_body: 1 << 20,
+            max_body: DEFAULT_MAX_BODY,
             max_line_bytes: 8 << 10,
             max_header_count: 64,
             deadline: None,
@@ -478,11 +489,12 @@ pub struct ResponseParts {
 /// use this to detect a stale connection and retry once).
 ///
 /// The peer is untrusted: anything may listen at a cell address. The
-/// status line and header lines, the header count, and the declared body
-/// are held to the request caps of [`HttpLimits::default`], checked before
-/// anything is allocated. A tripped cap or broken framing is
-/// `InvalidData`, which callers handle like any transport failure.
-pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
+/// status line and header lines and the header count are held to the
+/// request caps of [`HttpLimits::default`], and the declared body to
+/// `max_body`, checked before anything is allocated. A tripped cap or
+/// broken framing is `InvalidData`, which callers handle like any
+/// transport failure.
+pub fn read_response<R: BufRead>(reader: &mut R, max_body: usize) -> io::Result<ResponseParts> {
     let limits = HttpLimits::default();
     let next_line = |reader: &mut R| {
         read_capped_line(reader, limits.max_line_bytes).map_err(|e| match e {
@@ -521,7 +533,7 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
                     .trim()
                     .parse()
                     .ok()
-                    .filter(|&n| n <= limits.max_body)
+                    .filter(|&n| n <= max_body)
                     .ok_or_else(|| {
                         invalid_response("content-length unparseable or over the cap")
                     })?;
@@ -553,7 +565,8 @@ fn invalid_response(detail: &str) -> io::Error {
 }
 
 /// Minimal client used by the tests: one round trip on a fresh connection
-/// (`Connection: close`), returning `(status, body)`.
+/// (`Connection: close`), returning `(status, body)`. Answers are capped
+/// at [`MAX_ANSWER_BODY`].
 pub fn roundtrip(
     addr: std::net::SocketAddr,
     method: &str,
@@ -564,7 +577,7 @@ pub fn roundtrip(
     stream.write_all(&render_request(method, path, &addr.to_string(), body, true))?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
-    let parts = read_response(&mut reader)?;
+    let parts = read_response(&mut reader, MAX_ANSWER_BODY)?;
     Ok((parts.status, parts.body))
 }
 
@@ -574,14 +587,14 @@ pub fn roundtrip(
 ///
 /// Also supports request pipelining ([`KeepAliveClient::request_batch`]):
 /// every request in the batch is written back-to-back before any response
-/// is read, amortising syscalls and round trips across the batch.
+/// is read, amortising syscalls and round trips across the batch. Answers
+/// are capped at [`MAX_ANSWER_BODY`].
 pub struct KeepAliveClient {
     addr: std::net::SocketAddr,
     host: String,
     io_timeout: Option<Duration>,
     stream: Option<BufReader<TcpStream>>,
     connects: u64,
-    reuses: u64,
 }
 
 /// Batch-exchange failure: the number of responses already read off the
@@ -605,7 +618,6 @@ impl KeepAliveClient {
             io_timeout: timeout,
             stream: None,
             connects: 0,
-            reuses: 0,
         }
     }
 
@@ -613,12 +625,6 @@ impl KeepAliveClient {
     #[must_use]
     pub fn connects(&self) -> u64 {
         self.connects
-    }
-
-    /// Requests (or batches) that reused a pooled connection.
-    #[must_use]
-    pub fn reuses(&self) -> u64 {
-        self.reuses
     }
 
     fn connect(&mut self) -> io::Result<()> {
@@ -655,10 +661,7 @@ impl KeepAliveClient {
         }
         if self.stream.is_some() {
             match self.exchange(reqs) {
-                Ok(responses) => {
-                    self.reuses += 1;
-                    return Ok(responses);
-                }
+                Ok(responses) => return Ok(responses),
                 // Nothing read back: the pooled stream was stale. Reconnect
                 // and retry the batch once.
                 Err((0, _stale)) => self.stream = None,
@@ -705,7 +708,7 @@ impl KeepAliveClient {
                     ));
                 }
                 let count = responses.len();
-                let parts = read_response(reader).map_err(|e| (count, e))?;
+                let parts = read_response(reader, MAX_ANSWER_BODY).map_err(|e| (count, e))?;
                 server_closes = parts.close;
                 responses.push((parts.status, parts.body));
             }
@@ -999,7 +1002,6 @@ mod tests {
         let (status, _) = client.request("GET", "/b", b"").unwrap();
         assert_eq!(status, 200);
         assert_eq!(client.connects(), 1, "second request reused the stream");
-        assert_eq!(client.reuses(), 1);
         // The server has closed the pooled stream; the next request must
         // transparently reconnect and succeed.
         let (status, body) = client.request("GET", "/c", b"").unwrap();

@@ -1004,7 +1004,7 @@ mod tests {
             ))
             .unwrap();
         let mut reader = std::io::BufReader::new(stream);
-        let parts = read_response(&mut reader).unwrap();
+        let parts = read_response(&mut reader, HttpLimits::default().max_body).unwrap();
         assert_eq!(parts.status, 503);
         let retry_after = parts.retry_after.expect("503 carries Retry-After");
         assert!(
@@ -1081,6 +1081,50 @@ mod tests {
             router.shutdown();
             fake_cell.join().expect("fake cell");
         }
+    }
+
+    #[test]
+    fn answers_larger_than_the_request_cap_pass_through_the_router() {
+        // A request just under the 1 MiB body cap of ~175k one-plan
+        // queries (`[1.0]`, the form the router re-serialises them in):
+        // its answer lists one plan id per query, ~1.1 MB. The router
+        // must pass it through like any other answer, not count it as a
+        // cell failure.
+        let max_body = HttpLimits::default().max_body;
+        let queries = (max_body - 256) / 6;
+        let body = format!(
+            r#"{{"problem": {{"queries": [{}], "savings": []}}, "seed": 5}}"#,
+            vec!["[1.0]"; queries].join(",")
+        )
+        .into_bytes();
+        let cell = cell_server();
+        let router = router_over(&[&cell]);
+        let (status, via_router) = roundtrip(router.local_addr(), "POST", "/solve", &body).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&via_router));
+        assert!(via_router.len() > max_body, "{} bytes", via_router.len());
+        let (status, direct) = roundtrip(cell.local_addr(), "POST", "/solve", &body).unwrap();
+        assert_eq!(status, 200);
+        // Identical apart from the timing fields `wall_us`, `queue_wait_us`.
+        let r: serde_json::Value = serde_json::from_slice(&via_router).unwrap();
+        let d: serde_json::Value = serde_json::from_slice(&direct).unwrap();
+        assert!(matches!(&r["selection"], serde_json::Value::Array(ids) if ids.len() == queries));
+        for field in [
+            "selection",
+            "cost",
+            "backend",
+            "route_reason",
+            "cache_hit",
+            "reads",
+            "qubits_used",
+            "device_time_us",
+            "packed_tenants",
+        ] {
+            assert_eq!(r[field], d[field], "{field}");
+        }
+        let cells = router.cells();
+        assert_eq!((cells[0].forwarded, cells[0].failures), (1, 0));
+        router.shutdown();
+        cell.shutdown();
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! state machine is unit-testable without spawning a single process.
 
 use crate::chaos::CellKillSchedule;
-use crate::http::{read_response, render_request};
+use crate::http::{read_response, render_request, HttpLimits};
 use crate::metrics::{lock_recover, Metrics};
 use std::io::Write;
 use std::net::TcpStream;
@@ -502,7 +502,7 @@ fn probe(addr: &str, method: &str, path: &str, timeout: Duration) -> bool {
         return false;
     }
     let mut reader = std::io::BufReader::new(stream);
-    read_response(&mut reader).is_ok()
+    read_response(&mut reader, HttpLimits::default().max_body).is_ok()
 }
 
 /// The monitor: detects exits, probes health, executes the kill schedule,
