@@ -5,11 +5,11 @@
 //! flat SoA adjacency slices, reusable scratch buffers, and (for SA) an
 //! early exit once the system freezes. The implementations here are the
 //! *straight-line transcription* of the same algorithms — trait-object RNG,
-//! the [`Ising::neighbours`] iterator, fresh allocations per call, no early
-//! exit — kept as executable documentation and as oracles: the proptest
-//! suite (`tests/proptest_kernels.rs`) asserts that fast and reference
-//! kernels produce **bit-identical** sample streams from the same RNG
-//! state.
+//! the [`mqo_core::ising::Ising::neighbours`] iterator, fresh allocations
+//! per call, no early exit — kept as executable documentation and as
+//! oracles: the proptest suite (`tests/proptest_kernels.rs`) asserts that
+//! fast and reference kernels produce **bit-identical** sample streams from
+//! the same RNG state.
 //!
 //! Shared pieces guarantee the identity by construction: both sides use
 //! [`crate::sampler::metropolis_accept`] (same draw-skipping rules), the

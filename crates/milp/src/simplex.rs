@@ -11,8 +11,8 @@
 //! guarantees termination.
 //!
 //! This solver backs the LP relaxations of the branch-and-bound in
-//! [`crate::bb`], playing the role of the commercial ILP solver used for the
-//! paper's LIN-MQO and LIN-QUB baselines.
+//! [`crate::bb_mqo`], playing the role of the commercial ILP solver used
+//! for the paper's LIN-MQO and LIN-QUB baselines.
 
 use crate::model::{LinearProgram, Sense};
 

@@ -167,6 +167,12 @@ pub enum Reject {
         /// Which limit was exceeded.
         detail: String,
     },
+    /// The request uses a framing the server does not implement (any
+    /// `Transfer-Encoding`); the connection closes after this answer.
+    NotImplemented {
+        /// What was not implemented.
+        detail: String,
+    },
 }
 
 impl Reject {
@@ -184,6 +190,7 @@ impl Reject {
             Reject::Overloaded { .. } => 503,
             Reject::RequestTimeout { .. } => 408,
             Reject::HeaderLimit { .. } => 431,
+            Reject::NotImplemented { .. } => 501,
         }
     }
 
@@ -220,6 +227,7 @@ impl std::fmt::Display for Reject {
                 write!(f, "request deadline of {deadline_ms} ms expired")
             }
             Reject::HeaderLimit { detail } => write!(f, "header limit: {detail}"),
+            Reject::NotImplemented { detail } => write!(f, "not implemented: {detail}"),
         }
     }
 }
@@ -319,6 +327,13 @@ mod tests {
                 },
                 431,
                 "header_limit",
+            ),
+            (
+                Reject::NotImplemented {
+                    detail: "transfer-encoding".into(),
+                },
+                501,
+                "not_implemented",
             ),
         ];
         for (reject, status, tag) in cases {

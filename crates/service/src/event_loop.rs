@@ -744,6 +744,9 @@ impl Shard {
                                 detail: e.to_string(),
                             }
                         }
+                        HttpError::NotImplemented(_) => Reject::NotImplemented {
+                            detail: e.to_string(),
+                        },
                         _ => Reject::InvalidRequest {
                             detail: e.to_string(),
                         },
@@ -917,7 +920,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{roundtrip, KeepAliveClient};
+    use crate::testkit::{pipeline, roundtrip};
 
     /// Echo-ish test handler: immediate answers for `/now`, deferred
     /// answers (completed from a helper thread) for `/later`, panic for
@@ -997,22 +1000,24 @@ mod tests {
     #[test]
     fn keep_alive_pipelining_keeps_request_order() {
         let (event_loop, addr, metrics, shutdown) = start_loop(|_| {});
-        let mut client = KeepAliveClient::new(addr);
-        // Mixed immediate/deferred pipelined batch: responses must come
-        // back in request order regardless of completion order.
-        let responses = client
-            .request_batch(&[
+        // Mixed immediate/deferred pipelined batch on one connection:
+        // responses must come back in request order regardless of
+        // completion order.
+        let responses = pipeline(
+            addr,
+            &[
                 ("GET", "/later", b"".as_slice()),
                 ("GET", "/a", b"".as_slice()),
                 ("GET", "/later", b"".as_slice()),
                 ("GET", "/b", b"".as_slice()),
-            ])
-            .unwrap();
+            ],
+        )
+        .unwrap();
         let bodies: Vec<&str> = responses
             .iter()
-            .map(|(status, body)| {
-                assert_eq!(*status, 200);
-                std::str::from_utf8(body).unwrap()
+            .map(|parts| {
+                assert_eq!(parts.status, 200);
+                std::str::from_utf8(&parts.body).unwrap()
             })
             .collect();
         assert_eq!(
@@ -1024,7 +1029,6 @@ mod tests {
                 r#"{"path":"/b"}"#,
             ]
         );
-        assert_eq!(client.connects(), 1, "one connection served the batch");
         let snapshot = metrics.snapshot();
         assert!(snapshot.pipelined_requests >= 1, "batch pipelined");
         assert!(snapshot.connections_reused >= 3);
@@ -1132,6 +1136,47 @@ mod tests {
         let second = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
         assert_eq!(second.status, 400, "malformed follow-up answers typed 400");
         assert!(second.close, "malformed request closes the connection");
+        stop(event_loop, &shutdown);
+    }
+
+    #[test]
+    fn ambiguous_framing_gets_exactly_one_typed_answer_then_close() {
+        let (event_loop, addr, _metrics, shutdown) = start_loop(|_| {});
+        // Each body, read as a second request, would be a valid `GET`:
+        // only one answer may come back, and then the connection closes.
+        let smuggled = "GET /smuggled HTTP/1.1\r\n\r\n";
+        let cases = [
+            (
+                format!(
+                    "POST /a HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+                    smuggled.len()
+                ),
+                501,
+                "not_implemented",
+            ),
+            (
+                format!(
+                    "POST /a HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: {}\r\n\r\n{smuggled}",
+                    smuggled.len()
+                ),
+                400,
+                "invalid_request",
+            ),
+        ];
+        for (wire, status, reason) in cases {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(wire.as_bytes()).unwrap();
+            let mut reader = std::io::BufReader::new(&stream);
+            let parts =
+                crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+            assert_eq!(parts.status, status, "{wire:?}");
+            let v: serde_json::Value = serde_json::from_slice(&parts.body).unwrap();
+            assert_eq!(v["reason"], reason);
+            assert!(parts.close, "the typed answer announces connection: close");
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "a second answer followed: {rest:?}");
+        }
         stop(event_loop, &shutdown);
     }
 

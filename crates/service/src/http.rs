@@ -2,32 +2,32 @@
 //! JSON API (request line, headers, `Content-Length` bodies). No external
 //! dependencies: the build environment is offline.
 //!
-//! Two parsing surfaces share the same limits and typed errors:
+//! [`parse_request`] is the one request parser: an incremental parser over
+//! a connection buffer for the nonblocking event loop (DESIGN.md §13).
+//! `Ok(None)` means "need more bytes", and every cap (line bytes, header
+//! count, body size) is enforced even on partial data, so a connection can
+//! never make the server buffer without bound while waiting for the rest of
+//! a request. Its differential oracle, a blocking reader over the same
+//! grammar, lives in [`crate::testkit`].
 //!
-//! * [`read_request`] — the original blocking reader over any
-//!   [`RequestSource`], one request per call;
-//! * [`parse_request`] — an incremental parser over a connection buffer for
-//!   the nonblocking event loop (DESIGN.md §13): `Ok(None)` means "need
-//!   more bytes", and every cap (line bytes, header count, body size) is
-//!   enforced even on partial data, so a connection can never make the
-//!   server buffer without bound while waiting for the rest of a request.
-//!
-//! Hardening (DESIGN.md §9): every read is bounded three ways —
+//! Hardening (DESIGN.md §9): every read is bounded —
 //!
 //! * **bytes** — the request line and each header line have byte caps, the
 //!   header count is capped, and `Content-Length` is capped, so a hostile
 //!   client can never make the server buffer without bound;
-//! * **time** — an optional whole-request deadline ([`HttpLimits::deadline`])
-//!   re-arms the socket read timeout before every line, so a slowloris
-//!   client trickling one byte per second is cut off with a typed 408;
-//! * **totality** — [`read_request`] is generic over any [`RequestSource`]
-//!   (a live socket or an in-memory byte slice), and the property tests
-//!   feed it arbitrary byte streams: it must always return `Ok` or a typed
-//!   [`HttpError`], never panic.
+//! * **time** — the event loop arms a whole-request deadline on partial
+//!   requests, so a slowloris client is cut off with a typed 408;
+//! * **framing** — only `Content-Length` framing is accepted: a
+//!   `Transfer-Encoding` is a typed 501 and conflicting `Content-Length`
+//!   values a typed 400, and both close the connection (RFC 9112 §6.1,
+//!   §6.3), so no body bytes are ever parsed as a second request;
+//! * **totality** — the property tests feed the parser arbitrary byte
+//!   streams: it must always return `Ok` or a typed [`HttpError`], never
+//!   panic.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +40,7 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Byte, count, and time bounds applied while reading one request.
+/// Byte and count bounds applied while parsing one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HttpLimits {
     /// Cap on the declared `Content-Length`, bytes.
@@ -50,10 +50,6 @@ pub struct HttpLimits {
     pub max_line_bytes: usize,
     /// Cap on the number of header lines.
     pub max_header_count: usize,
-    /// Whole-request wall-clock deadline; reads past it fail with
-    /// [`HttpError::Timeout`]. `None` disables the deadline (in-memory
-    /// parsing, tests).
-    pub deadline: Option<Instant>,
 }
 
 /// Default cap on a request body, bytes.
@@ -73,7 +69,6 @@ impl Default for HttpLimits {
             max_body: DEFAULT_MAX_BODY,
             max_line_bytes: 8 << 10,
             max_header_count: 64,
-            deadline: None,
         }
     }
 }
@@ -82,8 +77,12 @@ impl Default for HttpLimits {
 /// [`HttpError::http_status`].
 #[derive(Debug)]
 pub enum HttpError {
-    /// Malformed request line or headers (400).
+    /// Malformed request line or headers, or conflicting `Content-Length`
+    /// values (400).
     BadRequest(&'static str),
+    /// A framing the server does not implement: any `Transfer-Encoding`
+    /// (501).
+    NotImplemented(&'static str),
     /// Body larger than the configured cap (413).
     BodyTooLarge {
         /// Declared `Content-Length`.
@@ -91,7 +90,7 @@ pub enum HttpError {
         /// Configured maximum.
         limit: usize,
     },
-    /// The whole-request deadline expired mid-read (408).
+    /// A read timed out mid-message (408).
     Timeout,
     /// A request or header line exceeded the byte cap (431).
     LineTooLong {
@@ -124,6 +123,7 @@ impl HttpError {
     pub fn http_status(&self) -> u16 {
         match self {
             HttpError::BadRequest(_) => 400,
+            HttpError::NotImplemented(_) => 501,
             HttpError::BodyTooLarge { .. } => 413,
             HttpError::Timeout => 408,
             HttpError::LineTooLong { .. } | HttpError::TooManyHeaders { .. } => 431,
@@ -136,6 +136,7 @@ impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             HttpError::BadRequest(d) => write!(f, "bad request: {d}"),
+            HttpError::NotImplemented(d) => write!(f, "not implemented: {d}"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte cap")
             }
@@ -151,52 +152,12 @@ impl std::fmt::Display for HttpError {
     }
 }
 
-/// Anything a request can be read from: a live socket (which can arm
-/// per-read timeouts toward the deadline) or an in-memory byte slice (the
-/// property tests' fuzzing surface, where arming is a no-op).
-pub trait RequestSource: Read {
-    /// Arms an I/O timeout of `remaining` for the next read.
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        let _ = remaining;
-        Ok(())
-    }
-}
-
-impl RequestSource for TcpStream {
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        // Zero would mean "no timeout"; clamp up so an already-struck
-        // deadline still produces a fast WouldBlock/TimedOut.
-        self.set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-    }
-}
-
-impl RequestSource for &[u8] {}
-
-impl<S: RequestSource + ?Sized> RequestSource for &mut S {
-    fn arm_timeout(&mut self, remaining: Duration) -> io::Result<()> {
-        (**self).arm_timeout(remaining)
-    }
-}
-
-/// Reads one `\n`-terminated line, enforcing the byte cap and the deadline.
-/// Returns `None` at a clean EOF before any byte of the line.
-fn read_line_bounded<S: RequestSource>(
-    reader: &mut BufReader<S>,
-    limits: &HttpLimits,
-) -> Result<Option<String>, HttpError> {
-    if let Some(deadline) = limits.deadline {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HttpError::Timeout);
-        }
-        reader.get_mut().arm_timeout(deadline - now)?;
-    }
-    read_capped_line(reader, limits.max_line_bytes)
-}
-
 /// Reads one `\n`-terminated line of at most `cap` bytes (terminator
 /// included). Returns `None` at a clean EOF before any byte of the line.
-fn read_capped_line<R: BufRead>(reader: &mut R, cap: usize) -> Result<Option<String>, HttpError> {
+pub(crate) fn read_capped_line<R: BufRead>(
+    reader: &mut R,
+    cap: usize,
+) -> Result<Option<String>, HttpError> {
     let mut buf = Vec::new();
     let n = reader
         .by_ref()
@@ -215,68 +176,6 @@ fn read_capped_line<R: BufRead>(reader: &mut R, cap: usize) -> Result<Option<Str
         .map_err(|_| HttpError::BadRequest("non-UTF-8 bytes in request line or headers"))
 }
 
-/// Reads one request from the source under `limits`. Total: every input —
-/// including adversarial byte streams and stalled sockets — produces `Ok`
-/// or a typed [`HttpError`], never a panic or an unbounded buffer.
-pub fn read_request<S: RequestSource>(
-    source: &mut S,
-    limits: &HttpLimits,
-) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(source);
-    let line = read_line_bounded(&mut reader, limits)?
-        .ok_or(HttpError::BadRequest("empty request line"))?;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or(HttpError::BadRequest("empty request line"))?
-        .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or(HttpError::BadRequest("missing request target"))?;
-    let path = target.split('?').next().unwrap_or(target).to_string();
-
-    let mut content_length = 0usize;
-    let mut header_count = 0usize;
-    loop {
-        let header = read_line_bounded(&mut reader, limits)?
-            .ok_or(HttpError::BadRequest("connection closed mid-headers"))?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        header_count += 1;
-        if header_count > limits.max_header_count {
-            return Err(HttpError::TooManyHeaders {
-                limit: limits.max_header_count,
-            });
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::BadRequest("unparseable content-length"))?;
-            }
-        }
-    }
-    if content_length > limits.max_body {
-        return Err(HttpError::BodyTooLarge {
-            declared: content_length,
-            limit: limits.max_body,
-        });
-    }
-    if let Some(deadline) = limits.deadline {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(HttpError::Timeout);
-        }
-        reader.get_mut().arm_timeout(deadline - now)?;
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Request { method, path, body })
-}
-
 /// A request parsed incrementally out of a connection buffer by
 /// [`parse_request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,9 +192,8 @@ pub struct ParsedRequest {
 }
 
 /// Locates the next `\n`-terminated line starting at `start`, enforcing the
-/// same byte cap as the blocking reader: the line including its `\n` must
-/// fit in `cap` bytes. `Ok(None)` means the line is incomplete but still
-/// within the cap.
+/// line byte cap: the line including its `\n` must fit in `cap` bytes.
+/// `Ok(None)` means the line is incomplete but still within the cap.
 fn scan_line(buf: &[u8], start: usize, cap: usize) -> Result<Option<(usize, usize)>, HttpError> {
     let rest = &buf[start..];
     let window = &rest[..rest.len().min(cap)];
@@ -324,11 +222,13 @@ fn line_str(line: &[u8]) -> Result<&str, HttpError> {
 ///   Buffering while in this state is bounded: the head is capped by
 ///   `max_line_bytes × max_header_count` and the body by `max_body`.
 /// * `Err(_)` — the prefix can never become a valid request; the caller
-///   answers the typed status and closes.
+///   answers the typed status and closes. A `Transfer-Encoding` header or
+///   a second `Content-Length` with a different value errs as soon as its
+///   line arrives.
 ///
-/// Total like [`read_request`]: arbitrary byte prefixes must produce one of
-/// the three outcomes, never a panic (fuzzed in `proptest_http.rs`), and on
-/// complete inputs the outcome agrees with the blocking reader.
+/// Total: arbitrary byte prefixes must produce one of the three outcomes,
+/// never a panic (fuzzed in `proptest_http.rs`), and on complete inputs the
+/// outcome agrees with the blocking oracle [`crate::testkit::read_request`].
 pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedRequest>, HttpError> {
     let cap = limits.max_line_bytes;
     let (line_end, mut cursor) = match scan_line(buf, 0, cap)? {
@@ -345,11 +245,11 @@ pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedReq
         .next()
         .ok_or(HttpError::BadRequest("missing request target"))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
-    // HTTP/1.0 defaults to close; everything else (1.1, or the version-less
-    // requests the blocking reader also tolerates) defaults to keep-alive.
+    // HTTP/1.0 defaults to close; everything else (1.1, or a version-less
+    // request line) defaults to keep-alive.
     let mut close = parts.next() == Some("HTTP/1.0");
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut header_count = 0usize;
     loop {
         let (header_end, next) = match scan_line(buf, cursor, cap)? {
@@ -369,10 +269,16 @@ pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedReq
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
+                let declared = value
                     .trim()
                     .parse()
                     .map_err(|_| HttpError::BadRequest("unparseable content-length"))?;
+                if content_length.is_some_and(|n| n != declared) {
+                    return Err(HttpError::BadRequest("conflicting content-length values"));
+                }
+                content_length = Some(declared);
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(HttpError::NotImplemented("transfer-encoding"));
             } else if name.eq_ignore_ascii_case("connection") {
                 for token in value.split(',') {
                     let token = token.trim();
@@ -385,6 +291,7 @@ pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Result<Option<ParsedReq
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body {
         return Err(HttpError::BodyTooLarge {
             declared: content_length,
@@ -463,6 +370,7 @@ fn reason_phrase(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
@@ -564,58 +472,27 @@ fn invalid_response(detail: &str) -> io::Error {
     )
 }
 
-/// Minimal client used by the tests: one round trip on a fresh connection
-/// (`Connection: close`), returning `(status, body)`. Answers are capped
-/// at [`MAX_ANSWER_BODY`].
-pub fn roundtrip(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &[u8],
-) -> io::Result<(u16, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(&render_request(method, path, &addr.to_string(), body, true))?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let parts = read_response(&mut reader, MAX_ANSWER_BODY)?;
-    Ok((parts.status, parts.body))
-}
-
 /// A pooled keep-alive client connection: requests reuse one TCP stream,
 /// reconnecting transparently (with a single retry) when the pooled stream
 /// turns out to be stale — e.g. the server closed it during an idle gap.
-///
-/// Also supports request pipelining ([`KeepAliveClient::request_batch`]):
-/// every request in the batch is written back-to-back before any response
-/// is read, amortising syscalls and round trips across the batch. Answers
-/// are capped at [`MAX_ANSWER_BODY`].
+/// Answers are capped at [`MAX_ANSWER_BODY`].
 pub struct KeepAliveClient {
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     host: String,
-    io_timeout: Option<Duration>,
+    io_timeout: Duration,
     stream: Option<BufReader<TcpStream>>,
     connects: u64,
 }
 
-/// Batch-exchange failure: the number of responses already read off the
-/// wire (0 means a stale pooled connection, safe to retry) and the error.
-type BatchError = (usize, io::Error);
-
 impl KeepAliveClient {
-    /// A client for `addr` with no I/O timeout.
+    /// A client for `addr` arming `io_timeout` on reads and writes of
+    /// every connection it opens.
     #[must_use]
-    pub fn new(addr: std::net::SocketAddr) -> Self {
-        Self::with_timeout(addr, None)
-    }
-
-    /// A client for `addr` arming `timeout` on reads and writes of every
-    /// connection it opens.
-    #[must_use]
-    pub fn with_timeout(addr: std::net::SocketAddr, timeout: Option<Duration>) -> Self {
+    pub fn new(addr: SocketAddr, io_timeout: Duration) -> Self {
         KeepAliveClient {
             addr,
             host: addr.to_string(),
-            io_timeout: timeout,
+            io_timeout,
             stream: None,
             connects: 0,
         }
@@ -630,241 +507,51 @@ impl KeepAliveClient {
     fn connect(&mut self) -> io::Result<()> {
         let stream = TcpStream::connect(self.addr)?;
         let _ = stream.set_nodelay(true);
-        if let Some(timeout) = self.io_timeout {
-            stream.set_read_timeout(Some(timeout))?;
-            stream.set_write_timeout(Some(timeout))?;
-        }
+        stream.set_read_timeout(Some(self.io_timeout))?;
+        stream.set_write_timeout(Some(self.io_timeout))?;
         self.connects += 1;
         self.stream = Some(BufReader::new(stream));
         Ok(())
     }
 
-    /// One keep-alive round trip, returning `(status, body)`.
-    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-        let mut responses = self.request_batch(&[(method, path, body)])?;
-        responses
-            .pop()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no response"))
-    }
-
-    /// Writes every request in the batch back-to-back on one connection
-    /// (HTTP/1.1 pipelining), then reads the responses in order. A stale
-    /// pooled connection (error before any response byte) is replaced and
-    /// the whole batch retried once; errors after a partial read are
-    /// surfaced as-is, since the server has already seen some requests.
-    pub fn request_batch(
-        &mut self,
-        reqs: &[(&str, &str, &[u8])],
-    ) -> io::Result<Vec<(u16, Vec<u8>)>> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// One keep-alive round trip. A pooled stream that fails before an
+    /// answer arrives is taken as stale: the client reconnects and sends
+    /// the request once more.
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ResponseParts> {
         if self.stream.is_some() {
-            match self.exchange(reqs) {
-                Ok(responses) => return Ok(responses),
-                // Nothing read back: the pooled stream was stale. Reconnect
-                // and retry the batch once.
-                Err((0, _stale)) => self.stream = None,
-                Err((_, e)) => {
-                    self.stream = None;
-                    return Err(e);
-                }
+            match self.exchange(method, path, body) {
+                Ok(parts) => return Ok(parts),
+                Err(_stale) => self.stream = None,
             }
         }
         self.connect()?;
-        self.exchange(reqs).map_err(|(_, e)| {
+        self.exchange(method, path, body).inspect_err(|_| {
             self.stream = None;
-            e
         })
     }
 
-    /// One write-all-then-read-all exchange over the current stream.
-    /// Errors carry the number of responses already read so the caller can
-    /// distinguish a stale pooled connection (0) from a mid-batch failure.
-    fn exchange(
-        &mut self,
-        reqs: &[(&str, &str, &[u8])],
-    ) -> Result<Vec<(u16, Vec<u8>)>, BatchError> {
-        let mut wire = Vec::new();
-        for (method, path, body) in reqs {
-            wire.extend(render_request(method, path, &self.host, body, false));
-        }
-        let mut responses = Vec::with_capacity(reqs.len());
-        let mut server_closes = false;
-        {
-            let reader = self
-                .stream
-                .as_mut()
-                .expect("exchange requires a connection");
-            reader.get_mut().write_all(&wire).map_err(|e| (0, e))?;
-            for _ in reqs {
-                if server_closes {
-                    return Err((
-                        responses.len(),
-                        io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection mid-pipeline",
-                        ),
-                    ));
-                }
-                let count = responses.len();
-                let parts = read_response(reader, MAX_ANSWER_BODY).map_err(|e| (count, e))?;
-                server_closes = parts.close;
-                responses.push((parts.status, parts.body));
-            }
-        }
-        if server_closes {
+    /// Writes one request on the current stream and reads its answer.
+    fn exchange(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ResponseParts> {
+        let reader = self
+            .stream
+            .as_mut()
+            .expect("exchange requires a connection");
+        reader
+            .get_mut()
+            .write_all(&render_request(method, path, &self.host, body, false))?;
+        let parts = read_response(reader, MAX_ANSWER_BODY)?;
+        if parts.close {
             self.stream = None;
         }
-        Ok(responses)
+        Ok(parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::read_request;
     use std::net::TcpListener;
-
-    /// Exercises the parser + writer over a real loopback socket.
-    #[test]
-    fn request_and_response_round_trip_over_loopback() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let limits = HttpLimits {
-                max_body: 1024,
-                ..HttpLimits::default()
-            };
-            let req = read_request(&mut stream, &limits).unwrap();
-            assert_eq!(req.method, "POST");
-            assert_eq!(req.path, "/solve");
-            assert_eq!(req.body, b"{\"x\":1}");
-            stream
-                .write_all(&render_response(200, "{\"ok\":true}", &[], true))
-                .unwrap();
-        });
-        let (status, body) = roundtrip(addr, "POST", "/solve?verbose=1", b"{\"x\":1}").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, b"{\"ok\":true}");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn oversized_bodies_are_rejected_before_allocation() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let limits = HttpLimits {
-                max_body: 16,
-                ..HttpLimits::default()
-            };
-            match read_request(&mut stream, &limits) {
-                Err(HttpError::BodyTooLarge { declared, limit }) => {
-                    assert_eq!(declared, 1000);
-                    assert_eq!(limit, 16);
-                }
-                other => panic!("expected BodyTooLarge, got {other:?}"),
-            }
-        });
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"POST /solve HTTP/1.1\r\ncontent-length: 1000\r\n\r\n")
-            .unwrap();
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn in_memory_sources_parse_without_a_socket() {
-        let mut raw: &[u8] = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n";
-        let req = read_request(&mut raw, &HttpLimits::default()).unwrap();
-        assert_eq!(
-            (req.method.as_str(), req.path.as_str()),
-            ("GET", "/healthz")
-        );
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn long_request_lines_answer_431_not_unbounded_buffering() {
-        let limits = HttpLimits {
-            max_line_bytes: 64,
-            ..HttpLimits::default()
-        };
-        let mut raw: Vec<u8> = b"GET /".to_vec();
-        raw.extend(std::iter::repeat_n(b'a', 10_000));
-        match read_request(&mut raw.as_slice(), &limits) {
-            Err(HttpError::LineTooLong { limit }) => assert_eq!(limit, 64),
-            other => panic!("expected LineTooLong, got {other:?}"),
-        }
-        // A long *header* line trips the same cap.
-        let mut raw: Vec<u8> = b"GET / HTTP/1.1\r\nx-junk: ".to_vec();
-        raw.extend(std::iter::repeat_n(b'b', 10_000));
-        match read_request(&mut raw.as_slice(), &limits) {
-            Err(HttpError::LineTooLong { limit }) => assert_eq!(limit, 64),
-            other => panic!("expected LineTooLong, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn header_count_cap_is_enforced() {
-        let limits = HttpLimits {
-            max_header_count: 4,
-            ..HttpLimits::default()
-        };
-        let mut raw: Vec<u8> = b"GET / HTTP/1.1\r\n".to_vec();
-        for i in 0..10 {
-            raw.extend(format!("x-h{i}: v\r\n").into_bytes());
-        }
-        raw.extend(b"\r\n");
-        match read_request(&mut raw.as_slice(), &limits) {
-            Err(HttpError::TooManyHeaders { limit }) => assert_eq!(limit, 4),
-            other => panic!("expected TooManyHeaders, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expired_deadlines_fail_with_timeout_before_reading() {
-        let limits = HttpLimits {
-            deadline: Some(Instant::now() - Duration::from_millis(1)),
-            ..HttpLimits::default()
-        };
-        let mut raw: &[u8] = b"GET / HTTP/1.1\r\n\r\n";
-        match read_request(&mut raw, &limits) {
-            Err(HttpError::Timeout) => {}
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn slowloris_clients_are_cut_off_by_the_wall_clock_deadline() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let limits = HttpLimits {
-                deadline: Some(Instant::now() + Duration::from_millis(50)),
-                ..HttpLimits::default()
-            };
-            let started = Instant::now();
-            let result = read_request(&mut stream, &limits);
-            assert!(
-                matches!(result, Err(HttpError::Timeout)),
-                "stalled client should time out, got {result:?}"
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "deadline cut the read off promptly"
-            );
-        });
-        // Send half a request line, then stall well past the deadline.
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"POST /so").unwrap();
-        stream.flush().unwrap();
-        server.join().unwrap();
-        drop(stream);
-    }
 
     #[test]
     fn extra_headers_are_emitted_in_the_response_head() {
@@ -891,7 +578,7 @@ mod tests {
         }
         // ...and the full buffer parses to exactly what the blocking reader sees.
         let parsed = parse_request(wire, &limits).unwrap().unwrap();
-        let blocking = read_request(&mut &wire[..], &limits).unwrap();
+        let blocking = read_request(&mut &wire[..], &limits, None).unwrap();
         assert_eq!(parsed.request, blocking);
         assert_eq!(parsed.consumed, wire.len());
         assert!(!parsed.close, "HTTP/1.1 defaults to keep-alive");
@@ -940,7 +627,6 @@ mod tests {
             max_line_bytes: 32,
             max_header_count: 2,
             max_body: 8,
-            deadline: None,
         };
         // A request line that can never fit errors before it completes.
         let long: Vec<u8> = b"GET /".iter().copied().chain([b'a'; 64]).collect();
@@ -982,7 +668,7 @@ mod tests {
             // First connection: serve two requests, then close (stale pool).
             let (mut stream, _) = listener.accept().unwrap();
             for _ in 0..2 {
-                let req = read_request(&mut stream, &HttpLimits::default()).unwrap();
+                let req = read_request(&mut stream, &HttpLimits::default(), None).unwrap();
                 assert_eq!(req.method, "GET");
                 stream
                     .write_all(&render_response(200, "{\"n\":1}", &[], false))
@@ -991,82 +677,28 @@ mod tests {
             drop(stream);
             // Second connection: the client's retry after the stale reuse.
             let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_request(&mut stream, &HttpLimits::default()).unwrap();
+            let _ = read_request(&mut stream, &HttpLimits::default(), None).unwrap();
             stream
                 .write_all(&render_response(200, "{\"n\":2}", &[], false))
                 .unwrap();
         });
-        let mut client = KeepAliveClient::new(addr);
-        let (status, _) = client.request("GET", "/a", b"").unwrap();
-        assert_eq!(status, 200);
-        let (status, _) = client.request("GET", "/b", b"").unwrap();
-        assert_eq!(status, 200);
+        let mut client = KeepAliveClient::new(addr, Duration::from_secs(10));
+        assert_eq!(client.request("GET", "/a", b"").unwrap().status, 200);
+        assert_eq!(client.request("GET", "/b", b"").unwrap().status, 200);
         assert_eq!(client.connects(), 1, "second request reused the stream");
         // The server has closed the pooled stream; the next request must
         // transparently reconnect and succeed.
-        let (status, body) = client.request("GET", "/c", b"").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, b"{\"n\":2}");
+        let parts = client.request("GET", "/c", b"").unwrap();
+        assert_eq!(parts.status, 200);
+        assert_eq!(parts.body, b"{\"n\":2}");
         assert_eq!(client.connects(), 2, "stale reuse reconnected once");
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn pipelined_batches_come_back_in_order() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            // Pipelined requests share read segments, so the server side
-            // must parse incrementally from one buffer — `read_request`'s
-            // per-call BufReader would swallow the trailing requests.
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut buf = Vec::new();
-            let mut chunk = [0u8; 4096];
-            let mut served = 0;
-            while served < 3 {
-                match parse_request(&buf, &HttpLimits::default()).unwrap() {
-                    Some(parsed) => {
-                        let body =
-                            format!("{{\"path\":\"{}\",\"i\":{served}}}", parsed.request.path);
-                        stream
-                            .write_all(&render_response(200, &body, &[], false))
-                            .unwrap();
-                        buf.drain(..parsed.consumed);
-                        served += 1;
-                    }
-                    None => {
-                        let n = stream.read(&mut chunk).unwrap();
-                        assert!(n > 0, "client closed before sending all requests");
-                        buf.extend_from_slice(&chunk[..n]);
-                    }
-                }
-            }
-        });
-        let mut client = KeepAliveClient::new(addr);
-        let responses = client
-            .request_batch(&[
-                ("GET", "/a", b"".as_slice()),
-                ("GET", "/b", b"".as_slice()),
-                ("GET", "/c", b"".as_slice()),
-            ])
-            .unwrap();
-        let bodies: Vec<String> = responses
-            .iter()
-            .map(|(status, body)| {
-                assert_eq!(*status, 200);
-                String::from_utf8(body.clone()).unwrap()
-            })
-            .collect();
-        assert_eq!(bodies[0], "{\"path\":\"/a\",\"i\":0}");
-        assert_eq!(bodies[1], "{\"path\":\"/b\",\"i\":1}");
-        assert_eq!(bodies[2], "{\"path\":\"/c\",\"i\":2}");
-        assert_eq!(client.connects(), 1);
         server.join().unwrap();
     }
 
     #[test]
     fn status_mapping_covers_every_error() {
         assert_eq!(HttpError::BadRequest("x").http_status(), 400);
+        assert_eq!(HttpError::NotImplemented("x").http_status(), 501);
         assert_eq!(
             HttpError::BodyTooLarge {
                 declared: 2,

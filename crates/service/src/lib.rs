@@ -38,6 +38,8 @@
 //! * [`shard`] — the structure-sharded `mqo_router` front with zero-loss
 //!   failover: bounded in-flight journals and deterministic replay on
 //!   healthy cells within the client's deadline budget.
+//! * [`testkit`] — test support only: the blocking HTTP reader that is the
+//!   incremental parser's differential oracle, and minimal test clients.
 //!
 //! The `mqo_serve` and `mqo_router` binaries wire the layers together. The
 //! serving invariants (bit-identity by `(problem, seed)`, clean chaos
@@ -58,6 +60,7 @@ pub mod router;
 pub mod server;
 pub mod shard;
 pub mod supervisor;
+pub mod testkit;
 
 pub use api::{Backend, Reject, SolveRequest, SolveResponse};
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};

@@ -2,7 +2,7 @@
 //!
 //! The front-end enqueues; a small worker pool drains the queue in batches
 //! (grouping structurally similar requests so embedding-cache hits cluster)
-//! and answers each job through a one-shot channel. Overload is a typed
+//! and answers each job through its [`Responder`]. Overload is a typed
 //! [`Reject::QueueFull`] at admission time — the queue never grows without
 //! bound and never panics under pressure — and shutdown stops admissions
 //! while the workers drain everything already accepted.
@@ -29,7 +29,7 @@ use crate::metrics::{lock_recover, wait_recover, Metrics};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,58 +54,36 @@ impl Default for QueueConfig {
     }
 }
 
-/// Where a job's answer goes: the blocking front-end waits on a one-shot
-/// channel; the event-loop front-end hands the queue a callback that posts
-/// the response back to the owning shard and wakes its `poll`.
-pub struct Responder(ResponderKind);
+/// Where a job's answer goes: a callback that the event-loop front-end
+/// uses to post the response back to the owning shard and wake its `poll`.
+pub struct Responder(Option<ResponseCallback>);
 
 /// Boxed completion callback invoked with the job's final answer.
 type ResponseCallback = Box<dyn FnOnce(Result<SolveResponse, Reject>) + Send>;
 
-enum ResponderKind {
-    Channel(mpsc::Sender<Result<SolveResponse, Reject>>),
-    Callback(Option<ResponseCallback>),
-}
-
 impl Responder {
-    /// A responder that sends into a one-shot channel.
-    #[must_use]
-    pub fn channel(tx: mpsc::Sender<Result<SolveResponse, Reject>>) -> Responder {
-        Responder(ResponderKind::Channel(tx))
-    }
-
     /// A responder that invokes `f` with the answer. Invoked from a worker
     /// thread, so `f` must be cheap and non-blocking (the event loop's
     /// completers only push onto a channel and write one wakeup byte).
     #[must_use]
-    pub fn callback(f: impl FnOnce(Result<SolveResponse, Reject>) + Send + 'static) -> Responder {
-        Responder(ResponderKind::Callback(Some(Box::new(f))))
+    pub fn new(f: impl FnOnce(Result<SolveResponse, Reject>) + Send + 'static) -> Responder {
+        Responder(Some(Box::new(f)))
     }
 
-    /// Delivers the answer. A receiver that hung up is not an error.
+    /// Delivers the answer.
     pub fn respond(mut self, result: Result<SolveResponse, Reject>) {
-        match &mut self.0 {
-            ResponderKind::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ResponderKind::Callback(f) => {
-                if let Some(f) = f.take() {
-                    f(result);
-                }
-            }
+        if let Some(f) = self.0.take() {
+            f(result);
         }
     }
 }
 
 impl Drop for Responder {
-    /// Safety net: a callback responder dropped without answering (worker
-    /// pool died hard) still tells the client the service is going away,
-    /// mirroring what channel waiters see as a `RecvError`.
+    /// Safety net: a responder dropped without answering (worker pool died
+    /// hard) still tells the client the service is going away.
     fn drop(&mut self) {
-        if let ResponderKind::Callback(f) = &mut self.0 {
-            if let Some(f) = f.take() {
-                f(Err(Reject::ShuttingDown));
-            }
+        if let Some(f) = self.0.take() {
+            f(Err(Reject::ShuttingDown));
         }
     }
 }
@@ -232,18 +210,6 @@ impl SolveQueue {
                 return;
             }
         }
-    }
-
-    /// Admits a request, returning the channel its answer will arrive on,
-    /// or a typed rejection when the queue is full or draining.
-    pub fn submit(
-        &self,
-        req: SolveRequest,
-    ) -> Result<mpsc::Receiver<Result<SolveResponse, Reject>>, Reject> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_with(req, Responder::channel(tx))
-            .map(|()| rx)
-            .map_err(|(_responder, reject)| reject)
     }
 
     /// Admits a request whose answer is delivered through `responder`.
@@ -422,7 +388,6 @@ impl SolveQueue {
                             response.queue_wait_us = wait_us;
                             response
                         });
-                        // A receiver that hung up is not an error here.
                         job.responder.respond(result);
                     }
                     Err(payload) => {
@@ -454,6 +419,9 @@ mod tests {
     use crate::engine::EngineConfig;
     use mqo_chimera::graph::ChimeraGraph;
     use mqo_core::problem::MqoProblem;
+    use std::sync::mpsc::{self, Receiver};
+
+    type Answer = Result<SolveResponse, Reject>;
 
     fn tiny_problem() -> MqoProblem {
         let mut b = MqoProblem::builder();
@@ -471,6 +439,19 @@ mod tests {
         Arc::new(SolveEngine::new(cfg, Arc::new(Metrics::default())))
     }
 
+    /// Admits `req` with a responder that forwards the answer into a
+    /// channel, so a test can wait on it.
+    fn submit(queue: &SolveQueue, req: SolveRequest) -> Result<Receiver<Answer>, Reject> {
+        let (tx, rx) = mpsc::channel();
+        let responder = Responder::new(move |answer| {
+            let _ = tx.send(answer);
+        });
+        queue
+            .submit_with(req, responder)
+            .map(|()| rx)
+            .map_err(|(_responder, reject)| reject)
+    }
+
     #[test]
     fn overload_is_a_typed_rejection_not_a_panic_or_hang() {
         // No workers running: the queue fills to its bound, then rejects.
@@ -484,12 +465,11 @@ mod tests {
         let mut pending = Vec::new();
         for i in 0..3 {
             pending.push(
-                queue
-                    .submit(SolveRequest::new(tiny_problem(), i))
+                submit(&queue, SolveRequest::new(tiny_problem(), i))
                     .unwrap_or_else(|r| panic!("request {i} should be admitted, got {r}")),
             );
         }
-        match queue.submit(SolveRequest::new(tiny_problem(), 99)) {
+        match submit(&queue, SolveRequest::new(tiny_problem(), 99)) {
             Err(Reject::QueueFull { depth }) => assert_eq!(depth, 3),
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -516,13 +496,12 @@ mod tests {
                 ..QueueConfig::default()
             },
         );
-        let rx = queue
-            .submit(SolveRequest::new(tiny_problem(), 1))
-            .expect("admitted before shutdown");
+        let rx =
+            submit(&queue, SolveRequest::new(tiny_problem(), 1)).expect("admitted before shutdown");
         queue.shutdown();
         let response = rx.recv().expect("in-flight job is drained").unwrap();
         assert_eq!(response.cost, 2.0);
-        match queue.submit(SolveRequest::new(tiny_problem(), 2)) {
+        match submit(&queue, SolveRequest::new(tiny_problem(), 2)) {
             Err(Reject::ShuttingDown) => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
@@ -536,7 +515,7 @@ mod tests {
         let queue = SolveQueue::new(engine(), QueueConfig::default());
         let mut req = SolveRequest::new(tiny_problem(), 1);
         req.deadline_ms = Some(1);
-        let rx = queue.submit(req).unwrap();
+        let rx = submit(&queue, req).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(10));
         queue.spawn_workers();
         queue.shutdown();
@@ -561,7 +540,7 @@ mod tests {
             .map(|i| {
                 let mut req = SolveRequest::new(tiny_problem(), i);
                 req.backend = Some(Backend::HillClimbing);
-                queue.submit(req).unwrap()
+                submit(&queue, req).unwrap()
             })
             .collect();
         queue.spawn_workers();
@@ -598,7 +577,7 @@ mod tests {
                 },
             );
             let receivers: Vec<_> = (0..4)
-                .map(|i| queue.submit(SolveRequest::new(tiny_problem(), i)).unwrap())
+                .map(|i| submit(&queue, SolveRequest::new(tiny_problem(), i)).unwrap())
                 .collect();
             queue.spawn_workers();
             queue.shutdown();
@@ -667,7 +646,7 @@ mod tests {
             .map(|i| {
                 let mut req = SolveRequest::new(tiny_problem(), i);
                 req.backend = Some(Backend::HillClimbing);
-                (i, queue.submit(req).unwrap())
+                (i, submit(&queue, req).unwrap())
             })
             .collect();
         queue.spawn_workers();
@@ -720,7 +699,7 @@ mod tests {
             },
         );
         let receivers: Vec<_> = (0..6)
-            .map(|i| queue.submit(SolveRequest::new(tiny_problem(), i)).unwrap())
+            .map(|i| submit(&queue, SolveRequest::new(tiny_problem(), i)).unwrap())
             .collect();
         queue.spawn_workers();
         queue.shutdown();

@@ -19,11 +19,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct RouterConfig {
-    /// Fraction of working qubits treated as unusable when judging
-    /// capacity. Mirrors the fault-injection dropout rate: a device running
-    /// at 5 % fault rate should not be handed instances that only fit a
-    /// pristine chip (they would bounce through re-embedding rounds).
-    pub capacity_derating: f64,
     /// Queries at or below this bound route to MILP when the annealer
     /// cannot host the instance; larger instances go to hill climbing
     /// (branch-and-bound beyond ~tens of queries blows the latency budget).
@@ -33,7 +28,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            capacity_derating: 0.0,
             milp_max_queries: 14,
         }
     }
@@ -51,17 +45,15 @@ pub struct RouteDecision {
 
 /// Decides the backend for one instance on one device graph.
 pub fn route(problem: &MqoProblem, graph: &ChimeraGraph, cfg: &RouterConfig) -> RouteDecision {
-    let derating = cfg.capacity_derating.clamp(0.0, 1.0);
-    let effective_qubits =
-        ((graph.num_working_qubits() as f64) * (1.0 - derating)).floor() as usize;
+    let effective_qubits = graph.num_working_qubits();
 
     // A TRIAD clique hosts up to 4·min(rows, cols) chains regardless of the
     // savings structure — the unconditional representability bound.
     let clique_cap = 4 * graph.rows().min(graph.cols());
-    let clique_fits = problem.num_plans() <= clique_cap && derating == 0.0;
+    let clique_fits = problem.num_plans() <= clique_cap;
 
     // The clustered capacity bound of Section 6: uniform queries of the
-    // instance's worst plan count against the derated qubit budget.
+    // instance's worst plan count against the working qubits.
     let max_plans = problem
         .queries()
         .map(|q| problem.num_plans_of(q))
@@ -156,20 +148,5 @@ mod tests {
         assert_eq!(d.backend, Backend::Milp);
         let d = route(&uniform_problem(cfg.milp_max_queries + 1, 2), &g, &cfg);
         assert_eq!(d.backend, Backend::HillClimbing);
-    }
-
-    #[test]
-    fn derating_shrinks_the_capacity_bound() {
-        let g = ChimeraGraph::dwave_2x(); // 576 two-plan queries intact
-        let cfg = RouterConfig {
-            capacity_derating: 0.9,
-            ..RouterConfig::default()
-        };
-        // 100 queries fit the intact machine but not 10% of it.
-        let d = route(&uniform_problem(100, 2), &g, &cfg);
-        assert_ne!(d.backend, Backend::Annealer);
-        // Tiny instances still fit even a heavily derated machine.
-        let d = route(&uniform_problem(4, 2), &g, &cfg);
-        assert_eq!(d.backend, Backend::Annealer);
     }
 }

@@ -211,7 +211,7 @@ impl SolveHandler {
                 return Action::Respond(Response::reject(&reject));
             }
         };
-        let responder = Responder::callback(move |result| {
+        let responder = Responder::new(move |result| {
             completer.complete(queue_answer(result));
         });
         match self.queue.submit_with(solve_request, responder) {
@@ -252,7 +252,8 @@ fn queue_answer(result: Result<crate::api::SolveResponse, Reject>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::roundtrip;
+    use crate::http::KeepAliveClient;
+    use crate::testkit::{pipeline, roundtrip};
     use mqo_chimera::graph::ChimeraGraph;
 
     fn small_server() -> Server {
@@ -315,13 +316,13 @@ mod tests {
     fn solve_round_trips_over_one_keep_alive_connection() {
         let server = small_server();
         let addr = server.local_addr();
-        let mut client = crate::http::KeepAliveClient::new(addr);
-        let (status, cold) = client.request("POST", "/solve", TINY).unwrap();
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&cold));
-        let (status, warm) = client.request("POST", "/solve", TINY).unwrap();
-        assert_eq!(status, 200);
-        let cold: serde_json::Value = serde_json::from_slice(&cold).unwrap();
-        let warm: serde_json::Value = serde_json::from_slice(&warm).unwrap();
+        let mut client = KeepAliveClient::new(addr, Duration::from_secs(30));
+        let cold = client.request("POST", "/solve", TINY).unwrap();
+        assert_eq!(cold.status, 200, "{}", String::from_utf8_lossy(&cold.body));
+        let warm = client.request("POST", "/solve", TINY).unwrap();
+        assert_eq!(warm.status, 200);
+        let cold: serde_json::Value = serde_json::from_slice(&cold.body).unwrap();
+        let warm: serde_json::Value = serde_json::from_slice(&warm.body).unwrap();
         assert_eq!(warm["selection"], cold["selection"]);
         assert_eq!(warm["cache_hit"], true);
         assert_eq!(client.connects(), 1, "both requests shared one connection");
@@ -334,18 +335,17 @@ mod tests {
     fn pipelined_solves_answer_in_request_order() {
         let server = small_server();
         let addr = server.local_addr();
-        let mut client = crate::http::KeepAliveClient::new(addr);
         let batch: Vec<(&str, &str, &[u8])> = vec![
             ("POST", "/solve", TINY),
             ("GET", "/healthz", b""),
             ("POST", "/solve", TINY),
         ];
-        let responses = client.request_batch(&batch).unwrap();
+        let responses = pipeline(addr, &batch).unwrap();
         assert_eq!(responses.len(), 3);
-        assert_eq!(responses[0].0, 200);
-        assert_eq!(responses[1].1, br#"{"status":"ok"}"#.to_vec());
-        let first: serde_json::Value = serde_json::from_slice(&responses[0].1).unwrap();
-        let third: serde_json::Value = serde_json::from_slice(&responses[2].1).unwrap();
+        assert_eq!(responses[0].status, 200);
+        assert_eq!(responses[1].body, br#"{"status":"ok"}"#.to_vec());
+        let first: serde_json::Value = serde_json::from_slice(&responses[0].body).unwrap();
+        let third: serde_json::Value = serde_json::from_slice(&responses[2].body).unwrap();
         assert_eq!(first["cost"], 2.0);
         assert_eq!(third["selection"], first["selection"]);
         assert!(server.metrics().snapshot().pipelined_requests >= 1);

@@ -27,7 +27,7 @@
 //!   the router subtracts its own elapsed time and forwards a strictly
 //!   decreasing `deadline_ms` upstream ([`next_deadline`]);
 //! * every in-flight request sits in a **bounded per-shard journal**
-//!   ([`FailoverJournal`] semantics): admission beyond the per-shard bound
+//!   (the private `FailoverJournal`): admission beyond the per-shard bound
 //!   answers a typed 429 instead of queueing without limit, and the journal
 //!   draining to zero is the drain invariant the kill-chaos tests assert;
 //! * cells **quarantined** by the fleet supervisor
@@ -36,14 +36,16 @@
 //! * any HTTP answer from a cell — including typed rejections — counts as
 //!   cell transport health; only transport errors trip the breaker, but
 //!   5xx answers are treated as replayable (the last one is passed through
-//!   verbatim if no cell does better);
+//!   verbatim if no cell does better). A passed-through answer keeps the
+//!   cell's `Retry-After`, so a cell's back-pressure hint reaches the
+//!   client;
 //! * a final `503 backend_unavailable` carries an honest `Retry-After`
 //!   computed from the soonest breaker re-probe, not a constant.
 
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{KeepAliveClient, Request};
+use crate::http::{KeepAliveClient, Request, ResponseParts};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::DEFAULT_EPSILON;
@@ -274,7 +276,7 @@ impl Fleet {
     /// Forwards one `/solve` request to the shard's cell, transparently
     /// replaying on the next healthy cell after a transport failure or a
     /// 5xx, within the request's deadline budget. Non-5xx HTTP answers are
-    /// passed through verbatim.
+    /// passed through verbatim, `Retry-After` included.
     fn forward(&self, hash: u64, request: &SolveRequest, admitted: Instant) -> Response {
         // The upstream body for deadline-less requests (and the fallback
         // when a deadline-carrying copy cannot be serialised).
@@ -297,7 +299,7 @@ impl Fleet {
         // the failover budget otherwise.
         let window_ms = budget.unwrap_or(FAILOVER_BUDGET_MS);
         let mut last_forwarded: Option<u64> = None;
-        let mut last_5xx: Option<(u16, String)> = None;
+        let mut last_5xx: Option<ResponseParts> = None;
         let mut failed_attempts = 0u32;
         let mut budget_exhausted = false;
         let mut detail = String::new();
@@ -364,25 +366,23 @@ impl Fleet {
                     None => without_deadline.clone(),
                 };
                 match self.try_cell(cell, &body) {
-                    Ok((status, resp_body)) => {
+                    Ok(parts) => {
                         cell.breaker.record_success();
-                        let resp_body = String::from_utf8(resp_body)
-                            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-                        if status >= 500 {
+                        if parts.status >= 500 {
                             // The cell answered, but with a server-side
                             // failure — replayable on another cell; keep the
                             // answer to pass through verbatim if nothing
                             // does better.
                             failed_attempts += 1;
-                            note(format!("{}: upstream {status}", cell.display));
-                            last_5xx = Some((status, resp_body));
+                            note(format!("{}: upstream {}", cell.display, parts.status));
+                            last_5xx = Some(parts);
                             continue;
                         }
                         Metrics::inc(&cell.forwarded);
                         if failed_attempts > 0 {
                             Metrics::inc(&self.metrics.failovers);
                         }
-                        return Response::json(status, resp_body);
+                        return passed_through(parts);
                     }
                     Err(e) => {
                         cell.breaker.record_failure();
@@ -399,8 +399,8 @@ impl Fleet {
         }
         // A 5xx a cell actually produced beats a synthetic router error —
         // pass the last one through verbatim.
-        if let Some((status, body)) = last_5xx {
-            return Response::json(status, body);
+        if let Some(parts) = last_5xx {
+            return passed_through(parts);
         }
         if budget_exhausted {
             return Response::reject(&Reject::DeadlineExceeded {
@@ -414,12 +414,10 @@ impl Fleet {
 
     /// One attempt against one cell over a pooled keep-alive connection;
     /// the client itself retries once on a stale pooled connection.
-    fn try_cell(&self, cell: &Cell, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
+    fn try_cell(&self, cell: &Cell, body: &[u8]) -> io::Result<ResponseParts> {
         let mut client = lock_recover(&cell.pool, &self.lock_recoveries)
             .pop()
-            .unwrap_or_else(|| {
-                KeepAliveClient::with_timeout(cell.addr, Some(self.upstream_timeout))
-            });
+            .unwrap_or_else(|| KeepAliveClient::new(cell.addr, self.upstream_timeout));
         let result = client.request("POST", "/solve", body);
         if result.is_ok() {
             lock_recover(&cell.pool, &self.lock_recoveries).push(client);
@@ -441,6 +439,18 @@ impl Fleet {
                 journal_outstanding: self.journal.outstanding(idx),
             })
             .collect()
+    }
+}
+
+/// A cell's answer as the router passes it on: status, body, and the
+/// cell's `Retry-After` hint when it sent one.
+fn passed_through(parts: ResponseParts) -> Response {
+    let body = String::from_utf8(parts.body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    let response = Response::json(parts.status, body);
+    match parts.retry_after {
+        Some(secs) => response.with_header("retry-after", secs.to_string()),
+        None => response,
     }
 }
 
@@ -771,8 +781,10 @@ fn fleet_rx<'a>(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::http::{read_request, read_response, render_request, roundtrip, HttpLimits};
+    use crate::http::{read_response, render_request, HttpLimits};
+    use crate::queue::QueueConfig;
     use crate::server::{Server, ServerConfig};
+    use crate::testkit::{read_request, roundtrip};
     use mqo_chimera::graph::ChimeraGraph;
     use std::io::Write;
 
@@ -1015,6 +1027,45 @@ mod tests {
     }
 
     #[test]
+    fn a_cells_retry_after_reaches_the_client() {
+        // A cell with no queue room answers every solve 429 + Retry-After.
+        let mut config = ServerConfig::new(EngineConfig::new(ChimeraGraph::new(2, 2)));
+        config.queue = QueueConfig {
+            depth: 0,
+            ..QueueConfig::default()
+        };
+        let cell = Server::start(config).expect("bind cell");
+        let router = router_over(&[&cell]);
+        let mut stream = std::net::TcpStream::connect(router.local_addr()).unwrap();
+        stream
+            .write_all(&render_request(
+                "POST",
+                "/solve",
+                &router.local_addr().to_string(),
+                TINY_A,
+                true,
+            ))
+            .unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let parts = read_response(&mut reader, HttpLimits::default().max_body).unwrap();
+        assert_eq!(
+            parts.status,
+            429,
+            "{}",
+            String::from_utf8_lossy(&parts.body)
+        );
+        let v: serde_json::Value = serde_json::from_slice(&parts.body).unwrap();
+        assert_eq!(v["reason"], "queue_full");
+        assert_eq!(parts.retry_after, Some(1), "the cell's hint passes through");
+        // The cell answered, so it stays healthy and the 429 is not replayed.
+        let cells = router.cells();
+        assert_eq!((cells[0].forwarded, cells[0].failures), (1, 0));
+        assert_eq!(cell.metrics().snapshot().rejected_queue_full, 1);
+        router.shutdown();
+        cell.shutdown();
+    }
+
+    #[test]
     fn next_deadline_subtracts_elapsed_and_strictly_decreases() {
         assert_eq!(next_deadline(1_000, 0, None), Some(1_000));
         assert_eq!(next_deadline(1_000, 400, None), Some(600));
@@ -1060,7 +1111,7 @@ mod tests {
             let cell = listener.local_addr().unwrap();
             let fake_cell = std::thread::spawn(move || {
                 let (mut stream, _) = listener.accept().unwrap();
-                let _ = read_request(&mut stream, &HttpLimits::default());
+                let _ = read_request(&mut stream, &HttpLimits::default(), None);
                 // The router may hang up mid-reply once a cap trips.
                 let _ = stream.write_all(reply.as_bytes());
             });

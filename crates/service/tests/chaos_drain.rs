@@ -13,9 +13,9 @@
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::chaos::{ChaosConfig, CHAOS_PANIC_MESSAGE};
 use mqo_service::engine::EngineConfig;
-use mqo_service::http::roundtrip;
 use mqo_service::metrics::MetricsSnapshot;
 use mqo_service::server::{Server, ServerConfig};
+use mqo_service::testkit::roundtrip;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once};

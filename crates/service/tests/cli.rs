@@ -1,9 +1,10 @@
 //! The `mqo_serve` and `mqo_router` binaries as processes: the flag set
 //! each one accepts, the typed exit code 2 for bad command lines, and the
 //! served lifecycle — print `listening on`, answer the paper's quickstart
-//! instance at its optimum, then drain on `POST /shutdown` and exit 0.
+//! instance at its optimum, then drain on `POST /shutdown` and exit 0 —
+//! and the cell's time and memory on bodies at the request size cap.
 
-use mqo_service::http::roundtrip;
+use mqo_service::testkit::roundtrip;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -222,5 +223,86 @@ fn served_processes_answer_the_quickstart_optimum_and_drain_on_shutdown() {
     );
     assert_quickstart_optimum(router.addr);
     router.shutdown();
+    cell.shutdown();
+}
+
+/// Request body cap of `mqo_serve` (`HttpLimits::default().max_body`).
+const MAX_BODY: usize = 1 << 20;
+
+/// Peak resident set the cell may reach while answering every body below:
+/// 256 MiB, i.e. at most 256 bytes of memory per byte of request.
+const MAX_HWM_KB: u64 = 256 << 10;
+
+/// The cell's peak resident set size (`VmHWM`), kB.
+fn peak_rss_kb(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM line")
+}
+
+/// A `/solve` body of `queries` (JSON arrays of plan costs) and `savings`
+/// (`[plan, plan, saving]` triples).
+fn solve_body(queries: &[String], savings: &[String]) -> Vec<u8> {
+    format!(
+        r#"{{"problem":{{"queries":[{}],"savings":[{}]}},"seed":1}}"#,
+        queries.join(","),
+        savings.join(",")
+    )
+    .into_bytes()
+}
+
+#[test]
+fn bodies_at_the_size_cap_answer_promptly_in_bounded_memory() {
+    // 1. One query with as many plans as fit.
+    let plans = (MAX_BODY - 64) / 2;
+    let one_query = solve_body(&[format!("[{}]", vec!["1"; plans].join(","))], &[]);
+    // 2. Two queries with as many savings pairs as fit: 300 plans each,
+    //    every cross pair saving, 90 000 pairs.
+    let row = format!("[{}]", vec!["1"; 300].join(","));
+    let pairs: Vec<String> = (0..300)
+        .flat_map(|a| (300..600).map(move |b| format!("[{a},{b},1]")))
+        .collect();
+    let two_queries = solve_body(&[row.clone(), row], &pairs);
+    // 3. As many one-plan queries as fit: about 2.6 x 10^5.
+    let tiny = solve_body(&vec!["[1]".to_string(); (MAX_BODY - 64) / 4], &[]);
+
+    let cell = Served::start(env!("CARGO_BIN_EXE_mqo_serve"), &["--addr", "127.0.0.1:0"]);
+    for (case, body) in [
+        ("one query", one_query),
+        ("two queries", two_queries),
+        ("one-plan queries", tiny),
+    ] {
+        assert!(
+            body.len() <= MAX_BODY && body.len() > MAX_BODY - 4_096,
+            "{case}: {} bytes is not just under the cap",
+            body.len()
+        );
+        let started = Instant::now();
+        let (status, reply) = roundtrip(cell.addr, "POST", "/solve", &body).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            status == 200 || (400..500).contains(&status),
+            "{case}: status {status}: {}",
+            String::from_utf8_lossy(&reply[..reply.len().min(512)])
+        );
+        let v: serde_json::Value = serde_json::from_slice(&reply).unwrap();
+        if status != 200 {
+            assert!(
+                v["reason"].as_str().is_some(),
+                "{case}: untyped {status}: {v}"
+            );
+        }
+        assert!(elapsed < Duration::from_secs(5), "{case}: took {elapsed:?}");
+        let (status, _) = roundtrip(cell.addr, "GET", "/healthz", b"").unwrap();
+        assert_eq!(status, 200, "{case}: cell unhealthy afterwards");
+        let hwm = peak_rss_kb(cell.child.id());
+        assert!(
+            hwm < MAX_HWM_KB,
+            "{case}: peak RSS {hwm} kB over the {MAX_HWM_KB} kB bound"
+        );
+    }
     cell.shutdown();
 }

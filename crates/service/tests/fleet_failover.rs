@@ -19,10 +19,10 @@
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::chaos::CellKillSchedule;
 use mqo_service::engine::EngineConfig;
-use mqo_service::http::roundtrip;
 use mqo_service::server::{Server, ServerConfig};
 use mqo_service::shard::{next_deadline, MqoRouter, MqoRouterConfig};
 use mqo_service::supervisor::SupervisorConfig;
+use mqo_service::testkit::roundtrip;
 use proptest::prelude::*;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};

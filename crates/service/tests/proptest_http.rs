@@ -2,9 +2,10 @@
 //! and of the incremental parser behind the nonblocking event loop
 //! (ISSUE-9, satellite c).
 //!
-//! `http::read_request` is the service's unauthenticated network-facing
-//! parsing surface: whatever bytes a client throws at the socket flow
-//! through it first. These properties feed it arbitrary byte streams —
+//! `testkit::read_request` is the blocking restatement of the service's
+//! unauthenticated network-facing parsing surface: whatever bytes a client
+//! throws at the socket flow through that grammar first. These properties
+//! feed it arbitrary byte streams —
 //! pure noise, truncated/corrupted valid requests, and adversarial
 //! header shapes — through the in-memory [`RequestSource`] impl and
 //! assert the total-function contract: the reader never panics and every
@@ -18,7 +19,8 @@
 //! requests in order, and turn mid-pipeline garbage into the same typed
 //! errors.
 
-use mqo_service::http::{parse_request, read_request, HttpError, HttpLimits};
+use mqo_service::http::{parse_request, HttpError, HttpLimits};
+use mqo_service::testkit::read_request;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -30,7 +32,6 @@ fn small_limits() -> HttpLimits {
         max_body: 256,
         max_line_bytes: 128,
         max_header_count: 8,
-        deadline: None,
     }
 }
 
@@ -42,7 +43,7 @@ fn parse_never_panics(bytes: &[u8], limits: &HttpLimits) -> Result<(), TestCaseE
     let owned = bytes.to_vec();
     let outcome = catch_unwind(AssertUnwindSafe(move || {
         let mut source: &[u8] = &owned;
-        read_request(&mut source, &limits)
+        read_request(&mut source, &limits, None)
     }));
     let result = match outcome {
         Ok(r) => r,
@@ -160,7 +161,7 @@ proptest! {
         let limits = small_limits();
         let incremental = parse_request(&raw, &limits);
         let mut source: &[u8] = &raw;
-        let blocking = read_request(&mut source, &limits);
+        let blocking = read_request(&mut source, &limits, None);
         match incremental {
             Ok(Some(parsed)) => match blocking {
                 Ok(req) => {
@@ -296,6 +297,83 @@ proptest! {
         }
     }
 
+    /// Chunked (or any other) transfer coding: wherever the
+    /// `Transfer-Encoding` line sits among the headers and whatever body
+    /// follows, the incremental parser and the blocking oracle both answer
+    /// the typed 501 — the body bytes are never parsed as a request.
+    #[test]
+    fn transfer_encoding_is_a_typed_501_in_both_parsers(
+        before in 0usize..4,
+        coding in 0usize..3,
+        upper in proptest::bool::ANY,
+        body_len in 0usize..48,
+    ) {
+        let limits = small_limits();
+        let name = if upper { "Transfer-Encoding" } else { "transfer-encoding" };
+        let coding = ["chunked", "gzip, chunked", "identity"][coding];
+        let mut raw = b"POST /solve HTTP/1.1\r\n".to_vec();
+        for i in 0..before {
+            raw.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        raw.extend_from_slice(format!("{name}: {coding}\r\n").as_bytes());
+        // The header line alone decides: no need to wait for the rest.
+        prop_assert!(matches!(
+            parse_request(&raw, &limits),
+            Err(HttpError::NotImplemented(_))
+        ));
+        raw.extend_from_slice(format!("\r\n{body_len:x}\r\n").as_bytes());
+        raw.extend(std::iter::repeat_n(b'a', body_len));
+        raw.extend_from_slice(b"\r\n0\r\n\r\n");
+        match parse_request(&raw, &limits) {
+            Err(e @ HttpError::NotImplemented(_)) => prop_assert_eq!(e.http_status(), 501),
+            other => return Err(TestCaseError::fail(format!(
+                "incremental parser gave {other:?}"
+            ))),
+        }
+        let mut source: &[u8] = &raw;
+        match read_request(&mut source, &limits, None) {
+            Err(e @ HttpError::NotImplemented(_)) => prop_assert_eq!(e.http_status(), 501),
+            other => return Err(TestCaseError::fail(format!(
+                "blocking oracle gave {other:?}"
+            ))),
+        }
+    }
+
+    /// Repeated `Content-Length`: two different values are a typed 400 in
+    /// both parsers; the same value twice frames the body as one length.
+    #[test]
+    fn repeated_content_lengths_agree_or_are_a_typed_400(
+        first in 0usize..64,
+        second in 0usize..64,
+    ) {
+        let limits = small_limits();
+        let body: Vec<u8> = (0..first.max(second)).map(|i| b'a' + (i % 26) as u8).collect();
+        let mut raw = format!(
+            "POST /solve HTTP/1.1\r\ncontent-length: {first}\r\n\
+             Content-Length: {second}\r\n\r\n"
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        let incremental = parse_request(&raw, &limits);
+        let mut source: &[u8] = &raw;
+        let blocking = read_request(&mut source, &limits, None);
+        if first == second {
+            let parsed = incremental.unwrap().unwrap();
+            prop_assert_eq!(&parsed.request.body, &body);
+            prop_assert_eq!(parsed.request, blocking.unwrap());
+        } else {
+            match (incremental, blocking) {
+                (Err(e @ HttpError::BadRequest(_)), Err(b @ HttpError::BadRequest(_))) => {
+                    prop_assert_eq!(e.http_status(), 400);
+                    prop_assert_eq!(b.http_status(), 400);
+                }
+                other => return Err(TestCaseError::fail(format!(
+                    "conflicting lengths {first} vs {second} gave {other:?}"
+                ))),
+            }
+        }
+    }
+
     /// Oversized declared bodies are rejected with the typed 413, never by
     /// allocating first: the reader must refuse before reading the body.
     #[test]
@@ -306,7 +384,7 @@ proptest! {
             "POST /solve HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n"
         );
         let mut source: &[u8] = raw.as_bytes();
-        match read_request(&mut source, &limits) {
+        match read_request(&mut source, &limits, None) {
             Err(HttpError::BodyTooLarge { declared: d, limit }) => {
                 prop_assert_eq!(d, declared);
                 prop_assert_eq!(limit, limits.max_body);
