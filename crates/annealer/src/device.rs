@@ -23,9 +23,9 @@
 //! randomness from an RNG seeded by [`crate::parallel::derive_seed`] over
 //! `(run seed, stream, gauge index, read index)` rather than from one
 //! shared sequential stream. Reads are therefore independent by
-//! construction, and the device fans them out over a scoped worker pool
-//! ([`DeviceConfig::threads`]) while reassembling results in chronological
-//! order — a run is bit-identical at any thread count.
+//! construction, and the device fans them out over the process-wide worker
+//! pool ([`DeviceConfig::threads`]) while reassembling results in
+//! chronological order — a run is bit-identical at any thread count.
 
 use crate::faults::{FaultConfig, FaultEvents, FaultPlan, STREAM_FAULT_READ};
 use crate::gauge::Gauge;
@@ -55,6 +55,9 @@ pub struct DeviceConfig {
     pub control_error: ControlErrorModel,
     /// Worker threads for gauge programming and read execution
     /// (`0` = available parallelism). Results are identical at any value.
+    /// Above 1, a run fans out over the process-wide pool, which takes one
+    /// run at a time; the bench harness sets it (`--threads`), while the
+    /// service, which already runs one solve per core, sets 1.
     pub threads: usize,
     /// Deterministic fault injection (see [`crate::faults`]). Inert by
     /// default; an inert model leaves runs bit-identical to the fault-free

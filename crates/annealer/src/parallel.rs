@@ -96,8 +96,9 @@ struct PoolInner {
 }
 
 /// Process-wide persistent worker pool. One batch runs at a time
-/// (submissions are serialized by `submit`); workers and the submitting
-/// thread claim chunks from the shared counter until the batch drains.
+/// (submissions are serialized by `submit`), so concurrent submitters queue
+/// behind the batch in flight; workers and the submitting thread claim
+/// chunks from the shared counter until the batch drains.
 struct Pool {
     inner: Mutex<PoolInner>,
     /// Signalled when a batch is installed (workers wake and claim).
@@ -273,6 +274,13 @@ unsafe impl<T: Send> Sync for ChunkSlot<T> {}
 /// so results are bit-identical no matter how many pool workers actually
 /// execute the chunks — including nested calls, which run inline through
 /// the same chunked path.
+///
+/// With `threads > 1` the batch goes to the process-wide pool, which runs
+/// one batch at a time: concurrent callers queue behind each other. That
+/// suits one caller fanning one job over every core (the bench harness). A
+/// caller that already runs one task per core (the service's queue workers)
+/// passes `threads = 1` so its tasks run side by side instead of in turn
+/// (DESIGN.md §6).
 pub fn parallel_map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,

@@ -43,7 +43,10 @@ const CACHE_CAPACITY: usize = 128;
 const EMBED_TRIES: usize = 16;
 
 /// Engine configuration. [`EngineConfig::new`] applies service defaults
-/// sized for interactive latency (100 reads, not the paper's offline 1000).
+/// sized for interactive latency (100 reads, not the paper's offline 1000)
+/// and runs each solve's reads on the one queue worker that owns it
+/// (`device.threads = 1`): the service parallelises across requests, one
+/// worker per core, not within one (DESIGN.md §6).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Device topology.
@@ -87,6 +90,7 @@ impl EngineConfig {
             device: DeviceConfig {
                 num_reads: 100,
                 num_gauges: 10,
+                threads: 1,
                 ..DeviceConfig::default()
             },
             resilience: ResilienceConfig::default(),

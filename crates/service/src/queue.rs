@@ -1,7 +1,8 @@
 //! Bounded admission queue + batching worker pool + supervisor.
 //!
-//! The front-end enqueues; a small worker pool drains the queue in batches
-//! (grouping structurally similar requests so embedding-cache hits cluster)
+//! The front-end enqueues; a worker pool, one worker per core by default,
+//! drains the queue in batches (grouping structurally similar requests so
+//! embedding-cache hits cluster), runs each solve on the worker's own thread,
 //! and answers each job through its [`Responder`]. Overload is a typed
 //! [`Reject::QueueFull`] at admission time — the queue never grows without
 //! bound and never panics under pressure — and shutdown stops admissions
@@ -38,7 +39,8 @@ use std::time::{Duration, Instant};
 pub struct QueueConfig {
     /// Maximum queued (admitted but not yet dispatched) requests.
     pub depth: usize,
-    /// Worker threads draining the queue.
+    /// Worker threads draining the queue; each runs one solve at a time on
+    /// its own thread (default: the machine's available parallelism).
     pub workers: usize,
     /// Maximum requests one worker claims per wake-up.
     pub batch_size: usize,
@@ -48,7 +50,7 @@ impl Default for QueueConfig {
     fn default() -> Self {
         QueueConfig {
             depth: 64,
-            workers: 2,
+            workers: mqo_annealer::resolve_threads(0),
             batch_size: 8,
         }
     }
