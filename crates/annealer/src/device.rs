@@ -26,12 +26,18 @@
 //! construction, and the device fans them out over the process-wide worker
 //! pool ([`DeviceConfig::threads`]) while reassembling results in
 //! chronological order — a run is bit-identical at any thread count.
+//! Reads go to the sampler in fixed blocks of [`LANES`] consecutive reads
+//! ([`ProgrammedSampler::sample_block_fast`]), which may span gauge
+//! batches; SA anneals a block in lock-step lanes, every other back-end one
+//! read at a time, and each read is the same either way.
 
 use crate::faults::{FaultConfig, FaultEvents, FaultPlan, STREAM_FAULT_READ};
 use crate::gauge::Gauge;
 use crate::noise::ControlErrorModel;
 use crate::parallel::{derive_seed, parallel_map_with, resolve_threads, STREAM_GAUGE, STREAM_READ};
-use crate::sampler::{ProgrammedSampler, Read, ReadScratch, SampleSet, Sampler, SamplerHints};
+use crate::sampler::{
+    ProgrammedSampler, Read, ReadScratch, SampleSet, Sampler, SamplerHints, LANES,
+};
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_chimera::physical::PhysicalMapping;
 use mqo_core::ising::{spins_to_bits, Ising};
@@ -311,76 +317,103 @@ impl<S: Sampler> QuantumAnnealer<S> {
             }
         };
         let time_per_read = self.config.time_per_read_us();
+        let num_reads = self.config.num_reads;
+        // Reads run in blocks of `LANES` consecutive reads, which the
+        // sampler may anneal together (`sample_block_fast`). Blocks are
+        // fixed by read index, so a run is the same at any thread count.
         let executed = parallel_map_with(
-            self.config.num_reads,
+            num_reads.div_ceil(LANES),
             threads,
-            // One spin buffer and one scratch per worker, reused across that
-            // worker's whole chunk of reads — the read loop allocates only
-            // the outgoing assignment.
-            || (vec![0i8; n], ReadScratch::default()),
-            |(spins, scratch): &mut (Vec<i8>, ReadScratch), idx| {
-                let (gauge_idx, read_in_gauge) = locate(idx);
-                let (gauge, prog) = &programmed[gauge_idx];
-                let mut rng = ChaCha8Rng::seed_from_u64(derive_seed(
-                    seed,
-                    STREAM_READ,
-                    gauge_idx as u64,
-                    read_in_gauge as u64,
-                ));
-                let mut flips = 0usize;
-                let mut stuck = false;
-                let mut delay_us = 0.0;
-                match fault_plan.as_ref() {
-                    None => {
-                        prog.sample_into_fast(&mut rng, spins, scratch);
-                        gauge.transform_spins_in_place(spins);
-                    }
-                    Some(plan) => {
-                        // Fault randomness lives on its own derived stream;
-                        // the clean read stream above is consumed exactly as
-                        // in the fault-free path. Roll order is fixed:
-                        // stuck → dead-qubit noise → per-bit flips.
-                        delay_us = plan.delay_before_us(gauge_idx);
-                        let mut frng = ChaCha8Rng::seed_from_u64(derive_seed(
-                            seed,
-                            STREAM_FAULT_READ,
-                            gauge_idx as u64,
-                            read_in_gauge as u64,
-                        ));
-                        stuck = faults_cfg.stuck_read_rate > 0.0
-                            && frng.gen::<f64>() < faults_cfg.stuck_read_rate;
-                        if stuck {
-                            for s in spins.iter_mut() {
-                                *s = if frng.gen::<bool>() { 1 } else { -1 };
-                            }
-                        } else {
-                            prog.sample_into_fast(&mut rng, spins, scratch);
-                            gauge.transform_spins_in_place(spins);
-                            for (s, &is_dead) in spins.iter_mut().zip(plan.dead_mask(gauge_idx)) {
-                                if is_dead {
-                                    *s = if frng.gen::<bool>() { 1 } else { -1 };
-                                }
-                            }
-                        }
-                        if faults_cfg.readout_flip_rate > 0.0 {
-                            for s in spins.iter_mut() {
-                                if frng.gen::<f64>() < faults_cfg.readout_flip_rate {
-                                    *s = -*s;
-                                    flips += 1;
-                                }
-                            }
-                        }
-                    }
+            // One spin buffer per block slot and one scratch per worker,
+            // reused across that worker's whole chunk of blocks — the read
+            // loop allocates only the outgoing assignments.
+            || {
+                let programs: Vec<&S::Programmed> = Vec::with_capacity(LANES);
+                let rngs: Vec<ChaCha8Rng> = Vec::with_capacity(LANES);
+                (vec![0i8; LANES * n], ReadScratch::default(), programs, rngs)
+            },
+            |(spins, scratch, programs, rngs), block| {
+                let block_reads = block * LANES..num_reads.min((block + 1) * LANES);
+                programs.clear();
+                rngs.clear();
+                for idx in block_reads.clone() {
+                    let (gauge_idx, read_in_gauge) = locate(idx);
+                    programs.push(&programmed[gauge_idx].1);
+                    rngs.push(ChaCha8Rng::seed_from_u64(derive_seed(
+                        seed,
+                        STREAM_READ,
+                        gauge_idx as u64,
+                        read_in_gauge as u64,
+                    )));
                 }
-                let assignment = spins_to_bits(spins);
-                let energy = true_qubo.energy(&assignment);
-                let read = Read {
-                    assignment,
-                    energy,
-                    elapsed_us: (idx + 1) as f64 * time_per_read + delay_us,
-                    gauge: gauge_idx,
-                };
-                (read, flips, stuck)
+                S::Programmed::sample_block_fast(
+                    programs,
+                    rngs,
+                    &mut spins[..block_reads.len() * n],
+                    scratch,
+                );
+                block_reads
+                    .enumerate()
+                    .map(|(slot, idx)| {
+                        let (gauge_idx, read_in_gauge) = locate(idx);
+                        let gauge = &programmed[gauge_idx].0;
+                        let spins = &mut spins[slot * n..(slot + 1) * n];
+                        let mut flips = 0usize;
+                        let mut stuck = false;
+                        let mut delay_us = 0.0;
+                        match fault_plan.as_ref() {
+                            None => gauge.transform_spins_in_place(spins),
+                            Some(plan) => {
+                                // Fault randomness lives on its own derived
+                                // stream; the clean read stream is consumed
+                                // exactly as in the fault-free path. Roll
+                                // order is fixed: stuck → dead-qubit noise →
+                                // per-bit flips. A stuck read discards its
+                                // annealed spins.
+                                delay_us = plan.delay_before_us(gauge_idx);
+                                let mut frng = ChaCha8Rng::seed_from_u64(derive_seed(
+                                    seed,
+                                    STREAM_FAULT_READ,
+                                    gauge_idx as u64,
+                                    read_in_gauge as u64,
+                                ));
+                                stuck = faults_cfg.stuck_read_rate > 0.0
+                                    && frng.gen::<f64>() < faults_cfg.stuck_read_rate;
+                                if stuck {
+                                    for s in spins.iter_mut() {
+                                        *s = if frng.gen::<bool>() { 1 } else { -1 };
+                                    }
+                                } else {
+                                    gauge.transform_spins_in_place(spins);
+                                    for (s, &is_dead) in
+                                        spins.iter_mut().zip(plan.dead_mask(gauge_idx))
+                                    {
+                                        if is_dead {
+                                            *s = if frng.gen::<bool>() { 1 } else { -1 };
+                                        }
+                                    }
+                                }
+                                if faults_cfg.readout_flip_rate > 0.0 {
+                                    for s in spins.iter_mut() {
+                                        if frng.gen::<f64>() < faults_cfg.readout_flip_rate {
+                                            *s = -*s;
+                                            flips += 1;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        let assignment = spins_to_bits(spins);
+                        let energy = true_qubo.energy(&assignment);
+                        let read = Read {
+                            assignment,
+                            energy,
+                            elapsed_us: (idx + 1) as f64 * time_per_read + delay_us,
+                            gauge: gauge_idx,
+                        };
+                        (read, flips, stuck)
+                    })
+                    .collect::<Vec<_>>()
             },
         );
 
@@ -395,8 +428,8 @@ impl<S: Sampler> QuantumAnnealer<S> {
             },
             None => FaultEvents::default(),
         };
-        let mut reads = Vec::with_capacity(executed.len());
-        for (read, flips, stuck) in executed {
+        let mut reads = Vec::with_capacity(num_reads);
+        for (read, flips, stuck) in executed.into_iter().flatten() {
             events.readout_flips += flips;
             if stuck {
                 events.stuck_reads += 1;

@@ -9,7 +9,10 @@
 //! hardware runs — near-optimal samples from the very first read with a
 //! small spread across reads.
 
-use crate::sampler::{metropolis_accept, ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
+use crate::sampler::{
+    metropolis_accept, metropolis_threshold, ProgrammedSampler, ReadScratch, Sampler, SamplerHints,
+    LANES, METROPOLIS_EXP_CUTOFF,
+};
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
@@ -182,7 +185,7 @@ impl ProgrammedSa {
                 for i in 0..n {
                     // SAFETY: `i < n` and all buffers hold `n` elements.
                     let delta = unsafe { -2.0 * *sf.get_unchecked(i) * fields.get_unchecked(i) };
-                    if delta > 0.0 && -beta * delta < crate::sampler::METROPOLIS_EXP_CUTOFF {
+                    if delta > 0.0 && -beta * delta < METROPOLIS_EXP_CUTOFF {
                         mask[i / 64] &= !(1u64 << (i % 64)); // frozen without a draw
                         frozen += 1;
                         continue;
@@ -234,7 +237,7 @@ impl ProgrammedSa {
                     // `n` were cleared at mask init and are never set
                     // (reactivation only sets bits of real neighbours).
                     let delta = unsafe { -2.0 * *sf.get_unchecked(i) * fields.get_unchecked(i) };
-                    if delta > 0.0 && -beta * delta < crate::sampler::METROPOLIS_EXP_CUTOFF {
+                    if delta > 0.0 && -beta * delta < METROPOLIS_EXP_CUTOFF {
                         mask[wi] &= !(1u64 << bit); // frozen without a draw
                         frozen += 1;
                         continue;
@@ -279,6 +282,166 @@ impl ProgrammedSa {
     }
 }
 
+/// Words of a lane's draw buffer, and so the spins walked between two
+/// top-ups: a proposal consumes at most one word per lane.
+const DRAW_CHUNK: usize = 64;
+
+/// One lane's read stream, buffered so the lane kernel can peek the next
+/// word and consume it by a count instead of a branch.
+struct LaneDraws {
+    rng: ChaCha8Rng,
+    words: [u32; DRAW_CHUNK],
+    next: usize,
+}
+
+impl LaneDraws {
+    fn new(rng: ChaCha8Rng) -> Self {
+        LaneDraws {
+            rng,
+            words: [0; DRAW_CHUNK],
+            next: DRAW_CHUNK,
+        }
+    }
+
+    /// Refills the buffer to [`DRAW_CHUNK`] unconsumed words, in stream
+    /// order.
+    fn top_up(&mut self) {
+        self.words.copy_within(self.next.., 0);
+        for word in &mut self.words[DRAW_CHUNK - self.next..] {
+            *word = self.rng.next_u32();
+        }
+        self.next = 0;
+    }
+}
+
+impl ProgrammedSa {
+    /// Whether `programs` can share one lane walk: one CSR structure and
+    /// one schedule length. Gauges only flip weight signs and control
+    /// noise only perturbs values, so a run's programmings always can.
+    fn share_a_walk(programs: &[&ProgrammedSa]) -> bool {
+        let (offsets, idx, _) = programs[0].ising.adjacency();
+        programs.iter().all(|p| {
+            let (o, i, _) = p.ising.adjacency();
+            p.betas.len() == programs[0].betas.len() && o == offsets && i == idx
+        })
+    }
+
+    /// The lane kernel: anneals `programs.len()` (2..=[`LANES`]) reads in
+    /// lock-step over one CSR walk, one lane per read, each lane
+    /// bit-identical to [`ProgrammedSa::anneal`] on its stream.
+    ///
+    /// Every lane has its own weights, fields, spins, betas and buffered
+    /// ChaCha8 stream. The Metropolis decision is branch-free: each lane
+    /// peeks its next word, accepts through [`metropolis_threshold`], and
+    /// consumes the word iff the scalar rule would have drawn. A flip is
+    /// applied as a select, and the neighbour update adds `2·w·0 = ±0` for
+    /// lanes that did not flip, which changes no field value (at most the
+    /// sign of a zero field, which the `delta <= 0` test cannot see). A
+    /// lane is done after a sweep with no draw and no flip: as in the
+    /// scalar kernel's early exit, every later sweep is a no-op for it.
+    /// Unused lanes mirror the first read, and the walk ends when every
+    /// lane is done.
+    fn anneal_lanes(
+        programs: &[&ProgrammedSa],
+        rngs: &[ChaCha8Rng],
+        out: &mut [i8],
+        scratch: &mut ReadScratch,
+    ) {
+        let reads = programs.len();
+        debug_assert!((2..=LANES).contains(&reads) && rngs.len() == reads);
+        let lane_prog: [&ProgrammedSa; LANES] =
+            std::array::from_fn(|l| programs[if l < reads { l } else { 0 }]);
+        let mut draws: [LaneDraws; LANES] =
+            std::array::from_fn(|l| LaneDraws::new(rngs[if l < reads { l } else { 0 }].clone()));
+        let ising = &lane_prog[0].ising;
+        let n = ising.num_spins();
+        debug_assert_eq!(out.len(), reads * n);
+        let spins = &mut scratch.lane_spins;
+        spins.clear();
+        spins.resize(n, [0.0; LANES]);
+        for (l, lane) in draws.iter_mut().enumerate() {
+            for s in spins.iter_mut() {
+                s[l] = if lane.rng.gen::<bool>() { 1.0 } else { -1.0 };
+            }
+        }
+        if n == 0 {
+            return;
+        }
+        let (offsets, idx, _) = ising.adjacency();
+        let weights = &mut scratch.lane_weights;
+        weights.clear();
+        weights.resize(idx.len(), [0.0; LANES]);
+        let fields = &mut scratch.lane_fields;
+        fields.clear();
+        fields.resize(n, [0.0; LANES]);
+        for (l, prog) in lane_prog.iter().enumerate() {
+            let (_, _, w) = prog.ising.adjacency();
+            let h = prog.ising.fields();
+            for (lw, &wk) in weights.iter_mut().zip(w) {
+                lw[l] = wk;
+            }
+            // Same expression and accumulation order as `anneal`.
+            for i in 0..n {
+                let mut f = h[i];
+                for k in offsets[i] as usize..offsets[i + 1] as usize {
+                    f += w[k] * spins[idx[k] as usize][l];
+                }
+                fields[i][l] = f;
+            }
+        }
+        for sweep in 0..lane_prog[0].betas.len() {
+            let beta: [f64; LANES] = std::array::from_fn(|l| lane_prog[l].betas[sweep]);
+            let mut active = [false; LANES];
+            for start in (0..n).step_by(DRAW_CHUNK) {
+                for lane in &mut draws {
+                    lane.top_up();
+                }
+                for i in start..n.min(start + DRAW_CHUNK) {
+                    let s = spins[i];
+                    let f = fields[i];
+                    let mut step = [0.0; LANES];
+                    let mut flipped = false;
+                    for l in 0..LANES {
+                        let delta = -2.0 * s[l] * f[l];
+                        let arg = -beta[l] * delta;
+                        let draw = (delta > 0.0) & (arg >= METROPOLIS_EXP_CUTOFF);
+                        let threshold = metropolis_threshold(arg.clamp(METROPOLIS_EXP_CUTOFF, 0.0));
+                        // `next < DRAW_CHUNK`: the buffer was topped up at
+                        // most DRAW_CHUNK − 1 proposals ago (the `%` only
+                        // spares the bounds check).
+                        let lane = &mut draws[l];
+                        let u = f64::from(lane.words[lane.next % DRAW_CHUNK]);
+                        let accept = (delta <= 0.0) | (draw & (u + 1.0 <= threshold));
+                        lane.next += usize::from(draw);
+                        active[l] |= draw | accept;
+                        step[l] = if accept { -s[l] } else { 0.0 };
+                        flipped |= accept;
+                    }
+                    if flipped {
+                        spins[i] =
+                            std::array::from_fn(|l| if step[l] == 0.0 { s[l] } else { step[l] });
+                        for k in offsets[i] as usize..offsets[i + 1] as usize {
+                            let j = idx[k] as usize;
+                            let w = weights[k];
+                            for l in 0..LANES {
+                                fields[j][l] += 2.0 * w[l] * step[l];
+                            }
+                        }
+                    }
+                }
+            }
+            if !active.contains(&true) {
+                break;
+            }
+        }
+        for (r, read) in out.chunks_exact_mut(n).enumerate() {
+            for (o, s) in read.iter_mut().zip(spins.iter()) {
+                *o = s[r] as i8;
+            }
+        }
+    }
+}
+
 impl ProgrammedSampler for ProgrammedSa {
     fn num_spins(&self) -> usize {
         self.ising.num_spins()
@@ -296,6 +459,29 @@ impl ProgrammedSampler for ProgrammedSa {
             &mut scratch.mask,
             &mut scratch.spinf,
         );
+    }
+
+    fn sample_block_fast(
+        programs: &[&Self],
+        rngs: &mut [ChaCha8Rng],
+        out: &mut [i8],
+        scratch: &mut ReadScratch,
+    ) {
+        let n = programs.first().map_or(0, |p| p.num_spins());
+        for (c, (progs, rngs)) in programs
+            .chunks(LANES)
+            .zip(rngs.chunks_mut(LANES))
+            .enumerate()
+        {
+            let out = &mut out[c * LANES * n..(c * LANES + progs.len()) * n];
+            if progs.len() > 1 && Self::share_a_walk(progs) {
+                Self::anneal_lanes(progs, rngs, out, scratch);
+            } else {
+                for (k, (prog, rng)) in progs.iter().zip(rngs.iter_mut()).enumerate() {
+                    prog.sample_into_fast(rng, &mut out[k * n..(k + 1) * n], scratch);
+                }
+            }
+        }
     }
 }
 

@@ -289,8 +289,7 @@ impl ProgrammedSampler for ProgrammedSqa {
             fields,
             spins,
             energies,
-            mask: _,
-            spinf: _,
+            ..
         } = scratch;
         self.anneal(rng, out, spins, fields, energies);
     }

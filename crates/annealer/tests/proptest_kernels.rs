@@ -12,14 +12,17 @@
 
 use mqo_annealer::behavioral::BehavioralSampler;
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
-use mqo_annealer::sa::SimulatedAnnealingSampler;
+use mqo_annealer::faults::FaultConfig;
+use mqo_annealer::gauge::Gauge;
+use mqo_annealer::noise::ControlErrorModel;
+use mqo_annealer::sa::{ProgrammedSa, SimulatedAnnealingSampler};
 use mqo_annealer::sampler::{ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
 use mqo_annealer::sqa::{PathIntegralQmcSampler, SqaConfig};
 use mqo_core::ids::VarId;
 use mqo_core::ising::Ising;
 use mqo_core::qubo::Qubo;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_ising() -> impl Strategy<Value = Ising> {
@@ -99,6 +102,46 @@ proptest! {
         )?;
     }
 
+    /// SA's block entry point (the lane kernel, in blocks of up to four)
+    /// is bit-identical to per-read `sample_into_fast` and to the
+    /// reference kernel, for every block size and for blocks that span
+    /// several noisy gauge programmings of one Ising.
+    #[test]
+    fn sa_blocks_match_per_read_kernels(
+        ising in arb_ising(),
+        gauges in 1usize..=4,
+        block in 1usize..=9,
+        prog_seed in 0u64..1000,
+        read_seed in 0u64..1000,
+    ) {
+        let sampler = SimulatedAnnealingSampler::default();
+        let noise = ControlErrorModel { relative_sigma: 0.01 };
+        let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
+        let n = ising.num_spins();
+        let programmed: Vec<ProgrammedSa> = (0..gauges)
+            .map(|_| {
+                let gauge = Gauge::random(n, &mut rng);
+                let realised = noise.perturb(&ising, &mut rng);
+                sampler.program(gauge.apply(&realised), &SamplerHints::default(), &mut rng)
+            })
+            .collect();
+        let programs: Vec<&ProgrammedSa> = (0..block).map(|k| &programmed[k % gauges]).collect();
+        let streams: Vec<ChaCha8Rng> = (0..block)
+            .map(|k| ChaCha8Rng::seed_from_u64(read_seed * 16 + k as u64))
+            .collect();
+        let mut scratch = ReadScratch::default();
+        let mut blocked = vec![0i8; block * n];
+        ProgrammedSa::sample_block_fast(&programs, &mut streams.clone(), &mut blocked, &mut scratch);
+        for (k, (prog, stream)) in programs.iter().zip(&streams).enumerate() {
+            let mut fast = vec![0i8; n];
+            let mut reference = vec![0i8; n];
+            prog.sample_into_fast(&mut stream.clone(), &mut fast, &mut scratch);
+            prog.sample_into_reference(&mut stream.clone(), &mut reference);
+            prop_assert_eq!(&blocked[k * n..(k + 1) * n], &fast[..], "block vs fast, read {}", k);
+            prop_assert_eq!(&fast, &reference, "fast vs reference, read {}", k);
+        }
+    }
+
     /// PIQMC: fast, trait-object, and reference kernels are bit-identical
     /// across the replica sweep, cluster moves, and read-out argmin.
     #[test]
@@ -146,7 +189,7 @@ proptest! {
 /// Device-protocol thread invariance for one back-end: runs at 1, 2, 3, and
 /// 8 threads must be bit-identical (the persistent pool executes chunks,
 /// but chunking depends only on the requested thread count).
-fn assert_thread_invariant<S: Sampler + Clone>(sampler: S, seed: u64) {
+fn assert_thread_invariant<S: Sampler + Clone>(sampler: S, seed: u64, reads: usize, gauges: usize) {
     let mut b = Qubo::builder(5);
     b.add_linear(VarId(0), -1.0);
     b.add_linear(VarId(4), 0.5);
@@ -159,8 +202,8 @@ fn assert_thread_invariant<S: Sampler + Clone>(sampler: S, seed: u64) {
     let run_with = |threads: usize| {
         QuantumAnnealer::new(
             DeviceConfig {
-                num_reads: 22,
-                num_gauges: 4,
+                num_reads: reads,
+                num_gauges: gauges,
                 threads,
                 ..DeviceConfig::default()
             },
@@ -180,9 +223,14 @@ fn assert_thread_invariant<S: Sampler + Clone>(sampler: S, seed: u64) {
     }
 }
 
+/// SA runs in lane blocks of four consecutive reads; read counts that do
+/// not divide by the lane width leave a partial block at the end, and with
+/// one read per gauge every lane anneals a different programming.
 #[test]
 fn sa_device_runs_are_thread_invariant() {
-    assert_thread_invariant(SimulatedAnnealingSampler::default(), 17);
+    for (reads, gauges) in [(22, 4), (10, 10), (7, 3)] {
+        assert_thread_invariant(SimulatedAnnealingSampler::default(), 17, reads, gauges);
+    }
 }
 
 #[test]
@@ -194,10 +242,153 @@ fn sqa_device_runs_are_thread_invariant() {
             ..SqaConfig::default()
         }),
         18,
+        22,
+        4,
     );
 }
 
 #[test]
 fn behavioral_device_runs_are_thread_invariant() {
-    assert_thread_invariant(BehavioralSampler::default(), 19);
+    assert_thread_invariant(BehavioralSampler::default(), 19, 22, 4);
+}
+
+/// A 48-spin sparse Ising (degree ≤ 6) with mixed-sign weights, drawn
+/// from a fixed seed.
+fn pinned_ising() -> (Ising, Qubo) {
+    let n = 48u32;
+    let mut rng = ChaCha8Rng::seed_from_u64(2016);
+    let mut b = Qubo::builder(n as usize);
+    for i in 0..n {
+        b.add_linear(VarId(i), rng.gen_range(-4.0..4.0));
+        for d in [1u32, 5, 12] {
+            if i + d < n {
+                b.add_quadratic(VarId(i), VarId(i + d), rng.gen_range(-3.0..3.0));
+            }
+        }
+    }
+    let qubo = b.build();
+    (Ising::from_qubo(&qubo), qubo)
+}
+
+/// FNV-1a digest of every read's assignment, energy bits and gauge.
+fn digest_run<S: Sampler>(sampler: S, reads: usize, gauges: usize) -> u64 {
+    let (ising, qubo) = pinned_ising();
+    let set = QuantumAnnealer::new(
+        DeviceConfig {
+            num_reads: reads,
+            num_gauges: gauges,
+            threads: 1,
+            ..DeviceConfig::default()
+        },
+        sampler,
+    )
+    .run_ising(&ising, &qubo, 99)
+    .unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for r in set.reads() {
+        for &bit in &r.assignment {
+            eat(u64::from(bit));
+        }
+        eat(r.energy.to_bits());
+        eat(r.gauge as u64);
+    }
+    h
+}
+
+/// Device runs of every back-end are pinned to digests recorded while the
+/// Metropolis threshold still called libm's `exp`: the in-repo `exp` and the
+/// lane kernel left every read of every back-end unchanged.
+#[test]
+fn device_reads_match_pinned_digests() {
+    assert_eq!(
+        digest_run(SimulatedAnnealingSampler::default(), 60, 6),
+        0xd8c4_5a93_24ce_d714
+    );
+    let sqa = PathIntegralQmcSampler::new(SqaConfig {
+        sweeps: 32,
+        slices: 4,
+        ..SqaConfig::default()
+    });
+    assert_eq!(digest_run(sqa, 12, 3), 0x5372_0d7a_b823_3caf);
+    assert_eq!(
+        digest_run(BehavioralSampler::default(), 30, 3),
+        0xf2ce_c05b_4ebe_e2ad
+    );
+}
+
+/// SA behind the default one-read-at-a-time block entry point.
+#[derive(Clone, Default)]
+struct OneReadAtATime(SimulatedAnnealingSampler);
+
+struct OneRead(ProgrammedSa);
+
+impl Sampler for OneReadAtATime {
+    type Programmed = OneRead;
+
+    fn program(&self, ising: Ising, hints: &SamplerHints<'_>, rng: &mut dyn RngCore) -> OneRead {
+        OneRead(self.0.program(ising, hints, rng))
+    }
+
+    fn name(&self) -> &'static str {
+        "sa-one-read-at-a-time"
+    }
+}
+
+impl ProgrammedSampler for OneRead {
+    fn num_spins(&self) -> usize {
+        self.0.num_spins()
+    }
+
+    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]) {
+        self.0.sample_into(rng, out);
+    }
+
+    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
+        self.0.sample_into_fast(rng, out, scratch);
+    }
+}
+
+/// A fault-injected run (stuck reads, read-out flips, qubit dropout) gives
+/// the same reads and fault accounting through SA's lane blocks as read by
+/// read: a stuck read's annealed spins are discarded, and fault
+/// post-processing stays per read.
+#[test]
+fn fault_injected_runs_match_read_by_read() {
+    let (ising, qubo) = pinned_ising();
+    let faults = FaultConfig {
+        stuck_read_rate: 0.2,
+        readout_flip_rate: 0.05,
+        qubit_dropout_rate: 0.05,
+        ..FaultConfig::NONE
+    };
+    for (reads, gauges, seed) in [(40, 4, 3), (10, 10, 4), (7, 3, 5)] {
+        let config = DeviceConfig {
+            num_reads: reads,
+            num_gauges: gauges,
+            threads: 1,
+            faults,
+            ..DeviceConfig::default()
+        };
+        let blocked = QuantumAnnealer::new(config, SimulatedAnnealingSampler::default())
+            .run_ising(&ising, &qubo, seed)
+            .unwrap();
+        let one_by_one = QuantumAnnealer::new(config, OneReadAtATime::default())
+            .run_ising(&ising, &qubo, seed)
+            .unwrap();
+        assert_eq!(
+            blocked.reads(),
+            one_by_one.reads(),
+            "{reads} reads / {gauges} gauges"
+        );
+        assert_eq!(blocked.faults(), one_by_one.faults());
+        if reads == 40 {
+            assert!(blocked.faults().stuck_reads > 0 && blocked.faults().readout_flips > 0);
+            assert!(!blocked.faults().dropped_qubits.is_empty());
+        }
+    }
 }

@@ -9,7 +9,7 @@
 use mqo_annealer::resolve_threads;
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_core::problem::MqoProblem;
-use mqo_service::api::SolveRequest;
+use mqo_service::api::{Backend, SolveRequest};
 use mqo_service::engine::{EngineConfig, SolveEngine};
 use mqo_service::metrics::Metrics;
 use mqo_service::queue::QueueConfig;
@@ -133,4 +133,93 @@ fn concurrent_served_answers_match_a_four_thread_solo_solve() {
     }
     assert_eq!(answered, CLIENTS * requests.len());
     server.shutdown();
+}
+
+/// `(problem, seed)` requests whose served answers are pinned below: the
+/// 12 `cold-backlog` shapes (2–5 plans × 2–4 queries) at 10 reads, then 12
+/// `fleet-small` shapes (4 queries × 2 plans) at 4 reads, after the
+/// quickstart at the server default.
+fn golden_requests(graph: &ChimeraGraph) -> Vec<SolveRequest> {
+    let instance = |plans: usize, queries: usize, draw: u64| {
+        let config = PaperWorkloadConfig {
+            max_queries: queries,
+            sharing_probability: 0.6,
+            ..PaperWorkloadConfig::paper_class(plans)
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(1_000 + draw);
+        paper::generate(graph, &config, &mut rng).unwrap().problem
+    };
+    let mut requests = vec![SolveRequest::new(quickstart(), 7)];
+    for k in 0..12u64 {
+        let (plans, queries) = (2 + k as usize % 4, 2 + k as usize / 4);
+        requests.push(SolveRequest {
+            reads: Some(10),
+            ..SolveRequest::new(instance(plans, queries, k), 100 + k)
+        });
+    }
+    for k in 12..24u64 {
+        requests.push(SolveRequest {
+            reads: Some(4),
+            ..SolveRequest::new(instance(2, 4, k), 100 + k)
+        });
+    }
+    requests
+}
+
+/// `(selection, cost bits, reads)` of each golden request, recorded before
+/// the lane kernel and the in-repo Metropolis `exp` replaced the one-read
+/// kernel and libm's `exp`. Any kernel change that moves a served answer
+/// fails here.
+const GOLDEN: [(&[u32], u64, usize); 25] = [
+    (&[1, 2], 0x4000000000000000, 100),
+    (&[0, 3], 0x4010000000000000, 10),
+    (&[2, 3], 0x4010000000000000, 10),
+    (&[3, 7], 0x4010000000000000, 10),
+    (&[0, 9], 0x4014000000000000, 10),
+    (&[1, 2, 5], 0x4018000000000000, 10),
+    (&[0, 4, 6], 0x401c000000000000, 10),
+    (&[1, 4, 9], 0x4014000000000000, 10),
+    (&[2, 7, 12], 0x4010000000000000, 10),
+    (&[1, 2, 5, 6], 0x4026000000000000, 10),
+    (&[0, 4, 8, 11], 0x4024000000000000, 10),
+    (&[3, 7, 10, 14], 0x4018000000000000, 10),
+    (&[0, 5, 14, 16], 0x4028000000000000, 10),
+    (&[1, 2, 4, 7], 0x402c000000000000, 4),
+    (&[0, 3, 4, 7], 0x4024000000000000, 4),
+    (&[0, 3, 5, 7], 0x4028000000000000, 4),
+    (&[1, 3, 5, 6], 0x4022000000000000, 4),
+    (&[1, 2, 4, 6], 0x402e000000000000, 4),
+    (&[0, 3, 4, 6], 0x402e000000000000, 4),
+    (&[0, 3, 5, 6], 0x4032000000000000, 4),
+    (&[1, 3, 4, 6], 0x402c000000000000, 4),
+    (&[1, 2, 5, 6], 0x4022000000000000, 4),
+    (&[1, 3, 4, 7], 0x401c000000000000, 4),
+    (&[0, 2, 5, 6], 0x4035000000000000, 4),
+    (&[0, 2, 5, 7], 0x4026000000000000, 4),
+];
+
+#[test]
+fn served_answers_match_the_golden_table() {
+    let graph = ChimeraGraph::dwave_2x();
+    let engine = SolveEngine::new(
+        EngineConfig::new(graph.clone()),
+        Arc::new(Metrics::default()),
+    );
+    let requests = golden_requests(&graph);
+    assert_eq!(requests.len(), GOLDEN.len());
+    for (i, (req, &(selection, cost_bits, reads))) in requests.iter().zip(&GOLDEN).enumerate() {
+        let answer = engine.solve(req).unwrap();
+        assert_eq!(answer.backend, Backend::Annealer, "request {i}");
+        assert_eq!(
+            (
+                answer.selection.as_slice(),
+                answer.cost.to_bits(),
+                answer.reads
+            ),
+            (selection, cost_bits, reads),
+            "request {i}: cost {}",
+            answer.cost
+        );
+    }
+    assert_eq!(f64::from_bits(GOLDEN[0].1), 2.0, "quickstart optimum");
 }
