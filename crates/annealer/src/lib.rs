@@ -49,7 +49,6 @@
 
 pub mod behavioral;
 pub mod clusters;
-pub mod composite;
 pub mod device;
 pub mod exact;
 pub mod faults;
@@ -63,7 +62,6 @@ pub mod sampler;
 pub mod sqa;
 
 pub use behavioral::{BehavioralConfig, BehavioralSampler};
-pub use composite::{assemble_ising, run_packed, CompositeLayout, PackedTenant};
 pub use device::{DeviceConfig, DeviceError, PhaseTimings, QuantumAnnealer};
 pub use exact::ExactSampler;
 pub use faults::{FaultConfig, FaultEvents, FaultPlan};

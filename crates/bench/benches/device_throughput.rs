@@ -18,19 +18,10 @@
 //! ```text
 //! cargo bench -p mqo-bench --bench device_throughput -- \
 //!     [--qubits 128,1152] [--reads N] [--gauges N] [--threads a,b] \
-//!     [--packed] [--smoke] [--no-write]
+//!     [--smoke] [--no-write]
 //! ```
 //!
 //! `--smoke` shrinks everything for CI (tiny reads, one size, no JSON).
-//!
-//! `--packed` additionally sweeps the chip-packing subsystem (ISSUE-8):
-//! batches of small paper-class tenants placed on disjoint regions of a
-//! 4×4 Chimera block are solved once per tenant (`run`, the before) and
-//! once as a single composite cycle (`run_packed`, the after), reporting
-//! tenant solves per wall-clock second for both. Packed reads are
-//! bit-identical to solo reads, so the delta isolates the per-cycle
-//! overhead packing amortizes — pool fan-outs and protocol bookkeeping —
-//! from the annealing work, which is identical by construction.
 
 use mqo_annealer::behavioral::BehavioralSampler;
 use mqo_annealer::device::{DeviceConfig, PhaseTimings, QuantumAnnealer};
@@ -57,7 +48,6 @@ struct Args {
     threads: Vec<usize>,
     write: bool,
     smoke: bool,
-    packed: bool,
 }
 
 impl Args {
@@ -69,7 +59,6 @@ impl Args {
             threads: vec![1, resolve_threads(0).max(4)],
             write: true,
             smoke: false,
-            packed: false,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -91,7 +80,6 @@ impl Args {
                         .collect();
                 }
                 "--no-write" => args.write = false,
-                "--packed" => args.packed = true,
                 "--smoke" => {
                     args.smoke = true;
                     args.qubits = vec![128];
@@ -236,92 +224,6 @@ fn throughput<S: Sampler + Clone>(
     }
 }
 
-/// One packed-sweep tenant: a 4-variable paper-class instance (one Chimera
-/// cell after TRIAD embedding) with per-tenant random weights.
-fn packed_tenant_qubo(salt: u64) -> Qubo {
-    let mut rng = ChaCha8Rng::seed_from_u64(salt);
-    let mut b = Qubo::builder(4);
-    for v in 0..4 {
-        b.add_linear(VarId::new(v), rng.gen_range(-1.0..1.0));
-    }
-    for v in 0..4 {
-        for w in v + 1..4 {
-            b.add_quadratic(VarId::new(v), VarId::new(w), rng.gen_range(-1.0..1.0));
-        }
-    }
-    b.build()
-}
-
-struct PackedMeasurement {
-    solo_solves_per_sec: f64,
-    packed_solves_per_sec: f64,
-}
-
-/// Before/after of one packed batch: `num_tenants` small tenants solved
-/// solo (one full protocol run each) versus in one composite cycle.
-fn packed_throughput(args: &Args, threads: usize, num_tenants: usize) -> PackedMeasurement {
-    use mqo_annealer::composite::{run_packed, PackedTenant};
-    use mqo_chimera::packing;
-
-    let graph = ChimeraGraph::new(4, 4);
-    let sizes = vec![4usize; num_tenants];
-    let qubos: Vec<Qubo> = (0..num_tenants)
-        .map(|t| packed_tenant_qubo(100 + t as u64))
-        .collect();
-    let pms: Vec<PhysicalMapping> = packing::pack(&graph, &sizes)
-        .into_iter()
-        .zip(&qubos)
-        .map(|(p, q)| {
-            let p = p.expect("sixteen one-cell tenants fit a 4x4 block");
-            PhysicalMapping::new(q, p.embedding, &graph, 0.25).unwrap()
-        })
-        .collect();
-    let tenants: Vec<PackedTenant<'_>> = pms
-        .iter()
-        .enumerate()
-        .map(|(t, pm)| PackedTenant {
-            pm,
-            seed: 7 + t as u64,
-        })
-        .collect();
-    let device = QuantumAnnealer::new(
-        DeviceConfig {
-            num_reads: args.reads,
-            num_gauges: args.gauges,
-            threads,
-            ..DeviceConfig::default()
-        },
-        SimulatedAnnealingSampler::default(),
-    );
-    let reps = if args.smoke { 1 } else { 5 };
-
-    // Before: one full protocol run per tenant.
-    for t in &tenants {
-        device.run(t.pm, &graph, t.seed).expect("solo run succeeds");
-    }
-    let start = Instant::now();
-    for _ in 0..reps {
-        for t in &tenants {
-            device.run(t.pm, &graph, t.seed).expect("solo run succeeds");
-        }
-    }
-    let solo = (num_tenants * reps) as f64 / start.elapsed().as_secs_f64();
-
-    // After: one composite cycle for the whole batch.
-    run_packed(&device, &graph, &tenants).expect("packed run succeeds");
-    let start = Instant::now();
-    for _ in 0..reps {
-        let sets = run_packed(&device, &graph, &tenants).expect("packed run succeeds");
-        assert_eq!(sets.len(), num_tenants);
-    }
-    let packed = (num_tenants * reps) as f64 / start.elapsed().as_secs_f64();
-
-    PackedMeasurement {
-        solo_solves_per_sec: solo,
-        packed_solves_per_sec: packed,
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -361,31 +263,6 @@ fn main() {
         }
     }
 
-    let mut packed_entries = String::new();
-    if args.packed {
-        eprintln!("== packed: 4-var tenants on a 4x4 Chimera block (sa) ==");
-        for &num_tenants in &[1usize, 2, 4, 8] {
-            for &threads in &args.threads {
-                let m = packed_throughput(&args, threads, num_tenants);
-                let speedup = m.packed_solves_per_sec / m.solo_solves_per_sec;
-                eprintln!(
-                    "tenants={num_tenants} threads={threads}: solo {:9.1} solves/s, \
-                     packed {:9.1} solves/s ({speedup:.2}x)",
-                    m.solo_solves_per_sec, m.packed_solves_per_sec,
-                );
-                let _ = write!(
-                    packed_entries,
-                    "{}    {{ \"tenants\": {num_tenants}, \"threads\": {threads}, \
-                     \"solo_solves_per_sec\": {:.1}, \"packed_solves_per_sec\": {:.1}, \
-                     \"speedup\": {speedup:.3} }}",
-                    if packed_entries.is_empty() { "" } else { ",\n" },
-                    m.solo_solves_per_sec,
-                    m.packed_solves_per_sec,
-                );
-            }
-        }
-    }
-
     if args.write {
         let sizes = args
             .qubits
@@ -393,15 +270,10 @@ fn main() {
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", ");
-        let packed_section = if args.packed {
-            format!(",\n  \"packed_results\": [\n{packed_entries}\n  ]")
-        } else {
-            String::new()
-        };
         let json = format!(
             "{{\n  \"benchmark\": \"device_throughput\",\n  \"problem_sizes_qubits\": [{sizes}],\n  \
              \"reads_per_run\": {},\n  \"gauges_per_run\": {},\n  \"host_parallelism\": \
-             {host_parallelism},\n  \"results\": [\n{entries}\n  ]{packed_section}\n}}\n",
+             {host_parallelism},\n  \"results\": [\n{entries}\n  ]\n}}\n",
             args.reads, args.gauges,
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_device.json");

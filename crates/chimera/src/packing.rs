@@ -1,11 +1,11 @@
-//! Chip packing: placing several independently embedded instances onto
-//! disjoint unit-cell regions of one Chimera graph, so one programming
-//! cycle anneals a whole batch of tenants.
+//! Placement of one embedded instance: a cached, origin-independent
+//! canonical embedding relocated to the first fault-clean unit-cell region
+//! of the device graph.
 //!
-//! The paper's MQO instances occupy only a handful of unit cells (Table 1's
-//! small classes), while the D-Wave 2X exposes a 12×12 cell grid — serving
-//! one request per programming cycle wastes most of the chip. This module
-//! provides the geometry half of multi-tenant packing:
+//! The paper programs one MQO instance per annealer run. A TRIAD clique
+//! embedding of an `n`-variable instance occupies a square block of unit
+//! cells, and its shape does not depend on where that block sits, so the
+//! embedding can be computed once per variable count and then placed:
 //!
 //! * [`footprint_side`] — the per-instance cell footprint, derived from the
 //!   TRIAD capacity bound (`⌈n/4⌉` cells per side for an `n`-variable
@@ -14,7 +14,7 @@
 //!   to its own region origin (a TRIAD anchored at cell `(0, 0)` of a
 //!   pristine `side × side` region graph). Canonical embeddings are what a
 //!   cache should store: they are placement-independent, so a warm hit
-//!   relocates to wherever the placer finds room without re-embedding;
+//!   relocates to a fault-clean region without re-embedding;
 //! * [`translate_embedding`] — relocates a canonical embedding to a concrete
 //!   origin on the real graph. Chimera is translation-invariant: every
 //!   intra-region coupler exists at every origin, so the translated chains
@@ -22,18 +22,14 @@
 //! * [`Placer`] — a deterministic first-fit placer over the cell grid with
 //!   fault-aware derating: a region is only accepted when every qubit the
 //!   translated chains touch is functional, so dead qubits exclude exactly
-//!   the placements they would corrupt;
-//! * [`ffd_order`] / [`pack`] — first-fit-decreasing over footprints
-//!   (stable sort, so equal footprints keep arrival order and the whole
-//!   pipeline stays deterministic: same queue order → same placement).
+//!   the placements they would corrupt.
 //!
 //! Bit-identity note: the TRIAD construction is origin-relative, so
 //! translating the canonical embedding to origin `(r, c)` reproduces
-//! `triad(graph, r, c, n)` verbatim. Downstream, the physical mapping
-//! assigns dense spin indices chain-by-chain in chain order and the device's
-//! fault/gauge/read streams are keyed on dense indices and the request seed
-//! — never on chip location — so a tenant's samples are bit-identical
-//! wherever its region lands.
+//! `triad(graph, r, c, n)` verbatim, and the placer scans origins in the
+//! same row-major order as the whole-graph TRIAD embedder
+//! ([`crate::embedding::reembed`]). Placing the canonical embedding therefore
+//! yields exactly the chains the whole-graph embedder would produce.
 
 use crate::embedding::{triad, Embedding, EmbeddingError};
 use crate::graph::{ChimeraGraph, Side, CELL_SIZE, HALF_CELL};
@@ -54,7 +50,7 @@ pub fn footprint_side(num_vars: usize) -> usize {
 /// pristine region the TRIAD construction always succeeds, and it is exactly
 /// what the full-graph embedder (`embed_structure`'s TRIAD origin scan)
 /// produces at the first working origin — which is why placement-based
-/// solves stay bit-identical to the legacy whole-graph path.
+/// solves stay bit-identical to the whole-graph path.
 pub fn canonical_embedding(num_vars: usize) -> Embedding {
     let side = footprint_side(num_vars);
     let region = ChimeraGraph::new(side, side);
@@ -69,7 +65,7 @@ pub fn region_graph(num_vars: usize) -> ChimeraGraph {
     ChimeraGraph::new(side, side)
 }
 
-/// A placed tenant's cell region: a `side × side` block of unit cells
+/// A placed instance's cell region: a `side × side` block of unit cells
 /// anchored at `(origin_row, origin_col)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Region {
@@ -79,16 +75,6 @@ pub struct Region {
     pub origin_col: usize,
     /// Cells per side.
     pub side: usize,
-}
-
-impl Region {
-    /// Whether a cell lies inside the region.
-    pub fn contains(&self, row: usize, col: usize) -> bool {
-        row >= self.origin_row
-            && row < self.origin_row + self.side
-            && col >= self.origin_col
-            && col < self.origin_col + self.side
-    }
 }
 
 /// Relocates a canonical region embedding (chains over a `side × side`
@@ -135,10 +121,10 @@ pub fn translate_embedding(
     Embedding::new(chains, graph.num_qubits())
 }
 
-/// A tenant successfully placed on the chip.
+/// An instance successfully placed on the chip.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
-    /// The cell block the tenant owns.
+    /// The cell block the instance occupies.
     pub region: Region,
     /// The canonical embedding translated to that block.
     pub embedding: Embedding,
@@ -146,49 +132,30 @@ pub struct Placement {
 
 /// Deterministic first-fit placer over the unit-cell grid.
 ///
-/// Cells are claimed in whole `side × side` blocks, scanned row-major from
-/// the top-left, so a given sequence of `place` calls on a given graph
-/// always yields the same placements. Fault-aware derating is precise: an
-/// origin is rejected exactly when one of the translated chain qubits is
-/// broken there, so dead qubits exclude the regions they would corrupt and
-/// no others.
+/// Origins of `side × side` blocks are scanned row-major from the top-left,
+/// so a given graph and canonical embedding always yield the same
+/// placement. Fault-aware derating is precise: an origin is rejected
+/// exactly when one of the translated chain qubits is broken there, so dead
+/// qubits exclude the regions they would corrupt and no others.
 pub struct Placer<'a> {
     graph: &'a ChimeraGraph,
-    /// `free[row * cols + col]` — whether the cell is still unclaimed.
-    free: Vec<bool>,
 }
 
 impl<'a> Placer<'a> {
-    /// A placer with every cell of `graph` unclaimed.
+    /// A placer over `graph`.
     pub fn new(graph: &'a ChimeraGraph) -> Self {
-        Placer {
-            graph,
-            free: vec![true; graph.rows() * graph.cols()],
-        }
+        Placer { graph }
     }
 
-    /// Number of cells not yet claimed by a placement.
-    pub fn cells_free(&self) -> usize {
-        self.free.iter().filter(|&&f| f).count()
-    }
-
-    /// Places a canonical embedding on the first free, fully functional
-    /// `side × side` block (row-major scan), claiming its cells. Returns
-    /// `None` — declining the tenant — when no such block remains.
-    pub fn place(&mut self, canonical: &Embedding, side: usize) -> Option<Placement> {
+    /// Places a canonical embedding on the first fully functional
+    /// `side × side` block (row-major scan). Returns `None` when no such
+    /// block exists.
+    pub fn place(&self, canonical: &Embedding, side: usize) -> Option<Placement> {
         if side == 0 || side > self.graph.rows() || side > self.graph.cols() {
             return None;
         }
-        let cols = self.graph.cols();
         for origin_row in 0..=self.graph.rows() - side {
-            'origin: for origin_col in 0..=cols - side {
-                for r in origin_row..origin_row + side {
-                    for c in origin_col..origin_col + side {
-                        if !self.free[r * cols + c] {
-                            continue 'origin;
-                        }
-                    }
-                }
+            for origin_col in 0..=self.graph.cols() - side {
                 let Ok(embedding) =
                     translate_embedding(canonical, side, origin_row, origin_col, self.graph)
                 else {
@@ -202,11 +169,6 @@ impl<'a> Placer<'a> {
                 {
                     continue;
                 }
-                for r in origin_row..origin_row + side {
-                    for c in origin_col..origin_col + side {
-                        self.free[r * cols + c] = false;
-                    }
-                }
                 return Some(Placement {
                     region: Region {
                         origin_row,
@@ -219,29 +181,6 @@ impl<'a> Placer<'a> {
         }
         None
     }
-}
-
-/// First-fit-decreasing placement order: indices of `sides` sorted by
-/// descending footprint. The sort is stable, so equal footprints keep their
-/// arrival order and the order is a pure function of the input.
-pub fn ffd_order(sides: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sides.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(sides[i]));
-    order
-}
-
-/// Packs a batch of instances (given by variable count) onto `graph` in
-/// first-fit-decreasing order. The result is aligned with the input:
-/// `None` marks a declined tenant.
-pub fn pack(graph: &ChimeraGraph, num_vars: &[usize]) -> Vec<Option<Placement>> {
-    let sides: Vec<usize> = num_vars.iter().map(|&n| footprint_side(n)).collect();
-    let mut placer = Placer::new(graph);
-    let mut out: Vec<Option<Placement>> = num_vars.iter().map(|_| None).collect();
-    for &i in &ffd_order(&sides) {
-        let canonical = canonical_embedding(num_vars[i]);
-        out[i] = placer.place(&canonical, sides[i]);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -289,38 +228,35 @@ mod tests {
     }
 
     #[test]
-    fn placer_fills_disjoint_regions_row_major() {
-        let g = ChimeraGraph::new(2, 2);
-        let mut placer = Placer::new(&g);
-        let canonical = canonical_embedding(4); // one cell each
-        let mut regions = Vec::new();
-        for _ in 0..4 {
-            let p = placer.place(&canonical, 1).expect("room for four cells");
+    fn placer_takes_the_first_working_origin_row_major() {
+        // Kill one qubit the K4 TRIAD uses in each cell, one cell at a
+        // time: a fresh placer moves on to the next origin in row-major
+        // order, and declines once no cell is clean.
+        let mut g = ChimeraGraph::new(2, 2);
+        let canonical = canonical_embedding(4); // one cell
+        for origin in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            let p = Placer::new(&g).place(&canonical, 1).expect("a clean cell");
+            assert_eq!((p.region.origin_row, p.region.origin_col), origin);
             assert!(p.embedding.verify(&g, all_pairs(4)).is_ok());
-            regions.push(p.region);
+            let dead = g.qubit(origin.0, origin.1, Side::Vertical, 0);
+            g = g.with_broken(&[dead]);
         }
-        assert_eq!(
-            regions
-                .iter()
-                .map(|r| (r.origin_row, r.origin_col))
-                .collect::<Vec<_>>(),
-            vec![(0, 0), (0, 1), (1, 0), (1, 1)]
-        );
-        assert_eq!(placer.cells_free(), 0);
-        assert!(placer.place(&canonical, 1).is_none(), "full chip declines");
+        assert!(Placer::new(&g).place(&canonical, 1).is_none());
     }
 
     #[test]
-    fn placed_tenants_never_share_a_qubit() {
+    fn placed_chains_never_share_a_qubit() {
         let g = ChimeraGraph::new(4, 4);
-        let placements = pack(&g, &[5, 4, 8, 3, 2]);
-        let mut seen = std::collections::HashSet::new();
-        for p in placements.iter().flatten() {
+        for n in [2, 3, 4, 5, 8, 16] {
+            let p = Placer::new(&g)
+                .place(&canonical_embedding(n), footprint_side(n))
+                .expect("a pristine 4x4 graph hosts K16");
+            let mut seen = std::collections::HashSet::new();
             for &q in p.embedding.chains().iter().flatten() {
-                assert!(seen.insert(q), "{q} claimed twice");
+                assert!(seen.insert(q), "{q} claimed twice (n={n})");
             }
+            assert!(p.embedding.verify(&g, all_pairs(n)).is_ok(), "n={n}");
         }
-        assert!(placements.iter().all(Option::is_some));
     }
 
     #[test]
@@ -330,75 +266,89 @@ mod tests {
         // only qubit there.
         let dead = g.qubit(0, 0, Side::Vertical, 0);
         let g = g.with_broken(&[dead]);
-        let mut placer = Placer::new(&g);
-        let canonical = canonical_embedding(4);
-        let p = placer.place(&canonical, 1).expect("three cells still work");
+        let p = Placer::new(&g)
+            .place(&canonical_embedding(4), 1)
+            .expect("three cells still work");
         assert_eq!((p.region.origin_row, p.region.origin_col), (0, 1));
-        // The dead cell stays unclaimed but unusable for K4; a K1 canonical
-        // avoids L0 only if its chain does — K1 uses L0, so it skips too.
-        let single = canonical_embedding(1);
-        let p1 = placer.place(&single, 1).expect("cells remain");
-        assert_eq!((p1.region.origin_row, p1.region.origin_col), (1, 0));
-    }
-
-    #[test]
-    fn ffd_is_decreasing_and_stable() {
-        let sides = [1, 3, 2, 3, 1, 2];
-        assert_eq!(ffd_order(&sides), vec![1, 3, 2, 5, 0, 4]);
-    }
-
-    #[test]
-    fn pack_declines_the_overflow_tenant_not_the_batch() {
-        let g = ChimeraGraph::new(2, 2);
-        // Three 2-cell-side tenants cannot all fit on a 2×2 grid: FFD
-        // places the first and declines the rest; the single-cell tenant
-        // would fit but its cells are gone after the big one lands... on a
-        // 2×2 grid a side-2 block takes everything.
-        let placements = pack(&g, &[8, 8, 2]);
-        assert!(placements[0].is_some());
-        assert!(placements[1].is_none());
-        assert!(placements[2].is_none());
-    }
-
-    #[test]
-    fn region_contains_its_cells_only() {
-        let r = Region {
-            origin_row: 1,
-            origin_col: 2,
-            side: 2,
-        };
-        assert!(r.contains(1, 2) && r.contains(2, 3));
-        assert!(!r.contains(0, 2) && !r.contains(1, 4) && !r.contains(3, 3));
+        // K1's only chain is L0 as well, so it skips the dead cell too.
+        let p1 = Placer::new(&g)
+            .place(&canonical_embedding(1), 1)
+            .expect("three cells still work");
+        assert_eq!((p1.region.origin_row, p1.region.origin_col), (0, 1));
+        // A qubit no K1 chain touches excludes nothing.
+        let pristine = ChimeraGraph::new(2, 2);
+        let spare = pristine.qubit(0, 0, Side::Horizontal, 3);
+        let spare = pristine.with_broken(&[spare]);
+        let p2 = Placer::new(&spare)
+            .place(&canonical_embedding(1), 1)
+            .expect("cell (0, 0) still hosts K1");
+        assert_eq!((p2.region.origin_row, p2.region.origin_col), (0, 0));
     }
 
     mod prop {
         use super::*;
         use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        /// A random small Chimera graph with `dead` random broken qubits.
+        fn damaged_graph(rows: usize, cols: usize, dead: usize, seed: u64) -> ChimeraGraph {
+            let mut g = ChimeraGraph::new(rows, cols);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            g.break_random_qubits(dead.min(g.num_qubits()), &mut rng);
+            g
+        }
 
         proptest! {
-            /// Same queue order → same placement, and placements are
-            /// always pairwise disjoint with in-bounds, working qubits.
+            /// Placing the canonical embedding yields exactly what the
+            /// whole-graph TRIAD origin scan yields: `triad(g, r, c, n)` at
+            /// the first working origin, row-major — and declines exactly
+            /// when that scan finds no working origin.
+            #[test]
+            fn placement_equals_the_whole_graph_triad_scan(
+                rows in 1usize..=5,
+                cols in 1usize..=5,
+                n in 1usize..=16,
+                dead in 0usize..=24,
+                seed in 0u64..1024,
+            ) {
+                let g = damaged_graph(rows, cols, dead, seed);
+                let side = footprint_side(n);
+                let scan = (0..=rows.saturating_sub(side))
+                    .flat_map(|r| (0..=cols.saturating_sub(side)).map(move |c| (r, c)))
+                    .find_map(|(r, c)| triad::triad(&g, r, c, n).ok());
+                let placed = Placer::new(&g)
+                    .place(&canonical_embedding(n), side)
+                    .map(|p| p.embedding);
+                prop_assert_eq!(placed, scan);
+            }
+        }
+
+        proptest! {
+            /// Same graph → same placement, on working qubits only, with
+            /// pairwise disjoint chains inside the placed region.
             #[test]
             fn placer_is_deterministic_and_disjoint(
-                sizes in proptest::collection::vec(1usize..=9, 1..8),
+                n in 1usize..=9,
                 broken_seed in 0u64..64,
             ) {
-                let mut g = ChimeraGraph::new(4, 4);
-                let mut rng = {
-                    use rand::SeedableRng;
-                    rand_chacha::ChaCha8Rng::seed_from_u64(broken_seed)
-                };
-                g.break_random_qubits((broken_seed % 16) as usize, &mut rng);
-
-                let a = pack(&g, &sizes);
-                let b = pack(&g, &sizes);
+                let g = damaged_graph(4, 4, (broken_seed % 16) as usize, broken_seed);
+                let side = footprint_side(n);
+                let canonical = canonical_embedding(n);
+                let a = Placer::new(&g).place(&canonical, side);
+                let b = Placer::new(&g).place(&canonical, side);
                 prop_assert_eq!(&a, &b);
 
-                let mut seen = std::collections::HashSet::new();
-                for p in a.iter().flatten() {
+                if let Some(p) = a {
+                    let r = p.region;
+                    let mut seen = std::collections::HashSet::new();
                     for &q in p.embedding.chains().iter().flatten() {
                         prop_assert!(g.is_working(q));
                         prop_assert!(seen.insert(q), "{} claimed twice", q);
+                        let at = g.coords(q);
+                        prop_assert!(
+                            (r.origin_row..r.origin_row + side).contains(&at.row)
+                                && (r.origin_col..r.origin_col + side).contains(&at.col)
+                        );
                     }
                 }
             }

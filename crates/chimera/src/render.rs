@@ -57,79 +57,6 @@ pub fn render(graph: &ChimeraGraph, embedding: Option<&Embedding>) -> String {
     out
 }
 
-/// Renders a packed placement map: one character cell per unit cell,
-/// tenants outlined as regions (internal borders between cells of the same
-/// tenant are suppressed), `.` for free cells and an `x` mark on any cell
-/// containing a dead qubit.
-///
-/// ```text
-/// +---------+----+
-/// | 0    0  | .  |
-/// +---------+----+
-/// | 1x   1  | .x |
-/// +---------+----+
-/// ```
-pub fn render_packed(graph: &ChimeraGraph, placements: &[crate::packing::Placement]) -> String {
-    let (rows, cols) = (graph.rows(), graph.cols());
-    let mut owner: Vec<Vec<Option<usize>>> = vec![vec![None; cols]; rows];
-    for (tenant, p) in placements.iter().enumerate() {
-        let r = &p.region;
-        for owner_row in owner.iter_mut().skip(r.origin_row).take(r.side) {
-            for slot in owner_row.iter_mut().skip(r.origin_col).take(r.side) {
-                *slot = Some(tenant);
-            }
-        }
-    }
-    let has_dead = |row: usize, col: usize| {
-        [Side::Vertical, Side::Horizontal]
-            .iter()
-            .any(|&side| (0..HALF_CELL).any(|k| !graph.is_working(graph.qubit(row, col, side, k))))
-    };
-    // Border between two (possibly out-of-graph) cells: drawn unless both
-    // sides belong to the same tenant.
-    let joined = |a: Option<Option<usize>>, b: Option<Option<usize>>| match (a, b) {
-        (Some(Some(x)), Some(Some(y))) => x == y,
-        _ => false,
-    };
-    let cell_at = |row: isize, col: isize| -> Option<Option<usize>> {
-        (row >= 0 && col >= 0 && (row as usize) < rows && (col as usize) < cols)
-            .then(|| owner[row as usize][col as usize])
-    };
-    const W: usize = 5; // interior width of one cell
-    let mut out = String::new();
-    for row in 0..=rows as isize {
-        // Rule line above `row`.
-        for col in 0..cols as isize {
-            out.push('+');
-            let rule = !joined(cell_at(row - 1, col), cell_at(row, col));
-            for _ in 0..W {
-                out.push(if rule { '-' } else { ' ' });
-            }
-        }
-        out.push_str("+\n");
-        if row == rows as isize {
-            break;
-        }
-        // Content line of `row`.
-        for col in 0..cols as isize {
-            let bar = !joined(cell_at(row, col - 1), cell_at(row, col));
-            out.push(if bar { '|' } else { ' ' });
-            let label = match owner[row as usize][col as usize] {
-                Some(t) => t.to_string(),
-                None => ".".to_string(),
-            };
-            let mark = if has_dead(row as usize, col as usize) {
-                "x"
-            } else {
-                " "
-            };
-            out.push_str(&format!(" {label:<2}{mark} "));
-        }
-        out.push_str("|\n");
-    }
-    out
-}
-
 /// Renders a one-line summary per chain: variable, length, and qubit list.
 pub fn chain_summary(graph: &ChimeraGraph, embedding: &Embedding) -> String {
     let mut out = String::new();
@@ -179,39 +106,6 @@ mod tests {
         for v in 0..8 {
             assert!(s.contains(&format!(" {v} ")), "missing label {v} in:\n{s}");
         }
-    }
-
-    #[test]
-    fn render_packed_snapshot_outlines_regions_and_marks_dead_qubits() {
-        use crate::packing;
-        let g = ChimeraGraph::new(3, 3);
-        let dead = g.qubit(2, 2, Side::Horizontal, 1);
-        let g = g.with_broken(&[dead]);
-        // Tenant 0 needs a 2×2 region, tenants 1 and 2 one cell each.
-        let placements: Vec<_> = packing::pack(&g, &[8, 4, 4])
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(placements.len(), 3);
-        let s = render_packed(&g, &placements);
-        let expected = "\
-+-----+-----+-----+
-| 0     0   | 1   |
-+     +     +-----+
-| 0     0   | 2   |
-+-----+-----+-----+
-| .   | .   | . x |
-+-----+-----+-----+
-";
-        assert_eq!(s, expected, "snapshot drift:\n{s}");
-    }
-
-    #[test]
-    fn render_packed_of_an_empty_placement_is_bare_topology() {
-        let g = ChimeraGraph::new(2, 2);
-        let s = render_packed(&g, &[]);
-        assert_eq!(s.matches('.').count(), 4, "all four cells free:\n{s}");
-        assert_eq!(s.lines().count(), 2 * 2 + 1);
     }
 
     #[test]

@@ -92,10 +92,6 @@ pub struct SolveResponse {
     pub wall_us: u64,
     /// Wall-clock time the request waited in the queue, microseconds.
     pub queue_wait_us: u64,
-    /// Tenants in the composite programming cycle this answer came from
-    /// (0 = solved solo, ≥ 2 = packed; see DESIGN.md §12).
-    #[serde(default)]
-    pub packed_tenants: usize,
 }
 
 /// Typed rejection: every way the service refuses a request without

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mqo_serve [--addr 127.0.0.1:7700] [--small] [--reads N] [--gauges N]
-//!           [--packing] [--max-tenants N]
 //! ```
 //!
 //! Binds, prints `listening on <addr>` (scripts parse that line), then
@@ -31,19 +30,13 @@ fn parse_options() -> Result<ServerConfig, String> {
             "--small" => engine.graph = ChimeraGraph::new(2, 2),
             "--reads" => engine.device.num_reads = parse(&value("--reads")?, "--reads")?,
             "--gauges" => engine.device.num_gauges = parse(&value("--gauges")?, "--gauges")?,
-            "--packing" => engine.packing = true,
-            "--max-tenants" => {
-                engine.packing_max_tenants = parse(&value("--max-tenants")?, "--max-tenants")?
-            }
             "--help" | "-h" => {
                 println!(
                     "mqo_serve: batching MQO solve server\n\
                      --addr A            bind address (default 127.0.0.1:7700)\n\
                      --small             4-cell Chimera graph instead of the 12x12 D-Wave 2X\n\
                      --reads N           default annealing reads per request (100)\n\
-                     --gauges N          default gauge batches per request (10)\n\
-                     --packing           pack small requests onto disjoint chip regions per cycle\n\
-                     --max-tenants N     tenants per packed cycle cap (16)"
+                     --gauges N          default gauge batches per request (10)"
                 );
                 std::process::exit(0);
             }
@@ -52,7 +45,6 @@ fn parse_options() -> Result<ServerConfig, String> {
     }
     engine.device.num_reads = engine.device.num_reads.max(1);
     engine.device.num_gauges = engine.device.num_gauges.clamp(1, engine.device.num_reads);
-    engine.packing_max_tenants = engine.packing_max_tenants.max(2);
     Ok(config)
 }
 

@@ -16,9 +16,7 @@ use crate::cache::{CacheKey, CacheStats, EmbeddingCache};
 use crate::chaos::{ChaosConfig, SampleCorruption, CHAOS_PANIC_MESSAGE};
 use crate::metrics::Metrics;
 use crate::router::{route, RouteDecision, RouterConfig};
-use mqo::pipeline::{
-    PackedInstance, PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig,
-};
+use mqo::pipeline::{PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig};
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
 use mqo_annealer::sa::SimulatedAnnealingSampler;
 use mqo_chimera::embedding::{embed_structure, Embedding, EmbeddingError};
@@ -73,13 +71,6 @@ pub struct EngineConfig {
     pub integrity_repair: bool,
     /// Relative tolerance of the gate's cost comparison.
     pub integrity_tolerance: f64,
-    /// Whether workers may pack multiple small requests onto disjoint chip
-    /// regions and answer them from one composite programming cycle
-    /// (DESIGN.md §12). Off by default; a packed answer is bit-identical to
-    /// the same request solved solo with the same seed.
-    pub packing: bool,
-    /// Upper bound on tenants per packed cycle.
-    pub packing_max_tenants: usize,
 }
 
 impl EngineConfig {
@@ -102,8 +93,6 @@ impl EngineConfig {
             chaos: ChaosConfig::NONE,
             integrity_repair: true,
             integrity_tolerance: DEFAULT_TOLERANCE,
-            packing: false,
-            packing_max_tenants: 16,
         }
     }
 }
@@ -360,8 +349,8 @@ impl SolveEngine {
     /// The canonical (region-relative) embedding of a logical structure,
     /// through the cache. The cache key pairs the structure hash with the
     /// fingerprint of the *pristine region graph* the canonical TRIAD lives
-    /// on — not the device graph — so a warm hit relocates to any free
-    /// region without re-embedding.
+    /// on — not the device graph — so a warm hit relocates to any
+    /// fault-clean region without re-embedding.
     fn canonical_embedding(&self, logical: &LogicalMapping) -> (Arc<Embedding>, bool, usize) {
         let n = logical.qubo().num_vars();
         let side = packing::footprint_side(n);
@@ -380,21 +369,18 @@ impl SolveEngine {
     }
 
     /// Places one instance on the device graph: the cached canonical TRIAD
-    /// relocated to the first free fault-clean region (which, on a fresh
-    /// placer, scans exactly the origins the legacy TRIAD embedder scans —
-    /// solo answers are unchanged). Instances the placer cannot host fall
-    /// back to the legacy full-graph embedder, heuristic included.
+    /// relocated to the first fault-clean region (which scans exactly the
+    /// origins the whole-graph TRIAD embedder scans, so answers are
+    /// unchanged). Instances the placer cannot host fall back to the
+    /// whole-graph embedder, heuristic included.
     fn placed_embedding(
         &self,
         logical: &LogicalMapping,
-        placer: &mut Placer<'_>,
     ) -> Result<(Embedding, bool), EmbeddingError> {
         let graph = &self.config.graph;
         let (canonical, cache_hit, side) = self.canonical_embedding(logical);
-        if side <= graph.rows().min(graph.cols()) {
-            if let Some(placement) = placer.place(&canonical, side) {
-                return Ok((placement.embedding, cache_hit));
-            }
+        if let Some(placement) = Placer::new(graph).place(&canonical, side) {
+            return Ok((placement.embedding, cache_hit));
         }
         let key = CacheKey {
             structure: logical.qubo().structure_hash(),
@@ -445,8 +431,7 @@ impl SolveEngine {
         }
     }
 
-    /// Read accounting + response assembly shared by the solo and packed
-    /// annealer paths.
+    /// Read accounting + response assembly of an annealer answer.
     fn annealer_response(&self, outcome: QuantumMqoOutcome, cache_hit: bool) -> SolveResponse {
         Metrics::add(
             &self.metrics.reads_verified_clean,
@@ -484,15 +469,13 @@ impl SolveEngine {
                 .map_or(0.0, |p| p.elapsed.as_secs_f64() * 1e6),
             wall_us: 0,
             queue_wait_us: 0,
-            packed_tenants: 0,
         }
     }
 
     fn solve_annealer(&self, req: &SolveRequest) -> Result<SolveResponse, AnnealerFailure> {
         let logical = LogicalMapping::new(&req.problem, self.config.epsilon);
-        let mut placer = Placer::new(&self.config.graph);
         let (embedding, cache_hit) = self
-            .placed_embedding(&logical, &mut placer)
+            .placed_embedding(&logical)
             .map_err(AnnealerFailure::Embedding)?;
         let solver = self.annealer_solver(self.effective_device(req));
         let outcome = solver
@@ -502,146 +485,6 @@ impl SolveEngine {
                 other => AnnealerFailure::Fatal(other.to_string()),
             })?;
         Ok(self.annealer_response(outcome, cache_hit))
-    }
-
-    /// Whether `req` may ride in a packed cycle: unpinned, routed to the
-    /// annealer, its breaker fully closed (a half-open probe must stay a
-    /// single observable attempt), and free of chaos rolls — an injected
-    /// panic or backend failure must strike the request on the solo path,
-    /// where the isolation machinery is exercised, not its batchmates.
-    fn packable(&self, req: &SolveRequest) -> Option<RouteDecision> {
-        if req.backend.is_some()
-            || self.config.chaos.worker_panics(req.seed)
-            || self.config.chaos.backend_fails(req.seed, Backend::Annealer)
-            || self.breaker(Backend::Annealer).state() != crate::breaker::BreakerState::Closed
-        {
-            return None;
-        }
-        let decision = route(&req.problem, &self.config.graph, &self.config.router);
-        (decision.backend == Backend::Annealer).then_some(decision)
-    }
-
-    /// Solves a batch multi-tenant: packable requests are placed onto
-    /// disjoint regions of the chip (first-fit-decreasing over their TRIAD
-    /// footprints) and answered from one composite programming cycle.
-    ///
-    /// Returns one slot per request: `Some(result)` when the request was
-    /// answered packed (result as `solve` would produce, bit-identical
-    /// modulo `route_reason`/timings), `None` when it must take the solo
-    /// path — not packable, declined by the placer, or its tenant hit a
-    /// device fault the solo resilience loop owns (retries, re-embeds,
-    /// classical fallback). The integrity gate runs per tenant, so one
-    /// corrupted tenant never poisons its batchmates.
-    pub fn solve_packed(
-        &self,
-        reqs: &[&SolveRequest],
-    ) -> Vec<Option<Result<SolveResponse, Reject>>> {
-        let batch_start = Instant::now();
-        let mut out: Vec<Option<Result<SolveResponse, Reject>>> =
-            reqs.iter().map(|_| None).collect();
-        if !self.config.packing || reqs.len() < 2 {
-            return out;
-        }
-
-        // Screen, then group on the effective device protocol: one cycle
-        // has one (reads, gauges) schedule, so the leader's protocol defines
-        // the group and differently-configured requests solve solo.
-        let mut candidates: Vec<(usize, RouteDecision)> = Vec::new();
-        let mut leader: Option<(usize, usize)> = None;
-        for (i, req) in reqs.iter().enumerate() {
-            if candidates.len() >= self.config.packing_max_tenants {
-                break;
-            }
-            let Some(decision) = self.packable(req) else {
-                continue;
-            };
-            let device = self.effective_device(req);
-            let protocol = (device.num_reads, device.num_gauges);
-            match leader {
-                None => leader = Some(protocol),
-                Some(p) if p != protocol => continue,
-                Some(_) => {}
-            }
-            candidates.push((i, decision));
-        }
-        if candidates.len() < 2 {
-            return out;
-        }
-
-        // First-fit-decreasing greedy fill: place big footprints first,
-        // stop at the first decline (the chip is full for this cycle).
-        let mut placer = Placer::new(&self.config.graph);
-        struct Tenant {
-            idx: usize,
-            reason: String,
-            embedding: Embedding,
-            cache_hit: bool,
-        }
-        let mut tenants: Vec<Tenant> = Vec::new();
-        let logicals: Vec<LogicalMapping> = candidates
-            .iter()
-            .map(|&(i, _)| LogicalMapping::new(&reqs[i].problem, self.config.epsilon))
-            .collect();
-        let sides: Vec<usize> = logicals
-            .iter()
-            .map(|l| packing::footprint_side(l.qubo().num_vars()))
-            .collect();
-        for c in packing::ffd_order(&sides) {
-            let (idx, ref decision) = candidates[c];
-            let (canonical, cache_hit, side) = self.canonical_embedding(&logicals[c]);
-            let placed = (side <= self.config.graph.rows().min(self.config.graph.cols()))
-                .then(|| placer.place(&canonical, side))
-                .flatten();
-            match placed {
-                Some(placement) => tenants.push(Tenant {
-                    idx,
-                    reason: decision.reason.clone(),
-                    embedding: placement.embedding,
-                    cache_hit,
-                }),
-                None => {
-                    Metrics::inc(&self.metrics.packing_declines);
-                    break;
-                }
-            }
-        }
-        if tenants.len() < 2 {
-            return out;
-        }
-
-        Metrics::inc(&self.metrics.packed_batches);
-        let solver = self.annealer_solver(self.effective_device(reqs[tenants[0].idx]));
-        let instances: Vec<PackedInstance<'_>> = tenants
-            .iter()
-            .map(|t| PackedInstance {
-                problem: &reqs[t.idx].problem,
-                embedding: t.embedding.clone(),
-                seed: reqs[t.idx].seed,
-            })
-            .collect();
-        let outcomes = solver.solve_packed(&instances);
-        let count = tenants.len();
-        for (tenant, outcome) in tenants.iter().zip(outcomes) {
-            let Some(outcome) = outcome else {
-                continue; // device fault: the solo resilience loop owns it
-            };
-            let req = reqs[tenant.idx];
-            self.breaker(Backend::Annealer).record_success();
-            let mut response = self.annealer_response(outcome, tenant.cache_hit);
-            response.route_reason = format!("{} [packed: {count} tenants]", tenant.reason);
-            response.packed_tenants = count;
-            if let Some(mode) = self.config.chaos.sample_corruption(req.seed) {
-                Metrics::inc(&self.metrics.chaos_corruptions_injected);
-                corrupt_response(&mut response, &req.problem, mode);
-            }
-            let result = self.gate(req, &mut response).map(|()| {
-                self.finish(&mut response, batch_start);
-                response
-            });
-            Metrics::inc(&self.metrics.tenants_packed);
-            out[tenant.idx] = Some(result);
-        }
-        out
     }
 
     fn solve_milp(&self, req: &SolveRequest) -> SolveResponse {
@@ -664,7 +507,6 @@ impl SolveEngine {
                 device_time_us: 0.0,
                 wall_us: 0,
                 queue_wait_us: 0,
-                packed_tenants: 0,
             },
             // Branch-and-bound found nothing inside the budget (it always
             // has an incumbent in practice, but stay total): climb instead.
@@ -722,7 +564,6 @@ impl SolveEngine {
             device_time_us: 0.0,
             wall_us: 0,
             queue_wait_us: 0,
-            packed_tenants: 0,
         }
     }
 }
@@ -1071,187 +912,6 @@ mod tests {
         // The annealer read accounting reached /metrics.
         assert_eq!(m.reads_verified_clean + m.reads_repaired, 5 * 50);
         assert_eq!(m.chain_majority_repairs + m.chain_tie_breaks, 0);
-    }
-
-    fn packing_engine(max_tenants: usize) -> SolveEngine {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(4, 4));
-        cfg.device.num_reads = 30;
-        cfg.device.num_gauges = 3;
-        cfg.packing = true;
-        cfg.packing_max_tenants = max_tenants;
-        SolveEngine::new(cfg, Arc::new(Metrics::default()))
-    }
-
-    fn solo_twin(e: &SolveEngine) -> SolveEngine {
-        let mut cfg = e.config().clone();
-        cfg.packing = false;
-        SolveEngine::new(cfg, Arc::new(Metrics::default()))
-    }
-
-    #[test]
-    fn packed_answers_are_bit_identical_to_solo_answers() {
-        let e = packing_engine(16);
-        let reqs: Vec<SolveRequest> = (0..4)
-            .map(|i| SolveRequest::new(paper_example(), 100 + i))
-            .collect();
-        let refs: Vec<&SolveRequest> = reqs.iter().collect();
-        let packed = e.solve_packed(&refs);
-        let solo = solo_twin(&e);
-        for (req, result) in reqs.iter().zip(&packed) {
-            let p = result
-                .as_ref()
-                .expect("clean tenants pack")
-                .as_ref()
-                .unwrap();
-            assert_eq!(p.packed_tenants, 4);
-            assert!(
-                p.route_reason.contains("[packed: 4 tenants]"),
-                "{}",
-                p.route_reason
-            );
-            let s = solo.solve(req).unwrap();
-            assert_eq!(p.selection, s.selection);
-            assert_eq!(p.cost, s.cost);
-            assert_eq!(p.reads, s.reads);
-            assert_eq!(p.qubits_used, s.qubits_used);
-            assert_eq!(p.device_time_us, s.device_time_us);
-        }
-        let m = e.metrics().snapshot();
-        assert_eq!(m.packed_batches, 1);
-        assert_eq!(m.tenants_packed, 4);
-    }
-
-    #[test]
-    fn packing_declines_overflow_and_leaves_it_to_the_solo_path() {
-        // The paper example's TRIAD footprint is one unit cell, so a 2×2
-        // chip hosts exactly 4 tenants; the fifth is declined and keeps a
-        // `None` slot for the solo path.
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 30;
-        cfg.device.num_gauges = 3;
-        cfg.packing = true;
-        cfg.packing_max_tenants = 16;
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
-        let reqs: Vec<SolveRequest> = (0..5)
-            .map(|i| SolveRequest::new(paper_example(), i))
-            .collect();
-        let refs: Vec<&SolveRequest> = reqs.iter().collect();
-        let packed = e.solve_packed(&refs);
-        assert_eq!(packed.iter().filter(|r| r.is_some()).count(), 4);
-        assert!(packed[4].is_none(), "overflow tenant is left for solo");
-        let m = e.metrics().snapshot();
-        assert_eq!(m.packing_declines, 1);
-        assert_eq!(m.tenants_packed, 4);
-        assert!((m.tenants_per_cycle - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_tenants_caps_the_cycle() {
-        let e = packing_engine(2);
-        let reqs: Vec<SolveRequest> = (0..4)
-            .map(|i| SolveRequest::new(paper_example(), i))
-            .collect();
-        let refs: Vec<&SolveRequest> = reqs.iter().collect();
-        let packed = e.solve_packed(&refs);
-        assert_eq!(packed.iter().filter(|r| r.is_some()).count(), 2);
-        assert_eq!(e.metrics().snapshot().tenants_packed, 2);
-    }
-
-    #[test]
-    fn pinned_and_chaos_marked_requests_never_pack() {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(4, 4));
-        cfg.device.num_reads = 30;
-        cfg.device.num_gauges = 3;
-        cfg.packing = true;
-        cfg.chaos = ChaosConfig {
-            seed: 5,
-            worker_panic_rate: 0.5,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
-        let mut pinned = SolveRequest::new(paper_example(), 1000);
-        pinned.backend = Some(Backend::Annealer);
-        let panicky = (0..16)
-            .map(|s| SolveRequest::new(paper_example(), s))
-            .find(|r| e.config().chaos.worker_panics(r.seed))
-            .expect("rate 0.5 marks some seed");
-        let mut clean = (2000..)
-            .filter(|&s| {
-                !e.config().chaos.worker_panics(s)
-                    && !e.config().chaos.backend_fails(s, Backend::Annealer)
-            })
-            .map(|s| SolveRequest::new(paper_example(), s));
-        let clean_a = clean.next().unwrap();
-        let clean_b = clean.next().unwrap();
-        let reqs = [&pinned, &panicky, &clean_a, &clean_b];
-        let packed = e.solve_packed(&reqs);
-        assert!(packed[0].is_none(), "pinned requests keep their contract");
-        assert!(
-            packed[1].is_none(),
-            "chaos-marked seeds panic on the solo path"
-        );
-        assert!(packed[2].is_some() && packed[3].is_some());
-    }
-
-    #[test]
-    fn single_packable_tenant_stays_solo() {
-        let e = packing_engine(16);
-        let a = SolveRequest::new(paper_example(), 1);
-        let mut b = SolveRequest::new(paper_example(), 2);
-        b.backend = Some(Backend::Milp);
-        let packed = e.solve_packed(&[&a, &b]);
-        assert!(packed.iter().all(|r| r.is_none()));
-        assert_eq!(e.metrics().snapshot().packed_batches, 0);
-    }
-
-    #[test]
-    fn mixed_protocols_pack_with_the_leader_group_only() {
-        let e = packing_engine(16);
-        let a = SolveRequest::new(paper_example(), 1);
-        let mut b = SolveRequest::new(paper_example(), 2);
-        b.reads = Some(10);
-        let c = SolveRequest::new(paper_example(), 3);
-        let packed = e.solve_packed(&[&a, &b, &c]);
-        assert!(packed[0].is_some() && packed[2].is_some());
-        assert!(packed[1].is_none(), "different (reads, gauges) solves solo");
-    }
-
-    #[test]
-    fn corrupted_tenants_are_gated_without_poisoning_batchmates() {
-        // Corruption rate 1: every tenant's answer is mangled after the
-        // composite run and must be repaired by the per-tenant gate.
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(4, 4));
-        cfg.device.num_reads = 30;
-        cfg.device.num_gauges = 3;
-        cfg.packing = true;
-        cfg.packing_max_tenants = 16;
-        cfg.chaos = ChaosConfig {
-            seed: 21,
-            sample_corruption_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
-        let problem = paper_example();
-        let reqs: Vec<SolveRequest> = (0..3)
-            .map(|i| SolveRequest::new(problem.clone(), i))
-            .collect();
-        let refs: Vec<&SolveRequest> = reqs.iter().collect();
-        let packed = e.solve_packed(&refs);
-        for result in &packed {
-            let r = result.as_ref().expect("packable").as_ref().unwrap();
-            let sel = Selection::new(r.selection.iter().map(|&p| PlanId(p)).collect());
-            assert!(problem.validate_selection(&sel).is_ok());
-            assert_eq!(r.cost, problem.selection_cost(&sel));
-            assert!(
-                r.route_reason.contains("integrity: repaired"),
-                "{}",
-                r.route_reason
-            );
-        }
-        let m = e.metrics().snapshot();
-        assert_eq!(m.integrity_violations, 3);
-        assert_eq!(m.integrity_repairs, 3);
-        assert_eq!(m.tenants_packed, 3);
     }
 
     #[test]

@@ -232,12 +232,6 @@ pub struct Metrics {
     pub backend_hill_climbing: AtomicU64,
     /// Batches dispatched by the scheduler.
     pub batches_dispatched: AtomicU64,
-    /// Composite multi-tenant programming cycles executed.
-    pub packed_batches: AtomicU64,
-    /// Requests answered from a packed cycle.
-    pub tenants_packed: AtomicU64,
-    /// Requests the packer declined (no free fault-clean region).
-    pub packing_declines: AtomicU64,
     /// Requests currently queued (gauge).
     pub queue_depth: AtomicU64,
     /// End-to-end solve latency (dequeue → response ready).
@@ -311,17 +305,6 @@ impl Metrics {
             backend_milp: load(&self.backend_milp),
             backend_hill_climbing: load(&self.backend_hill_climbing),
             batches_dispatched: load(&self.batches_dispatched),
-            packed_batches: load(&self.packed_batches),
-            tenants_packed: load(&self.tenants_packed),
-            packing_declines: load(&self.packing_declines),
-            tenants_per_cycle: {
-                let batches = load(&self.packed_batches);
-                if batches == 0 {
-                    0.0
-                } else {
-                    load(&self.tenants_packed) as f64 / batches as f64
-                }
-            },
             queue_depth: load(&self.queue_depth),
             solve_latency: self.solve_latency.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
@@ -453,18 +436,6 @@ pub struct MetricsSnapshot {
     pub backend_hill_climbing: u64,
     /// Batches dispatched by the scheduler.
     pub batches_dispatched: u64,
-    /// Composite multi-tenant programming cycles executed.
-    #[serde(default)]
-    pub packed_batches: u64,
-    /// Requests answered from a packed cycle.
-    #[serde(default)]
-    pub tenants_packed: u64,
-    /// Requests the packer declined (no free fault-clean region).
-    #[serde(default)]
-    pub packing_declines: u64,
-    /// Mean tenants per packed cycle (0.0 before the first cycle).
-    #[serde(default)]
-    pub tenants_per_cycle: f64,
     /// Requests queued right now.
     pub queue_depth: u64,
     /// Solve latency histogram.

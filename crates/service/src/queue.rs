@@ -330,28 +330,8 @@ impl SolveQueue {
             // Group structurally identical instances adjacently so the
             // second one of a pair hits the embedding the first just cached.
             batch.sort_by_key(|job| (job.req.problem.num_queries(), job.req.problem.num_plans()));
-            // Packing mode: try to answer the whole batch from one composite
-            // programming cycle first. Slots the packer leaves `None` (not
-            // packable, placer declined, tenant hit a device fault) take the
-            // solo path below, so this is a pure fast-path — a panic inside
-            // it degrades the batch to all-solo rather than failing anyone.
-            let mut packed: VecDeque<Option<Result<SolveResponse, Reject>>> = VecDeque::new();
-            let mut packed_us = 0u64;
-            if self.engine.config().packing && batch.len() >= 2 {
-                let refs: Vec<&SolveRequest> = batch.iter().map(|job| &job.req).collect();
-                let started = Instant::now();
-                packed = match catch_unwind(AssertUnwindSafe(|| self.engine.solve_packed(&refs))) {
-                    Ok(results) => results.into(),
-                    Err(_) => {
-                        Metrics::inc(&metrics.worker_panics_caught);
-                        VecDeque::new()
-                    }
-                };
-                packed_us = started.elapsed().as_micros() as u64;
-            }
             let mut batch: VecDeque<Job> = batch.into();
             while let Some(job) = batch.pop_front() {
-                let pre = packed.pop_front().flatten();
                 if job
                     .deadline
                     .is_some_and(|deadline| Instant::now() >= deadline)
@@ -364,17 +344,6 @@ impl SolveQueue {
                 }
                 let wait_us = job.enqueued.elapsed().as_micros() as u64;
                 metrics.queue_wait.record(wait_us);
-                if let Some(result) = pre {
-                    // Answered by the packed cycle. The recorded latency is
-                    // the cycle's wall time: that is what the request cost.
-                    metrics.solve_latency.record(packed_us);
-                    let result = result.map(|mut response| {
-                        response.queue_wait_us = wait_us;
-                        response
-                    });
-                    job.responder.respond(result);
-                    continue;
-                }
                 let started = Instant::now();
                 // The engine is a shared reference either way; the unwind
                 // boundary only isolates the panic, it does not hand the
@@ -558,51 +527,6 @@ mod tests {
         );
         assert_eq!(m.solved_total, 8);
         assert_eq!(m.queue_wait.count, 8);
-    }
-
-    #[test]
-    fn packed_batches_answer_every_request_identically_to_solo() {
-        let packing_engine = || {
-            let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-            cfg.device.num_reads = 20;
-            cfg.device.num_gauges = 2;
-            cfg.packing = true;
-            Arc::new(SolveEngine::new(cfg, Arc::new(Metrics::default())))
-        };
-        let run = |engine: Arc<SolveEngine>| {
-            let queue = SolveQueue::new(
-                engine,
-                QueueConfig {
-                    batch_size: 4,
-                    workers: 1,
-                    ..QueueConfig::default()
-                },
-            );
-            let receivers: Vec<_> = (0..4)
-                .map(|i| submit(&queue, SolveRequest::new(tiny_problem(), i)).unwrap())
-                .collect();
-            queue.spawn_workers();
-            queue.shutdown();
-            let answers: Vec<SolveResponse> = receivers
-                .into_iter()
-                .map(|rx| rx.recv().unwrap().unwrap())
-                .collect();
-            (queue, answers)
-        };
-        let (packed_queue, packed) = run(packing_engine());
-        let (_, solo) = run(engine());
-        for (p, s) in packed.iter().zip(&solo) {
-            assert_eq!(p.selection, s.selection);
-            assert_eq!(p.cost, s.cost);
-            assert_eq!(p.reads, s.reads);
-            assert_eq!(p.packed_tenants, 4, "{}", p.route_reason);
-            assert_eq!(s.packed_tenants, 0);
-        }
-        let m = packed_queue.engine.metrics().snapshot();
-        assert_eq!(m.packed_batches, 1);
-        assert_eq!(m.tenants_packed, 4);
-        assert_eq!(m.solved_total, 4);
-        assert_eq!(m.solve_latency.count, 4);
     }
 
     fn chaos_engine(chaos: crate::chaos::ChaosConfig) -> Arc<SolveEngine> {

@@ -1168,7 +1168,6 @@ mod tests {
             "reads",
             "qubits_used",
             "device_time_us",
-            "packed_tenants",
         ] {
             assert_eq!(r[field], d[field], "{field}");
         }
@@ -1209,7 +1208,6 @@ mod tests {
             "reads",
             "qubits_used",
             "device_time_us",
-            "packed_tenants",
         ] {
             assert_eq!(r[field], d[field], "{field}");
         }

@@ -46,14 +46,7 @@ fn set(flags: &[&str]) -> BTreeSet<String> {
 fn help_lists_exactly_the_accepted_flags() {
     assert_eq!(
         help_flags(env!("CARGO_BIN_EXE_mqo_serve")),
-        set(&[
-            "--addr",
-            "--small",
-            "--reads",
-            "--gauges",
-            "--packing",
-            "--max-tenants",
-        ])
+        set(&["--addr", "--small", "--reads", "--gauges"])
     );
     assert_eq!(
         help_flags(env!("CARGO_BIN_EXE_mqo_router")),
@@ -73,6 +66,8 @@ fn removed_flags_are_unknown() {
         "--chaos-kill-rate",
         "--chaos-backend-failure-rate",
         "--chaos-corruption-rate",
+        "--packing",
+        "--max-tenants",
     ] {
         assert_usage_error(&run(serve, &[flag, "1"]), &format!("unknown flag {flag}"));
     }

@@ -63,7 +63,7 @@ pub mod pipeline;
 pub mod prelude {
     pub use crate::decomposition::{DecompositionConfig, DecompositionOutcome};
     pub use crate::pipeline::{
-        PackedInstance, PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig,
+        PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig,
     };
     pub use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
     pub use mqo_annealer::faults::{FaultConfig, FaultEvents};

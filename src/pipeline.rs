@@ -25,11 +25,10 @@
 //! valid selection. Every fault, retry, re-embedding, and fallback is
 //! counted in [`QuantumMqoOutcome`].
 
-use mqo_annealer::composite::{self, PackedTenant};
 use mqo_annealer::device::{DeviceError, QuantumAnnealer};
 use mqo_annealer::faults::FaultEvents;
 use mqo_annealer::parallel::{derive_seed, STREAM_RETRY};
-use mqo_annealer::sampler::{ChainBreakStats, SampleSet, Sampler};
+use mqo_annealer::sampler::{ChainBreakStats, Sampler};
 use mqo_chimera::embedding::triad;
 use mqo_chimera::embedding::{Embedding, EmbeddingError};
 use mqo_chimera::graph::{ChimeraGraph, QubitId};
@@ -274,19 +273,35 @@ impl<S: Sampler> QuantumMqoSolver<S> {
                     qubits_used = physical.num_physical_vars();
                     let run_end_us =
                         offset_us + samples.reads().last().map_or(0.0, |r| r.elapsed_us);
-                    absorb_reads(
-                        problem,
-                        &logical,
-                        &physical,
-                        &samples,
-                        offset_us,
-                        r.repair_descent_moves,
-                        &mut best,
-                        &mut trace,
-                        &mut repaired_reads,
-                        &mut broken_chain_reads,
-                        &mut descent_moves,
-                    );
+                    for read in samples.reads() {
+                        let unembedded = physical.unembed(&read.assignment);
+                        if unembedded.broken_chains > 0 {
+                            broken_chain_reads += 1;
+                        }
+                        let (selection, repaired) =
+                            logical.decode_with_repair(problem, &unembedded.logical);
+                        let (selection, cost) = if repaired {
+                            repaired_reads += 1;
+                            // Polish the repaired sample with a move-count-bounded
+                            // descent (deterministic: pure function of problem +
+                            // selection).
+                            let (sel, cost, moves) = HillClimbing::descend_bounded(
+                                problem,
+                                selection,
+                                r.repair_descent_moves,
+                            );
+                            descent_moves += moves;
+                            (sel, cost)
+                        } else {
+                            let cost = problem.selection_cost(&selection);
+                            (selection, cost)
+                        };
+                        let elapsed = Duration::from_secs_f64((offset_us + read.elapsed_us) * 1e-6);
+                        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
+                            trace.record(elapsed, cost);
+                            best = Some((selection, cost));
+                        }
+                    }
                     reads += samples.len();
                     chain_breaks = samples.chain_break_stats(&physical.dense_chains());
                     let dropped = samples.faults().dropped_qubits.clone();
@@ -505,180 +520,6 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         )?;
         self.solve_with_embedding(problem, embedding, seed)
     }
-
-    /// Solves a batch of disjointly placed tenants in one composite device
-    /// cycle (chip packing). `instances` carry per-tenant embeddings
-    /// produced by the packer — their chains must not overlap.
-    ///
-    /// Only the *clean first-attempt* path runs packed: a tenant whose
-    /// composite run errors (rejected programming, unusable couplers),
-    /// drops qubits, or fails physical mapping gets `None` and must be
-    /// re-solved solo. That is lossless: attempt 0 of a solo solve uses the
-    /// request seed directly and consumes no retry randomness, so the solo
-    /// re-run reproduces the packed attempt bit-identically and then drives
-    /// the full retry/re-embed/fallback machinery. Tenants that do come
-    /// back `Some` are bit-identical to a clean solo
-    /// [`QuantumMqoSolver::solve_with_embedding`] with the same seed.
-    pub fn solve_packed(&self, instances: &[PackedInstance<'_>]) -> Vec<Option<QuantumMqoOutcome>> {
-        let mut out: Vec<Option<QuantumMqoOutcome>> = instances.iter().map(|_| None).collect();
-        let prepared: Vec<Option<(LogicalMapping, PhysicalMapping)>> = instances
-            .iter()
-            .map(|inst| {
-                let logical = LogicalMapping::new(inst.problem, self.epsilon);
-                PhysicalMapping::new(
-                    logical.qubo(),
-                    inst.embedding.clone(),
-                    &self.graph,
-                    self.epsilon,
-                )
-                .ok()
-                .map(|physical| (logical, physical))
-            })
-            .collect();
-        let active: Vec<usize> = (0..instances.len())
-            .filter(|&i| prepared[i].is_some())
-            .collect();
-        if active.is_empty() {
-            return out;
-        }
-        let tenants: Vec<PackedTenant<'_>> = active
-            .iter()
-            .map(|&i| PackedTenant {
-                pm: &prepared[i].as_ref().expect("active tenants prepared").1,
-                seed: instances[i].seed,
-            })
-            .collect();
-        let results = match composite::run_packed(&self.device, &self.graph, &tenants) {
-            Ok(r) => r,
-            // Batch-level misconfiguration: every tenant re-solves solo and
-            // surfaces the error (or its own clean result) there.
-            Err(_) => return out,
-        };
-        for (a, &i) in active.iter().enumerate() {
-            let samples = match &results[a] {
-                Ok(samples) => samples,
-                // Per-tenant device errors re-enter the solo retry path.
-                Err(_) => continue,
-            };
-            if !samples.faults().dropped_qubits.is_empty() {
-                // Dropout decisions (re-embed or keep) belong to the solo
-                // resilience loop; hand the tenant back untouched.
-                continue;
-            }
-            let (logical, physical) = prepared[i].as_ref().expect("active tenants prepared");
-            out[i] =
-                Some(self.finish_clean_outcome(instances[i].problem, logical, physical, samples));
-        }
-        out
-    }
-
-    /// Builds the outcome of a clean (no retry, no dropout) first-attempt
-    /// run — shared shape between the packed path and what a solo clean run
-    /// produces.
-    fn finish_clean_outcome(
-        &self,
-        problem: &MqoProblem,
-        logical: &LogicalMapping,
-        physical: &PhysicalMapping,
-        samples: &SampleSet,
-    ) -> QuantumMqoOutcome {
-        let mut best: Option<(Selection, f64)> = None;
-        let mut trace = Trace::new();
-        let mut repaired_reads = 0usize;
-        let mut broken_chain_reads = 0usize;
-        let mut descent_moves = 0usize;
-        absorb_reads(
-            problem,
-            logical,
-            physical,
-            samples,
-            0.0,
-            self.resilience.repair_descent_moves,
-            &mut best,
-            &mut trace,
-            &mut repaired_reads,
-            &mut broken_chain_reads,
-            &mut descent_moves,
-        );
-        let reads = samples.len();
-        let mut faults = FaultEvents::default();
-        faults.merge(samples.faults());
-        QuantumMqoOutcome {
-            best: best.expect("a successful device run yields at least one read"),
-            trace,
-            reads,
-            repaired_reads,
-            broken_chain_reads,
-            qubits_used: physical.num_physical_vars(),
-            faults,
-            retries: 0,
-            reembeds: 0,
-            fallback: false,
-            chain_breaks: samples.chain_break_stats(&physical.dense_chains()),
-            integrity: RepairStats {
-                verified_clean: reads - repaired_reads,
-                repaired: repaired_reads,
-                rejected: 0,
-            },
-            repair_descent_moves: descent_moves,
-        }
-    }
-}
-
-/// One tenant of a packed pipeline run: a problem, the embedding the packer
-/// placed it on (disjoint from its batchmates), and its request seed.
-#[derive(Debug, Clone)]
-pub struct PackedInstance<'a> {
-    /// The tenant's MQO instance.
-    pub problem: &'a MqoProblem,
-    /// The tenant's placed embedding on the shared graph.
-    pub embedding: Embedding,
-    /// The seed a solo solve of this request would use.
-    pub seed: u64,
-}
-
-/// Decodes every read of a sample set into plan selections and accumulates
-/// the best-so-far trace — the shared inner loop of solo and packed solves.
-/// Float operations run in exactly the order of the original solo loop, so
-/// extracting it preserves bit-identity.
-#[allow(clippy::too_many_arguments)]
-fn absorb_reads(
-    problem: &MqoProblem,
-    logical: &LogicalMapping,
-    physical: &PhysicalMapping,
-    samples: &SampleSet,
-    offset_us: f64,
-    repair_descent_budget: usize,
-    best: &mut Option<(Selection, f64)>,
-    trace: &mut Trace,
-    repaired_reads: &mut usize,
-    broken_chain_reads: &mut usize,
-    descent_moves: &mut usize,
-) {
-    for read in samples.reads() {
-        let unembedded = physical.unembed(&read.assignment);
-        if unembedded.broken_chains > 0 {
-            *broken_chain_reads += 1;
-        }
-        let (selection, repaired) = logical.decode_with_repair(problem, &unembedded.logical);
-        let (selection, cost) = if repaired {
-            *repaired_reads += 1;
-            // Polish the repaired sample with a move-count-bounded descent
-            // (deterministic: pure function of problem + selection).
-            let (sel, cost, moves) =
-                HillClimbing::descend_bounded(problem, selection, repair_descent_budget);
-            *descent_moves += moves;
-            (sel, cost)
-        } else {
-            let cost = problem.selection_cost(&selection);
-            (selection, cost)
-        };
-        let elapsed = Duration::from_secs_f64((offset_us + read.elapsed_us) * 1e-6);
-        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-            trace.record(elapsed, cost);
-            *best = Some((selection, cost));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -886,95 +727,6 @@ mod tests {
         assert!(problem.validate_selection(&out.best.0).is_ok());
         let (_, optimum) = problem.brute_force_optimum();
         assert!(out.best.1 <= optimum + 2.0 + 1e-9);
-    }
-
-    #[test]
-    fn packed_pipeline_outcomes_match_solo_solves() {
-        use mqo_chimera::packing;
-
-        // Three small instances packed onto a 4×4 graph; each must decode
-        // to exactly what its solo solve produces.
-        let problems: Vec<MqoProblem> = (0..3)
-            .map(|i| {
-                let mut b = MqoProblem::builder();
-                let q1 = b.add_query(&[2.0 + i as f64, 4.0]);
-                let q2 = b.add_query(&[3.0, 1.0 + i as f64]);
-                let (p2, p3) = (b.plans_of(q1)[1], b.plans_of(q2)[0]);
-                b.add_saving(p2, p3, 5.0).unwrap();
-                b.build().unwrap()
-            })
-            .collect();
-        let graph = ChimeraGraph::new(4, 4);
-        let solver = QuantumMqoSolver::new(
-            graph.clone(),
-            QuantumAnnealer::new(
-                DeviceConfig {
-                    num_reads: 30,
-                    num_gauges: 3,
-                    ..DeviceConfig::default()
-                },
-                SimulatedAnnealingSampler::default(),
-            ),
-        );
-        let sizes: Vec<usize> = problems.iter().map(|p| p.num_plans()).collect();
-        let placements = packing::pack(&graph, &sizes);
-        let instances: Vec<PackedInstance<'_>> = problems
-            .iter()
-            .zip(&placements)
-            .enumerate()
-            .map(|(i, (problem, placement))| PackedInstance {
-                problem,
-                embedding: placement.as_ref().expect("fits").embedding.clone(),
-                seed: 60 + i as u64,
-            })
-            .collect();
-        let packed = solver.solve_packed(&instances);
-        for (i, inst) in instances.iter().enumerate() {
-            let solo = solver
-                .solve_with_embedding(inst.problem, inst.embedding.clone(), inst.seed)
-                .unwrap();
-            let out = packed[i].as_ref().expect("clean runs stay packed");
-            assert_eq!(out.best, solo.best, "tenant {i}");
-            assert_eq!(out.trace.points(), solo.trace.points(), "tenant {i}");
-            assert_eq!(out.reads, solo.reads, "tenant {i}");
-            assert_eq!(out.qubits_used, solo.qubits_used, "tenant {i}");
-            assert_eq!(out.repaired_reads, solo.repaired_reads, "tenant {i}");
-            assert_eq!(out.integrity, solo.integrity, "tenant {i}");
-        }
-    }
-
-    #[test]
-    fn packed_tenants_with_device_errors_fall_back_to_solo() {
-        // Certain programming rejection: every tenant should come back
-        // `None` (solo path owns the retry/fallback machinery).
-        let problem = paper_example();
-        let s = solver_with_faults(FaultConfig {
-            programming_reject_rate: 1.0,
-            ..FaultConfig::NONE
-        });
-        let embedding = triad::triad(&s.graph, 0, 0, problem.num_plans()).unwrap();
-        let packed = s.solve_packed(&[PackedInstance {
-            problem: &problem,
-            embedding,
-            seed: 11,
-        }]);
-        assert!(packed[0].is_none());
-    }
-
-    #[test]
-    fn packed_tenants_with_dropout_fall_back_to_solo() {
-        let problem = paper_example();
-        let s = solver_with_faults(FaultConfig {
-            qubit_dropout_rate: 1.0,
-            ..FaultConfig::NONE
-        });
-        let embedding = triad::triad(&s.graph, 0, 0, problem.num_plans()).unwrap();
-        let packed = s.solve_packed(&[PackedInstance {
-            problem: &problem,
-            embedding,
-            seed: 4,
-        }]);
-        assert!(packed[0].is_none(), "dropout decisions belong to solo");
     }
 
     #[test]
