@@ -314,6 +314,31 @@ impl LaneDraws {
     }
 }
 
+/// Whether this CPU runs the AVX2 build of the lane kernel. The standard
+/// library probes the CPU once per process and caches the answer.
+#[inline]
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The build of the SA lane kernel this CPU runs: `"avx2"` or
+/// `"portable"`. Both give the same reads; benchmarks record it because
+/// they do not give the same reads per second.
+pub fn lane_kernel() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
 impl ProgrammedSa {
     /// Whether `programs` can share one lane walk: one CSR structure and
     /// one schedule length. Gauges only flip weight signs and control
@@ -341,7 +366,49 @@ impl ProgrammedSa {
     /// scalar kernel's early exit, every later sweep is a no-op for it.
     /// Unused lanes mirror the first read, and the walk ends when every
     /// lane is done.
+    ///
+    /// One source, [`ProgrammedSa::lane_walk`], is compiled twice: for the
+    /// target's baseline (SSE2 on `x86_64`, where a packed instruction
+    /// holds 2 of the 4 `f64` lanes) and, on `x86_64`, with AVX2 enabled,
+    /// where one register holds all 4. The AVX2 build is picked when the
+    /// CPU has it ([`lane_kernel`] names the build).
+    /// Both builds do the same IEEE multiplies, adds and compares (Rust
+    /// never contracts `a*b + c` into an FMA), so every read is
+    /// bit-identical on every host.
     fn anneal_lanes(
+        programs: &[&ProgrammedSa],
+        rngs: &[ChaCha8Rng],
+        out: &mut [i8],
+        scratch: &mut ReadScratch,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            // SAFETY: the CPU supports AVX2, as just checked.
+            return unsafe { Self::anneal_lanes_avx2(programs, rngs, out, scratch) };
+        }
+        Self::lane_walk(programs, rngs, out, scratch);
+    }
+
+    /// [`ProgrammedSa::lane_walk`] built with AVX2 enabled (not FMA).
+    ///
+    /// # Safety
+    ///
+    /// The CPU running it must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn anneal_lanes_avx2(
+        programs: &[&ProgrammedSa],
+        rngs: &[ChaCha8Rng],
+        out: &mut [i8],
+        scratch: &mut ReadScratch,
+    ) {
+        Self::lane_walk(programs, rngs, out, scratch);
+    }
+
+    /// The body of [`ProgrammedSa::anneal_lanes`], inlined into each build:
+    /// a caller without AVX2 enabled gets the portable one.
+    #[inline(always)]
+    fn lane_walk(
         programs: &[&ProgrammedSa],
         rngs: &[ChaCha8Rng],
         out: &mut [i8],
@@ -558,6 +625,83 @@ mod tests {
         let sampler = SimulatedAnnealingSampler::default();
         let s = sampler.sample(&ising, &mut ChaCha8Rng::seed_from_u64(0));
         assert!(s.is_empty());
+    }
+
+    mod lanes {
+        use super::*;
+        use crate::gauge::Gauge;
+        use crate::noise::ControlErrorModel;
+        use crate::sampler::SamplerHints;
+        use proptest::prelude::*;
+
+        fn arb_ising() -> impl Strategy<Value = Ising> {
+            (2usize..=8).prop_flat_map(|n| {
+                let h = proptest::collection::vec(-5.0f64..5.0, n);
+                let j = proptest::collection::vec(((0..n, 0..n), -3.0f64..3.0), 0..=2 * n);
+                (h, j).prop_map(move |(h, j)| {
+                    let couplings = j
+                        .into_iter()
+                        .filter(|((a, b), _)| a != b)
+                        .map(|((a, b), w)| (VarId::new(a), VarId::new(b), w))
+                        .collect();
+                    Ising::new(h, couplings, 0.0)
+                })
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Both builds of the lane kernel, called directly: the
+            /// portable one against per-read `sample_into_fast`, and the
+            /// AVX2 one against the portable one. Hosts with AVX2 never
+            /// run the portable build otherwise.
+            #[test]
+            fn avx2_and_portable_lane_kernels_agree(
+                ising in arb_ising(),
+                gauges in 1usize..=4,
+                reads in 2usize..=LANES,
+                prog_seed in 0u64..1000,
+                read_seed in 0u64..1000,
+            ) {
+                let sampler = SimulatedAnnealingSampler::default();
+                let noise = ControlErrorModel { relative_sigma: 0.01 };
+                let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
+                let n = ising.num_spins();
+                let programmed: Vec<ProgrammedSa> = (0..gauges)
+                    .map(|_| {
+                        let gauge = Gauge::random(n, &mut rng);
+                        let realised = noise.perturb(&ising, &mut rng);
+                        sampler.program(gauge.apply(&realised), &SamplerHints::default(), &mut rng)
+                    })
+                    .collect();
+                let programs: Vec<&ProgrammedSa> =
+                    (0..reads).map(|k| &programmed[k % gauges]).collect();
+                let streams: Vec<ChaCha8Rng> = (0..reads)
+                    .map(|k| ChaCha8Rng::seed_from_u64(read_seed * 16 + k as u64))
+                    .collect();
+                let mut scratch = ReadScratch::default();
+                let mut portable = vec![0i8; reads * n];
+                ProgrammedSa::lane_walk(&programs, &streams, &mut portable, &mut scratch);
+                for (k, (prog, stream)) in programs.iter().zip(&streams).enumerate() {
+                    let mut one = vec![0i8; n];
+                    prog.sample_into_fast(&mut stream.clone(), &mut one, &mut scratch);
+                    prop_assert_eq!(&portable[k * n..(k + 1) * n], &one[..], "read {}", k);
+                }
+                #[cfg(target_arch = "x86_64")]
+                if has_avx2() {
+                    let mut avx2 = vec![0i8; reads * n];
+                    // SAFETY: the CPU supports AVX2, as just checked.
+                    unsafe {
+                        ProgrammedSa::anneal_lanes_avx2(&programs, &streams, &mut avx2, &mut scratch);
+                    }
+                    prop_assert_eq!(avx2, portable);
+                    return Ok(());
+                }
+                static SKIPPED: std::sync::Once = std::sync::Once::new();
+                SKIPPED.call_once(|| eprintln!("no AVX2 on this CPU: checked the portable lane kernel only"));
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use mqo_annealer::behavioral::BehavioralSampler;
 use mqo_annealer::device::{DeviceConfig, PhaseTimings, QuantumAnnealer};
 use mqo_annealer::parallel::resolve_threads;
-use mqo_annealer::sa::SimulatedAnnealingSampler;
+use mqo_annealer::sa::{lane_kernel, SimulatedAnnealingSampler};
 use mqo_annealer::sampler::{Sampler, SamplerHints};
 use mqo_annealer::sqa::{PathIntegralQmcSampler, SqaConfig};
 use mqo_chimera::graph::ChimeraGraph;
@@ -227,6 +227,7 @@ fn throughput<S: Sampler + Clone>(
 fn main() {
     let args = Args::parse();
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    eprintln!("SA lane kernel: {}", lane_kernel());
     let mut entries = String::new();
 
     for &qubits in &args.qubits {
@@ -272,9 +273,14 @@ fn main() {
             .join(", ");
         let json = format!(
             "{{\n  \"benchmark\": \"device_throughput\",\n  \"problem_sizes_qubits\": [{sizes}],\n  \
-             \"reads_per_run\": {},\n  \"gauges_per_run\": {},\n  \"host_parallelism\": \
-             {host_parallelism},\n  \"results\": [\n{entries}\n  ]\n}}\n",
-            args.reads, args.gauges,
+             \"reads_per_run\": {},\n  \"gauges_per_run\": {},\n  \"host\": {{ \"nproc\": \
+             {host_parallelism}, \"cpu\": \"{}\", \"kernel\": \"{}\", \"sa_lane_kernel\": \"{}\" }},\n  \
+             \"results\": [\n{entries}\n  ]\n}}\n",
+            args.reads,
+            args.gauges,
+            cpu_model(),
+            os_release(),
+            lane_kernel(),
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_device.json");
         if let Err(e) = std::fs::write(path, &json) {
@@ -283,6 +289,24 @@ fn main() {
             eprintln!("wrote {path}");
         }
     }
+}
+
+/// The CPU's model name from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
+                .map(|(_, name)| name.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The running kernel's release, or `"unknown"`.
+fn os_release() -> String {
+    std::fs::read_to_string("/proc/sys/kernel/osrelease")
+        .map_or_else(|_| "unknown".into(), |r| r.trim().to_string())
 }
 
 /// The three back-ends, statically dispatched per arm (the device is

@@ -206,6 +206,7 @@ fn solve(args: &Args) {
                     Ok(mqo::pipeline::QuantumMqoOutcome {
                         best: out.best,
                         trace: out.trace,
+                        device_time_us: out.device_time.as_secs_f64() * 1e6,
                         reads: 0,
                         repaired_reads: 0,
                         broken_chain_reads: 0,

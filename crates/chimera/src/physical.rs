@@ -22,7 +22,7 @@ use crate::embedding::{Embedding, EmbeddingError};
 use crate::graph::{ChimeraGraph, QubitId};
 use mqo_core::ids::VarId;
 use mqo_core::qubo::Qubo;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// How ferromagnetic chain strengths are chosen.
 ///
@@ -132,7 +132,7 @@ impl PhysicalMapping {
                 lin[phys(q)] += share;
             }
         }
-        let mut quad: HashMap<(usize, usize), f64> = HashMap::new();
+        let mut quad: BTreeMap<(usize, usize), f64> = BTreeMap::new();
         for &(i, j, w) in logical.quadratic() {
             let (qa, qb) = embedding
                 .find_coupler(graph, i, j)
@@ -143,24 +143,30 @@ impl PhysicalMapping {
         }
 
         // Step 3: per-chain strengths from the logical-only physical weights.
+        // Each coupler is listed from both ends and sorted by (qubit,
+        // neighbour), so one pass over the list visits every qubit's
+        // neighbours in ascending order: linear in the couplers, and the
+        // sums below never depend on hashing or insertion order.
+        let mut incident: Vec<(usize, usize, f64)> = quad
+            .iter()
+            .flat_map(|(&(a, b), &w)| [(a, b, w), (b, a, w)])
+            .collect();
+        incident.sort_unstable_by_key(|&(q, other, _)| (q, other));
+        let mut incident = incident.into_iter().peekable();
         let mut chain_strengths = Vec::with_capacity(embedding.num_vars());
-        for (v, chain) in embedding.chains().iter().enumerate() {
-            let members: HashSet<usize> = chain.iter().map(|&q| phys(q)).collect();
+        let mut first = 0;
+        for chain in embedding.chains() {
+            // Dense indices were handed out chain by chain, so this chain's
+            // qubits are exactly `members`, in chain order.
+            let members = first..first + chain.len();
+            first = members.end;
             let mut up = 0.0; // Σ U0→1(b): worst-case increase setting all to 1
             let mut down = 0.0; // Σ U1→0(b)
-            for &q in chain {
-                let b = phys(q);
+            for b in members.clone() {
                 let v_b = lin[b];
                 let mut pos = 0.0;
                 let mut neg = 0.0;
-                for (&(x, y), &w) in &quad {
-                    let other = if x == b {
-                        y
-                    } else if y == b {
-                        x
-                    } else {
-                        continue;
-                    };
+                while let Some((_, other, w)) = incident.next_if(|&(q, _, _)| q == b) {
                     if members.contains(&other) {
                         continue; // internal to the chain, excluded by the rule
                     }
@@ -177,7 +183,6 @@ impl PhysicalMapping {
                 down += (-v_b + neg).max(0.0);
             }
             let u = up.min(down).max(0.0);
-            let _ = v;
             chain_strengths.push(u + epsilon);
         }
         if mode == ChainStrengthMode::GlobalMax {
@@ -344,6 +349,7 @@ fn spanning_tree_edges(graph: &ChimeraGraph, chain: &[QubitId]) -> Vec<(QubitId,
 mod tests {
     use super::*;
     use crate::embedding::triad;
+    use crate::graph::Side;
     use mqo_core::ids::VarId;
 
     /// A random-ish dense logical QUBO over n variables.
@@ -576,6 +582,39 @@ mod tests {
         let (lb, le) = logical.brute_force_minimum();
         assert_eq!(pb, lb);
         assert!((pe - le).abs() < 1e-12);
+    }
+
+    #[test]
+    fn chain_strengths_are_bit_identical_on_every_build() {
+        // One left-side qubit coupled to three right-side chains with
+        // weights whose float sum depends on the order it is taken in:
+        // (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ by one ulp.
+        let g = ChimeraGraph::new(1, 1);
+        let logical = {
+            let mut b = Qubo::builder(4);
+            b.add_linear(VarId(0), -0.4);
+            for (j, w) in [(1, 0.1), (2, 0.2), (3, 0.3)] {
+                b.add_quadratic(VarId(0), VarId(j), w);
+            }
+            b.build()
+        };
+        let chains = vec![
+            vec![g.qubit(0, 0, Side::Vertical, 0)],
+            vec![g.qubit(0, 0, Side::Horizontal, 0)],
+            vec![g.qubit(0, 0, Side::Horizontal, 1)],
+            vec![g.qubit(0, 0, Side::Horizontal, 2)],
+        ];
+        let e = Embedding::new(chains, g.num_qubits()).unwrap();
+        let bits = || {
+            let pm = PhysicalMapping::new(&logical, e.clone(), &g, 0.25).unwrap();
+            pm.chain_strength(VarId(0)).to_bits()
+        };
+        let first = bits();
+        for build in 1..64 {
+            assert_eq!(bits(), first, "build {build}");
+        }
+        // Ascending neighbour order: (0.1 + 0.2 + 0.3) − 0.4 + ε.
+        assert_eq!(f64::from_bits(first), (0.1 + 0.2 + 0.3 - 0.4) + 0.25);
     }
 
     #[test]

@@ -86,7 +86,8 @@ pub struct SolveResponse {
     pub reads: usize,
     /// Physical qubits consumed by the embedding (0 for classical backends).
     pub qubits_used: usize,
-    /// Simulated device time consumed, microseconds (annealer only).
+    /// Simulated device time consumed, microseconds (annealer only): every
+    /// read of the solve, plus injected delays and retry backoff.
     pub device_time_us: f64,
     /// Host wall-clock time spent solving, microseconds.
     pub wall_us: u64,

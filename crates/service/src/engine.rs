@@ -462,11 +462,7 @@ impl SolveEngine {
             cache_hit,
             reads: outcome.reads,
             qubits_used: outcome.qubits_used,
-            device_time_us: outcome
-                .trace
-                .points()
-                .last()
-                .map_or(0.0, |p| p.elapsed.as_secs_f64() * 1e6),
+            device_time_us: outcome.device_time_us,
             wall_us: 0,
             queue_wait_us: 0,
         }
@@ -675,6 +671,18 @@ mod tests {
         assert_eq!(r.selection, offline_sel);
         assert_eq!(r.cost, offline.best.1);
         assert_eq!(r.reads, offline.reads);
+    }
+
+    #[test]
+    fn device_time_covers_every_read_not_just_the_best() {
+        // The optimum turns up well before the last read; the device still
+        // ran all ten, at 376 µs each.
+        let e = engine();
+        let mut req = SolveRequest::new(paper_example(), 11);
+        req.reads = Some(10);
+        let r = e.solve(&req).unwrap();
+        assert_eq!((r.backend, r.reads, r.cost), (Backend::Annealer, 10, 2.0));
+        assert_eq!(r.device_time_us, 3760.0);
     }
 
     #[test]

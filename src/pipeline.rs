@@ -144,6 +144,11 @@ pub struct QuantumMqoOutcome {
     /// MQO cost of the best-so-far read as a function of *simulated device
     /// time* (376 µs per read by default, plus injected backoff delays).
     pub trace: Trace,
+    /// Simulated device time of the whole solve, microseconds: every read
+    /// of every device run (376 µs each by default) plus injected delays
+    /// and retry backoff. Unlike the trace's last point, which marks the
+    /// best read, this covers the reads after it too.
+    pub device_time_us: f64,
     /// Total reads performed, across all device runs.
     pub reads: usize,
     /// Reads whose decoded assignment violated one-plan-per-query and
@@ -385,6 +390,7 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         Ok(QuantumMqoOutcome {
             best,
             trace,
+            device_time_us: offset_us,
             reads,
             repaired_reads,
             broken_chain_reads,
