@@ -293,7 +293,7 @@ mod tests {
         let cases: Vec<(Reject, u16, &str)> = vec![
             (
                 Reject::InternalError {
-                    detail: "chaos".into(),
+                    detail: "panicked".into(),
                 },
                 500,
                 "internal_error",

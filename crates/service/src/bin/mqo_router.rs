@@ -21,9 +21,8 @@
 //! crashes, each within `CRASH_LOOP_WINDOW_MS` of its spawn) are
 //! quarantined with their shard range remapped onto the survivors.
 //! `--supervise-cell I:CMD` overrides the template for cell I (useful for
-//! canaries). Respawn backoff and the seeded kill schedule stay at the
-//! `SupervisorConfig::new` defaults (no kills); `fleet_failover.rs` sets
-//! them through the library.
+//! canaries). Respawn backoff stays at the `SupervisorConfig::new`
+//! defaults; `fleet_failover.rs` sets it through the library.
 //!
 //! Prints `listening on <addr>` (scripts parse that line), serves until
 //! `POST /shutdown`, then prints `drained and stopped` after the router

@@ -1,9 +1,9 @@
 //! Per-backend circuit breakers.
 //!
-//! A backend that fails repeatedly (device programming aborts, injected
-//! chaos failures, panics inside a solver) stops receiving traffic for a
-//! cooling period instead of burning the latency budget of every request
-//! that routes to it. Classic three-state machine:
+//! A backend that fails repeatedly (device programming aborts, panics
+//! inside a solver, including test-injected ones) stops receiving traffic
+//! for a cooling period instead of burning the latency budget of every
+//! request that routes to it. Classic three-state machine:
 //!
 //! ```text
 //!        failure (consecutive >= threshold)

@@ -3,18 +3,19 @@
 //! batching queue share one engine; everything inside is `Sync`.
 //!
 //! Robustness model (DESIGN.md §9): every backend attempt runs inside its
-//! own `catch_unwind`, failures (real, panicked, or chaos-injected) are
-//! recorded against that backend's [`CircuitBreaker`], and the request
-//! falls through an ordered candidate chain — annealer → MILP → hill
-//! climbing — until a healthy backend answers. Only when every candidate is
-//! breaker-open or failing does the request resolve to a typed
-//! `503 backend_unavailable`.
+//! own `catch_unwind`, failures (errors or panics) are recorded against
+//! that backend's [`CircuitBreaker`], and the request falls through an
+//! ordered candidate chain — annealer → MILP → hill climbing — until a
+//! healthy backend answers. Only when every candidate is breaker-open or
+//! failing does the request resolve to a typed `503 backend_unavailable`.
+//! Tests prove these paths through the one [`FaultSeam`]; served engines
+//! run the no-op [`NoFaults`].
 
 use crate::api::{Backend, Reject, SolveRequest, SolveResponse};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, EmbeddingCache};
-use crate::chaos::{ChaosConfig, SampleCorruption, CHAOS_PANIC_MESSAGE};
 use crate::metrics::Metrics;
+use crate::queue::panic_message;
 use crate::router::{route, RouteDecision, RouterConfig};
 use mqo::pipeline::{PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig};
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
@@ -25,7 +26,6 @@ use mqo_chimera::packing::{self, Placer};
 use mqo_core::ids::PlanId;
 use mqo_core::integrity::{self, DEFAULT_TOLERANCE};
 use mqo_core::logical::{LogicalMapping, DEFAULT_EPSILON};
-use mqo_core::problem::MqoProblem;
 use mqo_core::solution::Selection;
 use mqo_heuristics::HillClimbing;
 use mqo_milp::bb_mqo::{self, MqoBbConfig};
@@ -63,12 +63,6 @@ pub struct EngineConfig {
     pub max_reads: usize,
     /// Per-backend circuit-breaker policy.
     pub breaker: BreakerConfig,
-    /// Deterministic chaos injection (inert by default).
-    pub chaos: ChaosConfig,
-    /// Whether a gate failure is deterministically repaired (min-delta
-    /// settle + bounded descent) and re-verified instead of rejected with a
-    /// typed 500.
-    pub integrity_repair: bool,
     /// Relative tolerance of the gate's cost comparison.
     pub integrity_tolerance: f64,
 }
@@ -90,12 +84,33 @@ impl EngineConfig {
             classical_budget: Duration::from_millis(250),
             max_reads: 10_000,
             breaker: BreakerConfig::default(),
-            chaos: ChaosConfig::NONE,
-            integrity_repair: true,
             integrity_tolerance: DEFAULT_TOLERANCE,
         }
     }
 }
+
+/// The engine's one fault seam: three points where a test can make a solve
+/// fail the way a bug would, to prove the recovery paths. Production
+/// engines run [`NoFaults`]; a test passes its injector to
+/// [`SolveEngine::with_faults`]. No flag, environment variable or config
+/// field reaches it.
+pub trait FaultSeam: Send + Sync + std::fmt::Debug {
+    /// Solve entry, outside the engine's own `catch_unwind`s: a panic here
+    /// reaches the queue worker, and a [`crate::queue::WorkerFatal`]
+    /// payload kills that worker.
+    fn on_solve(&self, _req: &SolveRequest) {}
+    /// Start of one backend attempt, inside its `catch_unwind`: a panic
+    /// here is an ordinary breaker failure of `backend`.
+    fn on_attempt(&self, _req: &SolveRequest, _backend: Backend) {}
+    /// A successful answer just before the integrity gate sees it.
+    fn on_answer(&self, _req: &SolveRequest, _response: &mut SolveResponse) {}
+}
+
+/// The production [`FaultSeam`]: every hook does nothing.
+#[derive(Debug)]
+pub struct NoFaults;
+
+impl FaultSeam for NoFaults {}
 
 /// The shared, thread-safe solve engine.
 #[derive(Debug)]
@@ -106,11 +121,21 @@ pub struct SolveEngine {
     metrics: Arc<Metrics>,
     /// One breaker per backend, indexed by `Backend as usize`.
     breakers: [CircuitBreaker; 3],
+    faults: Arc<dyn FaultSeam>,
 }
 
 impl SolveEngine {
     /// Builds the engine, fingerprinting the graph once.
     pub fn new(config: EngineConfig, metrics: Arc<Metrics>) -> Self {
+        Self::with_faults(config, metrics, Arc::new(NoFaults))
+    }
+
+    /// [`SolveEngine::new`] with `faults` behind the fault seam.
+    pub fn with_faults(
+        config: EngineConfig,
+        metrics: Arc<Metrics>,
+        faults: Arc<dyn FaultSeam>,
+    ) -> Self {
         let graph_fingerprint = config.graph.fingerprint();
         let cache = EmbeddingCache::new(CACHE_CAPACITY);
         let breakers = [
@@ -124,6 +149,7 @@ impl SolveEngine {
             cache,
             metrics,
             breakers,
+            faults,
         }
     }
 
@@ -157,15 +183,12 @@ impl SolveEngine {
     }
 
     /// Solves one admitted request synchronously. Every failure path is a
-    /// typed [`Reject`]; the only panic that can escape is the
-    /// chaos-injected worker panic (by design — the batching worker's
-    /// `catch_unwind` isolates it into a `500 internal_error`).
+    /// typed [`Reject`]; a panic outside the backend attempts escapes to
+    /// the batching worker, whose `catch_unwind` isolates it into a
+    /// `500 internal_error`.
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveResponse, Reject> {
         let start = Instant::now();
-        if self.config.chaos.worker_panics(req.seed) {
-            Metrics::inc(&self.metrics.chaos_panics_injected);
-            panic!("{CHAOS_PANIC_MESSAGE} (request seed {})", req.seed);
-        }
+        self.faults.on_solve(req);
         let decision = match req.backend {
             Some(backend) => RouteDecision {
                 backend,
@@ -210,10 +233,7 @@ impl SolveEngine {
                     } else {
                         format!("{} [degraded: {}]", decision.reason, notes.join("; "))
                     };
-                    if let Some(mode) = self.config.chaos.sample_corruption(req.seed) {
-                        Metrics::inc(&self.metrics.chaos_corruptions_injected);
-                        corrupt_response(&mut response, &req.problem, mode);
-                    }
+                    self.faults.on_answer(req, &mut response);
                     self.gate(req, &mut response)?;
                     self.finish(&mut response, start);
                     return Ok(response);
@@ -244,30 +264,26 @@ impl SolveEngine {
         }
     }
 
-    /// One attempt of one backend: chaos roll, then the solver inside its
-    /// own `catch_unwind` so a panicking backend is a breaker failure, not
-    /// a dead worker.
+    /// One attempt of one backend, inside its own `catch_unwind` so a
+    /// panicking backend is a breaker failure, not a dead worker.
     fn attempt(
         &self,
         backend: Backend,
         req: &SolveRequest,
     ) -> Result<SolveResponse, AttemptFailure> {
-        if self.config.chaos.backend_fails(req.seed, backend) {
-            Metrics::inc(&self.metrics.chaos_backend_failures_injected);
-            return Err(AttemptFailure::Injected);
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match backend {
-            Backend::Annealer => self.solve_annealer(req),
-            Backend::Milp => Ok(self.solve_milp(req)),
-            Backend::HillClimbing => Ok(self.solve_climbing(req)),
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.faults.on_attempt(req, backend);
+            match backend {
+                Backend::Annealer => self.solve_annealer(req),
+                Backend::Milp => Ok(self.solve_milp(req)),
+                Backend::HillClimbing => Ok(self.solve_climbing(req)),
+            }
         }));
         match outcome {
             Ok(Ok(response)) => Ok(response),
             Ok(Err(AnnealerFailure::Embedding(e))) => Err(AttemptFailure::Embedding(e)),
             Ok(Err(AnnealerFailure::Fatal(detail))) => Err(AttemptFailure::Fatal(detail)),
-            Err(payload) => Err(AttemptFailure::Panicked(crate::chaos::panic_message(
-                payload.as_ref(),
-            ))),
+            Err(payload) => Err(AttemptFailure::Panicked(panic_message(payload.as_ref()))),
         }
     }
 
@@ -275,7 +291,8 @@ impl SolveEngine {
     /// successful answer — structural feasibility plus the reported cost
     /// against a from-scratch recomputation — before it is served. A clean
     /// answer passes untouched (the gate is observably transparent); a
-    /// corrupt one is either deterministically repaired and re-verified, or
+    /// corrupt one is deterministically repaired (min-delta settle plus a
+    /// bounded descent) and re-verified, or, when repair cannot fix it,
     /// withheld as a typed `500 integrity_violation`. Never serves an
     /// answer it could not verify.
     fn gate(&self, req: &SolveRequest, response: &mut SolveResponse) -> Result<(), Reject> {
@@ -290,30 +307,28 @@ impl SolveEngine {
             Err(e) => e,
         };
         Metrics::inc(&self.metrics.integrity_violations);
-        if self.config.integrity_repair {
-            if let Ok(repaired) = integrity::repair_selection(&req.problem, &candidate) {
-                let (sel, cost, _) = HillClimbing::descend_bounded(
-                    &req.problem,
-                    repaired.selection,
-                    self.config.resilience.repair_descent_moves,
+        if let Ok(repaired) = integrity::repair_selection(&req.problem, &candidate) {
+            let (sel, cost, _) = HillClimbing::descend_bounded(
+                &req.problem,
+                repaired.selection,
+                self.config.resilience.repair_descent_moves,
+            );
+            if integrity::verify_selection(
+                &req.problem,
+                &sel,
+                cost,
+                self.config.integrity_tolerance,
+            )
+            .is_ok()
+            {
+                Metrics::inc(&self.metrics.integrity_repairs);
+                response.selection = sel.plans().iter().map(|p| p.0).collect();
+                response.cost = cost;
+                response.route_reason = format!(
+                    "{} [integrity: repaired ({violation})]",
+                    response.route_reason
                 );
-                if integrity::verify_selection(
-                    &req.problem,
-                    &sel,
-                    cost,
-                    self.config.integrity_tolerance,
-                )
-                .is_ok()
-                {
-                    Metrics::inc(&self.metrics.integrity_repairs);
-                    response.selection = sel.plans().iter().map(|p| p.0).collect();
-                    response.cost = cost;
-                    response.route_reason = format!(
-                        "{} [integrity: repaired ({violation})]",
-                        response.route_reason
-                    );
-                    return Ok(());
-                }
+                return Ok(());
             }
         }
         Metrics::inc(&self.metrics.integrity_rejects);
@@ -564,25 +579,6 @@ impl SolveEngine {
     }
 }
 
-/// Applies the chaos-chosen mangling to a successful answer. Every mode
-/// yields a response [`SolveEngine::gate`] must flag: a cross-query plan
-/// flip is structurally infeasible, a non-finite cost fails the finiteness
-/// check. Single-query problems have no cross-query plan to flip, so that
-/// mode degrades to a NaN cost.
-fn corrupt_response(response: &mut SolveResponse, problem: &MqoProblem, mode: SampleCorruption) {
-    match mode {
-        SampleCorruption::CrossQueryPlan if problem.num_queries() >= 2 => {
-            // Query 0's entry now points at query 1's selected plan: one
-            // query uncovered, one doubly covered — always infeasible.
-            response.selection[0] = response.selection[1];
-        }
-        SampleCorruption::CrossQueryPlan | SampleCorruption::NanCost => {
-            response.cost = f64::NAN;
-        }
-        SampleCorruption::InfCost => response.cost = f64::INFINITY,
-    }
-}
-
 enum AnnealerFailure {
     Embedding(EmbeddingError),
     Fatal(String),
@@ -594,8 +590,6 @@ enum AttemptFailure {
     Embedding(EmbeddingError),
     /// The backend ran and failed fatally.
     Fatal(String),
-    /// A chaos roll failed the attempt before it ran.
-    Injected,
     /// The backend panicked; caught by the per-attempt `catch_unwind`.
     Panicked(String),
 }
@@ -605,7 +599,6 @@ impl std::fmt::Display for AttemptFailure {
         match self {
             AttemptFailure::Embedding(e) => write!(f, "embedding failed ({e})"),
             AttemptFailure::Fatal(detail) => write!(f, "failed ({detail})"),
-            AttemptFailure::Injected => write!(f, "failed (chaos: injected backend failure)"),
             AttemptFailure::Panicked(msg) => write!(f, "panicked ({msg})"),
         }
     }
@@ -626,6 +619,9 @@ pub struct BreakerPanel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{
+        silence_injected_panics, FaultRates, Injected, SeededFaults, INJECTED_PANIC,
+    };
     use mqo_core::problem::MqoProblem;
 
     fn paper_example() -> MqoProblem {
@@ -770,19 +766,27 @@ mod tests {
         assert_eq!(panel.annealer.rejected_total, 1);
     }
 
-    #[test]
-    fn injected_backend_failures_trip_the_breaker_and_fall_through() {
+    /// An engine with the test configuration of [`engine`] and `rates`
+    /// behind its fault seam, plus the injector to read its counts.
+    fn faulty_engine(rates: FaultRates) -> (SolveEngine, Arc<SeededFaults>) {
         let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
         cfg.device.num_reads = 50;
         cfg.device.num_gauges = 5;
-        cfg.chaos = ChaosConfig {
-            seed: 41,
-            backend_failure_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
+        let faults = SeededFaults::new(rates);
+        let engine = SolveEngine::with_faults(cfg, Arc::new(Metrics::default()), faults.clone());
+        (engine, faults)
+    }
+
+    #[test]
+    fn injected_backend_failures_trip_the_breaker_and_fall_through() {
+        silence_injected_panics();
         // Rate 1.0 fails every backend attempt: after `failure_threshold`
         // requests every breaker is open and requests get a typed 503.
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+        let (e, faults) = faulty_engine(FaultRates {
+            seed: 41,
+            backend_failure_rate: 1.0,
+            ..FaultRates::default()
+        });
         let mut last = None;
         for seed in 0..10 {
             last = Some(e.solve(&SolveRequest::new(paper_example(), seed)));
@@ -797,23 +801,25 @@ mod tests {
         assert_eq!(
             panel.annealer.state,
             crate::breaker::BreakerState::Open,
-            "chaos failures opened the annealer breaker"
+            "injected failures opened the annealer breaker"
         );
         let m = e.metrics().snapshot();
-        assert!(m.chaos_backend_failures_injected > 0);
-        assert!(m.backend_attempt_failures > 0);
+        assert!(faults.injected().backend_failures > 0);
+        assert_eq!(
+            m.backend_attempt_failures,
+            faults.injected().backend_failures
+        );
         assert_eq!(m.solved_total, 0);
     }
 
     #[test]
     fn pinned_requests_never_degrade_to_another_backend() {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.chaos = ChaosConfig {
+        silence_injected_panics();
+        let (e, _) = faulty_engine(FaultRates {
             seed: 1,
             backend_failure_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+            ..FaultRates::default()
+        });
         let mut req = SolveRequest::new(paper_example(), 2);
         req.backend = Some(Backend::Milp);
         let err = e.solve(&req).unwrap_err();
@@ -823,32 +829,27 @@ mod tests {
     }
 
     #[test]
-    fn chaos_worker_panic_escapes_solve_with_the_marker_message() {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.chaos = ChaosConfig {
+    fn injected_worker_panic_escapes_solve_with_the_marker_message() {
+        silence_injected_panics();
+        let (e, faults) = faulty_engine(FaultRates {
             seed: 123,
             worker_panic_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+            ..FaultRates::default()
+        });
         let req = SolveRequest::new(paper_example(), 9);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.solve(&req)));
-        let msg = crate::chaos::panic_message(caught.unwrap_err().as_ref());
-        assert!(msg.contains(crate::chaos::CHAOS_PANIC_MESSAGE), "{msg}");
-        assert_eq!(e.metrics().snapshot().chaos_panics_injected, 1);
+        let msg = panic_message(caught.unwrap_err().as_ref());
+        assert!(msg.contains(INJECTED_PANIC), "{msg}");
+        assert_eq!(faults.injected().panics, 1);
     }
 
     #[test]
     fn corrupted_answers_are_caught_repaired_and_reconciled() {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 50;
-        cfg.device.num_gauges = 5;
-        cfg.chaos = ChaosConfig {
+        let (e, faults) = faulty_engine(FaultRates {
             seed: 21,
-            sample_corruption_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+            corruption_rate: 1.0,
+            ..FaultRates::default()
+        });
         let problem = paper_example();
         for seed in 0..8 {
             let r = e
@@ -866,7 +867,7 @@ mod tests {
         }
         // Every injected corruption was flagged and repaired; none leaked.
         let m = e.metrics().snapshot();
-        assert_eq!(m.chaos_corruptions_injected, 8);
+        assert_eq!(faults.injected().corruptions, 8);
         assert_eq!(m.integrity_violations, 8);
         assert_eq!(m.integrity_repairs, 8);
         assert_eq!(m.integrity_rejects, 0);
@@ -874,17 +875,13 @@ mod tests {
     }
 
     #[test]
-    fn corruption_without_repair_is_a_typed_500() {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 50;
-        cfg.device.num_gauges = 5;
-        cfg.integrity_repair = false;
-        cfg.chaos = ChaosConfig {
+    fn unrepairable_corruption_is_a_typed_500() {
+        let (e, faults) = faulty_engine(FaultRates {
             seed: 21,
-            sample_corruption_rate: 1.0,
-            ..ChaosConfig::NONE
-        };
-        let e = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+            corruption_rate: 1.0,
+            unrepairable: true,
+            ..FaultRates::default()
+        });
         for seed in 0..4 {
             let err = e
                 .solve(&SolveRequest::new(paper_example(), seed))
@@ -893,7 +890,7 @@ mod tests {
             assert_eq!(err.http_status(), 500);
         }
         let m = e.metrics().snapshot();
-        assert_eq!(m.chaos_corruptions_injected, 4);
+        assert_eq!(faults.injected().corruptions, 4);
         assert_eq!(m.integrity_violations, 4);
         assert_eq!(m.integrity_rejects, 4);
         assert_eq!(m.integrity_repairs, 0);
@@ -923,27 +920,25 @@ mod tests {
     }
 
     #[test]
-    fn inert_chaos_answers_are_identical_to_a_clean_engine() {
+    fn an_injector_that_never_fires_answers_like_a_clean_engine() {
         let clean = engine();
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 50;
-        cfg.device.num_gauges = 5;
-        cfg.chaos = ChaosConfig {
+        let (idle, faults) = faulty_engine(FaultRates {
             seed: 777,
-            ..ChaosConfig::NONE
-        };
-        let inert = SolveEngine::new(cfg, Arc::new(Metrics::default()));
+            ..FaultRates::default()
+        });
         for seed in 0..5 {
             let a = clean
                 .solve(&SolveRequest::new(paper_example(), seed))
                 .unwrap();
-            let b = inert
+            let b = idle
                 .solve(&SolveRequest::new(paper_example(), seed))
                 .unwrap();
             assert_eq!(a.selection, b.selection);
             assert_eq!(a.cost, b.cost);
             assert_eq!(a.reads, b.reads);
             assert_eq!(a.backend, b.backend);
+            assert_eq!(a.route_reason, b.route_reason);
         }
+        assert_eq!(faults.injected(), Injected::default());
     }
 }

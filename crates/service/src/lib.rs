@@ -29,9 +29,6 @@
 //!   `POST /solve`, `GET /metrics`, `GET /healthz`, and `POST /shutdown`.
 //! * [`breaker`] — per-backend circuit breakers; a repeatedly failing
 //!   backend is skipped in favour of the next candidate (DESIGN.md §9).
-//! * [`chaos`] — deterministic fault injection for the serving stack:
-//!   seeded worker panics, worker deaths, backend failures, and cell-kill
-//!   schedules keyed on request content / seeded streams, inert by default.
 //! * [`supervisor`] — fleet supervision for `mqo_serve` cells run as child
 //!   processes: respawn with exponential backoff, crash-loop quarantine,
 //!   deadline-bounded health probes (DESIGN.md §14).
@@ -39,18 +36,20 @@
 //!   failover: bounded in-flight journals and deterministic replay on
 //!   healthy cells within the client's deadline budget.
 //! * [`testkit`] — test support only: the blocking HTTP reader that is the
-//!   incremental parser's differential oracle, and minimal test clients.
+//!   incremental parser's differential oracle, minimal test clients, and
+//!   the seeded fault injectors that drive the engine's
+//!   [`engine::FaultSeam`] and [`Supervisor::kill_cell`] to prove the
+//!   recovery paths.
 //!
 //! The `mqo_serve` and `mqo_router` binaries wire the layers together. The
-//! serving invariants (bit-identity by `(problem, seed)`, clean chaos
-//! drains, integrity books, zero-loss failover) are proven by this crate's
+//! serving invariants (bit-identity by `(problem, seed)`, clean drains
+//! under injected faults, integrity books, zero-loss failover) are proven by this crate's
 //! `cargo test` suite; `bash perfbench/run.sh` drives the binaries under
 //! load.
 
 pub mod api;
 pub mod breaker;
 pub mod cache;
-pub mod chaos;
 pub mod engine;
 pub mod event_loop;
 pub mod http;
@@ -65,8 +64,7 @@ pub mod testkit;
 pub use api::{Backend, Reject, SolveRequest, SolveResponse};
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, CacheStats, EmbeddingCache};
-pub use chaos::ChaosConfig;
-pub use engine::{BreakerPanel, EngineConfig, SolveEngine};
+pub use engine::{BreakerPanel, EngineConfig, FaultSeam, NoFaults, SolveEngine};
 pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use queue::{QueueConfig, SolveQueue};

@@ -170,17 +170,6 @@ pub struct Metrics {
     pub worker_respawns: AtomicU64,
     /// Connection-handler panics caught at the HTTP front-end.
     pub conn_panics_caught: AtomicU64,
-    /// Chaos: worker panics injected by the chaos layer.
-    pub chaos_panics_injected: AtomicU64,
-    /// Chaos: caught panics escalated into worker deaths.
-    pub chaos_kills_injected: AtomicU64,
-    /// Chaos: backend attempts failed by the chaos layer.
-    pub chaos_backend_failures_injected: AtomicU64,
-    /// Chaos: successful answers corrupted at the API boundary.
-    pub chaos_corruptions_injected: AtomicU64,
-    /// Chaos: `mqo_serve` cell processes SIGKILLed by the fleet kill
-    /// schedule (router-side supervision chaos, DESIGN.md §14).
-    pub chaos_cell_kills_injected: AtomicU64,
     /// Supervisor: dead cell processes respawned.
     pub cell_respawns: AtomicU64,
     /// Supervisor: cells quarantined after a crash loop (their shard range
@@ -212,7 +201,7 @@ pub struct Metrics {
     pub chain_majority_repairs: AtomicU64,
     /// Even-length chain ties resolved by the pinned all-true rule.
     pub chain_tie_breaks: AtomicU64,
-    /// Backend attempts that failed (real and injected), across backends.
+    /// Backend attempts that failed (errors and panics), across backends.
     pub backend_attempt_failures: AtomicU64,
     /// Requests whose first-choice backend was skipped by an open breaker.
     pub breaker_skips: AtomicU64,
@@ -277,11 +266,6 @@ impl Metrics {
             worker_panics_caught: load(&self.worker_panics_caught),
             worker_respawns: load(&self.worker_respawns),
             conn_panics_caught: load(&self.conn_panics_caught),
-            chaos_panics_injected: load(&self.chaos_panics_injected),
-            chaos_kills_injected: load(&self.chaos_kills_injected),
-            chaos_backend_failures_injected: load(&self.chaos_backend_failures_injected),
-            chaos_corruptions_injected: load(&self.chaos_corruptions_injected),
-            chaos_cell_kills_injected: load(&self.chaos_cell_kills_injected),
             cell_respawns: load(&self.cell_respawns),
             crash_loops_quarantined: load(&self.crash_loops_quarantined),
             health_probe_failures: load(&self.health_probe_failures),
@@ -365,18 +349,6 @@ pub struct MetricsSnapshot {
     pub worker_respawns: u64,
     /// Connection-handler panics caught.
     pub conn_panics_caught: u64,
-    /// Chaos-injected worker panics.
-    pub chaos_panics_injected: u64,
-    /// Chaos-injected worker deaths.
-    pub chaos_kills_injected: u64,
-    /// Chaos-injected backend failures.
-    pub chaos_backend_failures_injected: u64,
-    /// Chaos-corrupted answers injected at the API boundary.
-    #[serde(default)]
-    pub chaos_corruptions_injected: u64,
-    /// Chaos-SIGKILLed cell processes (fleet kill schedule).
-    #[serde(default)]
-    pub chaos_cell_kills_injected: u64,
     /// Cell processes respawned by the fleet supervisor.
     #[serde(default)]
     pub cell_respawns: u64,
@@ -416,7 +388,7 @@ pub struct MetricsSnapshot {
     /// Even-chain tie-breaks.
     #[serde(default)]
     pub chain_tie_breaks: u64,
-    /// Failed backend attempts (real + injected).
+    /// Failed backend attempts (errors + panics).
     pub backend_attempt_failures: u64,
     /// First-choice backends skipped by an open breaker.
     pub breaker_skips: u64,

@@ -13,9 +13,9 @@
 //! * every solve runs inside `catch_unwind`: a panicking request is answered
 //!   with a typed `500 internal_error` and the worker keeps draining its
 //!   batch — one poisoned request cannot take its batchmates down;
-//! * a caught panic may escalate into a *worker death* (chaos injection or a
-//!   genuinely unrecoverable worker). The dying worker first pushes the rest
-//!   of its batch back onto the queue, so no admitted request is lost;
+//! * a caught panic whose payload is [`WorkerFatal`] escalates into a
+//!   *worker death*. The dying worker first pushes the rest of its batch
+//!   back onto the queue, so no admitted request is lost;
 //! * a supervisor thread joins panic-exited workers and respawns them,
 //!   counting respawns in `/metrics` (`worker_respawns`);
 //! * every lock acquisition recovers from poisoning via
@@ -24,9 +24,9 @@
 //!   safe to adopt as-is.
 
 use crate::api::{Reject, SolveRequest, SolveResponse};
-use crate::chaos::panic_message;
 use crate::engine::SolveEngine;
 use crate::metrics::{lock_recover, wait_recover, Metrics};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -53,6 +53,29 @@ impl Default for QueueConfig {
             workers: mqo_annealer::resolve_threads(0),
             batch_size: 8,
         }
+    }
+}
+
+/// Panic payload that escalates a caught solve panic into a worker death:
+/// the worker answers the request, puts the rest of its batch back on the
+/// queue and unwinds, and the supervisor respawns it. A panic with any
+/// other payload costs only its own request.
+#[derive(Debug)]
+pub struct WorkerFatal(pub String);
+
+/// Extracts a human-readable message from a caught panic payload
+/// (`&str` and `String` payloads cover `panic!`; anything else but a
+/// [`WorkerFatal`] gets a placeholder rather than a lossy `Debug` dump).
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(WorkerFatal(s)) = payload.downcast_ref::<WorkerFatal>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
     }
 }
 
@@ -366,13 +389,10 @@ impl SolveQueue {
                         Metrics::inc(&metrics.rejected_internal);
                         let detail = panic_message(payload.as_ref());
                         job.responder.respond(Err(Reject::InternalError { detail }));
-                        // Chaos may escalate the caught panic into a worker
-                        // death (keyed on request content, so the kill
-                        // schedule is deterministic). The batch remainder
-                        // goes back on the queue first: requests are never
-                        // lost, only delayed by the respawn.
-                        if self.engine.config().chaos.worker_dies(job.req.seed) {
-                            Metrics::inc(&metrics.chaos_kills_injected);
+                        // A fatal panic kills the worker. The batch
+                        // remainder goes back on the queue first: requests
+                        // are never lost, only delayed by the respawn.
+                        if payload.is::<WorkerFatal>() {
                             self.requeue(batch);
                             resume_unwind(payload);
                         }
@@ -388,6 +408,7 @@ mod tests {
     use super::*;
     use crate::api::Backend;
     use crate::engine::EngineConfig;
+    use crate::testkit::{silence_injected_panics, FaultRates, SeededFaults, INJECTED_PANIC};
     use mqo_chimera::graph::ChimeraGraph;
     use mqo_core::problem::MqoProblem;
     use std::sync::mpsc::{self, Receiver};
@@ -529,39 +550,29 @@ mod tests {
         assert_eq!(m.queue_wait.count, 8);
     }
 
-    fn chaos_engine(chaos: crate::chaos::ChaosConfig) -> Arc<SolveEngine> {
+    /// An engine like [`engine`]'s with `rates` behind its fault seam.
+    fn faulty_engine(rates: FaultRates) -> (Arc<SolveEngine>, Arc<SeededFaults>) {
         let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
         cfg.device.num_reads = 20;
         cfg.device.num_gauges = 2;
-        cfg.chaos = chaos;
-        Arc::new(SolveEngine::new(cfg, Arc::new(Metrics::default())))
-    }
-
-    /// Keeps caught-panic backtraces out of the test output; restores the
-    /// default hook on drop so other tests are unaffected.
-    fn silence_panics() -> impl Drop {
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                let _ = std::panic::take_hook();
-            }
-        }
-        std::panic::set_hook(Box::new(|_| {}));
-        Restore
+        let faults = SeededFaults::new(rates);
+        let engine = SolveEngine::with_faults(cfg, Arc::new(Metrics::default()), faults.clone());
+        (Arc::new(engine), faults)
     }
 
     #[test]
     fn panicking_requests_answer_500_and_spare_their_batchmates() {
-        let _quiet = silence_panics();
+        silence_injected_panics();
         // Panic rate 0.5: a deterministic subset of seeds 0..16 panics, the
         // rest solve normally — all inside the same worker.
-        let chaos = crate::chaos::ChaosConfig {
+        let rates = FaultRates {
             seed: 5,
             worker_panic_rate: 0.5,
-            ..crate::chaos::ChaosConfig::NONE
+            ..FaultRates::default()
         };
+        let (engine, faults) = faulty_engine(rates);
         let queue = SolveQueue::new(
-            chaos_engine(chaos),
+            engine,
             QueueConfig {
                 workers: 1,
                 batch_size: 8,
@@ -581,23 +592,21 @@ mod tests {
         for (seed, rx) in receivers {
             match rx.recv().expect("every admitted request is answered") {
                 Ok(r) => {
-                    assert!(!chaos.worker_panics(seed), "seed {seed} should panic");
+                    assert!(!rates.worker_panics(seed), "seed {seed} should panic");
                     assert_eq!(r.cost, 2.0);
                 }
                 Err(Reject::InternalError { detail }) => {
-                    assert!(chaos.worker_panics(seed), "seed {seed} shouldn't panic");
-                    assert!(
-                        detail.contains(crate::chaos::CHAOS_PANIC_MESSAGE),
-                        "{detail}"
-                    );
+                    assert!(rates.worker_panics(seed), "seed {seed} shouldn't panic");
+                    assert!(detail.contains(INJECTED_PANIC), "{detail}");
                     panicked += 1;
                 }
                 Err(other) => panic!("unexpected rejection {other}"),
             }
         }
-        let expected: u64 = (0..16).filter(|&s| chaos.worker_panics(s)).count() as u64;
+        let expected: u64 = (0..16).filter(|&s| rates.worker_panics(s)).count() as u64;
         assert!(expected > 0 && expected < 16, "0.5 rate splits 16 seeds");
         assert_eq!(panicked, expected);
+        assert_eq!(faults.injected().panics, expected);
         let m = queue.engine.metrics().snapshot();
         assert_eq!(m.worker_panics_caught, expected);
         assert_eq!(m.rejected_internal, expected);
@@ -607,17 +616,17 @@ mod tests {
 
     #[test]
     fn killed_workers_requeue_their_batch_and_are_respawned() {
-        let _quiet = silence_panics();
+        silence_injected_panics();
         // Every request panics AND escalates into a worker death: the
         // supervisor must respawn once per request for the drain to finish.
-        let chaos = crate::chaos::ChaosConfig {
+        let (engine, faults) = faulty_engine(FaultRates {
             seed: 9,
             worker_panic_rate: 1.0,
             worker_kill_rate: 1.0,
-            ..crate::chaos::ChaosConfig::NONE
-        };
+            ..FaultRates::default()
+        });
         let queue = SolveQueue::new(
-            chaos_engine(chaos),
+            engine,
             QueueConfig {
                 workers: 1,
                 batch_size: 4,
@@ -631,17 +640,27 @@ mod tests {
         queue.shutdown();
         for rx in receivers {
             match rx.recv().expect("killed workers never lose requests") {
-                Err(Reject::InternalError { .. }) => {}
+                Err(Reject::InternalError { detail }) => {
+                    assert!(detail.contains(INJECTED_PANIC), "{detail}");
+                }
                 other => panic!("expected InternalError, got {other:?}"),
             }
         }
         let m = queue.engine.metrics().snapshot();
         assert_eq!(m.worker_panics_caught, 6);
-        assert_eq!(m.chaos_kills_injected, 6);
+        assert_eq!(faults.injected().kills, 6);
         assert_eq!(
             m.worker_respawns, 6,
             "each worker death is matched by a respawn"
         );
         assert_eq!(m.solved_total, 0);
+    }
+
+    #[test]
+    fn panic_message_reads_every_payload_kind() {
+        assert_eq!(panic_message(&WorkerFatal("gone".into())), "gone");
+        assert_eq!(panic_message(&"static"), "static");
+        assert_eq!(panic_message(&String::from("owned")), "owned");
+        assert_eq!(panic_message(&7u8), "panic with non-string payload");
     }
 }

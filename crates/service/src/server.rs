@@ -24,7 +24,7 @@
 //! `Retry-After`, and `catch_unwind` around every handler dispatch.
 
 use crate::api::{Reject, SolveRequest};
-use crate::engine::{EngineConfig, SolveEngine};
+use crate::engine::{EngineConfig, FaultSeam, NoFaults, SolveEngine};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 use crate::http::Request;
 use crate::metrics::{lock_recover, Metrics};
@@ -40,7 +40,7 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Engine (device, cache, router, breakers, chaos) configuration.
+    /// Engine (device, cache, router, breakers) configuration.
     pub engine: EngineConfig,
     /// Admission queue configuration.
     pub queue: QueueConfig,
@@ -80,11 +80,24 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds the listener, spawns the event-loop shards and the worker pool.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        Self::start_with_faults(config, Arc::new(NoFaults))
+    }
+
+    /// [`Server::start`] with `faults` behind the engine's fault seam
+    /// ([`SolveEngine::with_faults`]).
+    pub fn start_with_faults(
+        config: ServerConfig,
+        faults: Arc<dyn FaultSeam>,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
 
         let metrics = Arc::new(Metrics::default());
-        let engine = Arc::new(SolveEngine::new(config.engine, Arc::clone(&metrics)));
+        let engine = Arc::new(SolveEngine::with_faults(
+            config.engine,
+            Arc::clone(&metrics),
+            faults,
+        ));
         let queue = SolveQueue::start(Arc::clone(&engine), config.queue);
         let shutdown = Arc::new(AtomicBool::new(false));
 

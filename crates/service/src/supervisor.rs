@@ -7,7 +7,7 @@
 //! command template, watches it through two independent signals —
 //!
 //! * **process exit** (`try_wait`): the child died, whatever the reason
-//!   (SIGKILL from the chaos schedule, OOM, a crash bug);
+//!   (a SIGKILL, OOM, a crash bug);
 //! * **deadline-bounded `/healthz` probes**: the process is alive but not
 //!   answering (wedged accept loop, livelock) — after
 //!   `PROBE_FAILURE_THRESHOLD` consecutive probe failures the supervisor
@@ -20,14 +20,9 @@
 //! tells the router's fleet to skip it during shard fall-through — the
 //! cell's shard range is thereby remapped onto the healthy cells.
 //!
-//! The supervisor also executes the deterministic cell-kill schedule
-//! ([`crate::chaos::CellKillSchedule`]): SIGKILLs delivered to seeded cells
-//! at seeded offsets, so recovery behaviour is reproducible run-to-run.
-//!
 //! The pure respawn/quarantine policy lives in [`RespawnPolicy`] so the
 //! state machine is unit-testable without spawning a single process.
 
-use crate::chaos::CellKillSchedule;
 use crate::http::{read_response, render_request, HttpLimits};
 use crate::metrics::{lock_recover, Metrics};
 use std::io::Write;
@@ -72,9 +67,6 @@ pub struct SupervisorConfig {
     /// quarantine a cell. `0` disables quarantine (the cell respawns
     /// forever).
     pub crash_loop_threshold: u32,
-    /// Deterministic SIGKILL schedule executed against the fleet
-    /// (inert by default).
-    pub kill_schedule: CellKillSchedule,
 }
 
 impl SupervisorConfig {
@@ -89,7 +81,6 @@ impl SupervisorConfig {
             backoff_initial_ms: 100,
             backoff_max_ms: 5_000,
             crash_loop_threshold: 5,
-            kill_schedule: CellKillSchedule::default(),
         }
     }
 
@@ -108,7 +99,7 @@ impl SupervisorConfig {
         if let Some(idx) = self.commands.iter().position(Vec::is_empty) {
             return Err(format!("cell {idx} has an empty command template"));
         }
-        self.kill_schedule.validate().map_err(str::to_string)
+        Ok(())
     }
 }
 
@@ -243,8 +234,7 @@ impl std::fmt::Debug for Supervisor {
     }
 }
 
-/// Monitor scan period: bounds both kill-schedule jitter and crash
-/// detection latency.
+/// Monitor scan period: bounds crash detection latency.
 const TICK: Duration = Duration::from_millis(20);
 
 impl Supervisor {
@@ -252,9 +242,8 @@ impl Supervisor {
     /// [`Supervisor::wait_ready`] before routing traffic.
     ///
     /// `metrics` receives the fleet counters (`cell_respawns`,
-    /// `crash_loops_quarantined`, `health_probe_failures`,
-    /// `chaos_cell_kills_injected`) — pass the router's metrics handle so
-    /// they surface under its `/metrics`.
+    /// `crash_loops_quarantined`, `health_probe_failures`) — pass the
+    /// router's metrics handle so they surface under its `/metrics`.
     pub fn start(config: SupervisorConfig, metrics: Arc<Metrics>) -> Result<Supervisor, String> {
         config.validate()?;
         let policy = RespawnPolicy {
@@ -355,15 +344,20 @@ impl Supervisor {
 
     /// SIGKILLs cell `idx`'s process (no graceful drain — that is the
     /// point). The monitor observes the death and schedules the respawn.
-    /// Used by the kill-chaos tests; the seeded schedule goes through the
-    /// same path.
-    pub fn kill_cell(&self, idx: usize) {
-        if let Some(cell) = self.shared.cells.get(idx) {
-            let mut cell = lock_recover(cell, &self.shared.lock_recoveries);
-            if let Some(child) = cell.child.as_mut() {
-                let _ = child.kill();
-            }
-        }
+    /// Returns whether a live child was signalled: `false` for an index out
+    /// of range, a cell waiting out its respawn backoff, or one already
+    /// dead but not yet reaped.
+    pub fn kill_cell(&self, idx: usize) -> bool {
+        let Some(cell) = self.shared.cells.get(idx) else {
+            return false;
+        };
+        let mut cell = lock_recover(cell, &self.shared.lock_recoveries);
+        let Some(child) = cell.child.as_mut() else {
+            return false;
+        };
+        // `try_wait` caches an exit status, so the monitor still sees a
+        // death this call observed first.
+        matches!(child.try_wait(), Ok(None)) && child.kill().is_ok()
     }
 
     /// Serialisable supervision state of every cell.
@@ -505,35 +499,10 @@ fn probe(addr: &str, method: &str, path: &str, timeout: Duration) -> bool {
     read_response(&mut reader, HttpLimits::default().max_body).is_ok()
 }
 
-/// The monitor: detects exits, probes health, executes the kill schedule,
-/// respawns with backoff, quarantines crash loops.
+/// The monitor: detects exits, probes health, respawns with backoff,
+/// quarantines crash loops.
 fn monitor_loop(shared: &Shared) {
-    let schedule = shared.config.kill_schedule;
-    let start = Instant::now();
-    // Precompute the seeded kill plan, soonest first.
-    let mut kills: Vec<(Duration, usize)> = (0..schedule.kills)
-        .map(|k| {
-            (
-                Duration::from_millis(schedule.delay_ms(k)),
-                schedule.target_cell(k, shared.cells.len()),
-            )
-        })
-        .collect();
-    kills.sort();
-    let mut next_kill = 0usize;
-
     while !shared.stop.load(Ordering::SeqCst) {
-        // Deliver due chaos kills through the same SIGKILL path tests use.
-        while next_kill < kills.len() && start.elapsed() >= kills[next_kill].0 {
-            let target = kills[next_kill].1;
-            next_kill += 1;
-            let mut cell = lock_recover(&shared.cells[target], &shared.lock_recoveries);
-            if let Some(child) = cell.child.as_mut() {
-                let _ = child.kill();
-                Metrics::inc(&shared.metrics.chaos_cell_kills_injected);
-            }
-        }
-
         for (idx, slot) in shared.cells.iter().enumerate() {
             if shared.quarantined[idx].load(Ordering::SeqCst) {
                 continue;

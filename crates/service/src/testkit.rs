@@ -1,7 +1,8 @@
 //! Test support: the blocking request reader that is the incremental
-//! parser's differential oracle, and two minimal HTTP clients. Like
-//! `mqo_annealer::reference` for the kernels, this module holds the
-//! oracles; nothing on the serving path calls into it.
+//! parser's differential oracle, two minimal HTTP clients, and the seeded
+//! fault injectors. Like `mqo_annealer::reference` for the kernels, this
+//! module holds the oracles and the drivers; nothing on the serving path
+//! calls into it.
 //!
 //! * [`read_request`] — a blocking reader over any [`RequestSource`] (a
 //!   live socket or an in-memory byte slice), one request per call. It
@@ -12,13 +13,28 @@
 //! * [`pipeline`] — several requests written back-to-back on one
 //!   keep-alive connection before any answer is read (HTTP/1.1
 //!   pipelining); the answers come back in request order.
+//! * [`SeededFaults`] — the engine-side injector: worker panics, worker
+//!   deaths, backend failures and answer corruption, fired through
+//!   [`FaultSeam`] on SplitMix64 streams keyed on the request seed, so a
+//!   fault plan hits the same requests at any worker count.
+//! * [`KillPlan`] — seeded cell SIGKILLs, delivered by a driver thread
+//!   through [`Supervisor::kill_cell`].
 
+use crate::api::{Backend, SolveRequest, SolveResponse};
+use crate::engine::FaultSeam;
 use crate::http::{
     read_capped_line, read_response, render_request, HttpError, HttpLimits, Request, ResponseParts,
     MAX_ANSWER_BODY,
 };
+use crate::queue::{panic_message, WorkerFatal};
+use crate::supervisor::Supervisor;
+use mqo_annealer::faults::unit_uniform;
+use mqo_annealer::parallel::derive_seed;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Once};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Anything a request can be read from: a live socket (which can arm
@@ -183,6 +199,253 @@ pub fn pipeline(
         answers.push(read_response(&mut reader, MAX_ANSWER_BODY)?);
     }
     Ok(answers)
+}
+
+/// Text in every injected panic message; [`silence_injected_panics`]
+/// keys on it.
+pub const INJECTED_PANIC: &str = "injected fault";
+
+const STREAM_PANIC: u64 = 0x4348_5041_4e49_0001;
+const STREAM_KILL: u64 = 0x4348_4b49_4c4c_0002;
+const STREAM_BACKEND: u64 = 0x4348_4241_434b_0003;
+const STREAM_CORRUPT: u64 = 0x4348_434f_5252_0005;
+const STREAM_CELL_KILL: u64 = 0x4348_4345_4c4c_0006;
+
+/// One uniform sample in `[0, 1)` for slot `(a, b)` of `stream`.
+fn roll(seed: u64, stream: u64, a: u64, b: u64) -> f64 {
+    unit_uniform(derive_seed(seed, stream, a, b))
+}
+
+/// Installs, once per process, a panic hook that keeps injected panics
+/// off stderr and hands every other panic to the previous hook.
+pub fn silence_injected_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !panic_message(info.payload()).contains(INJECTED_PANIC) {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// Seeded fault rates. Every decision is a pure function of `seed` and
+/// the request seed, never of arrival order, thread or clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FaultRates {
+    /// Seed of every fault stream; distinct from the request seeds.
+    pub seed: u64,
+    /// Per-request probability that the solve panics at entry.
+    pub worker_panic_rate: f64,
+    /// Probability that an injected panic is a [`WorkerFatal`] one, which
+    /// kills the worker after its request is answered.
+    pub worker_kill_rate: f64,
+    /// Per-(request, backend) probability that a backend attempt panics
+    /// before it runs.
+    pub backend_failure_rate: f64,
+    /// Per-request probability that a successful answer is corrupted
+    /// before the integrity gate.
+    pub corruption_rate: f64,
+    /// Corrupt by a selection of the wrong length, which the gate cannot
+    /// repair, instead of the three repairable modes.
+    pub unrepairable: bool,
+}
+
+/// How a fired corruption mangles an answer. Every mode fails the gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corruption {
+    /// Query 0's entry becomes query 1's plan: one query uncovered, one
+    /// covered twice (a NaN cost on single-query problems).
+    CrossQueryPlan,
+    /// The reported cost becomes NaN.
+    NanCost,
+    /// The reported cost becomes +∞.
+    InfCost,
+    /// The selection gains an entry; repair refuses a wrong length.
+    WrongLength,
+}
+
+impl FaultRates {
+    /// Whether the request with seed `req_seed` panics at solve entry.
+    #[must_use]
+    pub fn worker_panics(&self, req_seed: u64) -> bool {
+        roll(self.seed, STREAM_PANIC, req_seed, 0) < self.worker_panic_rate
+    }
+
+    /// Whether the panic of `req_seed`, if it fires, kills the worker.
+    #[must_use]
+    pub fn worker_dies(&self, req_seed: u64) -> bool {
+        roll(self.seed, STREAM_KILL, req_seed, 0) < self.worker_kill_rate
+    }
+
+    /// Whether `backend`'s attempt for `req_seed` fails.
+    #[must_use]
+    pub fn backend_fails(&self, req_seed: u64, backend: Backend) -> bool {
+        roll(self.seed, STREAM_BACKEND, req_seed, backend as u64) < self.backend_failure_rate
+    }
+
+    /// The corruption (if any) of `req_seed`'s successful answer. The mode
+    /// comes from a second slot of the stream, so rate and mode don't alias.
+    #[must_use]
+    pub fn corruption(&self, req_seed: u64) -> Option<Corruption> {
+        if roll(self.seed, STREAM_CORRUPT, req_seed, 0) >= self.corruption_rate {
+            return None;
+        }
+        if self.unrepairable {
+            return Some(Corruption::WrongLength);
+        }
+        let mode = roll(self.seed, STREAM_CORRUPT, req_seed, 1);
+        Some(if mode < 1.0 / 3.0 {
+            Corruption::CrossQueryPlan
+        } else if mode < 2.0 / 3.0 {
+            Corruption::NanCost
+        } else {
+            Corruption::InfCost
+        })
+    }
+}
+
+/// What a [`SeededFaults`] has injected so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Injected {
+    /// Panics at solve entry, fatal ones included.
+    pub panics: u64,
+    /// Fatal panics: worker deaths.
+    pub kills: u64,
+    /// Backend attempts failed.
+    pub backend_failures: u64,
+    /// Answers corrupted before the gate.
+    pub corruptions: u64,
+}
+
+/// The seeded injector behind the engine's [`FaultSeam`]. It counts its
+/// own injections ([`SeededFaults::injected`]); `/metrics` counts only
+/// what the service did about them.
+#[derive(Debug, Default)]
+pub struct SeededFaults {
+    rates: FaultRates,
+    panics: AtomicU64,
+    kills: AtomicU64,
+    backend_failures: AtomicU64,
+    corruptions: AtomicU64,
+}
+
+impl SeededFaults {
+    /// An injector firing at `rates`.
+    #[must_use]
+    pub fn new(rates: FaultRates) -> Arc<SeededFaults> {
+        Arc::new(SeededFaults {
+            rates,
+            ..SeededFaults::default()
+        })
+    }
+
+    /// The injections so far.
+    #[must_use]
+    pub fn injected(&self) -> Injected {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Injected {
+            panics: load(&self.panics),
+            kills: load(&self.kills),
+            backend_failures: load(&self.backend_failures),
+            corruptions: load(&self.corruptions),
+        }
+    }
+}
+
+impl FaultSeam for SeededFaults {
+    fn on_solve(&self, req: &SolveRequest) {
+        if !self.rates.worker_panics(req.seed) {
+            return;
+        }
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        let message = format!("{INJECTED_PANIC}: worker panic (request seed {})", req.seed);
+        if self.rates.worker_dies(req.seed) {
+            self.kills.fetch_add(1, Ordering::Relaxed);
+            std::panic::panic_any(WorkerFatal(message));
+        }
+        panic!("{message}");
+    }
+
+    fn on_attempt(&self, req: &SolveRequest, backend: Backend) {
+        if self.rates.backend_fails(req.seed, backend) {
+            self.backend_failures.fetch_add(1, Ordering::Relaxed);
+            panic!(
+                "{INJECTED_PANIC}: {backend} failure (request seed {})",
+                req.seed
+            );
+        }
+    }
+
+    fn on_answer(&self, req: &SolveRequest, response: &mut SolveResponse) {
+        let Some(mode) = self.rates.corruption(req.seed) else {
+            return;
+        };
+        self.corruptions.fetch_add(1, Ordering::Relaxed);
+        match mode {
+            Corruption::CrossQueryPlan if req.problem.num_queries() >= 2 => {
+                response.selection[0] = response.selection[1];
+            }
+            Corruption::CrossQueryPlan | Corruption::NanCost => response.cost = f64::NAN,
+            Corruption::InfCost => response.cost = f64::INFINITY,
+            Corruption::WrongLength => response.selection.push(response.selection[0]),
+        }
+    }
+}
+
+/// A seeded plan of cell SIGKILLs: kill `k` fires [`KillPlan::delay_ms`]
+/// after [`KillPlan::drive`] starts and targets [`KillPlan::target_cell`].
+/// The same plan kills the same cells at the same offsets on any host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KillPlan {
+    /// Seed of the kill stream.
+    pub seed: u64,
+    /// Kills to attempt.
+    pub kills: u32,
+    /// Earliest offset of a kill, milliseconds.
+    pub min_delay_ms: u64,
+    /// Latest offset of a kill, milliseconds; at least `min_delay_ms`.
+    pub max_delay_ms: u64,
+}
+
+impl KillPlan {
+    /// Offset of kill `k`, uniform in `[min_delay_ms, max_delay_ms]`.
+    #[must_use]
+    pub fn delay_ms(&self, k: u32) -> u64 {
+        let span = self.max_delay_ms - self.min_delay_ms;
+        let r = roll(self.seed, STREAM_CELL_KILL, u64::from(k), 0);
+        self.min_delay_ms + (r * (span + 1) as f64) as u64
+    }
+
+    /// Which of `cells` cells kill `k` targets.
+    #[must_use]
+    pub fn target_cell(&self, k: u32, cells: usize) -> usize {
+        let r = roll(self.seed, STREAM_CELL_KILL, u64::from(k), 1);
+        ((r * cells as f64) as usize).min(cells.saturating_sub(1))
+    }
+
+    /// Runs the plan against `supervisor` on a new thread, soonest kill
+    /// first. The thread returns how many kills reached a live cell; a
+    /// kill that lands in a respawn backoff finds no victim.
+    #[must_use]
+    pub fn drive(self, supervisor: Arc<Supervisor>) -> JoinHandle<u32> {
+        let cells = supervisor.snapshots().len();
+        let start = Instant::now();
+        std::thread::spawn(move || {
+            let mut kills: Vec<(u64, usize)> = (0..self.kills)
+                .map(|k| (self.delay_ms(k), self.target_cell(k, cells)))
+                .collect();
+            kills.sort_unstable();
+            let mut delivered = 0;
+            for (delay_ms, cell) in kills {
+                let due = start + Duration::from_millis(delay_ms);
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                delivered += u32::from(supervisor.kill_cell(cell));
+            }
+            delivered
+        })
+    }
 }
 
 #[cfg(test)]
@@ -377,5 +640,139 @@ mod tests {
         assert_eq!(bodies[1], "{\"path\":\"/b\",\"i\":1}");
         assert_eq!(bodies[2], "{\"path\":\"/c\",\"i\":2}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn zero_rates_never_fire() {
+        let rates = FaultRates {
+            seed: 99,
+            ..FaultRates::default()
+        };
+        for req_seed in 0..1_000 {
+            assert!(!rates.worker_panics(req_seed));
+            assert!(!rates.worker_dies(req_seed));
+            assert!(!rates.backend_fails(req_seed, Backend::Annealer));
+            assert!(rates.corruption(req_seed).is_none());
+        }
+    }
+
+    #[test]
+    fn corruption_schedule_is_deterministic_and_covers_every_mode() {
+        let rates = FaultRates {
+            seed: 13,
+            corruption_rate: 0.5,
+            ..FaultRates::default()
+        };
+        let schedule: Vec<_> = (0..400).map(|s| rates.corruption(s)).collect();
+        let again: Vec<_> = (0..400).map(|s| rates.corruption(s)).collect();
+        assert_eq!(schedule, again, "same seed, same corruption schedule");
+        let fired: Vec<_> = schedule.iter().flatten().collect();
+        assert!(
+            (100..=300).contains(&fired.len()),
+            "50% of 400 should land near 200, got {}",
+            fired.len()
+        );
+        for mode in [
+            Corruption::CrossQueryPlan,
+            Corruption::NanCost,
+            Corruption::InfCost,
+        ] {
+            assert!(
+                fired.iter().any(|&&m| m == mode),
+                "mode {mode:?} never drawn in 400 rolls"
+            );
+        }
+        // The unrepairable plan fires on the same requests, always with a
+        // wrong-length selection.
+        let unrepairable = FaultRates {
+            unrepairable: true,
+            ..rates
+        };
+        for (s, mode) in schedule.iter().enumerate() {
+            assert_eq!(
+                unrepairable.corruption(s as u64),
+                mode.map(|_| Corruption::WrongLength)
+            );
+        }
+    }
+
+    #[test]
+    fn rolls_are_deterministic_and_content_keyed() {
+        let rates = FaultRates {
+            seed: 7,
+            worker_panic_rate: 0.3,
+            worker_kill_rate: 0.5,
+            backend_failure_rate: 0.3,
+            ..FaultRates::default()
+        };
+        let schedule: Vec<bool> = (0..200).map(|s| rates.worker_panics(s)).collect();
+        let again: Vec<bool> = (0..200).map(|s| rates.worker_panics(s)).collect();
+        assert_eq!(schedule, again, "same seed, same schedule");
+        let fired = schedule.iter().filter(|&&p| p).count();
+        assert!(
+            (20..=100).contains(&fired),
+            "30% of 200 requests should land near 60, got {fired}"
+        );
+        let other = FaultRates { seed: 8, ..rates };
+        let other_schedule: Vec<bool> = (0..200).map(|s| other.worker_panics(s)).collect();
+        assert_ne!(schedule, other_schedule, "different fault seeds differ");
+    }
+
+    #[test]
+    fn streams_are_independent_per_backend_and_site() {
+        let rates = FaultRates {
+            seed: 3,
+            worker_panic_rate: 0.5,
+            worker_kill_rate: 0.5,
+            backend_failure_rate: 0.5,
+            ..FaultRates::default()
+        };
+        let panics: Vec<bool> = (0..400).map(|s| rates.worker_panics(s)).collect();
+        let kills: Vec<bool> = (0..400).map(|s| rates.worker_dies(s)).collect();
+        assert_ne!(panics, kills, "kill rolls use their own stream");
+        let annealer: Vec<bool> = (0..400)
+            .map(|s| rates.backend_fails(s, Backend::Annealer))
+            .collect();
+        let milp: Vec<bool> = (0..400)
+            .map(|s| rates.backend_fails(s, Backend::Milp))
+            .collect();
+        assert_ne!(annealer, milp, "backend rolls are per-backend");
+    }
+
+    #[test]
+    fn kill_plan_is_deterministic_and_bounded() {
+        let plan = KillPlan {
+            seed: 42,
+            kills: 8,
+            min_delay_ms: 100,
+            max_delay_ms: 1_500,
+        };
+        let kills = |plan: &KillPlan| -> Vec<(u64, usize)> {
+            (0..plan.kills)
+                .map(|k| (plan.delay_ms(k), plan.target_cell(k, 3)))
+                .collect()
+        };
+        assert_eq!(kills(&plan), kills(&plan), "same seed, same kill plan");
+        for (delay, cell) in kills(&plan) {
+            assert!(
+                (100..=1_500).contains(&delay),
+                "delay {delay} out of bounds"
+            );
+            assert!(cell < 3, "target {cell} out of range");
+        }
+        let other = KillPlan { seed: 43, ..plan };
+        assert_ne!(
+            kills(&plan),
+            kills(&other),
+            "different seeds, different plans"
+        );
+        // Over enough kills every cell is hit at least once.
+        let wide: Vec<usize> = (0..64).map(|k| plan.target_cell(k, 3)).collect();
+        for cell in 0..3 {
+            assert!(
+                wide.contains(&cell),
+                "cell {cell} never targeted in 64 kills"
+            );
+        }
     }
 }

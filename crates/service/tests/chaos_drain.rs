@@ -1,61 +1,46 @@
-//! Chaos-drain integration tests (ISSUE-5, satellite d).
+//! Served drains under injected faults.
 //!
-//! A server under nonzero chaos rates — worker panics, worker deaths,
-//! backend failures — must never lose a request: every replayed request
-//! ends as a valid solve (200) or a typed error (500/503 with a `reason`
-//! tag), the drain completes without hanging, and every killed worker is
-//! respawned. A second battery pins the determinism contract: the fault
-//! schedule is keyed on request seeds, so identical seeds and chaos
-//! config produce identical chaos counters and per-request outcomes at
-//! any worker count, and an inert chaos config (rates all zero) is
-//! indistinguishable from a chaos-free server.
+//! A server whose engine carries a [`SeededFaults`] injector — worker
+//! panics, worker deaths, backend failures — must never lose a request:
+//! every replayed request ends as a valid solve (200) or a typed error
+//! (500/503 with a `reason` tag), the drain completes without hanging, and
+//! every killed worker is respawned. A second battery pins the determinism
+//! contract: the fault plan is keyed on request seeds, so identical seeds
+//! and rates produce identical injection counts, counters and per-request
+//! outcomes at any worker count, and an injector that never fires is
+//! indistinguishable from a production server.
 
 use mqo_chimera::graph::ChimeraGraph;
-use mqo_service::chaos::{ChaosConfig, CHAOS_PANIC_MESSAGE};
 use mqo_service::engine::EngineConfig;
 use mqo_service::metrics::MetricsSnapshot;
 use mqo_service::server::{Server, ServerConfig};
-use mqo_service::testkit::roundtrip;
+use mqo_service::testkit::{
+    roundtrip, silence_injected_panics, FaultRates, Injected, SeededFaults,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Mutex};
 
-/// Installs a panic hook that swallows the injected chaos panics (they are
-/// load-bearing for these tests and would otherwise spray backtraces over
-/// the output) while delegating every other panic to the default hook.
-fn silence_chaos_panics() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| info.payload().downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(CHAOS_PANIC_MESSAGE) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-fn chaos_server(chaos: ChaosConfig, workers: usize, breaker_threshold: u32) -> Server {
+/// The small-graph engine every drain here runs.
+fn engine_config(breaker_threshold: u32) -> EngineConfig {
     let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
     engine.device.num_reads = 10;
     engine.device.num_gauges = 2;
-    engine.chaos = chaos;
     engine.breaker.failure_threshold = breaker_threshold;
     engine.breaker.open_ms = 50;
-    let mut config = ServerConfig::new(engine);
+    engine
+}
+
+/// A server with `faults` behind its engine's fault seam.
+fn faulty_server(faults: &Arc<SeededFaults>, workers: usize, breaker_threshold: u32) -> Server {
+    let mut config = ServerConfig::new(engine_config(breaker_threshold));
     config.queue.workers = workers;
     config.queue.batch_size = 4;
-    Server::start(config).expect("bind loopback")
+    Server::start_with_faults(config, faults.clone()).expect("bind loopback")
 }
 
 /// One tiny two-query instance; the structure is shared so the cache warms,
-/// while the per-request `seed` drives both annealing and the chaos rolls.
+/// while the per-request `seed` drives both annealing and the fault rolls.
 fn body(seed: u64) -> Vec<u8> {
     format!(
         r#"{{"problem": {{"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}}, "seed": {seed}}}"#
@@ -65,7 +50,7 @@ fn body(seed: u64) -> Vec<u8> {
 
 /// Replays `bodies` against the server from `clients` concurrent threads
 /// and returns `(index, status, parsed body)` per request. Panics if any
-/// connection errors — under chaos the server must still answer every
+/// connection errors — under faults the server must still answer every
 /// accepted request.
 fn replay(
     addr: std::net::SocketAddr,
@@ -101,9 +86,9 @@ fn replay(
     results
 }
 
-/// The chaos counters that must not depend on scheduling: everything keyed
-/// on request seeds, plus the outcome tallies they imply.
-fn deterministic_counters(s: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
+/// The counters that must not depend on scheduling: the injections, all
+/// keyed on request seeds, plus the outcome tallies they imply.
+fn deterministic_counters(s: &MetricsSnapshot, injected: Injected) -> Vec<(&'static str, u64)> {
     vec![
         ("requests_total", s.requests_total),
         ("solved_total", s.solved_total),
@@ -111,149 +96,148 @@ fn deterministic_counters(s: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
         ("rejected_unavailable", s.rejected_unavailable),
         ("worker_panics_caught", s.worker_panics_caught),
         ("worker_respawns", s.worker_respawns),
-        ("chaos_panics_injected", s.chaos_panics_injected),
-        ("chaos_kills_injected", s.chaos_kills_injected),
-        (
-            "chaos_backend_failures_injected",
-            s.chaos_backend_failures_injected,
-        ),
+        ("injected panics", injected.panics),
+        ("injected kills", injected.kills),
+        ("injected backend failures", injected.backend_failures),
     ]
 }
 
-/// Fifty different chaos schedules: whatever mix of panics, worker deaths,
+/// Fifty different fault plans: whatever mix of panics, worker deaths,
 /// and backend failures a seed produces, the drain is clean — every
 /// request is answered with a solve or a typed error, shutdown completes,
 /// and kills equal respawns.
 #[test]
-fn fifty_chaos_seeds_drain_cleanly() {
-    silence_chaos_panics();
+fn fifty_fault_seeds_drain_cleanly() {
+    silence_injected_panics();
     const REQUESTS: usize = 8;
-    for chaos_seed in 0..50u64 {
-        let chaos = ChaosConfig {
-            seed: chaos_seed,
+    for fault_seed in 0..50u64 {
+        let faults = SeededFaults::new(FaultRates {
+            seed: fault_seed,
             worker_panic_rate: 0.3,
             worker_kill_rate: 0.3,
             backend_failure_rate: 0.1,
-            ..ChaosConfig::NONE
-        };
-        let server = chaos_server(chaos, 2, 2);
+            ..FaultRates::default()
+        });
+        let server = faulty_server(&faults, 2, 2);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS)
-            .map(|i| body(chaos_seed * 100 + i as u64))
+            .map(|i| body(fault_seed * 100 + i as u64))
             .collect();
         let results = replay(addr, bodies, 3);
-        assert_eq!(results.len(), REQUESTS, "seed {chaos_seed}: lost requests");
+        assert_eq!(results.len(), REQUESTS, "seed {fault_seed}: lost requests");
         let mut solved = 0u64;
         for (i, status, v) in &results {
             match status {
                 200 => {
-                    assert!(v["cost"].is_number(), "seed {chaos_seed} request {i}: {v}");
+                    assert!(v["cost"].is_number(), "seed {fault_seed} request {i}: {v}");
                     solved += 1;
                 }
                 500 | 503 => {
                     let reason = v["reason"].as_str().unwrap_or_else(|| {
-                        panic!("seed {chaos_seed} request {i}: {status} without reason: {v}")
+                        panic!("seed {fault_seed} request {i}: {status} without reason: {v}")
                     });
                     assert!(
                         ["internal_error", "backend_unavailable"].contains(&reason),
-                        "seed {chaos_seed} request {i}: unexpected reason {reason}"
+                        "seed {fault_seed} request {i}: unexpected reason {reason}"
                     );
                 }
-                other => panic!("seed {chaos_seed} request {i}: unexpected status {other}: {v}"),
+                other => panic!("seed {fault_seed} request {i}: unexpected status {other}: {v}"),
             }
         }
         // Drain: shutdown must complete (a hang here fails the harness
         // timeout), and the books must balance afterwards.
         server.shutdown();
         let s = server.metrics().snapshot();
-        assert_eq!(s.requests_total, REQUESTS as u64, "seed {chaos_seed}");
-        assert_eq!(s.solved_total, solved, "seed {chaos_seed}");
+        let injected = faults.injected();
+        assert_eq!(s.requests_total, REQUESTS as u64, "seed {fault_seed}");
+        assert_eq!(s.solved_total, solved, "seed {fault_seed}");
         assert_eq!(
             s.solved_total + s.rejected_internal + s.rejected_unavailable,
             REQUESTS as u64,
-            "seed {chaos_seed}: outcomes must partition the requests"
+            "seed {fault_seed}: outcomes must partition the requests"
         );
+        assert_eq!(s.worker_panics_caught, injected.panics, "seed {fault_seed}");
         assert_eq!(
-            s.worker_panics_caught, s.chaos_panics_injected,
-            "seed {chaos_seed}"
-        );
-        assert_eq!(
-            s.worker_respawns, s.chaos_kills_injected,
-            "seed {chaos_seed}: every killed worker is respawned"
+            s.worker_respawns, injected.kills,
+            "seed {fault_seed}: every killed worker is respawned"
         );
     }
 }
 
-/// Same seeds + same chaos config at 1 worker and at 4 workers: the fault
-/// schedule is keyed on request seeds, not scheduling, so the per-request
-/// outcomes and every chaos counter agree exactly. (Breakers are disabled
-/// here: their trips depend on attempt order, which is legitimately
-/// scheduling-dependent.)
+/// Same seeds + same fault rates at 1 worker and at 4 workers: the fault
+/// plan is keyed on request seeds, not scheduling, so the per-request
+/// outcomes, the injection counts and every counter they drive agree
+/// exactly. (Breakers are disabled here: their trips depend on attempt
+/// order, which is legitimately scheduling-dependent.)
 #[test]
-fn chaos_schedule_is_identical_across_worker_counts() {
-    silence_chaos_panics();
+fn fault_plan_is_identical_across_worker_counts() {
+    silence_injected_panics();
     const REQUESTS: usize = 24;
-    let chaos = ChaosConfig {
+    let rates = FaultRates {
         seed: 123,
         worker_panic_rate: 0.4,
         worker_kill_rate: 0.2,
         backend_failure_rate: 0.3,
-        ..ChaosConfig::NONE
+        ..FaultRates::default()
     };
     let mut runs = Vec::new();
     for workers in [1usize, 4] {
-        let server = chaos_server(chaos, workers, 0);
+        let faults = SeededFaults::new(rates);
+        let server = faulty_server(&faults, workers, 0);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS).map(|i| body(i as u64)).collect();
         let results = replay(addr, bodies, 3);
         server.shutdown();
         let outcomes: BTreeMap<usize, u16> =
             results.iter().map(|(i, status, _)| (*i, *status)).collect();
-        runs.push((workers, outcomes, server.metrics().snapshot()));
+        let counters = deterministic_counters(&server.metrics().snapshot(), faults.injected());
+        runs.push((outcomes, counters, faults.injected()));
     }
-    let (_, outcomes_a, snap_a) = &runs[0];
-    let (_, outcomes_b, snap_b) = &runs[1];
+    let (outcomes_a, counters_a, injected) = &runs[0];
+    let (outcomes_b, counters_b, _) = &runs[1];
     assert_eq!(
         outcomes_a, outcomes_b,
         "per-request outcomes must not depend on the worker count"
     );
     assert_eq!(
-        deterministic_counters(snap_a),
-        deterministic_counters(snap_b),
-        "chaos counters must not depend on the worker count"
+        counters_a, counters_b,
+        "fault counters must not depend on the worker count"
     );
-    // The schedule actually fired: this config injects faults.
-    assert!(snap_a.chaos_panics_injected > 0, "panic stream never fired");
-    assert!(
-        snap_a.chaos_backend_failures_injected > 0,
-        "backend stream never fired"
-    );
+    // The plan actually fired: these rates inject faults.
+    assert!(injected.panics > 0, "panic stream never fired");
+    assert!(injected.backend_failures > 0, "backend stream never fired");
 }
 
-/// An inert chaos config (seed set, all rates zero) is indistinguishable
-/// from a chaos-free server: identical solve answers (modulo wall-clock
-/// timing fields) and identically zero fault counters.
+/// An injector that never fires (seed set, all rates zero) is
+/// indistinguishable from a production server: identical solve answers
+/// (modulo wall-clock timing fields) and identically zero fault counters.
 #[test]
-fn inert_chaos_is_indistinguishable_from_clean() {
-    silence_chaos_panics();
+fn an_idle_injector_is_indistinguishable_from_production() {
+    silence_injected_panics();
     const REQUESTS: usize = 6;
-    let inert = ChaosConfig {
+    let idle = SeededFaults::new(FaultRates {
         seed: 99,
-        ..ChaosConfig::NONE
-    };
-    assert!(inert.is_inert());
+        ..FaultRates::default()
+    });
     let mut answers = Vec::new();
-    for chaos in [ChaosConfig::NONE, inert] {
-        let server = chaos_server(chaos, 2, 5);
+    for faulty in [false, true] {
+        let server = if faulty {
+            faulty_server(&idle, 2, 5)
+        } else {
+            let mut config = ServerConfig::new(engine_config(5));
+            config.queue.workers = 2;
+            config.queue.batch_size = 4;
+            Server::start(config).expect("bind loopback")
+        };
         let addr = server.local_addr();
         let bodies = (0..REQUESTS).map(|i| body(i as u64)).collect();
         let mut results = replay(addr, bodies, 1);
         server.shutdown();
         let s = server.metrics().snapshot();
         assert_eq!(s.solved_total, REQUESTS as u64);
-        assert_eq!(s.chaos_panics_injected, 0);
-        assert_eq!(s.chaos_kills_injected, 0);
-        assert_eq!(s.chaos_backend_failures_injected, 0);
+        assert_eq!(idle.injected(), Injected::default());
+        assert_eq!(s.worker_panics_caught, 0);
+        assert_eq!(s.backend_attempt_failures, 0);
         assert_eq!(s.worker_respawns, 0);
         // Strip the only nondeterministic fields (timings) before the
         // bit-identical comparison.
@@ -266,25 +250,23 @@ fn inert_chaos_is_indistinguishable_from_clean() {
     }
     assert_eq!(
         answers[0], answers[1],
-        "inert chaos must answer bit-identically to a clean server"
+        "an idle injector must answer bit-identically to a production server"
     );
 }
 
 /// Total worker loss is survivable: with kill-on-panic at rate 1.0 every
-/// chaos-hit request takes a worker down, yet the supervisor keeps the
-/// pool alive and the server keeps answering — including clean requests
-/// interleaved after the massacre.
+/// request takes a worker down, yet the supervisor keeps the pool alive
+/// and the server keeps answering its health probe.
 #[test]
 fn the_pool_survives_repeated_total_worker_loss() {
-    silence_chaos_panics();
-    let chaos = ChaosConfig {
+    silence_injected_panics();
+    let faults = SeededFaults::new(FaultRates {
         seed: 7,
         worker_panic_rate: 1.0,
         worker_kill_rate: 1.0,
-        backend_failure_rate: 0.0,
-        ..ChaosConfig::NONE
-    };
-    let server = chaos_server(chaos, 2, 0);
+        ..FaultRates::default()
+    });
+    let server = faulty_server(&faults, 2, 0);
     let addr = server.local_addr();
     for i in 0..6u64 {
         let (status, reply) = roundtrip(addr, "POST", "/solve", &body(i)).unwrap();
@@ -296,21 +278,20 @@ fn the_pool_survives_repeated_total_worker_loss() {
     assert_eq!(status, 200, "server must stay up after losing workers");
     server.shutdown();
     let s = server.metrics().snapshot();
-    assert_eq!(s.chaos_kills_injected, 6);
+    assert_eq!(faults.injected().kills, 6);
     assert_eq!(s.worker_respawns, 6);
     assert_eq!(s.rejected_internal, 6);
 }
 
-/// The answer-integrity acceptance drain: with sample corruption injected
-/// into every successful answer path, the run ends with **zero unflagged
-/// corrupted answers** — every corruption is deterministically repaired to
-/// a verified-feasible selection with a truthful cost (or rejected with a
-/// typed 500), and the `/metrics` books reconcile exactly:
-/// `chaos_corruptions_injected == integrity_violations ==
+/// The answer-integrity acceptance drain: with corruption injected into
+/// successful answers, the run ends with **zero unflagged corrupted
+/// answers** — every repairable corruption is deterministically repaired
+/// to a verified-feasible selection with a truthful cost, every
+/// unrepairable one is rejected with a typed 500, and the books reconcile
+/// exactly: injected corruptions `== integrity_violations ==
 /// integrity_repairs + integrity_rejects`.
 #[test]
-fn corruption_chaos_drains_with_zero_unflagged_answers() {
-    silence_chaos_panics();
+fn corruption_drains_with_zero_unflagged_answers() {
     const REQUESTS: usize = 16;
     // Client-side re-verification oracle for `body()`'s instance:
     // costs [2, 4, 3, 1], one saving (plan 1, plan 2) of 5.
@@ -325,20 +306,13 @@ fn corruption_chaos_drains_with_zero_unflagged_answers() {
         assert_eq!(cost, expect, "served cost must be truthful");
     };
     for repair in [true, false] {
-        let chaos = ChaosConfig {
+        let faults = SeededFaults::new(FaultRates {
             seed: 31,
-            sample_corruption_rate: 0.6,
-            ..ChaosConfig::NONE
-        };
-        let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
-        engine.device.num_reads = 10;
-        engine.device.num_gauges = 2;
-        engine.chaos = chaos;
-        engine.integrity_repair = repair;
-        let mut config = ServerConfig::new(engine);
-        config.queue.workers = 2;
-        config.queue.batch_size = 4;
-        let server = Server::start(config).expect("bind loopback");
+            corruption_rate: 0.6,
+            unrepairable: !repair,
+            ..FaultRates::default()
+        });
+        let server = faulty_server(&faults, 2, 5);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS).map(|i| body(i as u64)).collect();
         let results = replay(addr, bodies, 3);
@@ -356,7 +330,7 @@ fn corruption_chaos_drains_with_zero_unflagged_answers() {
                     verify(&selection, v["cost"].as_f64().expect("cost"));
                 }
                 500 => {
-                    assert!(!repair, "with repair on every corruption is fixable");
+                    assert!(!repair, "every repairable corruption is fixed");
                     assert_eq!(v["reason"], "integrity_violation", "request {i}: {v}");
                     rejected += 1;
                 }
@@ -365,12 +339,13 @@ fn corruption_chaos_drains_with_zero_unflagged_answers() {
         }
         server.shutdown();
         let s = server.metrics().snapshot();
+        let corruptions = faults.injected().corruptions;
         assert!(
-            s.chaos_corruptions_injected > 0,
+            corruptions > 0,
             "repair={repair}: the corruption stream never fired"
         );
         assert_eq!(
-            s.integrity_violations, s.chaos_corruptions_injected,
+            s.integrity_violations, corruptions,
             "repair={repair}: every injected corruption must be flagged"
         );
         assert_eq!(
@@ -383,6 +358,7 @@ fn corruption_chaos_drains_with_zero_unflagged_answers() {
             assert_eq!(s.solved_total, REQUESTS as u64);
         } else {
             assert_eq!(s.integrity_repairs, 0);
+            assert!(rejected > 0);
             assert_eq!(s.integrity_rejects, rejected);
             assert_eq!(s.solved_total + rejected, REQUESTS as u64);
         }

@@ -6,8 +6,8 @@
 //!
 //! * a SIGKILLed cell respawns and the fleet loses nothing — every request
 //!   ends as exactly one final outcome (a 200 solve or a typed error), and
-//!   the seeded 50-seed kill-chaos drain completes with zero lost requests
-//!   and answers bit-identical to a solo unsupervised server;
+//!   the 50-seed drain under a seeded [`KillPlan`] completes with zero lost
+//!   requests and answers bit-identical to a solo unsupervised server;
 //! * a crash-looping cell is quarantined and its shard range remapped onto
 //!   the healthy cells;
 //! * transparent replay after a cell death returns answers bit-identical
@@ -17,12 +17,11 @@
 //!   ([`mqo_service::shard::next_deadline`]).
 
 use mqo_chimera::graph::ChimeraGraph;
-use mqo_service::chaos::CellKillSchedule;
 use mqo_service::engine::EngineConfig;
 use mqo_service::server::{Server, ServerConfig};
 use mqo_service::shard::{next_deadline, MqoRouter, MqoRouterConfig};
 use mqo_service::supervisor::SupervisorConfig;
-use mqo_service::testkit::roundtrip;
+use mqo_service::testkit::{roundtrip, KillPlan};
 use proptest::prelude::*;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -69,13 +68,12 @@ fn solo_server() -> Server {
 
 /// A supervised router over `n` freshly spawned cells. Fast breaker and
 /// backoff so kills and recoveries play out in test time.
-fn supervised_router(n: usize, kill_schedule: CellKillSchedule) -> MqoRouter {
+fn supervised_router(n: usize) -> MqoRouter {
     let cells: Vec<String> = (0..n).map(|_| free_addr()).collect();
     let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
     sup.probe_interval_ms = 50;
     sup.backoff_initial_ms = 50;
     sup.backoff_max_ms = 500;
-    sup.kill_schedule = kill_schedule;
     let mut config = MqoRouterConfig::new(cells);
     config.supervisor = Some(sup);
     config.breaker.failure_threshold = 1;
@@ -138,7 +136,7 @@ fn surface(reply: &[u8]) -> serde_json::Value {
 
 #[test]
 fn sigkilled_cell_respawns_and_requests_keep_completing() {
-    let router = supervised_router(2, CellKillSchedule::default());
+    let router = supervised_router(2);
     let addr = router.local_addr();
 
     // Warm the fleet, then SIGKILL cell 0 and keep sending: every request
@@ -149,7 +147,7 @@ fn sigkilled_cell_respawns_and_requests_keep_completing() {
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
     }
     let supervisor = router.supervisor().expect("supervised").clone();
-    supervisor.kill_cell(0);
+    assert!(supervisor.kill_cell(0), "the warm cell was alive");
     for seed in 4..12u64 {
         let (status, reply) = solve_with_retry(addr, &body(seed), 20);
         assert_eq!(
@@ -195,17 +193,18 @@ fn sigkilled_cell_respawns_and_requests_keep_completing() {
 
 #[test]
 fn fifty_seed_kill_chaos_drain_loses_nothing_and_matches_solo() {
-    // A seeded kill schedule SIGKILLs cells at deterministic times while a
+    // A seeded kill plan SIGKILLs cells at deterministic times while a
     // 50-seed drain runs. Zero-loss: every seed must end as a 200 whose
     // solution surface is bit-identical to a solo unsupervised server.
-    let schedule = CellKillSchedule {
+    let plan = KillPlan {
         seed: 42,
         kills: 3,
         min_delay_ms: 200,
         max_delay_ms: 1_500,
     };
-    let router = supervised_router(2, schedule);
+    let router = supervised_router(2);
     let addr = router.local_addr();
+    let killer = plan.drive(Arc::clone(router.supervisor().expect("supervised")));
     let solo = solo_server();
 
     let seeds: Vec<u64> = (0..50).collect();
@@ -222,7 +221,7 @@ fn fifty_seed_kill_chaos_drain_loses_nothing_and_matches_solo() {
                 return;
             }
             let seed = seeds[i];
-            // Pace the drain so it overlaps the kill schedule window.
+            // Pace the drain so it overlaps the kill plan window.
             std::thread::sleep(Duration::from_millis(25));
             let (status, reply) = solve_with_retry(addr, &body(seed), 40);
             assert_eq!(
@@ -258,29 +257,28 @@ fn fifty_seed_kill_chaos_drain_loses_nothing_and_matches_solo() {
         );
     }
 
-    // The chaos schedule actually fired and the supervisor recovered. The
-    // kill offsets are measured from supervisor start and may trail the
-    // drain (a kill landing in a respawn-backoff window is consumed
-    // without a victim), so poll until at least one delivered kill has its
-    // matching respawn on the books.
+    // The plan actually fired and the supervisor recovered. The kill
+    // offsets may trail the drain, and a kill landing in a respawn-backoff
+    // window finds no victim, so count the kills the driver delivered and
+    // poll until each has its matching respawn on the books.
+    let delivered = u64::from(killer.join().expect("kill driver"));
+    assert!(delivered >= 1, "the kill plan never reached a live cell");
     let deadline = Instant::now() + Duration::from_secs(10);
     let snapshot = loop {
         let s = router.metrics().snapshot();
-        if s.chaos_cell_kills_injected >= 1 && s.cell_respawns >= s.chaos_cell_kills_injected {
+        if s.cell_respawns >= delivered {
             break s;
         }
         assert!(
             Instant::now() < deadline,
-            "kill schedule never fired or respawns lagged: \
-             {} kills, {} respawns",
-            s.chaos_cell_kills_injected,
+            "respawns lagged: {delivered} kills, {} respawns",
             s.cell_respawns
         );
         std::thread::sleep(Duration::from_millis(50));
     };
     assert_eq!(
         snapshot.crash_loops_quarantined, 0,
-        "chaos kills are no loop"
+        "planned kills are no loop"
     );
     assert_eq!(snapshot.integrity_violations, 0, "no integrity violations");
 
@@ -294,7 +292,7 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
     // every request exactly one final outcome — a 200 or a *typed* error —
     // even when a cell is SIGKILLed mid-drain. Nothing hangs, nothing is
     // answered twice, nothing vanishes.
-    let router = supervised_router(2, CellKillSchedule::default());
+    let router = supervised_router(2);
     let addr = router.local_addr();
     let supervisor = router.supervisor().expect("supervised").clone();
 
@@ -318,7 +316,7 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
     }
     // Kill a cell while the drain is in flight.
     std::thread::sleep(Duration::from_millis(60));
-    supervisor.kill_cell(0);
+    assert!(supervisor.kill_cell(0), "cell 0 was alive mid-drain");
     for handle in handles {
         handle.join().expect("drain thread");
     }
