@@ -4,8 +4,8 @@
 //! annealing is computationally infeasible — that infeasibility is the very
 //! premise of the paper. The physics back-ends ([`crate::sqa`],
 //! [`crate::sa`]) reproduce the hardware's behaviour on small problems but
-//! fall off at full machine scale (quantified by the `calibrate`/`probe`
-//! harness binaries). For full-scale experiments the device model therefore
+//! fall off at full machine scale (quantified by the `calibrate` harness
+//! binary). For full-scale experiments the device model therefore
 //! switches to a *behavioural* back-end, in the same way an I/O simulator
 //! models a disk by its latency distribution rather than its magnetics:
 //!

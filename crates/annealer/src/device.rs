@@ -80,8 +80,8 @@ impl Default for DeviceConfig {
             num_gauges: 10,
             // Calibrated with the behavioural back-end against the paper's
             // quality anchors (first read ≈ +1.5 % of a run's best, final
-            // solution ≈ +0.4 % of optimum); see the `calibrate` and
-            // `probe` harness binaries.
+            // solution ≈ +0.4 % of optimum); see the `calibrate` harness
+            // binary.
             control_error: ControlErrorModel {
                 relative_sigma: 0.0025,
             },

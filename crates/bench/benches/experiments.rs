@@ -40,15 +40,7 @@ fn bench_experiments(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let inst = paper::generate(&graph, &PaperWorkloadConfig::paper_class(2), &mut rng)
             .expect("benchmark machine hosts the paper class");
-        b.iter(|| {
-            bb_mqo::solve(
-                &inst.problem,
-                &MqoBbConfig {
-                    lp_var_limit: 0,
-                    ..MqoBbConfig::default()
-                },
-            )
-        })
+        b.iter(|| bb_mqo::solve(&inst.problem, &MqoBbConfig::default()))
     });
 
     g.bench_function("fig4_5_competitors", |b| {

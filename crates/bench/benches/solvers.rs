@@ -1,12 +1,11 @@
-//! Classical-solver benches: the exact branch-and-bound engines, the LP
-//! simplex, and the randomised heuristics on a fixed mid-size instance.
+//! Classical-solver benches: the exact branch-and-bound engines and the
+//! randomised heuristics on a fixed mid-size instance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mqo_core::logical::LogicalMapping;
 use mqo_core::problem::MqoProblem;
 use mqo_heuristics::{AnytimeHeuristic, GeneticAlgorithm, Greedy, HillClimbing};
-use mqo_milp::model::mqo_to_ilp;
-use mqo_milp::{bb_mqo, bb_qubo, simplex, MqoBbConfig, QuboBbConfig};
+use mqo_milp::{bb_mqo, bb_qubo, MqoBbConfig, QuboBbConfig};
 use mqo_workload::generic::{self, RandomWorkloadConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,23 +31,11 @@ fn bench_solvers(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("bb_mqo_exact_12q", |b| {
-        b.iter(|| {
-            bb_mqo::solve(
-                &small,
-                &MqoBbConfig {
-                    lp_var_limit: 0,
-                    ..Default::default()
-                },
-            )
-        })
+        b.iter(|| bb_mqo::solve(&small, &MqoBbConfig::default()))
     });
     g.bench_function("bb_qubo_exact_12q", |b| {
         let mapping = LogicalMapping::with_default_epsilon(&small);
         b.iter(|| bb_qubo::solve(mapping.qubo(), &QuboBbConfig::default()))
-    });
-    g.bench_function("simplex_mqo_relaxation_40q", |b| {
-        let ilp = mqo_to_ilp(&mid);
-        b.iter(|| simplex::solve(&ilp.program.relaxation))
     });
     g.bench_function("greedy_40q", |b| b.iter(|| Greedy::construct(&mid)));
     g.bench_function("hill_climb_burst_40q", |b| {

@@ -152,7 +152,6 @@ pub fn run_lin_mqo(problem: &MqoProblem, cfg: &CompetitorConfig) -> AlgoRun {
         problem,
         &MqoBbConfig {
             deadline: Some(cfg.classical_budget),
-            lp_var_limit: 0, // root LP is a separate ablation; keep runs lean
             ..MqoBbConfig::default()
         },
     );
@@ -190,7 +189,7 @@ pub fn run_lin_qub(problem: &MqoProblem, cfg: &CompetitorConfig) -> AlgoRun {
 /// QA: Algorithm 1 on the simulated D-Wave 2X with the calibrated
 /// behavioural back-end — the physics back-ends (PIQMC, SA) reproduce
 /// hardware behaviour only at small scale and are kept for the sampler
-/// ablation (see the `calibrate`/`probe` binaries and DESIGN.md). Reuses
+/// ablation (see the `calibrate` binary and DESIGN.md). Reuses
 /// the instance's own clustered embedding; panics if the instance does not
 /// embed (the paper generator guarantees it does).
 pub fn run_qa(instance: &PaperInstance, graph: &ChimeraGraph, cfg: &CompetitorConfig) -> AlgoRun {

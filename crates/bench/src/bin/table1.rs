@@ -65,7 +65,6 @@ fn main() {
                     &inst.problem,
                     &MqoBbConfig {
                         deadline: Some(cfg.classical_budget),
-                        lp_var_limit: 0,
                         ..MqoBbConfig::default()
                     },
                 );

@@ -165,7 +165,6 @@ pub fn cross_check_class(
                         &problem,
                         &MqoBbConfig {
                             deadline: Some(proof_budget),
-                            lp_var_limit: 0,
                             ..MqoBbConfig::default()
                         },
                     );

@@ -2,16 +2,13 @@
 //! of "LIN-MQO" (integer linear programming applied to MQO) in the paper's
 //! figures.
 //!
-//! Best-first search over per-query plan fixations. Node bounds come from
-//! the decomposable [`MqoBound`]; an optional root LP relaxation (the actual
-//! `mqo_to_ilp` model solved with the in-crate simplex) tightens the root
-//! certificate on instances small enough for a dense tableau. Every node
-//! greedily completes its partial assignment, so incumbents improve from the
-//! first milliseconds on — the anytime behaviour Figures 4 and 5 plot.
+//! Best-first search over per-query plan fixations, branching on the query
+//! with the largest regret. Every bound, the root's included, comes from the
+//! decomposable [`MqoBound`]; no LP is solved. Every node greedily completes
+//! its partial assignment, so incumbents improve from the first milliseconds
+//! on — the anytime behaviour Figures 4 and 5 plot.
 
 use crate::bound::{MqoBound, MqoBoundResult};
-use crate::model::mqo_to_ilp;
-use crate::simplex::{self, LpOutcome};
 use mqo_core::ids::{PlanId, QueryId};
 use mqo_core::problem::MqoProblem;
 use mqo_core::solution::Selection;
@@ -27,9 +24,6 @@ pub struct MqoBbConfig {
     pub deadline: Option<Duration>,
     /// Hard cap on explored nodes (0 = unlimited).
     pub node_limit: u64,
-    /// Solve the root LP relaxation when the model has at most this many LP
-    /// variables (plans + linking variables); 0 disables the LP entirely.
-    pub lp_var_limit: usize,
     /// Numerical slack when pruning against the incumbent.
     pub tolerance: f64,
     /// Cap on simultaneously open nodes; beyond it the worst-bound half is
@@ -43,7 +37,6 @@ impl Default for MqoBbConfig {
         MqoBbConfig {
             deadline: None,
             node_limit: 0,
-            lp_var_limit: 400,
             tolerance: 1e-9,
             max_open_nodes: 200_000,
         }
@@ -72,7 +65,7 @@ pub struct MqoBbOutcome {
     pub stop: StopReason,
     /// Nodes expanded.
     pub nodes: u64,
-    /// The root lower bound (combinatorial, possibly improved by the LP).
+    /// The root lower bound ([`MqoBound`] with nothing fixed).
     pub root_bound: f64,
 }
 
@@ -111,16 +104,7 @@ pub fn solve(problem: &MqoProblem, config: &MqoBbConfig) -> MqoBbOutcome {
     let mut trace = Trace::new();
     let mut nodes = 0u64;
 
-    let root = bound.evaluate(&[]);
-    let mut root_bound = root.bound;
-
-    // Optional LP tightening at the root (the genuine ILP relaxation).
-    let ilp = mqo_to_ilp(problem);
-    if config.lp_var_limit > 0 && ilp.program.relaxation.num_vars() <= config.lp_var_limit {
-        if let LpOutcome::Optimal(sol) = simplex::solve(&ilp.program.relaxation) {
-            root_bound = root_bound.max(sol.objective);
-        }
-    }
+    let root_bound = bound.evaluate(&[]).bound;
 
     // Root incumbent.
     let greedy = greedy_completion(problem, &[]);
@@ -130,7 +114,7 @@ pub fn solve(problem: &MqoProblem, config: &MqoBbConfig) -> MqoBbOutcome {
 
     let mut heap = BinaryHeap::new();
     heap.push(Node {
-        bound: root.bound,
+        bound: root_bound,
         fixed: Vec::new(),
     });
 
@@ -346,7 +330,6 @@ mod tests {
             &p,
             &MqoBbConfig {
                 node_limit: 3,
-                lp_var_limit: 0,
                 ..MqoBbConfig::default()
             },
         );
@@ -364,17 +347,6 @@ mod tests {
         let sel = greedy_completion(&p, &[fix]);
         assert_eq!(sel.plan_of(QueryId(2)), fix);
         assert!(p.validate_selection(&sel).is_ok());
-    }
-
-    #[test]
-    fn lp_root_bound_never_exceeds_the_optimum() {
-        let mut next = rng_stream(0x909);
-        for _ in 0..10 {
-            let p = random_problem(&mut next, 5, 2);
-            let (_, opt) = p.brute_force_optimum();
-            let out = solve(&p, &MqoBbConfig::default());
-            assert!(out.root_bound <= opt + 1e-6);
-        }
     }
 
     #[test]

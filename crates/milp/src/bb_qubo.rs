@@ -1,4 +1,4 @@
-//! Exact anytime branch-and-bound on a (linearised) QUBO — the role of
+//! Exact anytime branch-and-bound on a QUBO — the role of
 //! "LIN-QUB" in the paper's figures: the integer-programming solver applied
 //! to the *transformed* problem the quantum annealer sees, rather than to
 //! the MQO instance directly.

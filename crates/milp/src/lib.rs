@@ -2,20 +2,17 @@
 
 //! # mqo-milp
 //!
-//! A from-scratch mathematical-programming stack standing in for the
-//! commercial integer-linear-programming solver the paper benchmarks
-//! against (Section 7.1):
+//! A from-scratch exact solver standing in for the commercial
+//! integer-linear-programming solver the paper benchmarks against
+//! (Section 7.1). It needs no LP: best-first branch-and-bound over plan
+//! (or variable) fixations, pruned by decomposable combinatorial bounds.
 //!
-//! * [`model`] — LP/ILP model types plus the two formulations the paper
-//!   uses: the direct MQO program ("LIN-MQO") and the Dash-style QUBO
-//!   linearisation ("LIN-QUB");
-//! * [`simplex`] — dense two-phase primal simplex with implicitly bounded
-//!   variables;
 //! * [`bound`] — decomposable admissible lower bounds for both search
 //!   spaces;
-//! * [`bb_mqo`] / [`bb_qubo`] — exact anytime branch-and-bound engines with
-//!   greedy incumbent dives, deadlines, and [`mqo_core::trace::Trace`]
-//!   recording for the cost-vs-time figures.
+//! * [`bb_mqo`] / [`bb_qubo`] — exact anytime branch-and-bound engines on
+//!   the MQO instance ("LIN-MQO") and on its QUBO ("LIN-QUB"), with greedy
+//!   incumbent dives, deadlines, and [`mqo_core::trace::Trace`] recording
+//!   for the cost-vs-time figures.
 //!
 //! ```
 //! use mqo_milp::bb_mqo::{self, MqoBbConfig};
@@ -37,10 +34,6 @@
 pub mod bb_mqo;
 pub mod bb_qubo;
 pub mod bound;
-pub mod model;
-pub mod simplex;
 
 pub use bb_mqo::{MqoBbConfig, MqoBbOutcome, StopReason};
 pub use bb_qubo::{QuboBbConfig, QuboBbOutcome};
-pub use model::{mqo_to_ilp, qubo_to_ilp, BinaryProgram, LinearProgram, Sense};
-pub use simplex::{solve as solve_lp, LpOutcome, LpSolution, SimplexConfig};

@@ -22,7 +22,6 @@
 
 use crate::pipeline::{PipelineError, QuantumMqoSolver};
 use mqo_annealer::sampler::Sampler;
-use mqo_chimera::embedding::triad;
 use mqo_core::ids::{PlanId, QueryId};
 use mqo_core::problem::MqoProblem;
 use mqo_core::solution::{CostEvaluator, Selection};
@@ -35,7 +34,8 @@ use std::time::Duration;
 pub struct DecompositionConfig {
     /// Block-descent rounds over all queries.
     pub rounds: usize,
-    /// Maximum plans per block; 0 = the device's TRIAD clique capacity.
+    /// Maximum plans per block; 0 = the largest clique the device can place
+    /// ([`QuantumMqoSolver::max_clique`]). Larger values are capped to it.
     pub block_plans: usize,
     /// Weight slack for the per-block mappings.
     pub epsilon: f64,
@@ -69,25 +69,31 @@ pub struct DecompositionOutcome {
 impl<S: Sampler> QuantumMqoSolver<S> {
     /// Solves an MQO instance of (almost) arbitrary size as a series of
     /// annealer-sized QUBO subproblems. Works for any savings structure —
-    /// blocks are embedded as TRIAD cliques.
+    /// blocks are embedded as TRIAD cliques. Fails with
+    /// [`PipelineError::QueryExceedsBlock`] when one query alone has more
+    /// plans than a block holds.
     pub fn solve_decomposed(
         &self,
         problem: &MqoProblem,
         config: &DecompositionConfig,
         seed: u64,
     ) -> Result<DecompositionOutcome, PipelineError> {
-        let capacity = triad::max_clique(&self.graph);
+        let capacity = self.max_clique();
         let block_plans = if config.block_plans == 0 {
             capacity
         } else {
             config.block_plans.min(capacity)
         };
-        assert!(
-            problem
-                .queries()
-                .all(|q| problem.num_plans_of(q) <= block_plans),
-            "a single query must fit one block"
-        );
+        if let Some(query) = problem
+            .queries()
+            .find(|&q| problem.num_plans_of(q) > block_plans)
+        {
+            return Err(PipelineError::QueryExceedsBlock {
+                query,
+                plans: problem.num_plans_of(query),
+                block_plans,
+            });
+        }
 
         let initial = Greedy::construct(problem);
         let mut eval = CostEvaluator::new(problem, initial);
@@ -338,6 +344,47 @@ mod tests {
         assert!(pts.windows(2).all(|w| w[1].value < w[0].value));
         assert_eq!(out.device_time.as_micros() % 376, 0);
         assert!(out.device_time >= pts.last().unwrap().elapsed);
+    }
+
+    #[test]
+    fn blocks_shrink_to_the_largest_clique_a_defective_graph_places() {
+        // Six dead qubits on a 4×4 graph (the small harness machine) break
+        // the TRIAD K16 at every origin; blocks must shrink to fit.
+        let mut graph = ChimeraGraph::new(4, 4);
+        graph.break_random_qubits(6, &mut ChaCha8Rng::seed_from_u64(0xD_2016));
+        let s = QuantumMqoSolver::new(graph, solver(1).device);
+        let capacity = s.max_clique();
+        assert!((3..16).contains(&capacity), "capacity {capacity}");
+        let problem = big_problem(20, 6);
+        let greedy_cost = problem.selection_cost(&Greedy::construct(&problem));
+        let out = s
+            .solve_decomposed(&problem, &DecompositionConfig::default(), 2)
+            .expect("blocks sized to the placeable clique embed");
+        assert!(problem.validate_selection(&out.best.0).is_ok());
+        assert!(out.best.1 <= greedy_cost + 1e-9);
+    }
+
+    #[test]
+    fn a_query_larger_than_a_block_is_a_typed_error() {
+        let problem = big_problem(6, 7);
+        let err = solver(2)
+            .solve_decomposed(
+                &problem,
+                &DecompositionConfig {
+                    block_plans: 2,
+                    ..DecompositionConfig::default()
+                },
+                0,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            PipelineError::QueryExceedsBlock {
+                plans: 3,
+                block_plans: 2,
+                ..
+            }
+        ));
     }
 
     #[test]

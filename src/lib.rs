@@ -13,7 +13,7 @@
 //! | [`mqo_core`] | MQO problem model, QUBO/Ising formalisms, logical mapping (Section 4), anytime traces |
 //! | [`mqo_chimera`] | Chimera topology, TRIAD/clustered embeddings, physical mapping (Section 5), capacity analysis (Section 6) |
 //! | [`mqo_annealer`] | simulated D-Wave 2X: SA / path-integral-QMC samplers, gauges, control-error noise, read protocol & timing |
-//! | [`mqo_milp`] | simplex + branch-and-bound: the ILP baselines LIN-MQO and LIN-QUB |
+//! | [`mqo_milp`] | branch-and-bound with combinatorial bounds: the ILP baselines LIN-MQO and LIN-QUB |
 //! | [`mqo_heuristics`] | hill climbing, the paper-configured genetic algorithm, greedy |
 //! | [`mqo_workload`] | the paper's generator, generic random instances, a relational join batch |
 //!

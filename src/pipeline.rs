@@ -32,7 +32,9 @@ use mqo_annealer::sampler::{ChainBreakStats, Sampler};
 use mqo_chimera::embedding::triad;
 use mqo_chimera::embedding::{Embedding, EmbeddingError};
 use mqo_chimera::graph::{ChimeraGraph, QubitId};
+use mqo_chimera::packing::{self, Placer};
 use mqo_chimera::physical::PhysicalMapping;
+use mqo_core::ids::QueryId;
 use mqo_core::integrity::RepairStats;
 use mqo_core::logical::LogicalMapping;
 use mqo_core::problem::MqoProblem;
@@ -58,6 +60,16 @@ pub enum PipelineError {
         /// The error of the last failed attempt.
         last: DeviceError,
     },
+    /// A decomposed solve met a query with more plans than one block can
+    /// hold, so no block embedding can represent it.
+    QueryExceedsBlock {
+        /// The offending query.
+        query: QueryId,
+        /// Its number of alternative plans.
+        plans: usize,
+        /// Plans per block on this device (and configuration).
+        block_plans: usize,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -69,6 +81,14 @@ impl std::fmt::Display for PipelineError {
                 f,
                 "device retry budget exhausted after {attempts} attempts \
                  (last error: {last}); classical fallback disabled"
+            ),
+            PipelineError::QueryExceedsBlock {
+                query,
+                plans,
+                block_plans,
+            } => write!(
+                f,
+                "query {query} has {plans} plans but a block holds at most {block_plans}"
             ),
         }
     }
@@ -459,13 +479,42 @@ impl<S: Sampler> QuantumMqoSolver<S> {
 
     /// Solves a small problem by embedding it as one global TRIAD clique
     /// (works for any savings structure, up to `4·min(rows, cols)` plans).
+    ///
+    /// The clique goes to the first cell block whose qubits all work, in
+    /// row-major order ([`Placer`]), so a defect near the top-left corner
+    /// does not reject an instance that fits elsewhere. On a graph where
+    /// origin `(0, 0)` works, that is where it lands.
     pub fn solve(
         &self,
         problem: &MqoProblem,
         seed: u64,
     ) -> Result<QuantumMqoOutcome, PipelineError> {
-        let embedding = triad::triad(&self.graph, 0, 0, problem.num_plans())?;
+        let n = problem.num_plans();
+        let embedding =
+            self.place_clique(n)
+                .ok_or_else(|| EmbeddingError::InsufficientCapacity {
+                    requested: n,
+                    available: self.max_clique(),
+                })?;
         self.solve_with_embedding(problem, embedding, seed)
+    }
+
+    /// The TRIAD `K_n` on the first cell block whose qubits all work.
+    fn place_clique(&self, n: usize) -> Option<Embedding> {
+        Placer::new(&self.graph)
+            .place(&packing::canonical_embedding(n), packing::footprint_side(n))
+            .map(|p| p.embedding)
+    }
+
+    /// Largest clique [`QuantumMqoSolver::solve`] can place on the graph
+    /// (0 when not even one qubit works). Placement is monotone in the
+    /// clique size — a smaller TRIAD's chains are sub-chains of a larger
+    /// one's at the same origin — so every smaller clique places too.
+    pub fn max_clique(&self) -> usize {
+        (1..=triad::max_clique(&self.graph))
+            .rev()
+            .find(|&n| self.place_clique(n).is_some())
+            .unwrap_or(0)
     }
 
     /// Prepares the reusable half of a solve: the minor embedding of the
@@ -745,5 +794,20 @@ mod tests {
         let problem = b.build().unwrap();
         let err = solver().solve(&problem, 0).unwrap_err();
         assert!(matches!(err, PipelineError::Embedding(_)));
+    }
+
+    #[test]
+    fn a_dead_qubit_at_the_origin_moves_the_clique_to_a_working_cell() {
+        // The paper example's K4 TRIAD fills one cell; chain 0 starts at
+        // L0 of its cell. With that qubit dead in cell (0, 0), the clique
+        // must move to cell (0, 1) instead of failing.
+        let pristine = ChimeraGraph::new(2, 2);
+        let dead = pristine.qubit(0, 0, mqo_chimera::graph::Side::Vertical, 0);
+        let s = QuantumMqoSolver::new(pristine.with_broken(&[dead]), solver().device);
+        assert_eq!(s.max_clique(), 4, "only single cells are clean");
+        let problem = paper_example();
+        let out = s.solve(&problem, 11).expect("three clean cells host K4");
+        assert_eq!(out.best.1, 2.0);
+        assert!(problem.validate_selection(&out.best.0).is_ok());
     }
 }

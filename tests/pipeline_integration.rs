@@ -127,3 +127,47 @@ fn pipeline_rejects_problems_that_do_not_fit() {
     let solver = QuantumMqoSolver::new(graph, device(10));
     assert!(solver.solve(&problem, 0).is_err());
 }
+
+#[test]
+fn the_paper_machine_hosts_clique_solves_and_decomposed_solves() {
+    // The defective D-Wave 2X the harness binaries run against: its dead
+    // qubits break the TRIAD K48 (and every clique of 12 or more plans at
+    // origin (0, 0)), yet a K16 places elsewhere.
+    let graph = ChimeraGraph::dwave_2x_as_used_in_paper(&mut ChaCha8Rng::seed_from_u64(0xD_2016));
+    let solver = QuantumMqoSolver::new(
+        graph,
+        QuantumAnnealer::new(
+            DeviceConfig {
+                num_reads: 20,
+                num_gauges: 2,
+                ..DeviceConfig::default()
+            },
+            SimulatedAnnealingSampler::default(),
+        ),
+    );
+    let capacity = solver.max_clique();
+    assert!((16..48).contains(&capacity), "capacity {capacity}");
+
+    let workload = |queries, seed| {
+        mqo_workload::generic::generate(
+            &mqo_workload::generic::RandomWorkloadConfig {
+                queries,
+                plans_per_query: 4,
+                ..Default::default()
+            },
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        )
+    };
+    let clique = workload(4, 1);
+    assert_eq!(clique.num_plans(), 16);
+    let out = solver.solve(&clique, 3).expect("a K16 places on the chip");
+    assert!(clique.validate_selection(&out.best.0).is_ok());
+
+    let large = workload(24, 2);
+    let greedy = large.selection_cost(&Greedy::construct(&large));
+    let out = solver
+        .solve_decomposed(&large, &DecompositionConfig::default(), 5)
+        .expect("blocks sized to the placeable clique embed");
+    assert!(large.validate_selection(&out.best.0).is_ok());
+    assert!(out.best.1 <= greedy + 1e-9);
+}
