@@ -28,8 +28,9 @@
 //! chronological order — a run is bit-identical at any thread count.
 //! Reads go to the sampler in fixed blocks of [`LANES`] consecutive reads
 //! ([`ProgrammedSampler::sample_block_fast`]), which may span gauge
-//! batches; SA anneals a block in lock-step lanes, every other back-end one
-//! read at a time, and each read is the same either way.
+//! batches; SA anneals a block of three or more reads in lock-step lanes,
+//! smaller blocks and every other back-end one read at a time, and each
+//! read is the same either way.
 
 use crate::faults::{FaultConfig, FaultEvents, FaultPlan, STREAM_FAULT_READ};
 use crate::gauge::Gauge;

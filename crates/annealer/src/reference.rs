@@ -11,19 +11,36 @@
 //! fast and reference kernels produce **bit-identical** sample streams from
 //! the same RNG state.
 //!
-//! Shared pieces guarantee the identity by construction: both sides use
-//! [`crate::sampler::metropolis_accept`] (same draw-skipping rules), the
-//! same delta expressions, and the same field-update expressions applied in
-//! the same CSR neighbour order. SA's early-freeze exit needs no mirror
-//! here — a frozen sweep consumes no randomness and flips nothing, so the
-//! reference's remaining sweeps are exact no-ops.
+//! Both sides share the delta expressions and the field-update
+//! expressions applied in the same CSR neighbour order. They do not share
+//! the acceptance code: the hot kernels decide through
+//! [`crate::sampler::metropolis_accept`], whose table pre-test settles most
+//! draws without `exp`, while [`accept_exact`] here is the plain exact rule with
+//! the same draw-skipping cutoffs. Bit-identity therefore also checks the
+//! pre-test. SA's early-freeze exit needs no mirror here — a frozen sweep
+//! consumes no randomness and flips nothing, so the reference's remaining
+//! sweeps are exact no-ops.
 
 use crate::behavioral::ProgrammedBehavioral;
 use crate::sa::ProgrammedSa;
-use crate::sampler::metropolis_accept;
+use crate::sampler::{metropolis_exp, METROPOLIS_EXP_CUTOFF};
 use crate::sqa::ProgrammedSqa;
 use mqo_core::ids::VarId;
 use rand::{Rng, RngCore};
+
+/// The Metropolis rule without a pre-test: accept downhill moves, reject
+/// moves below [`METROPOLIS_EXP_CUTOFF`] without a draw, and otherwise
+/// accept iff the drawn `u < ⌊metropolis_exp(−β·delta)·2³²⌋` (saturating).
+pub fn accept_exact(rng: &mut dyn RngCore, beta: f64, delta: f64) -> bool {
+    if delta <= 0.0 {
+        return true;
+    }
+    let arg = -beta * delta;
+    if arg < METROPOLIS_EXP_CUTOFF {
+        return false;
+    }
+    rng.next_u32() < (metropolis_exp(arg) * 4_294_967_296.0) as u32
+}
 
 impl ProgrammedSa {
     /// Reference transcription of the SA kernel. Bit-identical to
@@ -45,7 +62,7 @@ impl ProgrammedSa {
         for &beta in &self.betas {
             for i in 0..n {
                 let delta = -2.0 * f64::from(out[i]) * fields[i];
-                if metropolis_accept(rng, beta, delta) {
+                if accept_exact(rng, beta, delta) {
                     let flipped = -out[i];
                     out[i] = flipped;
                     let step = f64::from(flipped);
@@ -98,7 +115,7 @@ impl ProgrammedSqa {
                     let neighbours = f64::from(slices[up][i]) + f64::from(slices[down][i]);
                     let quantum = 2.0 * j_perp * si * neighbours;
                     let delta = classical + quantum;
-                    if metropolis_accept(rng, beta, delta) {
+                    if accept_exact(rng, beta, delta) {
                         slices[k][i] = -slices[k][i];
                         let step = f64::from(slices[k][i]);
                         for (j, w) in ising.neighbours(VarId::new(i)) {
@@ -121,7 +138,7 @@ impl ProgrammedSqa {
                         let neighbours = f64::from(slices[up][i]) + f64::from(slices[down][i]);
                         delta += 2.0 * j_perp * si * neighbours;
                     }
-                    if metropolis_accept(rng, beta, delta) {
+                    if accept_exact(rng, beta, delta) {
                         for &i in members {
                             slices[k][i] = -slices[k][i];
                         }
@@ -168,7 +185,7 @@ impl ProgrammedBehavioral {
         for _ in 0..self.config.read_sweeps {
             for i in 0..n {
                 let delta = -2.0 * f64::from(out[i]) * fields[i];
-                if metropolis_accept(rng, beta, delta) {
+                if accept_exact(rng, beta, delta) {
                     let flipped = -out[i];
                     out[i] = flipped;
                     let step = f64::from(flipped);
@@ -182,7 +199,7 @@ impl ProgrammedBehavioral {
                     continue;
                 }
                 let delta = units.flip_delta(ising, out, u);
-                if metropolis_accept(rng, beta, delta) {
+                if accept_exact(rng, beta, delta) {
                     units.apply_flip(out, u);
                     for &i in &units.members[u] {
                         let step = f64::from(out[i]);

@@ -10,12 +10,13 @@
 //! small spread across reads.
 
 use crate::sampler::{
-    metropolis_accept, metropolis_threshold, ProgrammedSampler, ReadScratch, Sampler, SamplerHints,
-    LANES, METROPOLIS_EXP_CUTOFF,
+    metropolis_accept, metropolis_threshold, MetropolisBuckets, ProgrammedSampler, ReadScratch,
+    Sampler, SamplerHints, LANES, METROPOLIS_EXP_CUTOFF,
 };
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Configuration for [`SimulatedAnnealingSampler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,11 +82,9 @@ impl Sampler for SimulatedAnnealingSampler {
         let scale = ising.max_abs_weight().max(f64::MIN_POSITIVE);
         let beta0 = self.config.beta_init / scale;
         let ratio = (self.config.beta_final / scale) / beta0;
-        let betas = (0..self.config.sweeps)
-            .map(|sweep| {
-                let t = sweep as f64 / (self.config.sweeps - 1).max(1) as f64;
-                beta0 * ratio.powf(t)
-            })
+        let betas = schedule_powers(ratio, self.config.sweeps)
+            .iter()
+            .map(|&power| beta0 * power)
             .collect();
         ProgrammedSa { betas, ising }
     }
@@ -93,6 +92,36 @@ impl Sampler for SimulatedAnnealingSampler {
     fn name(&self) -> &'static str {
         "simulated-annealing"
     }
+}
+
+/// `ratio.powf(t)` at `t = sweep / (sweeps − 1)` for every sweep of a
+/// schedule, the factors of [`SimulatedAnnealingSampler::program`]'s betas.
+///
+/// `ratio` is `beta_final / beta_init` up to the rounding of the division
+/// by the problem's scale, so a process sees only a few distinct bit
+/// patterns of it per configuration. A small process-wide table keyed by
+/// those bits and the sweep count spares the `powf` calls of every later
+/// programming; the factors are the uncached ones bit for bit.
+fn schedule_powers(ratio: f64, sweeps: usize) -> Arc<[f64]> {
+    /// Schedules kept; the oldest is dropped first.
+    const KEPT: usize = 8;
+    /// `((ratio bits, sweeps), powers)`.
+    type Schedules = Vec<((u64, usize), Arc<[f64]>)>;
+    static TABLE: Mutex<Schedules> = Mutex::new(Vec::new());
+    let key = (ratio.to_bits(), sweeps);
+    let lock = || TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((_, powers)) = lock().iter().find(|(k, _)| *k == key) {
+        return Arc::clone(powers);
+    }
+    let powers: Arc<[f64]> = (0..sweeps)
+        .map(|sweep| ratio.powf(sweep as f64 / (sweeps - 1).max(1) as f64))
+        .collect();
+    let mut table = lock();
+    if table.len() == KEPT {
+        table.remove(0);
+    }
+    table.push((key, Arc::clone(&powers)));
+    powers
 }
 
 /// [`SimulatedAnnealingSampler`] programmed with one problem: the full beta
@@ -357,8 +386,11 @@ impl ProgrammedSa {
     ///
     /// Every lane has its own weights, fields, spins, betas and buffered
     /// ChaCha8 stream. The Metropolis decision is branch-free: each lane
-    /// peeks its next word, accepts through [`metropolis_threshold`], and
-    /// consumes the word iff the scalar rule would have drawn. A flip is
+    /// peeks its next word, decides it through the [`MetropolisBuckets`]
+    /// pre-test, and consumes the word iff the scalar rule would have
+    /// drawn. Only when some lane's draw falls in its bucket's open window
+    /// (about one draw in a thousand) does the walk branch to the exact
+    /// rule, [`metropolis_threshold`], for all lanes at once. A flip is
     /// applied as a select, and the neighbour update adds `2·w·0 = ±0` for
     /// lanes that did not flip, which changes no field value (at most the
     /// sign of a zero field, which the `delta <= 0` test cannot see). A
@@ -456,6 +488,7 @@ impl ProgrammedSa {
                 fields[i][l] = f;
             }
         }
+        let buckets = MetropolisBuckets::get();
         for sweep in 0..lane_prog[0].betas.len() {
             let beta: [f64; LANES] = std::array::from_fn(|l| lane_prog[l].betas[sweep]);
             let mut active = [false; LANES];
@@ -466,25 +499,41 @@ impl ProgrammedSa {
                 for i in start..n.min(start + DRAW_CHUNK) {
                     let s = spins[i];
                     let f = fields[i];
-                    let mut step = [0.0; LANES];
-                    let mut flipped = false;
+                    let mut arg = [0.0; LANES];
+                    let mut word = [0u32; LANES];
+                    let mut accept = [false; LANES];
+                    let mut unsure = [false; LANES];
                     for l in 0..LANES {
                         let delta = -2.0 * s[l] * f[l];
-                        let arg = -beta[l] * delta;
-                        let draw = (delta > 0.0) & (arg >= METROPOLIS_EXP_CUTOFF);
-                        let threshold = metropolis_threshold(arg.clamp(METROPOLIS_EXP_CUTOFF, 0.0));
+                        arg[l] = -beta[l] * delta;
+                        let draw = (delta > 0.0) & (arg[l] >= METROPOLIS_EXP_CUTOFF);
                         // `next < DRAW_CHUNK`: the buffer was topped up at
                         // most DRAW_CHUNK − 1 proposals ago (the `%` only
                         // spares the bounds check).
                         let lane = &mut draws[l];
-                        let u = f64::from(lane.words[lane.next % DRAW_CHUNK]);
-                        let accept = (delta <= 0.0) | (draw & (u + 1.0 <= threshold));
+                        word[l] = lane.words[lane.next % DRAW_CHUNK];
+                        let (sure, open) = buckets.pretest(arg[l], word[l]);
+                        accept[l] = (delta <= 0.0) | (draw & sure);
+                        unsure[l] = draw & open;
                         lane.next += usize::from(draw);
-                        active[l] |= draw | accept;
-                        step[l] = if accept { -s[l] } else { 0.0 };
-                        flipped |= accept;
+                        active[l] |= draw | accept[l];
                     }
-                    if flipped {
+                    if unsure.contains(&true) {
+                        // The exact rule, for the about one draw in a
+                        // thousand the pre-test leaves open.
+                        #[cfg(test)]
+                        crate::sampler::pretest_stats::note_fallbacks(
+                            unsure.iter().filter(|&&open| open).count() as u64,
+                        );
+                        for l in 0..LANES {
+                            let threshold =
+                                metropolis_threshold(arg[l].clamp(METROPOLIS_EXP_CUTOFF, 0.0));
+                            accept[l] |= unsure[l] & (f64::from(word[l]) + 1.0 <= threshold);
+                        }
+                    }
+                    let step: [f64; LANES] =
+                        std::array::from_fn(|l| if accept[l] { -s[l] } else { 0.0 });
+                    if accept.contains(&true) {
                         spins[i] =
                             std::array::from_fn(|l| if step[l] == 0.0 { s[l] } else { step[l] });
                         for k in offsets[i] as usize..offsets[i + 1] as usize {
@@ -541,7 +590,9 @@ impl ProgrammedSampler for ProgrammedSa {
             .enumerate()
         {
             let out = &mut out[c * LANES * n..(c * LANES + progs.len()) * n];
-            if progs.len() > 1 && Self::share_a_walk(progs) {
+            // Up to two reads cost less as one-read walks than as a lane
+            // walk with half its lanes idle.
+            if progs.len() > 2 && Self::share_a_walk(progs) {
                 Self::anneal_lanes(progs, rngs, out, scratch);
             } else {
                 for (k, (prog, rng)) in progs.iter().zip(rngs.iter_mut()).enumerate() {
@@ -555,6 +606,7 @@ impl ProgrammedSampler for ProgrammedSa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::SamplerHints;
     use mqo_core::ids::VarId;
     use mqo_core::ising::spins_to_bits;
     use mqo_core::qubo::Qubo;
@@ -702,6 +754,90 @@ mod tests {
                 SKIPPED.call_once(|| eprintln!("no AVX2 on this CPU: checked the portable lane kernel only"));
             }
         }
+    }
+
+    #[test]
+    fn cached_schedules_equal_the_uncached_formula() {
+        let uncached = |config: SaConfig, scale: f64| -> Vec<u64> {
+            let beta0 = config.beta_init / scale;
+            let ratio = (config.beta_final / scale) / beta0;
+            (0..config.sweeps)
+                .map(|sweep| {
+                    let t = sweep as f64 / (config.sweeps - 1).max(1) as f64;
+                    (beta0 * ratio.powf(t)).to_bits()
+                })
+                .collect()
+        };
+        let mut ratios = std::collections::BTreeSet::new();
+        for sweeps in [1, 2, 64, 256] {
+            let config = SaConfig {
+                sweeps,
+                ..SaConfig::default()
+            };
+            let sampler = SimulatedAnnealingSampler::new(config);
+            for k in 1..=40 {
+                let scale = 0.37 * f64::from(k);
+                ratios.insert(((config.beta_final / scale) / (config.beta_init / scale)).to_bits());
+                let ising = Ising::new(vec![scale, -0.5 * scale], vec![], 0.0);
+                // Twice: the first programming may fill the table, the
+                // second reads it.
+                for _ in 0..2 {
+                    let programmed = sampler.program(
+                        ising.clone(),
+                        &SamplerHints::default(),
+                        &mut ChaCha8Rng::seed_from_u64(0),
+                    );
+                    let betas: Vec<u64> = programmed.betas.iter().map(|b| b.to_bits()).collect();
+                    assert_eq!(
+                        betas,
+                        uncached(config, scale),
+                        "sweeps {sweeps}, scale {scale}"
+                    );
+                }
+            }
+        }
+        assert!(ratios.len() >= 3, "only {} distinct ratios", ratios.len());
+    }
+
+    #[test]
+    fn the_exact_rule_decides_under_one_percent_of_draws() {
+        use crate::sampler::pretest_stats::counts;
+        // A pinned sparse instance: 96 spins, each coupled to up to six
+        // others, weights and fields uniform in ±1.
+        let mut rng = ChaCha8Rng::seed_from_u64(2016);
+        let n = 96;
+        let h = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let couplings = (0..n)
+            .flat_map(|i| [1, 5, 17].map(|step| (i, (i + step) % n)))
+            .map(|(a, b)| (VarId::new(a), VarId::new(b), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let ising = Ising::new(h, couplings, 0.0);
+        let programmed =
+            SimulatedAnnealingSampler::default().program(ising, &SamplerHints::default(), &mut rng);
+        let streams: Vec<ChaCha8Rng> = (0..LANES as u64)
+            .map(|k| ChaCha8Rng::seed_from_u64(100 + k))
+            .collect();
+        let mut scratch = ReadScratch::default();
+        let mut out = vec![0i8; LANES * n];
+        let before = counts();
+        for (k, stream) in streams.iter().enumerate() {
+            programmed.sample_into_fast(
+                &mut stream.clone(),
+                &mut out[k * n..(k + 1) * n],
+                &mut scratch,
+            );
+        }
+        let (draws, fallbacks) = (counts().0 - before.0, counts().1 - before.1);
+        assert!(draws > 10_000, "{draws} draws");
+        assert!(
+            fallbacks * 100 < draws,
+            "{fallbacks} of {draws} draws ran the exact rule"
+        );
+        // The lane kernel leaves open exactly the draws the one-read
+        // kernel does.
+        let programs = [&programmed; LANES];
+        ProgrammedSa::anneal_lanes(&programs, &streams, &mut out, &mut scratch);
+        assert_eq!(counts().1 - before.1, 2 * fallbacks);
     }
 
     #[test]

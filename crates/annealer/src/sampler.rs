@@ -33,10 +33,16 @@ pub const METROPOLIS_EXP_CUTOFF: f64 = -22.181;
 /// saturating `as u32` cast *is* that floor for this argument range). A
 /// 32-bit acceptance draw quantizes probabilities to multiples of `2⁻³²` —
 /// far below anything an annealing schedule can resolve — and costs half
-/// the random bytes of a 53-bit uniform. Fast, reference and lane kernels
-/// all decide through [`metropolis_exp`] (the lanes in the equivalent
-/// [`metropolis_threshold`] form), so their draw sequences and outputs are
-/// bit-identical by construction.
+/// the random bytes of a 53-bit uniform.
+///
+/// The drawn case is decided by [`metropolis_decide`]: a table pre-test
+/// settles all but about one draw in a thousand without evaluating
+/// [`metropolis_exp`], and the rest run the exact rule, so the decision is
+/// always the exact rule's. The one-read SA, SQA and behavioural kernels
+/// decide here; the SA lane kernel runs the same pre-test with the exact
+/// rule in its [`metropolis_threshold`] form. Their draw sequences and
+/// outputs are bit-identical to the plain exact rule of
+/// [`crate::reference`].
 #[inline]
 pub fn metropolis_accept<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) -> bool {
     if delta <= 0.0 {
@@ -46,17 +52,125 @@ pub fn metropolis_accept<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) ->
     if arg < METROPOLIS_EXP_CUTOFF {
         return false;
     }
-    rng.next_u32() < metropolis_floor(arg)
+    metropolis_decide(arg, rng.next_u32())
 }
 
-/// `⌊E·2³²⌋` for `E = metropolis_exp(arg)`, saturating at `u32::MAX`: the
-/// scalar acceptance bound of [`metropolis_accept`].
-#[inline(always)]
-fn metropolis_floor(arg: f64) -> u32 {
-    (metropolis_exp(arg) * 4_294_967_296.0) as u32
+/// Whether the drawn word `u` accepts a move with exponent `arg` in
+/// `[METROPOLIS_EXP_CUTOFF, 0]`: always exactly `u < ⌊metropolis_exp(arg)·2³²⌋`
+/// (saturating).
+///
+/// The pre-test: the rule accepts iff `u + 1 ≤ E·2³²` (and
+/// `u < 2³² − 1`), that is iff `arg` is at least about `ln((u + 1)/2³²)`.
+/// A table holds, for each bucket of draws sharing their top
+/// [`METROPOLIS_BUCKET_BITS`] bits, bounds `lo` and `hi` on that
+/// logarithm, each widened by [`METROPOLIS_PRETEST_SLACK`]. `arg ≥ hi`
+/// accepts and `arg ≤ lo` rejects whatever the roundings of `ln` and
+/// [`metropolis_exp`], so table values computed on any host give the same
+/// decisions. Only `arg` strictly between `lo` and `hi` runs the exact
+/// rule: for a given `arg` that is one bucket in 1 024 (two within the
+/// slack of an edge), about 0.1 % of uniform draws.
+#[inline]
+pub fn metropolis_decide(arg: f64, u: u32) -> bool {
+    #[cfg(test)]
+    pretest_stats::note_draws(1);
+    let (sure, unsure) = MetropolisBuckets::get().pretest(arg, u);
+    if unsure {
+        return metropolis_decide_exact(arg, u);
+    }
+    sure
 }
 
-/// The acceptance threshold of [`metropolis_accept`] in the form lane
+/// The exact rule, for the draws the pre-test leaves open.
+#[cold]
+#[inline(never)]
+fn metropolis_decide_exact(arg: f64, u: u32) -> bool {
+    #[cfg(test)]
+    pretest_stats::note_fallbacks(1);
+    u < (metropolis_exp(arg) * 4_294_967_296.0) as u32
+}
+
+/// Top bits of a draw that pick its bucket in the pre-test of
+/// [`metropolis_decide`].
+pub const METROPOLIS_BUCKET_BITS: u32 = 10;
+
+/// How far each bound of the pre-test of [`metropolis_decide`] is widened
+/// past the `ln` it bounds. It must exceed the error of `f64::ln` on any host (≤ 1 ulp of
+/// values below 23, about `4·10⁻¹⁵`) plus the relative error of
+/// [`metropolis_exp`] (≤ 2 ulp, about `5·10⁻¹⁶`), and it does so by more
+/// than two orders of magnitude. A wider slack only sends more draws to
+/// the exact rule.
+pub const METROPOLIS_PRETEST_SLACK: f64 = 1e-12;
+
+/// Bounds on `ln((u + 1)/2³²)` per bucket of draws: the pre-test of
+/// [`metropolis_decide`]. The last bucket's `hi` is above 0, so it never
+/// pre-accepts, and `u32::MAX` is never accepted, as the saturating floor
+/// requires.
+#[derive(Debug)]
+pub(crate) struct MetropolisBuckets {
+    bounds: [[f64; 2]; 1 << METROPOLIS_BUCKET_BITS],
+}
+
+impl MetropolisBuckets {
+    /// The process-wide table, computed on first use.
+    #[inline]
+    pub(crate) fn get() -> &'static MetropolisBuckets {
+        static TABLE: std::sync::LazyLock<MetropolisBuckets> = std::sync::LazyLock::new(|| {
+            let width = 1u64 << (32 - METROPOLIS_BUCKET_BITS);
+            let mut bounds = [[0.0; 2]; 1 << METROPOLIS_BUCKET_BITS];
+            for (b, bound) in (0u64..).zip(bounds.iter_mut()) {
+                // The bucket's smallest and largest `u + 1`, over 2³²
+                // (exact in f64), then one rounding in `ln`.
+                let first = ((b * width + 1) as f64 / 4_294_967_296.0).ln();
+                let last = (((b + 1) * width) as f64 / 4_294_967_296.0).ln();
+                *bound = [
+                    first - METROPOLIS_PRETEST_SLACK,
+                    last + METROPOLIS_PRETEST_SLACK,
+                ];
+            }
+            MetropolisBuckets { bounds }
+        });
+        &TABLE
+    }
+
+    /// `(accept, undecided)` for draw `u` and exponent `arg`: `accept`
+    /// when `arg ≥ hi`, `undecided` when `lo < arg < hi`; neither means
+    /// reject. Straight-line compares, so lanes evaluate it without
+    /// branches.
+    #[inline(always)]
+    pub(crate) fn pretest(&self, arg: f64, u: u32) -> (bool, bool) {
+        let [lo, hi] = self.bounds[(u >> (32 - METROPOLIS_BUCKET_BITS)) as usize];
+        let sure = arg >= hi;
+        (sure, (arg > lo) & !sure)
+    }
+}
+
+/// Test-only counters of the draws [`metropolis_decide`] takes and of the
+/// draws the exact rule decides, per thread.
+#[cfg(test)]
+pub(crate) mod pretest_stats {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Adds `n` draws taken by [`super::metropolis_decide`].
+    pub(crate) fn note_draws(n: u64) {
+        COUNTS.with(|c| c.set((c.get().0 + n, c.get().1)));
+    }
+
+    /// Adds `n` draws decided by the exact rule, in any kernel.
+    pub(crate) fn note_fallbacks(n: u64) {
+        COUNTS.with(|c| c.set((c.get().0, c.get().1 + n)));
+    }
+
+    /// `(draws, fallbacks)` on this thread so far.
+    pub(crate) fn counts() -> (u64, u64) {
+        COUNTS.with(Cell::get)
+    }
+}
+
+/// The exact acceptance threshold of [`metropolis_accept`] in the form lane
 /// kernels evaluate without branches or float-to-int conversion: a draw `u`
 /// is accepted iff `u + 1 ≤ metropolis_threshold(arg)`, computed in `f64`.
 ///
@@ -596,7 +710,7 @@ mod tests {
         let (beta, delta) = (1.0, 1e-300);
         let arg = -beta * delta;
         assert_eq!(metropolis_exp(arg), 1.0);
-        let scalar_accepts = |u: u32| u < metropolis_floor(arg);
+        let scalar_accepts = |u: u32| metropolis_decide(arg, u);
         let lane_accepts = |u: u32| f64::from(u) + 1.0 <= metropolis_threshold(arg);
         for u in [0, u32::MAX - 1] {
             assert!(scalar_accepts(u) && lane_accepts(u), "u = {u}");
@@ -605,17 +719,14 @@ mod tests {
         assert!(!lane_accepts(u32::MAX));
         // Away from the edge both forms accept exactly `u < ⌊E·2³²⌋`.
         for arg in [-1e-9, -0.5, -3.0, -20.0, METROPOLIS_EXP_CUTOFF] {
-            let floor = metropolis_floor(arg);
-            assert_eq!(
-                floor,
-                (metropolis_exp(arg) * 4_294_967_296.0).floor() as u32
-            );
+            let floor = (metropolis_exp(arg) * 4_294_967_296.0).floor() as u32;
             for u in [floor.saturating_sub(1), floor, floor.saturating_add(1)] {
                 assert_eq!(
                     f64::from(u) + 1.0 <= metropolis_threshold(arg),
                     u < floor,
                     "arg {arg}, u {u}"
                 );
+                assert_eq!(metropolis_decide(arg, u), u < floor, "arg {arg}, u {u}");
             }
         }
     }

@@ -16,7 +16,10 @@ use mqo_annealer::faults::FaultConfig;
 use mqo_annealer::gauge::Gauge;
 use mqo_annealer::noise::ControlErrorModel;
 use mqo_annealer::sa::{ProgrammedSa, SimulatedAnnealingSampler};
-use mqo_annealer::sampler::{ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
+use mqo_annealer::sampler::{
+    metropolis_decide, metropolis_exp, ProgrammedSampler, ReadScratch, Sampler, SamplerHints,
+    METROPOLIS_BUCKET_BITS, METROPOLIS_EXP_CUTOFF, METROPOLIS_PRETEST_SLACK,
+};
 use mqo_annealer::sqa::{PathIntegralQmcSampler, SqaConfig};
 use mqo_core::ids::VarId;
 use mqo_core::ising::Ising;
@@ -78,6 +81,83 @@ fn assert_three_way_identity<P: ProgrammedSampler>(
 }
 
 use rand::RngCore;
+
+/// The exact Metropolis rule for a drawn word: `u < ⌊E·2³²⌋` with
+/// `E = metropolis_exp(arg)` and the saturating cast.
+fn exact_decision(arg: f64, u: u32) -> bool {
+    u < (metropolis_exp(arg) * 4_294_967_296.0) as u32
+}
+
+/// `ln((u + 1)/2³²)`: about the exponent at which draw `u` starts to
+/// accept, and so where the exact rule changes its answer.
+fn threshold_of(u: u32) -> f64 {
+    ((f64::from(u) + 1.0) / 4_294_967_296.0).ln()
+}
+
+/// The pre-tested decision equals the exact rule where it matters most:
+/// for draws at 0, at both sides of every bucket edge, at `u32::MAX − 1`
+/// and at `u32::MAX`, and exponents within 4 ulps of the exact rule's own
+/// edge and of the pre-test's edges a slack away on either side.
+#[test]
+fn pretested_decisions_equal_the_exact_rule_at_every_bucket_edge() {
+    let width = 1u32 << (32 - METROPOLIS_BUCKET_BITS);
+    let mut draws = vec![0, u32::MAX - 1, u32::MAX];
+    for b in 1..1u32 << METROPOLIS_BUCKET_BITS {
+        draws.extend([b * width - 1, b * width]);
+    }
+    let mut checked = 0;
+    for u in draws {
+        let edge = threshold_of(u);
+        for centre in [
+            edge,
+            edge - METROPOLIS_PRETEST_SLACK,
+            edge + METROPOLIS_PRETEST_SLACK,
+        ] {
+            let (mut below, mut above) = (centre, centre);
+            for _ in 0..4 {
+                below = below.next_down();
+                above = above.next_up();
+            }
+            let mut arg = below;
+            while arg <= above {
+                if (METROPOLIS_EXP_CUTOFF..=0.0).contains(&arg) {
+                    assert_eq!(
+                        metropolis_decide(arg, u),
+                        exact_decision(arg, u),
+                        "arg {arg:e}, u {u}"
+                    );
+                    checked += 1;
+                }
+                arg = arg.next_up();
+            }
+        }
+    }
+    assert!(checked > 50_000, "{checked} decisions");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The pre-tested decision equals the exact rule for random exponents
+    /// and draws, and for exponents within `10⁻⁹` of the draw's own edge,
+    /// where the pre-test leaves most draws to the exact rule.
+    #[test]
+    fn pretested_decisions_equal_the_exact_rule(
+        arg in METROPOLIS_EXP_CUTOFF..=0.0,
+        u in any::<u32>(),
+        near in -1e-9f64..1e-9,
+    ) {
+        prop_assert_eq!(metropolis_decide(arg, u), exact_decision(arg, u), "arg {:e}, u {}", arg, u);
+        let close = (threshold_of(u) + near).clamp(METROPOLIS_EXP_CUTOFF, 0.0);
+        prop_assert_eq!(
+            metropolis_decide(close, u),
+            exact_decision(close, u),
+            "arg {:e}, u {}",
+            close,
+            u
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

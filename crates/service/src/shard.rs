@@ -45,7 +45,7 @@
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
-use crate::http::{KeepAliveClient, Request, ResponseParts};
+use crate::http::{HttpError, HttpLimits, KeepAliveClient, Request, ResponseParts};
 use crate::metrics::{lock_recover, Metrics};
 use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::DEFAULT_EPSILON;
@@ -277,22 +277,21 @@ impl Fleet {
     /// replaying on the next healthy cell after a transport failure or a
     /// 5xx, within the request's deadline budget. Non-5xx HTTP answers are
     /// passed through verbatim, `Retry-After` included.
-    fn forward(&self, hash: u64, request: &SolveRequest, admitted: Instant) -> Response {
-        // The upstream body for deadline-less requests (and the fallback
-        // when a deadline-carrying copy cannot be serialised).
-        let without_deadline = {
-            let mut canon = request.clone();
-            canon.deadline_ms = None;
-            match serde_json::to_string(&canon) {
-                Ok(json) => json.into_bytes(),
-                Err(e) => {
-                    return Response::reject(&Reject::InternalError {
-                        detail: format!("cannot re-serialise request: {e}"),
-                    })
-                }
-            }
-        };
-
+    ///
+    /// `body` is the client's body, which `request` was decoded from. A
+    /// request without a deadline is forwarded as those bytes, so it
+    /// reaches the cell at the size the router admitted. One with a
+    /// deadline is re-serialised with the remaining budget per attempt;
+    /// re-serialising can lengthen a body (every `1` becomes `1.0`), and a
+    /// copy past the cell's body cap is answered here with the 413 the
+    /// cell would give, without forwarding.
+    fn forward(
+        &self,
+        hash: u64,
+        request: &SolveRequest,
+        body: &[u8],
+        admitted: Instant,
+    ) -> Response {
         let n = self.cells.len();
         let budget = request.deadline_ms;
         // The replay window: the client's own deadline when it sent one,
@@ -354,18 +353,35 @@ impl Fleet {
                         None
                     }
                 };
-                let body: Vec<u8> = match forwarded_deadline {
+                let with_deadline;
+                let body = match forwarded_deadline {
                     Some(deadline) => {
                         let mut fwd = request.clone();
                         fwd.deadline_ms = Some(deadline);
-                        match serde_json::to_string(&fwd) {
+                        with_deadline = match serde_json::to_string(&fwd) {
                             Ok(json) => json.into_bytes(),
-                            Err(_) => without_deadline.clone(),
+                            Err(e) => {
+                                return Response::reject(&Reject::InternalError {
+                                    detail: format!("cannot re-serialise request: {e}"),
+                                })
+                            }
+                        };
+                        let limit = HttpLimits::default().max_body;
+                        if with_deadline.len() > limit {
+                            let too_large = HttpError::BodyTooLarge {
+                                declared: with_deadline.len(),
+                                limit,
+                            };
+                            let reject = Reject::InvalidRequest {
+                                detail: too_large.to_string(),
+                            };
+                            return Response::json(too_large.http_status(), reject.body_json());
                         }
+                        &with_deadline[..]
                     }
-                    None => without_deadline.clone(),
+                    None => body,
                 };
-                match self.try_cell(cell, &body) {
+                match self.try_cell(cell, body) {
                     Ok(parts) => {
                         cell.breaker.record_success();
                         if parts.status >= 500 {
@@ -460,6 +476,8 @@ fn passed_through(parts: ResponseParts) -> Response {
 struct ForwardJob {
     hash: u64,
     request: SolveRequest,
+    /// The client's body, which `request` was decoded from.
+    body: Vec<u8>,
     admitted: Instant,
     _journal: JournalGuard,
     completer: Completer,
@@ -519,6 +537,7 @@ impl Handler for RouterHandler {
                 match self.forward_tx.send(ForwardJob {
                     hash,
                     request: solve_request,
+                    body: request.body,
                     admitted: Instant::now(),
                     _journal: guard,
                     completer,
@@ -657,7 +676,7 @@ impl MqoRouter {
                         };
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                fleet.forward(job.hash, &job.request, job.admitted)
+                                fleet.forward(job.hash, &job.request, &job.body, job.admitted)
                             }))
                             .unwrap_or_else(|_| {
                                 Response::reject(&Reject::InternalError {
@@ -781,7 +800,7 @@ fn fleet_rx<'a>(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::http::{read_response, render_request, HttpLimits};
+    use crate::http::{read_response, render_request};
     use crate::queue::QueueConfig;
     use crate::server::{Server, ServerConfig};
     use crate::testkit::{read_request, roundtrip};
@@ -1137,8 +1156,8 @@ mod tests {
     #[test]
     fn answers_larger_than_the_request_cap_pass_through_the_router() {
         // A request just under the 1 MiB body cap of ~175k one-plan
-        // queries (`[1.0]`, the form the router re-serialises them in):
-        // its answer lists one plan id per query, ~1.1 MB. The router
+        // queries (`[1.0]`): its answer lists one plan id per query,
+        // ~1.1 MB. The router
         // must pass it through like any other answer, not count it as a
         // cell failure.
         let max_body = HttpLimits::default().max_body;
@@ -1173,6 +1192,52 @@ mod tests {
         }
         let cells = router.cells();
         assert_eq!((cells[0].forwarded, cells[0].failures), (1, 0));
+        router.shutdown();
+        cell.shutdown();
+    }
+
+    #[test]
+    fn deadline_bodies_that_outgrow_the_cap_are_answered_413_without_forwarding() {
+        // Just under the cap as sent; `[1]` re-serialised as `[1.0]` puts
+        // the deadline-carrying copy half again past it.
+        let max_body = HttpLimits::default().max_body;
+        let body = |deadline: &str, queries: usize| {
+            format!(
+                r#"{{"problem":{{"queries":[{}],"savings":[]}},"seed":1{deadline}}}"#,
+                vec!["[1]"; queries].join(",")
+            )
+            .into_bytes()
+        };
+        let oversized = body(r#","deadline_ms":60000"#, (max_body - 256) / 4);
+        assert!(oversized.len() <= max_body, "{} bytes", oversized.len());
+        let cell = cell_server();
+        let router = router_over(&[&cell]);
+        let (status, reply) = roundtrip(router.local_addr(), "POST", "/solve", &oversized).unwrap();
+        assert_eq!(status, 413, "{}", String::from_utf8_lossy(&reply));
+        let v: serde_json::Value = serde_json::from_slice(&reply).unwrap();
+        assert_eq!(v["reason"], "invalid_request");
+        let cells = router.cells();
+        assert_eq!((cells[0].forwarded, cells[0].failures), (0, 0));
+        // The same body without a deadline goes out as sent and is solved.
+        let (status, reply) = roundtrip(
+            router.local_addr(),
+            "POST",
+            "/solve",
+            &body("", (max_body - 256) / 4),
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+        // A deadline body whose copy fits is forwarded as before.
+        let (status, reply) = roundtrip(
+            router.local_addr(),
+            "POST",
+            "/solve",
+            &body(r#","deadline_ms":60000"#, 3),
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+        let cells = router.cells();
+        assert_eq!((cells[0].forwarded, cells[0].failures), (2, 0));
         router.shutdown();
         cell.shutdown();
     }

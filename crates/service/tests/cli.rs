@@ -230,10 +230,8 @@ const MAX_BODY: usize = 1 << 20;
 const MAX_HWM_KB: u64 = 256 << 10;
 
 /// Peak resident set the router may reach while forwarding the same
-/// bodies: the cell's bound. The router decodes each body, then clones and
-/// re-serialises the decoded request for the cell; on x86-64 Linux its
-/// peak on the one-plan-queries body measured about 165 MB, the cell's
-/// about 125 MB.
+/// bodies: the cell's bound. The router decodes each body to key it, then
+/// forwards the client's bytes to the cell.
 const MAX_ROUTER_HWM_KB: u64 = MAX_HWM_KB;
 
 /// A process's peak resident set size (`VmHWM`), kB.
@@ -320,6 +318,38 @@ fn bodies_at_the_size_cap_answer_promptly_in_bounded_memory() {
                 "{case} via {front}: peak RSS {hwm} kB over the {max_hwm_kb} kB bound"
             );
         }
+    }
+    router.shutdown();
+    cell.shutdown();
+}
+
+#[test]
+fn bodies_at_the_size_cap_get_the_direct_status_through_the_router() {
+    // The one-plan-queries body of the test above: `[1]` re-serialised
+    // as `[1.0]` would reach the cell half again past its cap, so the
+    // router must forward the client's bytes.
+    let tiny = solve_body(&vec!["[1]".to_string(); (MAX_BODY - 64) / 4], &[]);
+    assert!(tiny.len() <= MAX_BODY);
+    let cell = Served::start(env!("CARGO_BIN_EXE_mqo_serve"), &["--addr", "127.0.0.1:0"]);
+    let router = Served::start(
+        env!("CARGO_BIN_EXE_mqo_router"),
+        &["--cells", &cell.addr.to_string(), "--addr", "127.0.0.1:0"],
+    );
+    let (direct, reply) = roundtrip(cell.addr, "POST", "/solve", &tiny).unwrap();
+    assert_eq!(
+        direct,
+        200,
+        "{}",
+        String::from_utf8_lossy(&reply[..reply.len().min(512)])
+    );
+    for attempt in 0..10 {
+        let (status, reply) = roundtrip(router.addr, "POST", "/solve", &tiny).unwrap();
+        assert_eq!(
+            status,
+            direct,
+            "attempt {attempt}: {}",
+            String::from_utf8_lossy(&reply[..reply.len().min(512)])
+        );
     }
     router.shutdown();
     cell.shutdown();
