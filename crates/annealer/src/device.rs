@@ -26,11 +26,12 @@
 //! construction, and the device fans them out over the process-wide worker
 //! pool ([`DeviceConfig::threads`]) while reassembling results in
 //! chronological order — a run is bit-identical at any thread count.
-//! Reads go to the sampler in fixed blocks of [`LANES`] consecutive reads
-//! ([`ProgrammedSampler::sample_block_fast`]), which may span gauge
-//! batches; SA anneals a block of three or more reads in lock-step lanes,
-//! smaller blocks and every other back-end one read at a time, and each
-//! read is the same either way.
+//! Reads go to the sampler in fixed blocks of [`LANES`] (8) consecutive
+//! reads ([`ProgrammedSampler::sample_block_fast`]), which may span gauge
+//! batches. SA anneals a block in lock-step lanes, as one 8-lane walk for
+//! seven or eight reads, else as 4- and 2-lane walks with a lone read
+//! left to the one-read kernel; every other back-end runs one read at a
+//! time, and each read is the same either way.
 
 use crate::faults::{FaultConfig, FaultEvents, FaultPlan, STREAM_FAULT_READ};
 use crate::gauge::Gauge;
@@ -529,11 +530,11 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let (pm, graph, _) = small_physical();
-        let run_with = |threads: usize| {
+        let run_with = |num_reads: usize, threads: usize| {
             QuantumAnnealer::new(
                 DeviceConfig {
-                    num_reads: 25,
-                    num_gauges: 4,
+                    num_reads,
+                    num_gauges: num_reads.min(4),
                     threads,
                     ..DeviceConfig::default()
                 },
@@ -542,11 +543,21 @@ mod tests {
             .run(&pm, &graph, 11)
             .unwrap()
         };
-        let serial = run_with(1);
-        for threads in [2, 3, 8] {
-            let parallel = run_with(threads);
-            assert_eq!(serial.reads(), parallel.reads());
+        // Every split of a block into lane walks, a block and a tail, two
+        // blocks and a one-read tail, and more blocks than workers.
+        for num_reads in [1, 2, 3, 5, 6, 7, 8, 10, 17, 25] {
+            let serial = run_with(num_reads, 1);
+            assert_eq!(serial.len(), num_reads);
+            for threads in [2, 3] {
+                let parallel = run_with(num_reads, threads);
+                assert_eq!(
+                    serial.reads(),
+                    parallel.reads(),
+                    "{num_reads} reads, {threads} threads"
+                );
+            }
         }
+        assert_eq!(run_with(25, 1).reads(), run_with(25, 8).reads());
     }
 
     #[test]

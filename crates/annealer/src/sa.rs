@@ -11,7 +11,7 @@
 
 use crate::sampler::{
     metropolis_accept, metropolis_threshold, MetropolisBuckets, ProgrammedSampler, ReadScratch,
-    Sampler, SamplerHints, LANES, METROPOLIS_EXP_CUTOFF,
+    Sampler, SamplerHints, METROPOLIS_EXP_CUTOFF,
 };
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
@@ -315,32 +315,46 @@ impl ProgrammedSa {
 /// top-ups: a proposal consumes at most one word per lane.
 const DRAW_CHUNK: usize = 64;
 
-/// One lane's read stream, buffered so the lane kernel can peek the next
-/// word and consume it by a count instead of a branch.
-struct LaneDraws {
-    rng: ChaCha8Rng,
-    words: [u32; DRAW_CHUNK],
-    next: usize,
+/// The read streams of a `W`-lane walk, each buffered so the walk can
+/// peek a lane's next word and consume it by a count instead of a branch.
+///
+/// Kept as one array per field rather than one struct per lane, and the
+/// walk keeps its per-lane cursors in a local `[usize; W]`, so they stay in
+/// registers: it reads a word and bumps a cursor of every lane per
+/// proposal. With one struct per lane, an 8-lane walk on `cold-backlog`
+/// instances took 762 µs against 548 µs (DESIGN.md §10).
+struct LaneStreams<const W: usize> {
+    rngs: [ChaCha8Rng; W],
+    words: [[u32; DRAW_CHUNK]; W],
 }
 
-impl LaneDraws {
-    fn new(rng: ChaCha8Rng) -> Self {
-        LaneDraws {
-            rng,
-            words: [0; DRAW_CHUNK],
-            next: DRAW_CHUNK,
+impl<const W: usize> LaneStreams<W> {
+    /// Streams whose buffers are all consumed: the first
+    /// [`LaneStreams::top_up`] takes `[DRAW_CHUNK; W]`.
+    fn new(rngs: [ChaCha8Rng; W]) -> Self {
+        LaneStreams {
+            rngs,
+            words: [[0; DRAW_CHUNK]; W],
         }
     }
 
-    /// Refills the buffer to [`DRAW_CHUNK`] unconsumed words, in stream
-    /// order.
-    fn top_up(&mut self) {
-        self.words.copy_within(self.next.., 0);
-        for word in &mut self.words[DRAW_CHUNK - self.next..] {
-            *word = self.rng.next_u32();
+    /// Refills every lane's buffer to [`DRAW_CHUNK`] unconsumed words, in
+    /// stream order, after lane `l` consumed its first `used[l]`.
+    fn top_up(&mut self, used: &[usize; W]) {
+        for ((words, &used), rng) in self.words.iter_mut().zip(used).zip(&mut self.rngs) {
+            words.copy_within(used.., 0);
+            for word in &mut words[DRAW_CHUNK - used..] {
+                *word = rng.next_u32();
+            }
         }
-        self.next = 0;
     }
+}
+
+/// `buf` refilled with `len` zeroed rows of `W` lanes, viewed as rows.
+fn lane_rows<const W: usize>(buf: &mut Vec<f64>, len: usize) -> &mut [[f64; W]] {
+    buf.clear();
+    buf.resize(len * W, 0.0);
+    buf.as_chunks_mut().0
 }
 
 /// Whether this CPU runs the AVX2 build of the lane kernel. The standard
@@ -368,6 +382,18 @@ pub fn lane_kernel() -> &'static str {
     }
 }
 
+/// The width of the walk that takes the next reads of a block with `reads`
+/// left: the widest of 8 and 4 lanes that leaves at most one lane idle,
+/// else a 2-lane walk for two reads and the one-read kernel (width 1) for
+/// one. 10 reads run as 8 + 2, 7 as 8, 6 as 4 + 2, 5 as 4 + 1, 3 as 4.
+fn walk_width(reads: usize) -> usize {
+    match reads {
+        7.. => 8,
+        3.. => 4,
+        r => r,
+    }
+}
+
 impl ProgrammedSa {
     /// Whether `programs` can share one lane walk: one CSR structure and
     /// one schedule length. Gauges only flip weight signs and control
@@ -380,7 +406,7 @@ impl ProgrammedSa {
         })
     }
 
-    /// The lane kernel: anneals `programs.len()` (2..=[`LANES`]) reads in
+    /// The lane kernel: anneals `programs.len()` (1..=`W`) reads in
     /// lock-step over one CSR walk, one lane per read, each lane
     /// bit-identical to [`ProgrammedSa::anneal`] on its stream.
     ///
@@ -399,15 +425,15 @@ impl ProgrammedSa {
     /// Unused lanes mirror the first read, and the walk ends when every
     /// lane is done.
     ///
-    /// One source, [`ProgrammedSa::lane_walk`], is compiled twice: for the
-    /// target's baseline (SSE2 on `x86_64`, where a packed instruction
-    /// holds 2 of the 4 `f64` lanes) and, on `x86_64`, with AVX2 enabled,
-    /// where one register holds all 4. The AVX2 build is picked when the
-    /// CPU has it ([`lane_kernel`] names the build).
+    /// One source, [`ProgrammedSa::lane_walk`], is compiled twice per
+    /// width: for the target's baseline (SSE2 on `x86_64`, where a packed
+    /// instruction holds 2 `f64` lanes) and, on `x86_64`, with AVX2
+    /// enabled, where one register holds 4. The AVX2 build is picked when
+    /// the CPU has it ([`lane_kernel`] names the build).
     /// Both builds do the same IEEE multiplies, adds and compares (Rust
     /// never contracts `a*b + c` into an FMA), so every read is
     /// bit-identical on every host.
-    fn anneal_lanes(
+    fn anneal_lanes<const W: usize>(
         programs: &[&ProgrammedSa],
         rngs: &[ChaCha8Rng],
         out: &mut [i8],
@@ -416,9 +442,9 @@ impl ProgrammedSa {
         #[cfg(target_arch = "x86_64")]
         if has_avx2() {
             // SAFETY: the CPU supports AVX2, as just checked.
-            return unsafe { Self::anneal_lanes_avx2(programs, rngs, out, scratch) };
+            return unsafe { Self::anneal_lanes_avx2::<W>(programs, rngs, out, scratch) };
         }
-        Self::lane_walk(programs, rngs, out, scratch);
+        Self::lane_walk::<W>(programs, rngs, out, scratch);
     }
 
     /// [`ProgrammedSa::lane_walk`] built with AVX2 enabled (not FMA).
@@ -428,51 +454,46 @@ impl ProgrammedSa {
     /// The CPU running it must support AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn anneal_lanes_avx2(
+    unsafe fn anneal_lanes_avx2<const W: usize>(
         programs: &[&ProgrammedSa],
         rngs: &[ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
-        Self::lane_walk(programs, rngs, out, scratch);
+        Self::lane_walk::<W>(programs, rngs, out, scratch);
     }
 
     /// The body of [`ProgrammedSa::anneal_lanes`], inlined into each build:
     /// a caller without AVX2 enabled gets the portable one.
     #[inline(always)]
-    fn lane_walk(
+    fn lane_walk<const W: usize>(
         programs: &[&ProgrammedSa],
         rngs: &[ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
         let reads = programs.len();
-        debug_assert!((2..=LANES).contains(&reads) && rngs.len() == reads);
-        let lane_prog: [&ProgrammedSa; LANES] =
+        debug_assert!((1..=W).contains(&reads) && rngs.len() == reads);
+        let lane_prog: [&ProgrammedSa; W] =
             std::array::from_fn(|l| programs[if l < reads { l } else { 0 }]);
-        let mut draws: [LaneDraws; LANES] =
-            std::array::from_fn(|l| LaneDraws::new(rngs[if l < reads { l } else { 0 }].clone()));
+        let mut draws = LaneStreams::<W>::new(std::array::from_fn(|l| {
+            rngs[if l < reads { l } else { 0 }].clone()
+        }));
         let ising = &lane_prog[0].ising;
         let n = ising.num_spins();
         debug_assert_eq!(out.len(), reads * n);
-        let spins = &mut scratch.lane_spins;
-        spins.clear();
-        spins.resize(n, [0.0; LANES]);
-        for (l, lane) in draws.iter_mut().enumerate() {
+        let spins = lane_rows::<W>(&mut scratch.lane_spins, n);
+        for (l, rng) in draws.rngs.iter_mut().enumerate() {
             for s in spins.iter_mut() {
-                s[l] = if lane.rng.gen::<bool>() { 1.0 } else { -1.0 };
+                s[l] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
             }
         }
         if n == 0 {
             return;
         }
         let (offsets, idx, _) = ising.adjacency();
-        let weights = &mut scratch.lane_weights;
-        weights.clear();
-        weights.resize(idx.len(), [0.0; LANES]);
-        let fields = &mut scratch.lane_fields;
-        fields.clear();
-        fields.resize(n, [0.0; LANES]);
+        let weights = lane_rows::<W>(&mut scratch.lane_weights, idx.len());
+        let fields = lane_rows::<W>(&mut scratch.lane_fields, n);
         for (l, prog) in lane_prog.iter().enumerate() {
             let (_, _, w) = prog.ising.adjacency();
             let h = prog.ising.fields();
@@ -489,33 +510,33 @@ impl ProgrammedSa {
             }
         }
         let buckets = MetropolisBuckets::get();
+        // Words each lane consumed since its last top-up.
+        let mut next = [DRAW_CHUNK; W];
         for sweep in 0..lane_prog[0].betas.len() {
-            let beta: [f64; LANES] = std::array::from_fn(|l| lane_prog[l].betas[sweep]);
-            let mut active = [false; LANES];
+            let beta: [f64; W] = std::array::from_fn(|l| lane_prog[l].betas[sweep]);
+            let mut active = [false; W];
             for start in (0..n).step_by(DRAW_CHUNK) {
-                for lane in &mut draws {
-                    lane.top_up();
-                }
+                draws.top_up(&next);
+                next = [0; W];
                 for i in start..n.min(start + DRAW_CHUNK) {
                     let s = spins[i];
                     let f = fields[i];
-                    let mut arg = [0.0; LANES];
-                    let mut word = [0u32; LANES];
-                    let mut accept = [false; LANES];
-                    let mut unsure = [false; LANES];
-                    for l in 0..LANES {
+                    let mut arg = [0.0; W];
+                    let mut word = [0u32; W];
+                    let mut accept = [false; W];
+                    let mut unsure = [false; W];
+                    for l in 0..W {
                         let delta = -2.0 * s[l] * f[l];
                         arg[l] = -beta[l] * delta;
                         let draw = (delta > 0.0) & (arg[l] >= METROPOLIS_EXP_CUTOFF);
                         // `next < DRAW_CHUNK`: the buffer was topped up at
                         // most DRAW_CHUNK − 1 proposals ago (the `%` only
                         // spares the bounds check).
-                        let lane = &mut draws[l];
-                        word[l] = lane.words[lane.next % DRAW_CHUNK];
+                        word[l] = draws.words[l][next[l] % DRAW_CHUNK];
                         let (sure, open) = buckets.pretest(arg[l], word[l]);
                         accept[l] = (delta <= 0.0) | (draw & sure);
                         unsure[l] = draw & open;
-                        lane.next += usize::from(draw);
+                        next[l] += usize::from(draw);
                         active[l] |= draw | accept[l];
                     }
                     if unsure.contains(&true) {
@@ -525,13 +546,13 @@ impl ProgrammedSa {
                         crate::sampler::pretest_stats::note_fallbacks(
                             unsure.iter().filter(|&&open| open).count() as u64,
                         );
-                        for l in 0..LANES {
+                        for l in 0..W {
                             let threshold =
                                 metropolis_threshold(arg[l].clamp(METROPOLIS_EXP_CUTOFF, 0.0));
                             accept[l] |= unsure[l] & (f64::from(word[l]) + 1.0 <= threshold);
                         }
                     }
-                    let step: [f64; LANES] =
+                    let step: [f64; W] =
                         std::array::from_fn(|l| if accept[l] { -s[l] } else { 0.0 });
                     if accept.contains(&true) {
                         spins[i] =
@@ -539,7 +560,7 @@ impl ProgrammedSa {
                         for k in offsets[i] as usize..offsets[i + 1] as usize {
                             let j = idx[k] as usize;
                             let w = weights[k];
-                            for l in 0..LANES {
+                            for l in 0..W {
                                 fields[j][l] += 2.0 * w[l] * step[l];
                             }
                         }
@@ -577,6 +598,10 @@ impl ProgrammedSampler for ProgrammedSa {
         );
     }
 
+    /// Splits the block into walks of the widest of 8 and 4 lanes that
+    /// leaves at most one lane idle, else a 2-lane walk for two reads and
+    /// the one-read kernel for one (`walk_width`); programmings that
+    /// cannot share a walk take the one-read kernel.
     fn sample_block_fast(
         programs: &[&Self],
         rngs: &mut [ChaCha8Rng],
@@ -584,20 +609,23 @@ impl ProgrammedSampler for ProgrammedSa {
         scratch: &mut ReadScratch,
     ) {
         let n = programs.first().map_or(0, |p| p.num_spins());
-        for (c, (progs, rngs)) in programs
-            .chunks(LANES)
-            .zip(rngs.chunks_mut(LANES))
-            .enumerate()
-        {
-            let out = &mut out[c * LANES * n..(c * LANES + progs.len()) * n];
-            // Up to two reads cost less as one-read walks than as a lane
-            // walk with half its lanes idle.
-            if progs.len() > 2 && Self::share_a_walk(progs) {
-                Self::anneal_lanes(progs, rngs, out, scratch);
-            } else {
+        let mut first = 0;
+        while first < programs.len() {
+            let width = walk_width(programs.len() - first);
+            let reads = first..programs.len().min(first + width);
+            let (progs, rngs) = (&programs[reads.clone()], &mut rngs[reads.clone()]);
+            let out = &mut out[reads.start * n..reads.end * n];
+            first = reads.end;
+            if width == 1 || !Self::share_a_walk(progs) {
                 for (k, (prog, rng)) in progs.iter().zip(rngs.iter_mut()).enumerate() {
                     prog.sample_into_fast(rng, &mut out[k * n..(k + 1) * n], scratch);
                 }
+                continue;
+            }
+            match width {
+                8 => Self::anneal_lanes::<8>(progs, rngs, out, scratch),
+                4 => Self::anneal_lanes::<4>(progs, rngs, out, scratch),
+                _ => Self::anneal_lanes::<2>(progs, rngs, out, scratch),
             }
         }
     }
@@ -606,7 +634,7 @@ impl ProgrammedSampler for ProgrammedSa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::SamplerHints;
+    use crate::sampler::{SamplerHints, LANES};
     use mqo_core::ids::VarId;
     use mqo_core::ising::spins_to_bits;
     use mqo_core::qubo::Qubo;
@@ -701,18 +729,62 @@ mod tests {
             })
         }
 
+        /// Both builds of the `W`-lane walk, called directly: the portable
+        /// one against per-read `sample_into_fast`, and the AVX2 one
+        /// against the portable one.
+        fn both_builds_agree<const W: usize>(
+            programs: &[&ProgrammedSa],
+            streams: &[ChaCha8Rng],
+            n: usize,
+        ) -> Result<(), TestCaseError> {
+            let reads = programs.len();
+            let mut scratch = ReadScratch::default();
+            let mut portable = vec![0i8; reads * n];
+            ProgrammedSa::lane_walk::<W>(programs, streams, &mut portable, &mut scratch);
+            for (k, (prog, stream)) in programs.iter().zip(streams).enumerate() {
+                let mut one = vec![0i8; n];
+                prog.sample_into_fast(&mut stream.clone(), &mut one, &mut scratch);
+                prop_assert_eq!(
+                    &portable[k * n..(k + 1) * n],
+                    &one[..],
+                    "{} lanes, read {}",
+                    W,
+                    k
+                );
+            }
+            #[cfg(target_arch = "x86_64")]
+            if has_avx2() {
+                let mut avx2 = vec![0i8; reads * n];
+                // SAFETY: the CPU supports AVX2, as just checked.
+                unsafe {
+                    ProgrammedSa::anneal_lanes_avx2::<W>(
+                        programs,
+                        streams,
+                        &mut avx2,
+                        &mut scratch,
+                    );
+                }
+                prop_assert_eq!(avx2, portable, "{} lanes", W);
+                return Ok(());
+            }
+            static SKIPPED: std::sync::Once = std::sync::Once::new();
+            SKIPPED.call_once(|| {
+                eprintln!("no AVX2 on this CPU: checked the portable lane kernel only")
+            });
+            Ok(())
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Both builds of the lane kernel, called directly: the
-            /// portable one against per-read `sample_into_fast`, and the
-            /// AVX2 one against the portable one. Hosts with AVX2 never
-            /// run the portable build otherwise.
+            /// Both builds of the lane kernel at every width, full or with
+            /// one spare lane, the shapes `sample_block_fast` runs. Hosts
+            /// with AVX2 never run the portable build otherwise.
             #[test]
             fn avx2_and_portable_lane_kernels_agree(
                 ising in arb_ising(),
                 gauges in 1usize..=4,
-                reads in 2usize..=LANES,
+                spare in 0usize..=1,
                 prog_seed in 0u64..1000,
                 read_seed in 0u64..1000,
             ) {
@@ -728,30 +800,13 @@ mod tests {
                     })
                     .collect();
                 let programs: Vec<&ProgrammedSa> =
-                    (0..reads).map(|k| &programmed[k % gauges]).collect();
-                let streams: Vec<ChaCha8Rng> = (0..reads)
+                    (0..LANES).map(|k| &programmed[k % gauges]).collect();
+                let streams: Vec<ChaCha8Rng> = (0..LANES)
                     .map(|k| ChaCha8Rng::seed_from_u64(read_seed * 16 + k as u64))
                     .collect();
-                let mut scratch = ReadScratch::default();
-                let mut portable = vec![0i8; reads * n];
-                ProgrammedSa::lane_walk(&programs, &streams, &mut portable, &mut scratch);
-                for (k, (prog, stream)) in programs.iter().zip(&streams).enumerate() {
-                    let mut one = vec![0i8; n];
-                    prog.sample_into_fast(&mut stream.clone(), &mut one, &mut scratch);
-                    prop_assert_eq!(&portable[k * n..(k + 1) * n], &one[..], "read {}", k);
-                }
-                #[cfg(target_arch = "x86_64")]
-                if has_avx2() {
-                    let mut avx2 = vec![0i8; reads * n];
-                    // SAFETY: the CPU supports AVX2, as just checked.
-                    unsafe {
-                        ProgrammedSa::anneal_lanes_avx2(&programs, &streams, &mut avx2, &mut scratch);
-                    }
-                    prop_assert_eq!(avx2, portable);
-                    return Ok(());
-                }
-                static SKIPPED: std::sync::Once = std::sync::Once::new();
-                SKIPPED.call_once(|| eprintln!("no AVX2 on this CPU: checked the portable lane kernel only"));
+                both_builds_agree::<2>(&programs[..2 - spare], &streams[..2 - spare], n)?;
+                both_builds_agree::<4>(&programs[..4 - spare], &streams[..4 - spare], n)?;
+                both_builds_agree::<8>(&programs[..8 - spare], &streams[..8 - spare], n)?;
             }
         }
     }
@@ -820,24 +875,47 @@ mod tests {
         let mut scratch = ReadScratch::default();
         let mut out = vec![0i8; LANES * n];
         let before = counts();
-        for (k, stream) in streams.iter().enumerate() {
-            programmed.sample_into_fast(
-                &mut stream.clone(),
-                &mut out[k * n..(k + 1) * n],
-                &mut scratch,
-            );
-        }
-        let (draws, fallbacks) = (counts().0 - before.0, counts().1 - before.1);
+        // Fallbacks of the one-read kernel, per read.
+        let fallbacks: Vec<u64> = streams
+            .iter()
+            .enumerate()
+            .map(|(k, stream)| {
+                let before = counts().1;
+                programmed.sample_into_fast(
+                    &mut stream.clone(),
+                    &mut out[k * n..(k + 1) * n],
+                    &mut scratch,
+                );
+                counts().1 - before
+            })
+            .collect();
+        let (draws, total) = (counts().0 - before.0, counts().1 - before.1);
         assert!(draws > 10_000, "{draws} draws");
         assert!(
-            fallbacks * 100 < draws,
-            "{fallbacks} of {draws} draws ran the exact rule"
+            total * 100 < draws,
+            "{total} of {draws} draws ran the exact rule"
         );
-        // The lane kernel leaves open exactly the draws the one-read
-        // kernel does.
+        // A walk of every width leaves open exactly the draws the one-read
+        // kernel does on the same streams.
         let programs = [&programmed; LANES];
-        ProgrammedSa::anneal_lanes(&programs, &streams, &mut out, &mut scratch);
-        assert_eq!(counts().1 - before.1, 2 * fallbacks);
+        let lane_fallbacks = |width: usize, scratch: &mut ReadScratch, out: &mut [i8]| {
+            let before = counts().1;
+            let (programs, streams) = (&programs[..width], &streams[..width]);
+            let out = &mut out[..width * n];
+            match width {
+                2 => ProgrammedSa::anneal_lanes::<2>(programs, streams, out, scratch),
+                4 => ProgrammedSa::anneal_lanes::<4>(programs, streams, out, scratch),
+                _ => ProgrammedSa::anneal_lanes::<8>(programs, streams, out, scratch),
+            }
+            counts().1 - before
+        };
+        for width in [2, 4, 8] {
+            assert_eq!(
+                lane_fallbacks(width, &mut scratch, &mut out),
+                fallbacks[..width].iter().sum::<u64>(),
+                "{width} lanes"
+            );
+        }
     }
 
     #[test]

@@ -293,9 +293,12 @@ pub fn metropolis_exp(x: f64) -> f64 {
     scale + scale * poly
 }
 
-/// Reads the SA lane kernel anneals in lock-step over one CSR walk
-/// ([`ProgrammedSampler::sample_block_fast`]).
-pub const LANES: usize = 4;
+/// Reads the device hands a sampler as one block
+/// ([`ProgrammedSampler::sample_block_fast`]): the width of the widest SA
+/// lane walk, which anneals that many reads in lock-step over one CSR walk.
+/// SA splits a shorter block into 4-lane and 2-lane walks and one-read
+/// kernel calls ([`crate::sa::ProgrammedSa`]).
+pub const LANES: usize = 8;
 
 /// Reusable per-worker buffers threaded through
 /// [`ProgrammedSampler::sample_into_fast`], so hot read loops allocate
@@ -316,12 +319,15 @@ pub struct ReadScratch {
     /// Spin configurations as `±1.0` doubles, for kernels whose hot loop
     /// avoids `i8 ↔ f64` conversion entirely.
     pub spinf: Vec<f64>,
-    /// Lane kernels: per-spin local fields, one column per lane.
-    pub lane_fields: Vec<[f64; LANES]>,
-    /// Lane kernels: per-spin `±1.0` spins, one column per lane.
-    pub lane_spins: Vec<[f64; LANES]>,
-    /// Lane kernels: per-CSR-entry coupling weights, one column per lane.
-    pub lane_weights: Vec<[f64; LANES]>,
+    /// Lane kernels: per-spin local fields, `W` consecutive values (one
+    /// per lane) per spin for a `W`-lane walk. Walks of every width reuse
+    /// the same buffer.
+    pub lane_fields: Vec<f64>,
+    /// Lane kernels: per-spin `±1.0` spins, laid out as `lane_fields`.
+    pub lane_spins: Vec<f64>,
+    /// Lane kernels: per-CSR-entry coupling weights, `W` consecutive
+    /// values per entry.
+    pub lane_weights: Vec<f64>,
 }
 
 /// Host-side structure hints the device may hand to a sampler.

@@ -182,15 +182,16 @@ proptest! {
         )?;
     }
 
-    /// SA's block entry point (the lane kernel, in blocks of up to four)
+    /// SA's block entry point (8-, 4- and 2-lane walks and one-read tails)
     /// is bit-identical to per-read `sample_into_fast` and to the
-    /// reference kernel, for every block size and for blocks that span
-    /// several noisy gauge programmings of one Ising.
+    /// reference kernel, for every block size up to two full 8-lane walks
+    /// and a tail, and for blocks that span several noisy gauge
+    /// programmings of one Ising.
     #[test]
     fn sa_blocks_match_per_read_kernels(
         ising in arb_ising(),
         gauges in 1usize..=4,
-        block in 1usize..=9,
+        block in 1usize..=17,
         prog_seed in 0u64..1000,
         read_seed in 0u64..1000,
     ) {
