@@ -32,8 +32,12 @@
 //! seven or eight reads, else as 4- and 2-lane walks with a lone read
 //! left to the one-read kernel; every other back-end runs one read at a
 //! time, and each read is the same either way.
+//!
+//! **Defects.** The paper's machine has 55 permanently broken qubits; the
+//! graph carries them ([`ChimeraGraph::with_broken`]) and the embedders
+//! route around them. The device has no transient faults: a run either
+//! fails up front with a typed [`DeviceError`] or returns every read.
 
-use crate::faults::{FaultConfig, FaultEvents, FaultPlan, STREAM_FAULT_READ};
 use crate::gauge::Gauge;
 use crate::noise::ControlErrorModel;
 use crate::parallel::{derive_seed, parallel_map_with, resolve_threads, STREAM_GAUGE, STREAM_READ};
@@ -43,7 +47,7 @@ use crate::sampler::{
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_chimera::physical::PhysicalMapping;
 use mqo_core::ising::{spins_to_bits, Ising};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Device-level configuration. Defaults follow Section 7.1 of the paper.
@@ -67,10 +71,6 @@ pub struct DeviceConfig {
     /// run at a time; the bench harness sets it (`--threads`), while the
     /// service, which already runs one solve per core, sets 1.
     pub threads: usize,
-    /// Deterministic fault injection (see [`crate::faults`]). Inert by
-    /// default; an inert model leaves runs bit-identical to the fault-free
-    /// device.
-    pub faults: FaultConfig,
 }
 
 impl Default for DeviceConfig {
@@ -88,7 +88,6 @@ impl Default for DeviceConfig {
                 relative_sigma: 0.0025,
             },
             threads: 0,
-            faults: FaultConfig::NONE,
         }
     }
 }
@@ -110,17 +109,8 @@ pub enum DeviceError {
         /// Second physical variable of the pair.
         phys_b: usize,
     },
-    /// The configuration is degenerate (zero reads or gauges, bad fault
-    /// rates).
+    /// The configuration is degenerate (zero reads or gauges).
     InvalidConfig(&'static str),
-    /// A gauge batch exhausted its programming-attempt budget (injected
-    /// fault); the run was aborted before any read.
-    ProgrammingFailed {
-        /// Index of the gauge batch that failed to program.
-        gauge: usize,
-        /// Programming attempts consumed before giving up.
-        attempts: usize,
-    },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -132,10 +122,6 @@ impl std::fmt::Display for DeviceError {
                  but share no usable hardware coupler"
             ),
             DeviceError::InvalidConfig(msg) => write!(f, "invalid device configuration: {msg}"),
-            DeviceError::ProgrammingFailed { gauge, attempts } => write!(
-                f,
-                "gauge batch {gauge} failed to program after {attempts} attempts"
-            ),
         }
     }
 }
@@ -152,7 +138,7 @@ pub struct PhaseTimings {
     pub program_s: f64,
     /// Seconds spent executing all annealing reads.
     pub read_s: f64,
-    /// Seconds spent reassembling reads and fault events into the set.
+    /// Seconds spent reassembling reads into the set.
     pub assemble_s: f64,
 }
 
@@ -253,32 +239,10 @@ impl<S: Sampler> QuantumAnnealer<S> {
                 "num_gauges must be in 1..=num_reads",
             ));
         }
-        self.config
-            .faults
-            .validate()
-            .map_err(DeviceError::InvalidConfig)?;
         let n = true_ising.num_spins();
         let reads_per_gauge = self.config.num_reads / self.config.num_gauges;
         let remainder = self.config.num_reads % self.config.num_gauges;
         let threads = resolve_threads(self.config.threads);
-
-        // Fault schedule — rolled up front so the read phase stays
-        // embarrassingly parallel. Inert configs skip the plan entirely and
-        // take the exact fault-free code path below.
-        let faults_cfg = self.config.faults;
-        let fault_plan = if faults_cfg.is_inert() {
-            None
-        } else {
-            match FaultPlan::build(&faults_cfg, seed, self.config.num_gauges, n) {
-                Ok(plan) => Some(plan),
-                Err(rejected) => {
-                    return Err(DeviceError::ProgrammingFailed {
-                        gauge: rejected.gauge,
-                        attempts: rejected.attempts,
-                    })
-                }
-            }
-        };
 
         // Phase A — one programming per gauge batch, each from its own
         // derived RNG stream. Hardware re-programs (and therefore re-draws
@@ -357,63 +321,17 @@ impl<S: Sampler> QuantumAnnealer<S> {
                 block_reads
                     .enumerate()
                     .map(|(slot, idx)| {
-                        let (gauge_idx, read_in_gauge) = locate(idx);
-                        let gauge = &programmed[gauge_idx].0;
+                        let (gauge_idx, _) = locate(idx);
                         let spins = &mut spins[slot * n..(slot + 1) * n];
-                        let mut flips = 0usize;
-                        let mut stuck = false;
-                        let mut delay_us = 0.0;
-                        match fault_plan.as_ref() {
-                            None => gauge.transform_spins_in_place(spins),
-                            Some(plan) => {
-                                // Fault randomness lives on its own derived
-                                // stream; the clean read stream is consumed
-                                // exactly as in the fault-free path. Roll
-                                // order is fixed: stuck → dead-qubit noise →
-                                // per-bit flips. A stuck read discards its
-                                // annealed spins.
-                                delay_us = plan.delay_before_us(gauge_idx);
-                                let mut frng = ChaCha8Rng::seed_from_u64(derive_seed(
-                                    seed,
-                                    STREAM_FAULT_READ,
-                                    gauge_idx as u64,
-                                    read_in_gauge as u64,
-                                ));
-                                stuck = faults_cfg.stuck_read_rate > 0.0
-                                    && frng.gen::<f64>() < faults_cfg.stuck_read_rate;
-                                if stuck {
-                                    for s in spins.iter_mut() {
-                                        *s = if frng.gen::<bool>() { 1 } else { -1 };
-                                    }
-                                } else {
-                                    gauge.transform_spins_in_place(spins);
-                                    for (s, &is_dead) in
-                                        spins.iter_mut().zip(plan.dead_mask(gauge_idx))
-                                    {
-                                        if is_dead {
-                                            *s = if frng.gen::<bool>() { 1 } else { -1 };
-                                        }
-                                    }
-                                }
-                                if faults_cfg.readout_flip_rate > 0.0 {
-                                    for s in spins.iter_mut() {
-                                        if frng.gen::<f64>() < faults_cfg.readout_flip_rate {
-                                            *s = -*s;
-                                            flips += 1;
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        programmed[gauge_idx].0.transform_spins_in_place(spins);
                         let assignment = spins_to_bits(spins);
                         let energy = true_qubo.energy(&assignment);
-                        let read = Read {
+                        Read {
                             assignment,
                             energy,
-                            elapsed_us: (idx + 1) as f64 * time_per_read + delay_us,
+                            elapsed_us: (idx + 1) as f64 * time_per_read,
                             gauge: gauge_idx,
-                        };
-                        (read, flips, stuck)
+                        }
                     })
                     .collect::<Vec<_>>()
             },
@@ -421,24 +339,11 @@ impl<S: Sampler> QuantumAnnealer<S> {
 
         let t2 = std::time::Instant::now();
 
-        let mut events = match fault_plan.as_ref() {
-            Some(plan) => FaultEvents {
-                dropped_qubits: plan.dropped_qubits(),
-                programming_rejects: plan.programming_rejects(),
-                delay_us: plan.total_delay_us(),
-                ..FaultEvents::default()
-            },
-            None => FaultEvents::default(),
-        };
         let mut reads = Vec::with_capacity(num_reads);
-        for (read, flips, stuck) in executed.into_iter().flatten() {
-            events.readout_flips += flips;
-            if stuck {
-                events.stuck_reads += 1;
-            }
-            reads.push(read);
+        for block in executed {
+            reads.extend(block);
         }
-        let set = SampleSet::with_faults(reads, events);
+        let set = SampleSet::new(reads);
         let timings = PhaseTimings {
             program_s: (t1 - t0).as_secs_f64(),
             read_s: (t2 - t1).as_secs_f64(),
@@ -602,132 +507,5 @@ mod tests {
         assert!((c.time_per_read_us() - 376.0).abs() < 1e-12);
         assert_eq!(c.num_reads, 1000);
         assert_eq!(c.num_gauges, 10);
-        assert!(c.faults.is_inert());
-    }
-
-    fn faulty_device(
-        reads: usize,
-        gauges: usize,
-        faults: FaultConfig,
-    ) -> QuantumAnnealer<SimulatedAnnealingSampler> {
-        QuantumAnnealer::new(
-            DeviceConfig {
-                num_reads: reads,
-                num_gauges: gauges,
-                faults,
-                ..DeviceConfig::default()
-            },
-            SimulatedAnnealingSampler::default(),
-        )
-    }
-
-    #[test]
-    fn inert_fault_config_is_bit_identical_to_the_default() {
-        let (pm, graph, _) = small_physical();
-        let clean = device(20, 4).run(&pm, &graph, 9).unwrap();
-        // Non-default inert knobs (budget, backoff) must not change a thing.
-        let inert = FaultConfig {
-            max_programming_attempts: 17,
-            reprogram_backoff_us: 123.0,
-            ..FaultConfig::NONE
-        };
-        let injected = faulty_device(20, 4, inert).run(&pm, &graph, 9).unwrap();
-        assert_eq!(clean.reads(), injected.reads());
-        assert!(injected.faults().is_empty());
-    }
-
-    #[test]
-    fn fault_injected_runs_are_reproducible_and_accounted() {
-        let (pm, graph, _) = small_physical();
-        let faults = FaultConfig {
-            readout_flip_rate: 0.1,
-            stuck_read_rate: 0.1,
-            ..FaultConfig::NONE
-        };
-        let a = faulty_device(60, 6, faults).run(&pm, &graph, 5).unwrap();
-        let b = faulty_device(60, 6, faults).run(&pm, &graph, 5).unwrap();
-        assert_eq!(a.reads(), b.reads());
-        assert_eq!(a.faults(), b.faults());
-        // At 10% rates over 60 reads × 8 qubits, something must fire.
-        assert!(a.faults().readout_flips > 0);
-        assert!(a.faults().stuck_reads > 0);
-        assert!(a.faults().dropped_qubits.is_empty());
-        assert_eq!(a.faults().programming_rejects, 0);
-    }
-
-    #[test]
-    fn certain_dropout_is_reported_and_reads_still_flow() {
-        let (pm, graph, _) = small_physical();
-        let faults = FaultConfig {
-            qubit_dropout_rate: 1.0,
-            ..FaultConfig::NONE
-        };
-        let set = faulty_device(12, 3, faults).run(&pm, &graph, 2).unwrap();
-        assert_eq!(set.len(), 12);
-        let n = pm.num_physical_vars();
-        assert_eq!(set.faults().dropped_qubits, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn certain_rejection_fails_the_run_with_a_typed_error() {
-        let (pm, graph, _) = small_physical();
-        let faults = FaultConfig {
-            programming_reject_rate: 1.0,
-            ..FaultConfig::NONE
-        };
-        let err = faulty_device(12, 3, faults)
-            .run(&pm, &graph, 2)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DeviceError::ProgrammingFailed {
-                gauge: 0,
-                attempts: FaultConfig::NONE.max_programming_attempts
-            }
-        );
-    }
-
-    #[test]
-    fn reprogramming_delays_shift_read_timestamps() {
-        let (pm, graph, _) = small_physical();
-        let faults = FaultConfig {
-            programming_reject_rate: 0.5,
-            max_programming_attempts: 64,
-            reprogram_backoff_us: 1_000.0,
-            ..FaultConfig::NONE
-        };
-        // Find a seed whose plan actually rejects at least once.
-        let mut checked = false;
-        for seed in 0..20u64 {
-            let set = match faulty_device(12, 4, faults).run(&pm, &graph, seed) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            if set.faults().programming_rejects == 0 {
-                continue;
-            }
-            checked = true;
-            let expected_delay = set.faults().delay_us;
-            assert!(expected_delay >= 1_000.0);
-            let last = set.reads().last().unwrap();
-            assert!((last.elapsed_us - (12.0 * 376.0 + expected_delay)).abs() < 1e-6);
-            // Chronological order survives the injected delays.
-            let times: Vec<f64> = set.reads().iter().map(|r| r.elapsed_us).collect();
-            assert!(times.windows(2).all(|w| w[0] <= w[1]));
-            break;
-        }
-        assert!(checked, "50% rejection over 20 seeds must fire");
-    }
-
-    #[test]
-    fn invalid_fault_rates_are_rejected() {
-        let (pm, graph, _) = small_physical();
-        let err = faulty_device(10, 2, FaultConfig::uniform(2.0))
-            .run(&pm, &graph, 0)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            DeviceError::InvalidConfig("fault rates must lie in [0, 1]")
-        );
     }
 }

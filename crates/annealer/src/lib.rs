@@ -51,7 +51,6 @@ pub mod behavioral;
 pub mod clusters;
 pub mod device;
 pub mod exact;
-pub mod faults;
 pub mod gauge;
 pub mod metrics;
 pub mod noise;
@@ -64,7 +63,6 @@ pub mod sqa;
 pub use behavioral::{BehavioralConfig, BehavioralSampler};
 pub use device::{DeviceConfig, DeviceError, PhaseTimings, QuantumAnnealer};
 pub use exact::ExactSampler;
-pub use faults::{FaultConfig, FaultEvents, FaultPlan};
 pub use gauge::Gauge;
 pub use metrics::{success_probability, time_to_solution, time_to_target};
 pub use noise::ControlErrorModel;

@@ -25,8 +25,6 @@ pub const STREAM_GAUGE: u64 = 0x4741_5547_4521_0001;
 pub const STREAM_READ: u64 = 0x5245_4144_2121_0002;
 /// Stream tag for per-instance randomness in the benchmark harness.
 pub const STREAM_INSTANCE: u64 = 0x494e_5354_4143_0003;
-/// Stream tag for pipeline-level retry/re-embed/fallback randomness.
-pub const STREAM_RETRY: u64 = 0x5245_5452_5921_0007;
 
 /// SplitMix64 output function — the standard finalizer used to expand one
 /// seed into decorrelated streams.

@@ -6,7 +6,6 @@
 //! wraps a sampler with gauge transformations, control-error noise, and the
 //! per-read timing model.
 
-use crate::faults::FaultEvents;
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
@@ -462,25 +461,13 @@ pub struct Read {
 #[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     reads: Vec<Read>,
-    faults: FaultEvents,
 }
 
 impl SampleSet {
-    /// Wraps reads in chronological order (no faults recorded).
+    /// Wraps reads in chronological order.
     pub fn new(reads: Vec<Read>) -> Self {
-        SampleSet::with_faults(reads, FaultEvents::default())
-    }
-
-    /// Wraps reads in chronological order together with the fault events
-    /// the device injected while producing them.
-    pub fn with_faults(reads: Vec<Read>, faults: FaultEvents) -> Self {
         debug_assert!(reads.windows(2).all(|w| w[0].elapsed_us <= w[1].elapsed_us));
-        SampleSet { reads, faults }
-    }
-
-    /// Fault events injected during the run (all-zero without injection).
-    pub fn faults(&self) -> &FaultEvents {
-        &self.faults
+        SampleSet { reads }
     }
 
     /// All reads in chronological order.
@@ -650,7 +637,6 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert!(s.best().is_none());
         assert!(s.trajectory().is_empty());
-        assert!(s.faults().is_empty());
         let stats = s.chain_break_stats(&[]);
         assert_eq!(stats.break_rate(), 0.0);
         assert_eq!(stats.max_chain_break_rate(), 0.0);
@@ -735,15 +721,5 @@ mod tests {
                 assert_eq!(metropolis_decide(arg, u), u < floor, "arg {arg}, u {u}");
             }
         }
-    }
-
-    #[test]
-    fn faults_are_carried_by_the_set() {
-        let faults = crate::faults::FaultEvents {
-            readout_flips: 4,
-            ..Default::default()
-        };
-        let s = SampleSet::with_faults(vec![read(1.0, 376.0)], faults.clone());
-        assert_eq!(s.faults(), &faults);
     }
 }

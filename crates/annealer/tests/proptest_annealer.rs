@@ -2,7 +2,6 @@
 //! invariance, noise statistics, protocol accounting, and sampler sanity.
 
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
-use mqo_annealer::faults::FaultConfig;
 use mqo_annealer::gauge::Gauge;
 use mqo_annealer::noise::ControlErrorModel;
 use mqo_annealer::sa::SimulatedAnnealingSampler;
@@ -175,108 +174,5 @@ proptest! {
             prop_assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits());
             prop_assert_eq!(a.gauge, b.gauge);
         }
-    }
-
-    /// Fault injection stays deterministic and thread-count invariant: for
-    /// any fault mix and any worker count, a run is bit-identical to the
-    /// single-threaded run — same reads, same fault events — and when a run
-    /// fails it fails with the same typed error.
-    #[test]
-    fn fault_injected_runs_are_thread_count_invariant(
-        reads in 1usize..30,
-        gauges in 1usize..6,
-        threads in 2usize..9,
-        seed in 0u64..100,
-        dropout in 0.0f64..0.3,
-        flip in 0.0f64..0.3,
-        reject in 0.0f64..0.5,
-        stuck in 0.0f64..0.3,
-    ) {
-        prop_assume!(gauges <= reads);
-        let mut b = Qubo::builder(4);
-        b.add_linear(VarId(0), -1.0);
-        b.add_quadratic(VarId(0), VarId(1), 1.0);
-        b.add_quadratic(VarId(2), VarId(3), -0.5);
-        let qubo = b.build();
-        let ising = Ising::from_qubo(&qubo);
-        let faults = FaultConfig {
-            qubit_dropout_rate: dropout,
-            readout_flip_rate: flip,
-            programming_reject_rate: reject,
-            stuck_read_rate: stuck,
-            ..FaultConfig::NONE
-        };
-        let run_with = |t: usize| {
-            QuantumAnnealer::new(
-                DeviceConfig {
-                    num_reads: reads,
-                    num_gauges: gauges,
-                    threads: t,
-                    faults,
-                    ..DeviceConfig::default()
-                },
-                SimulatedAnnealingSampler::default(),
-            )
-            .run_ising(&ising, &qubo, seed)
-        };
-        match (run_with(1), run_with(threads)) {
-            (Ok(serial), Ok(parallel)) => {
-                prop_assert_eq!(serial.len(), parallel.len());
-                prop_assert_eq!(serial.faults(), parallel.faults());
-                for (a, b) in serial.reads().iter().zip(parallel.reads()) {
-                    prop_assert_eq!(&a.assignment, &b.assignment);
-                    prop_assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-                    prop_assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits());
-                    prop_assert_eq!(a.gauge, b.gauge);
-                }
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(format!("{a}"), format!("{b}")),
-            (a, b) => prop_assert!(
-                false,
-                "thread count changed the outcome: 1 thread -> {a:?}, \
-                 {threads} threads -> {b:?}"
-            ),
-        }
-    }
-
-    /// A fixed (seed, fault configuration) pair fully determines the run:
-    /// two executions are bit-identical, and an inert fault configuration
-    /// reproduces the no-faults run exactly.
-    #[test]
-    fn fault_injected_runs_are_reproducible(
-        reads in 1usize..30,
-        gauges in 1usize..6,
-        seed in 0u64..100,
-        flip in 0.0f64..0.4,
-    ) {
-        prop_assume!(gauges <= reads);
-        let mut b = Qubo::builder(3);
-        b.add_linear(VarId(1), 0.5);
-        b.add_quadratic(VarId(0), VarId(2), -1.0);
-        let qubo = b.build();
-        let ising = Ising::from_qubo(&qubo);
-        let run = |faults: FaultConfig| {
-            QuantumAnnealer::new(
-                DeviceConfig {
-                    num_reads: reads,
-                    num_gauges: gauges,
-                    faults,
-                    ..DeviceConfig::default()
-                },
-                SimulatedAnnealingSampler::default(),
-            )
-            .run_ising(&ising, &qubo, seed)
-            .unwrap()
-        };
-        let faults = FaultConfig { readout_flip_rate: flip, ..FaultConfig::NONE };
-        let a = run(faults);
-        let b2 = run(faults);
-        prop_assert_eq!(a.reads(), b2.reads());
-        prop_assert_eq!(a.faults(), b2.faults());
-        // Inert knobs (zero rates, whatever the budgets) change nothing.
-        let clean = run(FaultConfig::NONE);
-        let inert = run(FaultConfig { max_programming_attempts: 9, ..FaultConfig::NONE });
-        prop_assert_eq!(clean.reads(), inert.reads());
-        prop_assert!(inert.faults().is_empty());
     }
 }

@@ -10,10 +10,9 @@
 //! * `QA` — Algorithm 1 on the simulated annealer (simulated device time);
 //! * `CLIMB`, `GA(50)`, `GA(200)` — the randomised heuristics (wall time).
 
-use mqo::pipeline::{QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig};
+use mqo::pipeline::{QuantumMqoOutcome, QuantumMqoSolver};
 use mqo_annealer::behavioral::{BehavioralConfig, BehavioralSampler};
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
-use mqo_annealer::faults::FaultConfig;
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_core::logical::LogicalMapping;
 use mqo_core::problem::MqoProblem;
@@ -34,15 +33,15 @@ pub struct AlgoRun {
     pub trace: Trace,
     /// Whether an exact solver proved optimality within budget.
     pub proved_optimal: bool,
-    /// Fault/resilience accounting — `Some` only for the `QA` track.
+    /// Chain-break and repair accounting — `Some` only for the `QA` track.
     #[serde(default)]
     pub resilience: Option<ResilienceSummary>,
 }
 
-/// Flattened fault and resilience counters of one QA run, sized for CSV.
+/// Flattened chain-break and repair counters of one QA run, sized for CSV.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceSummary {
-    /// Total reads across all device runs.
+    /// Reads of the device run.
     pub reads: usize,
     /// Reads with at least one broken chain.
     pub broken_chain_reads: usize,
@@ -54,30 +53,16 @@ pub struct ResilienceSummary {
     /// Greedy-descent moves spent polishing repaired reads.
     #[serde(default)]
     pub repair_descent_moves: usize,
-    /// Broken chains resolved by a strict majority vote (final run).
+    /// Broken chains resolved by a strict majority vote.
     #[serde(default)]
     pub chain_majority_repairs: usize,
-    /// Even-length chain ties resolved by the pinned rule (final run).
+    /// Even-length chain ties resolved by the pinned rule.
     #[serde(default)]
     pub chain_tie_breaks: usize,
-    /// Mean per-read-per-chain break rate of the final run.
+    /// Mean per-read-per-chain break rate.
     pub chain_break_rate: f64,
-    /// Break rate of the worst single chain in the final run.
+    /// Break rate of the worst single chain.
     pub max_chain_break_rate: f64,
-    /// Qubits that dropped dead during the run(s).
-    pub dropped_qubits: usize,
-    /// Readout bits flipped by injected noise.
-    pub readout_flips: usize,
-    /// Reads replaced wholesale by garbage.
-    pub stuck_reads: usize,
-    /// Rejected gauge programmings (including retried runs).
-    pub programming_rejects: usize,
-    /// Full device re-runs after rejected programmings.
-    pub retries: usize,
-    /// Re-embedding rounds after qubit dropout.
-    pub reembeds: usize,
-    /// Whether the classical fallback produced the final answer.
-    pub fallback: bool,
 }
 
 impl ResilienceSummary {
@@ -93,13 +78,6 @@ impl ResilienceSummary {
             chain_tie_breaks: out.chain_breaks.tie_breaks,
             chain_break_rate: out.chain_breaks.break_rate(),
             max_chain_break_rate: out.chain_breaks.max_chain_break_rate(),
-            dropped_qubits: out.faults.dropped_qubits.len(),
-            readout_flips: out.faults.readout_flips,
-            stuck_reads: out.faults.stuck_reads,
-            programming_rejects: out.faults.programming_rejects,
-            retries: out.retries,
-            reembeds: out.reembeds,
-            fallback: out.fallback,
         }
     }
 }
@@ -124,10 +102,6 @@ pub struct CompetitorConfig {
     /// value; classical competitors are timed on the wall clock, so heavy
     /// oversubscription can stretch their traces.
     pub threads: usize,
-    /// Fault model injected into the QA device (inert by default).
-    pub faults: FaultConfig,
-    /// Resilience policy of the QA pipeline.
-    pub resilience: ResilienceConfig,
 }
 
 impl Default for CompetitorConfig {
@@ -140,8 +114,6 @@ impl Default for CompetitorConfig {
             qa_sweeps: 8,
             seed: 0,
             threads: 0,
-            faults: FaultConfig::NONE,
-            resilience: ResilienceConfig::default(),
         }
     }
 }
@@ -199,7 +171,6 @@ pub fn run_qa(instance: &PaperInstance, graph: &ChimeraGraph, cfg: &CompetitorCo
             num_gauges: cfg.qa_gauges,
             control_error: mqo_annealer::noise::ControlErrorModel::new(cfg.qa_noise),
             threads: cfg.threads,
-            faults: cfg.faults,
             ..DeviceConfig::default()
         },
         BehavioralSampler::new(BehavioralConfig {
@@ -207,7 +178,7 @@ pub fn run_qa(instance: &PaperInstance, graph: &ChimeraGraph, cfg: &CompetitorCo
             ..BehavioralConfig::default()
         }),
     );
-    let solver = QuantumMqoSolver::new(graph.clone(), device).with_resilience(cfg.resilience);
+    let solver = QuantumMqoSolver::new(graph.clone(), device);
     let out = solver
         .solve_with_embedding(
             &instance.problem,
@@ -328,30 +299,15 @@ mod tests {
         let clean = run_qa(&inst, &graph, &cfg);
         let summary = clean.resilience.expect("QA always reports a summary");
         assert_eq!(summary.reads, cfg.qa_reads);
-        assert_eq!(summary.dropped_qubits + summary.readout_flips, 0);
-        assert!(!summary.fallback);
         // Integrity accounting partitions the reads exactly.
         assert_eq!(
             summary.verified_clean_reads + summary.repaired_reads,
             summary.reads
         );
-        // A clean (fault-free) device run must not break chains.
+        // The behavioural back-end breaks no chain on this toy instance.
         assert_eq!(summary.chain_majority_repairs + summary.chain_tie_breaks, 0);
-
-        let faulty = run_qa(
-            &inst,
-            &graph,
-            &CompetitorConfig {
-                faults: FaultConfig {
-                    readout_flip_rate: 0.05,
-                    ..FaultConfig::NONE
-                },
-                ..cfg
-            },
-        );
-        let summary = faulty.resilience.expect("QA always reports a summary");
-        assert!(summary.readout_flips > 0, "5% flips over 60 reads must hit");
-        assert!(!faulty.trace.points().is_empty());
+        assert_eq!(summary.chain_break_rate, 0.0);
+        assert_eq!(summary.max_chain_break_rate, 0.0);
     }
 
     #[test]

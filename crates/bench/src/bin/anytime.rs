@@ -19,7 +19,7 @@ use mqo_bench::harness::{
     cross_check_class, paper_machine, quantum_speedup, run_class, small_machine,
 };
 use mqo_bench::report::{
-    checkpoint_csv, checkpoint_table, checkpoints_up_to, fault_csv, fault_table, write_result_file,
+    chain_csv, chain_table, checkpoint_csv, checkpoint_table, checkpoints_up_to, write_result_file,
 };
 use mqo_workload::paper::PAPER_CLASSES;
 use std::fmt::Write as _;
@@ -37,8 +37,6 @@ fn main() {
         qa_reads: opts.reads,
         seed: opts.seed,
         threads: opts.threads,
-        faults: opts.fault_config(),
-        resilience: opts.resilience_config(),
         ..CompetitorConfig::default()
     };
     let checkpoints = checkpoints_up_to(opts.budget);
@@ -132,10 +130,9 @@ fn main() {
     if let Some(p) = write_result_file(&opts.out_dir, "figures4_5.csv", &csv) {
         eprintln!("wrote {}", p.display());
     }
-    // Fault/resilience accounting of the QA track (all-zero on clean runs).
-    let faults_md = fault_table(&classes);
-    println!("{faults_md}");
-    if let Some(p) = write_result_file(&opts.out_dir, "faults.csv", &fault_csv(&classes)) {
+    // Chain-break and repair accounting of the QA track.
+    println!("{}", chain_table(&classes));
+    if let Some(p) = write_result_file(&opts.out_dir, "chains.csv", &chain_csv(&classes)) {
         eprintln!("wrote {}", p.display());
     }
     if audit_failures > 0 {

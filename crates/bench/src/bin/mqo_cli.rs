@@ -26,7 +26,7 @@ fn usage() -> ! {
         "usage:\n  mqo_cli generate --kind paper|random|relational [--plans L] [--queries N] \
          [--seed S] [--graph RxC] --out FILE\n  mqo_cli info FILE\n  mqo_cli solve FILE \
          --algo qa|qa-sparse|bb|qubo-bb|climb|ga|greedy|decomposed [--budget-ms MS] \
-         [--reads N] [--seed S] [--threads N] [--graph RxC] [--fault-rate R]"
+         [--reads N] [--seed S] [--threads N] [--graph RxC]"
     );
     std::process::exit(2)
 }
@@ -169,17 +169,12 @@ fn solve(args: &Args) {
     let budget = Duration::from_millis(num_flag(args, "budget-ms", 2000));
     let reads = num_flag(args, "reads", 1000);
     let threads = num_flag(args, "threads", 0);
-    let fault_rate: f64 = num_flag(args, "fault-rate", 0.0);
-    if !(0.0..=1.0).contains(&fault_rate) {
-        fail("--fault-rate must be in [0, 1]");
-    }
     let graph = flag(args, "graph").map_or_else(ChimeraGraph::dwave_2x, parse_graph);
     let device = || {
         QuantumAnnealer::new(
             DeviceConfig {
                 num_reads: reads,
                 threads,
-                faults: FaultConfig::uniform(fault_rate),
                 ..DeviceConfig::default()
             },
             PathIntegralQmcSampler::default(),
@@ -190,9 +185,9 @@ fn solve(args: &Args) {
     let (selection, cost) = match algo {
         "qa" | "qa-sparse" | "decomposed" => {
             let solver = QuantumMqoSolver::new(graph, device());
-            let out = match algo {
-                "qa" => solver.solve(&problem, seed),
-                "qa-sparse" => solver.solve_sparse(&problem, seed, 16),
+            let best = match algo {
+                "qa" => solver.solve(&problem, seed).map(|out| out.best),
+                "qa-sparse" => solver.solve_sparse(&problem, seed, 16).map(|out| out.best),
                 _ => {
                     let out = solver
                         .solve_decomposed(&problem, &DecompositionConfig::default(), seed)
@@ -203,29 +198,13 @@ fn solve(args: &Args) {
                         out.blocks_improved,
                         out.device_time.as_secs_f64() * 1e3
                     );
-                    Ok(mqo::pipeline::QuantumMqoOutcome {
-                        best: out.best,
-                        trace: out.trace,
-                        device_time_us: out.device_time.as_secs_f64() * 1e6,
-                        reads: 0,
-                        repaired_reads: 0,
-                        broken_chain_reads: 0,
-                        qubits_used: 0,
-                        faults: FaultEvents::default(),
-                        retries: 0,
-                        reembeds: 0,
-                        fallback: false,
-                        chain_breaks: Default::default(),
-                        integrity: Default::default(),
-                        repair_descent_moves: 0,
-                    })
+                    Ok(out.best)
                 }
             };
-            let out = out.unwrap_or_else(|e| {
+            best.unwrap_or_else(|e| {
                 eprintln!("error: {e}");
                 std::process::exit(1)
-            });
-            out.best
+            })
         }
         "bb" => {
             let out = bb_mqo::solve(

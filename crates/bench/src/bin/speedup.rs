@@ -30,8 +30,6 @@ fn main() {
         qa_reads: opts.reads,
         seed: opts.seed,
         threads: opts.threads,
-        faults: opts.fault_config(),
-        resilience: opts.resilience_config(),
         ..CompetitorConfig::default()
     };
     let first_read = Duration::from_secs_f64(376e-6);

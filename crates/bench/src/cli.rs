@@ -1,7 +1,5 @@
 //! Minimal dependency-free flag parsing shared by the harness binaries.
 
-use mqo::pipeline::ResilienceConfig;
-use mqo_annealer::faults::FaultConfig;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -27,12 +25,6 @@ pub struct HarnessOptions {
     /// Worker threads for device reads and instance batches
     /// (`0` = available parallelism).
     pub threads: usize,
-    /// Uniform fault-injection rate for the device model (`0` = clean runs,
-    /// bit-identical to the pre-fault harness).
-    pub fault_rate: f64,
-    /// Device re-runs allowed after rejected programmings before the
-    /// classical fallback takes over.
-    pub fault_retries: usize,
     /// Audit recorded results against proven optima (exhaustive enumeration
     /// or branch-and-bound proofs) after each class.
     pub cross_check: bool,
@@ -50,8 +42,6 @@ impl Default for HarnessOptions {
             plans_filter: None,
             small: false,
             threads: 0,
-            fault_rate: 0.0,
-            fault_retries: 2,
             cross_check: false,
         }
     }
@@ -81,14 +71,6 @@ impl HarnessOptions {
                 "--reads" => opts.reads = next_value(&mut it, arg)?,
                 "--seed" => opts.seed = next_value(&mut it, arg)?,
                 "--threads" => opts.threads = next_value(&mut it, arg)?,
-                "--fault-rate" => {
-                    let rate: f64 = next_value(&mut it, arg)?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(help(format!("{arg}: must be in [0, 1]")));
-                    }
-                    opts.fault_rate = rate;
-                }
-                "--fault-retries" => opts.fault_retries = next_value(&mut it, arg)?,
                 "--cross-check" => opts.cross_check = true,
                 "--plans" => opts.plans_filter = Some(next_value(&mut it, arg)?),
                 "--out" => {
@@ -110,19 +92,6 @@ impl HarnessOptions {
             }
         }
         Ok(opts)
-    }
-
-    /// Device fault model implied by `--fault-rate` (inert at `0`).
-    pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig::uniform(self.fault_rate)
-    }
-
-    /// Pipeline resilience policy implied by `--fault-retries`.
-    pub fn resilience_config(&self) -> ResilienceConfig {
-        ResilienceConfig {
-            max_retries: self.fault_retries,
-            ..ResilienceConfig::default()
-        }
     }
 
     /// Parses `std::env::args`, printing help and exiting on request/error.
@@ -151,17 +120,12 @@ fn next_value<T: std::str::FromStr>(
 fn help(prefix: String) -> String {
     let usage = "usage: <harness> [--full] [--small] [--instances N] [--budget-ms MS] \
                  [--reads N] [--seed S] [--threads N] [--plans L] [--out DIR] \
-                 [--fault-rate R] [--fault-retries N] [--cross-check]\n\
+                 [--cross-check]\n\
                  --full       paper protocol (20 instances, 100 s budgets)\n\
                  --small      4x4 toy machine instead of the 12x12 D-Wave 2X\n\
                  --threads N  worker threads for device reads and instance \
                  batches (0 = all cores); results are thread-count invariant\n\
                  --plans L    run only the class with L plans per query\n\
-                 --fault-rate R    inject faults (dropout, readout flips, \
-                 rejected programmings, stuck reads) at uniform rate R in \
-                 [0, 1]; 0 keeps runs bit-identical to the clean harness\n\
-                 --fault-retries N device re-runs after rejected programmings \
-                 before the classical fallback answers\n\
                  --cross-check     audit every class against proven optima; \
                  any cost below a proven bound fails the run";
     if prefix.is_empty() {
@@ -216,25 +180,6 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().threads, 0);
         assert_eq!(parse(&["--threads", "4"]).unwrap().threads, 4);
         assert!(parse(&["--threads"]).unwrap_err().contains("needs a value"));
-    }
-
-    #[test]
-    fn fault_flags_parse_and_validate() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.fault_rate, 0.0);
-        assert_eq!(o.fault_retries, 2);
-        assert!(o.fault_config().is_inert());
-        let o = parse(&["--fault-rate", "0.05", "--fault-retries", "7"]).unwrap();
-        assert_eq!(o.fault_rate, 0.05);
-        assert_eq!(o.fault_retries, 7);
-        assert_eq!(o.fault_config(), FaultConfig::uniform(0.05));
-        assert_eq!(o.resilience_config().max_retries, 7);
-        assert!(parse(&["--fault-rate", "1.5"])
-            .unwrap_err()
-            .contains("must be in [0, 1]"));
-        assert!(parse(&["--fault-rate", "-0.1"])
-            .unwrap_err()
-            .contains("must be in [0, 1]"));
     }
 
     #[test]

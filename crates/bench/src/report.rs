@@ -6,11 +6,11 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-/// Fault/resilience counters of one class, summed over its instances' QA
-/// runs (rates are averaged).
+/// Chain-break and repair counters of one class, summed over its
+/// instances' QA runs (rates are averaged).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultAggregate {
-    /// QA runs that reported a resilience summary.
+pub struct ChainAggregate {
+    /// QA runs that reported a summary.
     pub instances: usize,
     /// Total device reads.
     pub reads: usize,
@@ -18,30 +18,20 @@ pub struct FaultAggregate {
     pub broken_chain_reads: usize,
     /// Reads whose decoded selection needed repair.
     pub repaired_reads: usize,
+    /// Broken chains resolved by a strict majority vote.
+    pub chain_majority_repairs: usize,
+    /// Even-length chain ties resolved by the pinned rule.
+    pub chain_tie_breaks: usize,
     /// Mean per-read-per-chain break rate across instances.
     pub mean_chain_break_rate: f64,
     /// Worst single-chain break rate seen on any instance.
     pub max_chain_break_rate: f64,
-    /// Qubits that dropped dead.
-    pub dropped_qubits: usize,
-    /// Readout bits flipped by injected noise.
-    pub readout_flips: usize,
-    /// Reads replaced wholesale by garbage.
-    pub stuck_reads: usize,
-    /// Rejected gauge programmings.
-    pub programming_rejects: usize,
-    /// Device re-runs after rejected programmings.
-    pub retries: usize,
-    /// Re-embedding rounds after qubit dropout.
-    pub reembeds: usize,
-    /// Instances the classical fallback had to answer.
-    pub fallbacks: usize,
 }
 
-/// Sums the QA resilience counters of a class. `None` when no instance
-/// carries a summary (e.g. results deserialized from a pre-fault harness).
-pub fn aggregate_resilience(class: &ClassResult) -> Option<FaultAggregate> {
-    let mut agg = FaultAggregate::default();
+/// Sums the QA chain-break and repair counters of a class. `None` when no
+/// instance carries a summary.
+pub fn aggregate_chains(class: &ClassResult) -> Option<ChainAggregate> {
+    let mut agg = ChainAggregate::default();
     for inst in &class.instances {
         for run in inst.runs.iter().filter(|r| r.name == "QA") {
             let Some(s) = run.resilience else { continue };
@@ -49,15 +39,10 @@ pub fn aggregate_resilience(class: &ClassResult) -> Option<FaultAggregate> {
             agg.reads += s.reads;
             agg.broken_chain_reads += s.broken_chain_reads;
             agg.repaired_reads += s.repaired_reads;
+            agg.chain_majority_repairs += s.chain_majority_repairs;
+            agg.chain_tie_breaks += s.chain_tie_breaks;
             agg.mean_chain_break_rate += s.chain_break_rate;
             agg.max_chain_break_rate = agg.max_chain_break_rate.max(s.max_chain_break_rate);
-            agg.dropped_qubits += s.dropped_qubits;
-            agg.readout_flips += s.readout_flips;
-            agg.stuck_reads += s.stuck_reads;
-            agg.programming_rejects += s.programming_rejects;
-            agg.retries += s.retries;
-            agg.reembeds += s.reembeds;
-            agg.fallbacks += s.fallback as usize;
         }
     }
     if agg.instances == 0 {
@@ -67,65 +52,57 @@ pub fn aggregate_resilience(class: &ClassResult) -> Option<FaultAggregate> {
     Some(agg)
 }
 
-/// Markdown table of the fault/resilience accounting per class.
-pub fn fault_table(classes: &[ClassResult]) -> String {
-    let mut out = String::from("### Fault accounting (QA track)\n");
+/// Markdown table of the chain-break and repair accounting per class.
+pub fn chain_table(classes: &[ClassResult]) -> String {
+    let mut out = String::from("### Chain breaks and repairs (QA track)\n");
     let _ = writeln!(
         out,
-        "| class | reads | broken chains | repaired | break rate | dropped | \
-         flips | stuck | rejects | retries | reembeds | fallbacks |"
+        "| class | reads | broken chains | repaired | majority repairs | tie breaks | \
+         break rate | max chain break rate |"
     );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|---|");
     for class in classes {
-        let Some(a) = aggregate_resilience(class) else {
+        let Some(a) = aggregate_chains(class) else {
             continue;
         };
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {:.4} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {:.4} | {:.4} |",
             class.label(),
             a.reads,
             a.broken_chain_reads,
             a.repaired_reads,
+            a.chain_majority_repairs,
+            a.chain_tie_breaks,
             a.mean_chain_break_rate,
-            a.dropped_qubits,
-            a.readout_flips,
-            a.stuck_reads,
-            a.programming_rejects,
-            a.retries,
-            a.reembeds,
-            a.fallbacks
+            a.max_chain_break_rate
         );
     }
     out
 }
 
 /// CSV of the same counters, one row per class.
-pub fn fault_csv(classes: &[ClassResult]) -> String {
+pub fn chain_csv(classes: &[ClassResult]) -> String {
     let mut out = String::from(
-        "plans,queries,reads,broken_chain_reads,repaired_reads,mean_chain_break_rate,\
-         dropped_qubits,readout_flips,stuck_reads,programming_rejects,retries,reembeds,fallbacks\n",
+        "plans,queries,reads,broken_chain_reads,repaired_reads,chain_majority_repairs,\
+         chain_tie_breaks,mean_chain_break_rate,max_chain_break_rate\n",
     );
     for class in classes {
-        let Some(a) = aggregate_resilience(class) else {
+        let Some(a) = aggregate_chains(class) else {
             continue;
         };
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{:.6},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{:.6},{:.6}",
             class.plans,
             class.queries,
             a.reads,
             a.broken_chain_reads,
             a.repaired_reads,
+            a.chain_majority_repairs,
+            a.chain_tie_breaks,
             a.mean_chain_break_rate,
-            a.dropped_qubits,
-            a.readout_flips,
-            a.stuck_reads,
-            a.programming_rejects,
-            a.retries,
-            a.reembeds,
-            a.fallbacks
+            a.max_chain_break_rate
         );
     }
     out
@@ -309,39 +286,27 @@ mod tests {
     }
 
     #[test]
-    fn fault_accounting_aggregates_the_qa_track() {
-        let clean = tiny_class();
-        let agg = aggregate_resilience(&clean).expect("QA reports summaries");
+    fn chain_accounting_aggregates_the_qa_track() {
+        let class = tiny_class();
+        let agg = aggregate_chains(&class).expect("QA reports summaries");
         assert_eq!(agg.instances, 1);
         assert_eq!(agg.reads, 30);
-        assert_eq!(agg.fallbacks, 0);
-        assert_eq!(agg.dropped_qubits + agg.readout_flips + agg.stuck_reads, 0);
+        assert!(agg.broken_chain_reads <= agg.reads);
+        assert!(agg.repaired_reads <= agg.reads);
+        assert!((0.0..=1.0).contains(&agg.mean_chain_break_rate));
+        assert!(agg.mean_chain_break_rate <= agg.max_chain_break_rate);
 
-        let faulty = run_class(
-            &ChimeraGraph::new(2, 2),
-            2,
-            1,
-            &CompetitorConfig {
-                classical_budget: Duration::from_millis(30),
-                qa_reads: 30,
-                qa_gauges: 3,
-                seed: 4,
-                faults: mqo_annealer::faults::FaultConfig {
-                    readout_flip_rate: 0.05,
-                    ..mqo_annealer::faults::FaultConfig::NONE
-                },
-                ..CompetitorConfig::default()
-            },
-        );
-        let agg = aggregate_resilience(&faulty).expect("QA reports summaries");
-        assert!(agg.readout_flips > 0);
-
-        let classes = [clean, faulty];
-        let md = fault_table(&classes);
-        assert!(md.contains("Fault accounting"));
-        let csv = fault_csv(&classes);
+        let classes = [class];
+        let md = chain_table(&classes);
+        assert!(md.contains("Chain breaks and repairs"));
+        assert_eq!(md.lines().count(), 3 + classes.len());
+        let csv = chain_csv(&classes);
         assert_eq!(csv.lines().count(), 1 + classes.len());
-        assert!(csv.starts_with("plans,queries,reads,"));
+        assert!(csv.starts_with("plans,queries,reads,broken_chain_reads,"));
+        assert_eq!(
+            csv.lines().nth(1).unwrap().split(',').count(),
+            csv.lines().next().unwrap().split(',').count()
+        );
     }
 
     #[test]

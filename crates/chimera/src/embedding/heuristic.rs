@@ -24,6 +24,10 @@ use std::collections::VecDeque;
 /// Attempts to embed the interaction graph (`num_vars` variables, unordered
 /// `edges`) into `graph`, making `tries` placement attempts with shuffled
 /// orders. Returns the first embedding whose chains realise every edge.
+///
+/// Fails with [`EmbeddingError::InsufficientCapacity`] when the graph has
+/// fewer working qubits than variables, and with
+/// [`EmbeddingError::NotFound`] when every attempt fails.
 pub fn find_embedding(
     num_vars: usize,
     edges: &[(VarId, VarId)],
@@ -42,6 +46,12 @@ pub fn find_embedding(
     if num_vars == 0 {
         return Embedding::new(Vec::new(), graph.num_qubits());
     }
+    if num_vars > graph.num_working_qubits() {
+        return Err(EmbeddingError::InsufficientCapacity {
+            requested: num_vars,
+            available: graph.num_working_qubits(),
+        });
+    }
 
     // Adjacency of the logical interaction graph.
     let mut adjacency: Vec<Vec<VarId>> = vec![Vec::new(); num_vars];
@@ -56,33 +66,31 @@ pub fn find_embedding(
     let mut base_order: Vec<usize> = (0..num_vars).collect();
     base_order.sort_by_key(|&v| std::cmp::Reverse(adjacency[v].len()));
 
-    let mut last_err = EmbeddingError::InsufficientCapacity {
-        requested: num_vars,
-        available: graph.num_working_qubits(),
-    };
     for attempt in 0..tries {
         let mut order = base_order.clone();
         if attempt > 0 {
             order.shuffle(rng);
         }
-        match try_place(&order, &adjacency, graph, rng) {
-            Ok(chains) => {
-                let embedding = Embedding::new(chains, graph.num_qubits())?;
-                embedding.verify(graph, edges.iter().copied())?;
-                return Ok(embedding);
-            }
-            Err(e) => last_err = e,
+        if let Some(chains) = try_place(&order, &adjacency, graph, rng) {
+            let embedding = Embedding::new(chains, graph.num_qubits())?;
+            embedding.verify(graph, edges.iter().copied())?;
+            return Ok(embedding);
         }
     }
-    Err(last_err)
+    Err(EmbeddingError::NotFound {
+        variables: num_vars,
+        tries,
+    })
 }
 
+/// One placement attempt in `order`; `None` when some variable finds no
+/// free qubit to seed or connect its chain.
 fn try_place(
     order: &[usize],
     adjacency: &[Vec<VarId>],
     graph: &ChimeraGraph,
     rng: &mut impl Rng,
-) -> Result<Vec<Vec<QubitId>>, EmbeddingError> {
+) -> Option<Vec<Vec<QubitId>>> {
     let num_vars = adjacency.len();
     let mut chains: Vec<Vec<QubitId>> = vec![Vec::new(); num_vars];
     let mut owner: Vec<Option<usize>> = vec![None; graph.num_qubits()];
@@ -101,10 +109,7 @@ fn try_place(
                 .filter(|&q| graph.is_working(q) && owner[q.index()].is_none())
                 .collect();
             if candidates.is_empty() {
-                return Err(EmbeddingError::InsufficientCapacity {
-                    requested: num_vars,
-                    available: 0,
-                });
+                return None;
             }
             candidates.shuffle(rng);
             let seed = *candidates
@@ -146,12 +151,7 @@ fn try_place(
                 best = Some((total, q));
             }
         }
-        let Some((_, root)) = best else {
-            return Err(EmbeddingError::InsufficientCapacity {
-                requested: num_vars,
-                available: graph.num_working_qubits(),
-            });
-        };
+        let (_, root) = best?;
 
         // Claim the root plus each connecting path.
         let mut chain = vec![root];
@@ -169,7 +169,7 @@ fn try_place(
         chains[v] = chain;
     }
 
-    Ok(chains)
+    Some(chains)
 }
 
 fn free_degree(graph: &ChimeraGraph, owner: &[Option<usize>], q: QubitId) -> usize {
@@ -326,6 +326,32 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let err = find_embedding(9, &edges, &graph, &mut rng, 4).unwrap_err();
         assert!(matches!(err, EmbeddingError::InsufficientCapacity { .. }));
+    }
+
+    #[test]
+    fn a_failed_search_within_capacity_is_not_found() {
+        // 16 working qubits exceed 9 variables, but no K9 minor fits in
+        // two Chimera cells.
+        let graph = ChimeraGraph::new(2, 1);
+        let mut edges = Vec::new();
+        for i in 0..9 {
+            for j in i + 1..9 {
+                edges.push((VarId::new(i), VarId::new(j)));
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let err = find_embedding(9, &edges, &graph, &mut rng, 4).unwrap_err();
+        assert_eq!(
+            err,
+            EmbeddingError::NotFound {
+                variables: 9,
+                tries: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "no embedding of 9 variables found in 4 tries"
+        );
     }
 
     #[test]

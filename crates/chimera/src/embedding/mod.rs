@@ -48,6 +48,13 @@ pub enum EmbeddingError {
         /// What the graph can host.
         available: usize,
     },
+    /// A heuristic search within the graph's capacity found no embedding.
+    NotFound {
+        /// Logical variables to embed.
+        variables: usize,
+        /// Attempts made.
+        tries: usize,
+    },
 }
 
 impl std::fmt::Display for EmbeddingError {
@@ -74,6 +81,12 @@ impl std::fmt::Display for EmbeddingError {
                 f,
                 "requested {requested} but the graph only supports {available}"
             ),
+            EmbeddingError::NotFound { variables, tries } => {
+                write!(
+                    f,
+                    "no embedding of {variables} variables found in {tries} tries"
+                )
+            }
         }
     }
 }
@@ -237,36 +250,6 @@ impl Embedding {
     }
 }
 
-/// Re-embeds `num_vars` variables with required `edges` on a (typically
-/// freshly degraded) graph — the pipeline's recovery entry point after
-/// qubit dropout.
-///
-/// Strategy: scan every TRIAD block origin for a clique embedding that
-/// avoids the broken qubits (cheap, and exact for clique-shaped problems);
-/// if no origin works, fall back to the randomized heuristic embedder
-/// routing only the edges actually required. `tries` (≥ 1) bounds the
-/// heuristic's attempts; the error of the last failing strategy is
-/// returned.
-pub fn reembed(
-    graph: &ChimeraGraph,
-    num_vars: usize,
-    edges: &[(VarId, VarId)],
-    rng: &mut impl rand::Rng,
-    tries: usize,
-) -> Result<Embedding, EmbeddingError> {
-    assert!(num_vars >= 1, "cannot re-embed zero variables");
-    assert!(tries >= 1, "at least one heuristic attempt is required");
-    let m = triad::triad_block_side(num_vars);
-    for row in 0..=graph.rows().saturating_sub(m) {
-        for col in 0..=graph.cols().saturating_sub(m) {
-            if let Ok(e) = triad::triad(graph, row, col, num_vars) {
-                return Ok(e);
-            }
-        }
-    }
-    heuristic::find_embedding(num_vars, edges, graph, rng, tries)
-}
-
 /// Cache-aware embedding entry point: embeds a problem *structure*
 /// (variable count + interaction edges) deterministically from
 /// `structure_seed`, independent of any per-request randomness.
@@ -279,9 +262,11 @@ pub fn reembed(
 /// structure then yield bit-identical embeddings, which in turn makes
 /// cached-hit solves bit-identical to cold solves.
 ///
-/// Strategy is the same as [`reembed`]: TRIAD origin scan first (exact for
-/// clique-shaped structures), then the randomized heuristic router with
-/// `tries` attempts.
+/// Strategy: scan every TRIAD block origin for a clique embedding that
+/// avoids the broken qubits (cheap, and exact for clique-shaped
+/// structures); if no origin works, fall back to the randomized heuristic
+/// embedder routing only the edges actually required, with `tries` (≥ 1)
+/// attempts.
 pub fn embed_structure(
     graph: &ChimeraGraph,
     num_vars: usize,
@@ -290,8 +275,18 @@ pub fn embed_structure(
     tries: usize,
 ) -> Result<Embedding, EmbeddingError> {
     use rand::SeedableRng;
+    assert!(num_vars >= 1, "cannot embed zero variables");
+    assert!(tries >= 1, "at least one heuristic attempt is required");
+    let m = triad::triad_block_side(num_vars);
+    for row in 0..=graph.rows().saturating_sub(m) {
+        for col in 0..=graph.cols().saturating_sub(m) {
+            if let Ok(e) = triad::triad(graph, row, col, num_vars) {
+                return Ok(e);
+            }
+        }
+    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(structure_seed);
-    reembed(graph, num_vars, edges, &mut rng, tries)
+    heuristic::find_embedding(num_vars, edges, graph, &mut rng, tries)
 }
 
 #[cfg(test)]
@@ -395,8 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn reembed_scans_triad_origins_around_broken_qubits() {
-        use rand::SeedableRng;
+    fn embed_structure_scans_triad_origins_around_broken_qubits() {
         let g = ChimeraGraph::new(2, 2);
         // Kill the whole top-left cell: TRIAD at (0, 0) is impossible, but
         // scanning finds another origin for a 4-clique.
@@ -415,26 +409,23 @@ mod tests {
             (VarId(0), VarId(2)),
             (VarId(1), VarId(3)),
         ];
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let e = reembed(&broken, 4, &edges, &mut rng, 4).expect("another origin hosts the clique");
+        let e = embed_structure(&broken, 4, &edges, 1, 4).expect("another origin hosts the clique");
         assert_eq!(e.num_vars(), 4);
         assert!(e.verify(&broken, edges.iter().copied()).is_ok());
         for chain in e.chains() {
             for q in chain {
-                assert!(!dead.contains(q), "re-embedding used a dead qubit");
+                assert!(!dead.contains(q), "the embedding used a dead qubit");
             }
         }
     }
 
     #[test]
-    fn reembed_falls_back_to_the_heuristic_for_sparse_problems() {
-        use rand::SeedableRng;
+    fn embed_structure_falls_back_to_the_heuristic_for_sparse_problems() {
         // 10 variables exceed the 2x2 TRIAD clique capacity (8), but a
         // sparse chain of edges routes heuristically.
         let g = ChimeraGraph::new(2, 2);
         let edges: Vec<(VarId, VarId)> = (0..9).map(|i| (VarId(i), VarId(i + 1))).collect();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let e = reembed(&g, 10, &edges, &mut rng, 16).expect("a sparse chain routes on 2x2");
+        let e = embed_structure(&g, 10, &edges, 3, 16).expect("a sparse chain routes on 2x2");
         assert_eq!(e.num_vars(), 10);
         assert!(e.verify(&g, edges.iter().copied()).is_ok());
     }

@@ -28,7 +28,7 @@
 //! translating the canonical embedding to origin `(r, c)` reproduces
 //! `triad(graph, r, c, n)` verbatim, and the placer scans origins in the
 //! same row-major order as the whole-graph TRIAD embedder
-//! ([`crate::embedding::reembed`]). Placing the canonical embedding therefore
+//! ([`crate::embedding::embed_structure`]). Placing the canonical embedding therefore
 //! yields exactly the chains the whole-graph embedder would produce.
 
 use crate::embedding::{triad, Embedding, EmbeddingError};

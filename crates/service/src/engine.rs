@@ -51,7 +51,8 @@ pub struct EngineConfig {
     pub graph: ChimeraGraph,
     /// Device protocol defaults; per-request `reads`/`gauges` override them.
     pub device: DeviceConfig,
-    /// Fault-tolerance policy of the pipeline.
+    /// Read-repair policy of the pipeline; its descent bound also bounds
+    /// the integrity gate's repair.
     pub resilience: ResilienceConfig,
     /// Weight slack ε of both mapping stages (paper: 0.25).
     pub epsilon: f64,
@@ -719,6 +720,44 @@ mod tests {
                     .collect()
             ))
             .is_ok());
+    }
+
+    #[test]
+    fn a_failed_embedding_search_is_reported_as_not_found() {
+        // A 50×2 paper instance is within the clustered capacity of the
+        // paper machine, so it routes to the annealer, but no embedder
+        // places its 100 variables: the note names the failed search, not
+        // the machine's capacity.
+        use mqo_workload::paper::{self, PaperWorkloadConfig};
+        use rand::SeedableRng;
+        let graph = ChimeraGraph::dwave_2x();
+        let cfg = PaperWorkloadConfig {
+            max_queries: 50,
+            ..PaperWorkloadConfig::paper_class(2)
+        };
+        let inst = paper::generate(&graph, &cfg, &mut ChaCha8Rng::seed_from_u64(50))
+            .expect("the paper machine hosts 50 queries");
+        assert_eq!(inst.problem.num_plans(), 100);
+        let mut config = EngineConfig::new(graph);
+        config.classical_budget = Duration::from_millis(50);
+        let e = SolveEngine::new(config, Arc::new(Metrics::default()));
+        let r = e.solve(&SolveRequest::new(inst.problem, 1)).unwrap();
+        assert_ne!(r.backend, Backend::Annealer);
+        let not_found = EmbeddingError::NotFound {
+            variables: 100,
+            tries: EMBED_TRIES,
+        };
+        assert!(
+            r.route_reason
+                .contains(&format!("annealer: embedding failed ({not_found})")),
+            "{}",
+            r.route_reason
+        );
+        assert!(
+            !r.route_reason.contains("only supports"),
+            "{}",
+            r.route_reason
+        );
     }
 
     #[test]

@@ -28,8 +28,7 @@ use crate::http::{
 };
 use crate::queue::{panic_message, WorkerFatal};
 use crate::supervisor::Supervisor;
-use mqo_annealer::faults::unit_uniform;
-use mqo_annealer::parallel::derive_seed;
+use mqo_annealer::parallel::{derive_seed, splitmix64};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,6 +209,12 @@ const STREAM_KILL: u64 = 0x4348_4b49_4c4c_0002;
 const STREAM_BACKEND: u64 = 0x4348_4241_434b_0003;
 const STREAM_CORRUPT: u64 = 0x4348_434f_5252_0005;
 const STREAM_CELL_KILL: u64 = 0x4348_4345_4c4c_0006;
+
+/// Maps a derived seed to one uniform sample in `[0, 1)` through an extra
+/// SplitMix64 round: a single probability roll without an RNG object.
+fn unit_uniform(seed: u64) -> f64 {
+    (splitmix64(seed) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
 
 /// One uniform sample in `[0, 1)` for slot `(a, b)` of `stream`.
 fn roll(seed: u64, stream: u64, a: u64, b: u64) -> f64 {
@@ -640,6 +645,23 @@ mod tests {
         assert_eq!(bodies[1], "{\"path\":\"/b\",\"i\":1}");
         assert_eq!(bodies[2], "{\"path\":\"/c\",\"i\":2}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn unit_uniform_is_pinned_and_lands_in_the_half_open_interval() {
+        // Pinned stream values: the same seeds fault the same requests.
+        assert_eq!(
+            unit_uniform(0),
+            7_956_156_453_446_585.0 / (1u64 << 53) as f64
+        );
+        assert_eq!(
+            unit_uniform(42),
+            6_679_422_623_415_661.0 / (1u64 << 53) as f64
+        );
+        for seed in 0..10_000u64 {
+            let u = unit_uniform(seed);
+            assert!((0.0..1.0).contains(&u), "{u}");
+        }
     }
 
     #[test]

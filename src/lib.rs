@@ -66,7 +66,6 @@ pub mod prelude {
         PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig,
     };
     pub use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
-    pub use mqo_annealer::faults::{FaultConfig, FaultEvents};
     pub use mqo_annealer::sa::SimulatedAnnealingSampler;
     pub use mqo_annealer::sqa::PathIntegralQmcSampler;
     pub use mqo_chimera::graph::ChimeraGraph;
