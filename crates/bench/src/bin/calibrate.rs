@@ -108,11 +108,7 @@ fn main() {
             ..MqoBbConfig::default()
         },
     );
-    let incumbent = exact
-        .best
-        .as_ref()
-        .unwrap_or_else(|| fail("reference solver produced no incumbent"))
-        .1;
+    let incumbent = exact.best.1;
     let (reference, label) = if exact.stop == StopReason::Optimal {
         (incumbent, "optimum, proved by LIN-MQO")
     } else {

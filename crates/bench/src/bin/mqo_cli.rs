@@ -9,6 +9,7 @@
 //!
 //! Instances are the serde JSON form of [`mqo_core::MqoProblem`]; solutions
 //! are printed as JSON `{cost, plans}` on stdout, diagnostics on stderr.
+//! A flag the subcommand does not list above is an error (exit 2).
 
 use mqo::decomposition::DecompositionConfig;
 use mqo::prelude::*;
@@ -38,17 +39,18 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 
 struct Args {
     positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
+    /// `(name, value)` pairs in command-line order; the last one wins.
+    flags: Vec<(String, String)>,
 }
 
 fn parse_args() -> Args {
     let mut positional = Vec::new();
-    let mut flags = std::collections::HashMap::new();
+    let mut flags = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
             let value = it.next().unwrap_or_else(|| usage());
-            flags.insert(name.to_string(), value);
+            flags.push((name.to_string(), value));
         } else {
             positional.push(a);
         }
@@ -65,16 +67,34 @@ fn parse_graph(spec: &str) -> ChimeraGraph {
 
 fn main() {
     let args = parse_args();
-    match args.positional.first().map(String::as_str) {
-        Some("generate") => generate(&args),
-        Some("info") => info(&args),
-        Some("solve") => solve(&args),
+    let (run, accepted): (fn(&Args), &[&str]) = match args.positional.first().map(String::as_str) {
+        Some("generate") => (
+            generate,
+            &["kind", "plans", "queries", "seed", "graph", "out"],
+        ),
+        Some("info") => (info, &[]),
+        Some("solve") => (
+            solve,
+            &["algo", "budget-ms", "reads", "seed", "threads", "graph"],
+        ),
         _ => usage(),
+    };
+    if let Some((name, _)) = args
+        .flags
+        .iter()
+        .find(|(name, _)| !accepted.contains(&name.as_str()))
+    {
+        fail(format!("unknown flag --{name}"));
     }
+    run(&args);
 }
 
 fn flag<'a>(args: &'a Args, name: &str) -> Option<&'a str> {
-    args.flags.get(name).map(String::as_str)
+    args.flags
+        .iter()
+        .rev()
+        .find(|(n, _)| n == name)
+        .map(|(_, value)| value.as_str())
 }
 
 fn num_flag<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> T {
@@ -219,7 +239,6 @@ fn solve(args: &Args) {
                 out.stop, out.nodes, out.root_bound
             );
             out.best
-                .unwrap_or_else(|| fail("branch-and-bound produced no incumbent within budget"))
         }
         "qubo-bb" => {
             let mapping = mqo_core::logical::LogicalMapping::with_default_epsilon(&problem);

@@ -26,7 +26,7 @@
 //! let problem = b.build().unwrap();
 //!
 //! let out = bb_mqo::solve(&problem, &MqoBbConfig::default());
-//! let (selection, cost) = out.best.unwrap();
+//! let (selection, cost) = out.best;
 //! assert_eq!(cost, 2.0);
 //! assert_eq!(problem.selection_cost(&selection), 2.0);
 //! ```

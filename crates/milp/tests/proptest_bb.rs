@@ -55,7 +55,7 @@ proptest! {
         let (_, optimum) = problem.brute_force_optimum();
         let out = bb_mqo::solve(&problem, &MqoBbConfig::default());
         prop_assert_eq!(out.stop, StopReason::Optimal);
-        let (sel, cost) = out.best.unwrap();
+        let (sel, cost) = out.best;
         prop_assert!((cost - optimum).abs() < 1e-9);
         prop_assert!(problem.validate_selection(&sel).is_ok());
         prop_assert!(out.root_bound <= optimum + 1e-9);

@@ -132,10 +132,10 @@ pub enum Reject {
         /// Panic payload (or a placeholder for non-string payloads).
         detail: String,
     },
-    /// Every candidate backend was skipped by an open circuit breaker (or
-    /// failed); the request should be retried after the cooling period.
+    /// Every candidate backend failed (an error or a panic) on this
+    /// request.
     BackendUnavailable {
-        /// Which breakers were open / which attempts failed.
+        /// Which attempts failed, and how.
         detail: String,
     },
     /// A backend produced an answer that failed the integrity gate
@@ -300,7 +300,7 @@ mod tests {
             ),
             (
                 Reject::BackendUnavailable {
-                    detail: "all breakers open".into(),
+                    detail: "annealer: panicked (boom); milp: panicked (boom)".into(),
                 },
                 503,
                 "backend_unavailable",

@@ -9,9 +9,9 @@
 //! the process exits and prints `drained and stopped`. Everything else
 //! runs at the library defaults of [`ServerConfig::new`]
 //! (`EngineConfig::new`, `QueueConfig::default()`, `LoopConfig::default()`):
-//! the embedding cache and backend breakers keep their default sizes, and
-//! the engine's fault seam is the no-op `NoFaults`. The breaker knobs are
-//! library settings that the tests set directly; fault injectors live in
+//! the embedding cache keeps its default size, every request walks the
+//! stateless backend chain from the routed first choice, and the engine's
+//! fault seam is the no-op `NoFaults`. Fault injectors live in
 //! `mqo_service::testkit` and reach only engines the tests build.
 
 use mqo_chimera::graph::ChimeraGraph;

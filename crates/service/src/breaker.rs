@@ -1,9 +1,11 @@
-//! Per-backend circuit breakers.
+//! Per-cell transport health for the router (`crate::shard`).
 //!
-//! A backend that fails repeatedly (device programming aborts, panics
-//! inside a solver, including test-injected ones) stops receiving traffic
-//! for a cooling period instead of burning the latency budget of every
-//! request that routes to it. Classic three-state machine:
+//! A cell that keeps failing at the transport level (refused or reset
+//! connections, timeouts: a killed or unreachable `mqo_serve` process)
+//! stops receiving forwards for a cooling period instead of burning every
+//! request's deadline on it; the shard walk sends its keys to the next
+//! healthy cell. Typed HTTP answers from a cell never count as failures.
+//! Classic three-state machine:
 //!
 //! ```text
 //!        failure (consecutive >= threshold)
@@ -14,22 +16,24 @@
 //!                 probe fails: back to Open ─┘
 //! ```
 //!
-//! `HalfOpen` admits a single probe request at a time; its outcome decides
-//! the next state. All transitions are counted (surfaced in `/metrics`) and
-//! every lock acquisition recovers from poisoning — a panicking worker
-//! thread must never wedge the breaker for the rest of the fleet.
+//! `HalfOpen` admits a single probe forward at a time; its outcome decides
+//! the next state. All transitions are counted (surfaced per cell in the
+//! router's `/metrics`), the remaining cooling time of an open breaker
+//! sets the router's `Retry-After`, and every lock acquisition recovers
+//! from poisoning: a panicking thread must never wedge the breaker for
+//! the rest of the router.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Breaker policy knobs (shared by every backend's breaker).
+/// Breaker policy knobs (shared by every cell's breaker).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct BreakerConfig {
-    /// Consecutive failures that open the breaker. `0` disables breaking
-    /// entirely (every request is admitted).
+    /// Consecutive failures that open the breaker (`0` opens on the
+    /// first failure, like `1`).
     pub failure_threshold: u32,
     /// How long an open breaker rejects before allowing a half-open probe,
     /// milliseconds.
@@ -82,7 +86,7 @@ pub struct BreakerSnapshot {
     pub rejected_total: u64,
 }
 
-/// One backend's circuit breaker. Thread-safe; poison-recovering.
+/// One cell's circuit breaker. Thread-safe; poison-recovering.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
@@ -119,13 +123,10 @@ impl CircuitBreaker {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Asks to route one request through this backend. `true` admits it
-    /// (and, from `Open`, may start a half-open probe); `false` means the
-    /// caller should fall through to the next backend.
+    /// Asks to forward one request to this cell. `true` admits it (and,
+    /// from `Open`, may start a half-open probe); `false` means the caller
+    /// should fall through to the next cell.
     pub fn admit(&self) -> bool {
-        if self.config.failure_threshold == 0 {
-            return true;
-        }
         let mut inner = self.lock();
         let admitted = match inner.state {
             BreakerState::Closed => true,
@@ -143,7 +144,7 @@ impl CircuitBreaker {
                 }
             }
             // One probe at a time: concurrent requests bounce to the next
-            // backend until the probe's verdict is in.
+            // cell until the probe's verdict is in.
             BreakerState::HalfOpen => {
                 if inner.probe_in_flight {
                     false
@@ -161,9 +162,6 @@ impl CircuitBreaker {
 
     /// Records a successful attempt: closes the breaker.
     pub fn record_success(&self) {
-        if self.config.failure_threshold == 0 {
-            return;
-        }
         let mut inner = self.lock();
         if inner.state != BreakerState::Closed {
             self.closed_total.fetch_add(1, Ordering::Relaxed);
@@ -177,9 +175,6 @@ impl CircuitBreaker {
     /// Records a failed attempt: a failed probe re-opens immediately, and
     /// `failure_threshold` consecutive failures open a closed breaker.
     pub fn record_failure(&self) {
-        if self.config.failure_threshold == 0 {
-            return;
-        }
         let mut inner = self.lock();
         inner.consecutive_failures = inner.consecutive_failures.saturating_add(1);
         let open_now = match inner.state {
@@ -202,15 +197,12 @@ impl CircuitBreaker {
     }
 
     /// How much of the cooling period an `Open` breaker still has to sit
-    /// out. `None` when the breaker is not open (or breaking is disabled);
+    /// out. `None` when the breaker is not open;
     /// `Some(Duration::ZERO)` once the cooling has elapsed but no probe has
     /// been admitted yet. Callers use this to compute an honest
     /// `Retry-After` instead of a constant.
     #[must_use]
     pub fn remaining_open(&self) -> Option<Duration> {
-        if self.config.failure_threshold == 0 {
-            return None;
-        }
         let inner = self.lock();
         if inner.state != BreakerState::Open {
             return None;
@@ -329,25 +321,6 @@ mod tests {
             Some(Duration::ZERO),
             "elapsed cooling reports zero, not None: the breaker is still open"
         );
-
-        let disabled = breaker(0, 30_000);
-        disabled.record_failure();
-        assert_eq!(
-            disabled.remaining_open(),
-            None,
-            "disabled breaker never opens"
-        );
-    }
-
-    #[test]
-    fn zero_threshold_disables_breaking() {
-        let b = breaker(0, 0);
-        for _ in 0..100 {
-            assert!(b.admit());
-            b.record_failure();
-        }
-        assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.snapshot().opened_total, 0);
     }
 
     #[test]

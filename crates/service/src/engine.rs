@@ -1,18 +1,18 @@
-//! The solve engine: routing, the embedding cache, circuit breakers, and
-//! the three backends behind one synchronous `solve` call. Workers of the
-//! batching queue share one engine; everything inside is `Sync`.
+//! The solve engine: routing, the embedding cache, and the three backends
+//! behind one synchronous `solve` call. Workers of the batching queue share
+//! one engine; everything inside is `Sync`.
 //!
-//! Robustness model (DESIGN.md §9): every backend attempt runs inside its
-//! own `catch_unwind`, failures (errors or panics) are recorded against
-//! that backend's [`CircuitBreaker`], and the request falls through an
-//! ordered candidate chain — annealer → MILP → hill climbing — until a
-//! healthy backend answers. Only when every candidate is breaker-open or
-//! failing does the request resolve to a typed `503 backend_unavailable`.
-//! Tests prove these paths through the one [`FaultSeam`]; served engines
-//! run the no-op [`NoFaults`].
+//! Robustness model (DESIGN.md §9): the request walks a stateless
+//! preference chain — annealer → MILP → hill climbing — and every backend
+//! attempt runs inside its own `catch_unwind`. A failed or panicking attempt
+//! adds a `[degraded: <backend>: …]` note and the next link runs; only when
+//! every link fails does the request resolve to a typed
+//! `503 backend_unavailable`. No state carries from one request to the
+//! next, so an answer depends on `(problem, seed)` alone. Tests prove these
+//! paths through the one [`FaultSeam`]; served engines run the no-op
+//! [`NoFaults`].
 
 use crate::api::{Backend, Reject, SolveRequest, SolveResponse};
-use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::cache::{CacheKey, CacheStats, EmbeddingCache};
 use crate::metrics::Metrics;
 use crate::queue::panic_message;
@@ -31,7 +31,6 @@ use mqo_heuristics::HillClimbing;
 use mqo_milp::bb_mqo::{self, MqoBbConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,8 +61,6 @@ pub struct EngineConfig {
     pub classical_budget: Duration,
     /// Hard cap on per-request annealing reads.
     pub max_reads: usize,
-    /// Per-backend circuit-breaker policy.
-    pub breaker: BreakerConfig,
     /// Relative tolerance of the gate's cost comparison.
     pub integrity_tolerance: f64,
 }
@@ -84,7 +81,6 @@ impl EngineConfig {
             router: RouterConfig::default(),
             classical_budget: Duration::from_millis(250),
             max_reads: 10_000,
-            breaker: BreakerConfig::default(),
             integrity_tolerance: DEFAULT_TOLERANCE,
         }
     }
@@ -101,7 +97,8 @@ pub trait FaultSeam: Send + Sync + std::fmt::Debug {
     /// payload kills that worker.
     fn on_solve(&self, _req: &SolveRequest) {}
     /// Start of one backend attempt, inside its `catch_unwind`: a panic
-    /// here is an ordinary breaker failure of `backend`.
+    /// here fails that attempt like any backend failure, and the next link
+    /// of the chain runs.
     fn on_attempt(&self, _req: &SolveRequest, _backend: Backend) {}
     /// A successful answer just before the integrity gate sees it.
     fn on_answer(&self, _req: &SolveRequest, _response: &mut SolveResponse) {}
@@ -120,8 +117,6 @@ pub struct SolveEngine {
     graph_fingerprint: u64,
     cache: EmbeddingCache,
     metrics: Arc<Metrics>,
-    /// One breaker per backend, indexed by `Backend as usize`.
-    breakers: [CircuitBreaker; 3],
     faults: Arc<dyn FaultSeam>,
 }
 
@@ -139,32 +134,12 @@ impl SolveEngine {
     ) -> Self {
         let graph_fingerprint = config.graph.fingerprint();
         let cache = EmbeddingCache::new(CACHE_CAPACITY);
-        let breakers = [
-            CircuitBreaker::new(config.breaker),
-            CircuitBreaker::new(config.breaker),
-            CircuitBreaker::new(config.breaker),
-        ];
         SolveEngine {
             config,
             graph_fingerprint,
             cache,
             metrics,
-            breakers,
             faults,
-        }
-    }
-
-    /// The circuit breaker guarding `backend`.
-    pub fn breaker(&self, backend: Backend) -> &CircuitBreaker {
-        &self.breakers[backend as usize]
-    }
-
-    /// Breaker snapshots of all three backends, for `/metrics`.
-    pub fn breaker_panel(&self) -> BreakerPanel {
-        BreakerPanel {
-            annealer: self.breaker(Backend::Annealer).snapshot(),
-            milp: self.breaker(Backend::Milp).snapshot(),
-            hill_climbing: self.breaker(Backend::HillClimbing).snapshot(),
         }
     }
 
@@ -217,18 +192,9 @@ impl SolveEngine {
 
         let mut notes: Vec<String> = Vec::new();
         let mut any_unavailable = false;
-        for (rank, &backend) in candidates.iter().enumerate() {
-            if !self.breaker(backend).admit() {
-                if rank == 0 {
-                    Metrics::inc(&self.metrics.breaker_skips);
-                }
-                notes.push(format!("{backend}: breaker open"));
-                any_unavailable = true;
-                continue;
-            }
+        for &backend in &candidates {
             match self.attempt(backend, req) {
                 Ok(mut response) => {
-                    self.breaker(backend).record_success();
                     response.route_reason = if notes.is_empty() {
                         decision.reason
                     } else {
@@ -239,17 +205,15 @@ impl SolveEngine {
                     self.finish(&mut response, start);
                     return Ok(response);
                 }
-                Err(AttemptFailure::Embedding(e)) => {
-                    // The embedder could not place this instance (e.g. a
-                    // dense savings graph on a degraded chip). That is a
-                    // property of the instance, not of backend health, so
-                    // it does not trip the breaker.
-                    notes.push(format!("{backend}: embedding failed ({e})"));
-                }
                 Err(failure) => {
-                    self.breaker(backend).record_failure();
-                    Metrics::inc(&self.metrics.backend_attempt_failures);
-                    any_unavailable = true;
+                    // An embedding failure (e.g. a dense savings graph on a
+                    // degraded chip) is a property of the instance, not a
+                    // backend failure: alone it makes the request
+                    // `Unsolvable`, not `503`.
+                    if !matches!(failure, AttemptFailure::Embedding(_)) {
+                        Metrics::inc(&self.metrics.backend_attempt_failures);
+                        any_unavailable = true;
+                    }
                     notes.push(format!("{backend}: {failure}"));
                 }
             }
@@ -266,7 +230,7 @@ impl SolveEngine {
     }
 
     /// One attempt of one backend, inside its own `catch_unwind` so a
-    /// panicking backend is a breaker failure, not a dead worker.
+    /// panicking backend is a failed attempt, not a dead worker.
     fn attempt(
         &self,
         backend: Backend,
@@ -507,26 +471,18 @@ impl SolveEngine {
                 ..MqoBbConfig::default()
             },
         );
-        match outcome.best {
-            Some((selection, cost)) => SolveResponse {
-                selection: selection.plans().iter().map(|p| p.0).collect(),
-                cost,
-                backend: Backend::Milp,
-                route_reason: String::new(),
-                cache_hit: false,
-                reads: 0,
-                qubits_used: 0,
-                device_time_us: 0.0,
-                wall_us: 0,
-                queue_wait_us: 0,
-            },
-            // Branch-and-bound found nothing inside the budget (it always
-            // has an incumbent in practice, but stay total): climb instead.
-            None => {
-                let mut r = self.solve_climbing(req);
-                r.route_reason = "MILP budget produced no incumbent; climbed instead".to_string();
-                r
-            }
+        let (selection, cost) = outcome.best;
+        SolveResponse {
+            selection: selection.plans().iter().map(|p| p.0).collect(),
+            cost,
+            backend: Backend::Milp,
+            route_reason: String::new(),
+            cache_hit: false,
+            reads: 0,
+            qubits_used: 0,
+            device_time_us: 0.0,
+            wall_us: 0,
+            queue_wait_us: 0,
         }
     }
 
@@ -587,7 +543,8 @@ enum AnnealerFailure {
 
 /// Why one backend attempt did not produce an answer.
 enum AttemptFailure {
-    /// The embedder could not place the instance (does not trip breakers).
+    /// The embedder could not place the instance (a property of the
+    /// instance, not a backend failure).
     Embedding(EmbeddingError),
     /// The backend ran and failed fatally.
     Fatal(String),
@@ -603,18 +560,6 @@ impl std::fmt::Display for AttemptFailure {
             AttemptFailure::Panicked(msg) => write!(f, "panicked ({msg})"),
         }
     }
-}
-
-/// Breaker snapshots of all three backends, serialised under
-/// `"breakers"` in the `/metrics` payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BreakerPanel {
-    /// The annealer backend's breaker.
-    pub annealer: BreakerSnapshot,
-    /// The MILP backend's breaker.
-    pub milp: BreakerSnapshot,
-    /// The hill-climbing backend's breaker.
-    pub hill_climbing: BreakerSnapshot,
 }
 
 #[cfg(test)]
@@ -634,11 +579,16 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn engine() -> SolveEngine {
+    /// The 2×2-cell test engine: 50 reads in 5 gauges.
+    fn test_config() -> EngineConfig {
         let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
         cfg.device.num_reads = 50;
         cfg.device.num_gauges = 5;
-        SolveEngine::new(cfg, Arc::new(Metrics::default()))
+        cfg
+    }
+
+    fn engine() -> SolveEngine {
+        SolveEngine::new(test_config(), Arc::new(Metrics::default()))
     }
 
     #[test]
@@ -782,68 +732,90 @@ mod tests {
         assert_eq!(r.reads, 60, "server cap applies");
     }
 
-    #[test]
-    fn open_breaker_falls_through_to_the_next_backend() {
-        let e = engine();
-        // Trip the annealer breaker by hand.
-        for _ in 0..e.config().breaker.failure_threshold {
-            e.breaker(Backend::Annealer).record_failure();
-        }
-        assert_eq!(
-            e.breaker(Backend::Annealer).state(),
-            crate::breaker::BreakerState::Open
-        );
-        let r = e.solve(&SolveRequest::new(paper_example(), 5)).unwrap();
-        assert_ne!(r.backend, Backend::Annealer, "open backend is skipped");
-        assert!(
-            r.route_reason.contains("degraded") && r.route_reason.contains("breaker open"),
-            "degradation is visible to the client: {}",
-            r.route_reason
-        );
-        assert_eq!(r.cost, 2.0, "the fallback still solves the instance");
-        let panel = e.breaker_panel();
-        assert_eq!(panel.annealer.rejected_total, 1);
+    /// Panics the annealer attempt of requests with seed `poison` only.
+    #[derive(Debug)]
+    struct PoisonSeed {
+        poison: u64,
     }
 
-    /// An engine with the test configuration of [`engine`] and `rates`
-    /// behind its fault seam, plus the injector to read its counts.
+    impl FaultSeam for PoisonSeed {
+        fn on_attempt(&self, req: &SolveRequest, backend: Backend) {
+            if req.seed == self.poison && backend == Backend::Annealer {
+                panic!("{INJECTED_PANIC}: poison seed {}", req.seed);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failing_request_does_not_change_later_answers() {
+        silence_injected_panics();
+        let e = SolveEngine::with_faults(
+            test_config(),
+            Arc::new(Metrics::default()),
+            Arc::new(PoisonSeed { poison: 13 }),
+        );
+        // Ten annealer failures in a row on one request: each one
+        // degrades that request to MILP, and only that request.
+        for _ in 0..10 {
+            let r = e.solve(&SolveRequest::new(paper_example(), 13)).unwrap();
+            assert_eq!(r.backend, Backend::Milp);
+            assert_eq!(r.cost, 2.0, "the fallback still solves the instance");
+            assert!(
+                r.route_reason.contains(&format!(
+                    "[degraded: annealer: panicked ({INJECTED_PANIC}: poison seed 13)]"
+                )),
+                "degradation is visible to the client: {}",
+                r.route_reason
+            );
+        }
+        assert_eq!(e.metrics().snapshot().backend_attempt_failures, 10);
+        // An unrelated request is answered by the annealer exactly as a
+        // fresh engine answers it.
+        let strip = |mut r: SolveResponse| {
+            r.wall_us = 0;
+            r.queue_wait_us = 0;
+            serde_json::to_string(&r).unwrap()
+        };
+        let after = e.solve(&SolveRequest::new(paper_example(), 5)).unwrap();
+        assert_eq!(after.backend, Backend::Annealer);
+        let fresh = engine()
+            .solve(&SolveRequest::new(paper_example(), 5))
+            .unwrap();
+        assert_eq!(strip(after), strip(fresh));
+    }
+
+    /// An engine on [`test_config`] with `rates` behind its fault seam,
+    /// plus the injector to read its counts.
     fn faulty_engine(rates: FaultRates) -> (SolveEngine, Arc<SeededFaults>) {
-        let mut cfg = EngineConfig::new(ChimeraGraph::new(2, 2));
-        cfg.device.num_reads = 50;
-        cfg.device.num_gauges = 5;
         let faults = SeededFaults::new(rates);
-        let engine = SolveEngine::with_faults(cfg, Arc::new(Metrics::default()), faults.clone());
+        let engine =
+            SolveEngine::with_faults(test_config(), Arc::new(Metrics::default()), faults.clone());
         (engine, faults)
     }
 
     #[test]
-    fn injected_backend_failures_trip_the_breaker_and_fall_through() {
+    fn injected_backend_failures_fall_through_every_link_to_a_503() {
         silence_injected_panics();
-        // Rate 1.0 fails every backend attempt: after `failure_threshold`
-        // requests every breaker is open and requests get a typed 503.
+        // Rate 1.0 fails every backend attempt: each request tries every
+        // link of its chain and gets a typed 503.
         let (e, faults) = faulty_engine(FaultRates {
             seed: 41,
             backend_failure_rate: 1.0,
             ..FaultRates::default()
         });
-        let mut last = None;
         for seed in 0..10 {
-            last = Some(e.solve(&SolveRequest::new(paper_example(), seed)));
+            let err = e
+                .solve(&SolveRequest::new(paper_example(), seed))
+                .unwrap_err();
+            assert!(
+                matches!(err, Reject::BackendUnavailable { .. }),
+                "all-failing backends resolve to 503, got {err}"
+            );
+            assert_eq!(err.http_status(), 503);
         }
-        let err = last.unwrap().unwrap_err();
-        assert!(
-            matches!(err, Reject::BackendUnavailable { .. }),
-            "all-failing backends resolve to 503, got {err}"
-        );
-        assert_eq!(err.http_status(), 503);
-        let panel = e.breaker_panel();
-        assert_eq!(
-            panel.annealer.state,
-            crate::breaker::BreakerState::Open,
-            "injected failures opened the annealer breaker"
-        );
         let m = e.metrics().snapshot();
-        assert!(faults.injected().backend_failures > 0);
+        // Annealer, MILP and hill climbing, ten times over.
+        assert_eq!(faults.injected().backend_failures, 30);
         assert_eq!(
             m.backend_attempt_failures,
             faults.injected().backend_failures

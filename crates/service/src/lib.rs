@@ -27,8 +27,9 @@
 //!   the MILP or hill-climbing backends instead of the annealer.
 //! * [`server`] — hand-rolled HTTP/1.1 over `std::net` exposing
 //!   `POST /solve`, `GET /metrics`, `GET /healthz`, and `POST /shutdown`.
-//! * [`breaker`] — per-backend circuit breakers; a repeatedly failing
-//!   backend is skipped in favour of the next candidate (DESIGN.md §9).
+//! * [`breaker`] — the router's per-cell circuit breakers; a cell whose
+//!   transport keeps failing is skipped in favour of the next cell on the
+//!   shard walk until a probe finds it healthy again (DESIGN.md §14).
 //! * [`supervisor`] — fleet supervision for `mqo_serve` cells run as child
 //!   processes: respawn with exponential backoff, crash-loop quarantine,
 //!   deadline-bounded health probes (DESIGN.md §14).
@@ -64,7 +65,7 @@ pub mod testkit;
 pub use api::{Backend, Reject, SolveRequest, SolveResponse};
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, CacheStats, EmbeddingCache};
-pub use engine::{BreakerPanel, EngineConfig, FaultSeam, NoFaults, SolveEngine};
+pub use engine::{EngineConfig, FaultSeam, NoFaults, SolveEngine};
 pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use queue::{QueueConfig, SolveQueue};

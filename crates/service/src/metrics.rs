@@ -138,7 +138,7 @@ pub struct Metrics {
     pub rejected_unsolvable: AtomicU64,
     /// Typed rejections: worker panic isolated into a `500 internal_error`.
     pub rejected_internal: AtomicU64,
-    /// Typed rejections: every candidate backend breaker-open or failed.
+    /// Typed rejections: every candidate backend failed.
     pub rejected_unavailable: AtomicU64,
     /// Typed rejections: whole-request deadline expired mid-read (408).
     pub rejected_request_timeout: AtomicU64,
@@ -203,8 +203,6 @@ pub struct Metrics {
     pub chain_tie_breaks: AtomicU64,
     /// Backend attempts that failed (errors and panics), across backends.
     pub backend_attempt_failures: AtomicU64,
-    /// Requests whose first-choice backend was skipped by an open breaker.
-    pub breaker_skips: AtomicU64,
     /// Poisoned locks recovered instead of propagating the poison.
     pub lock_poison_recoveries: AtomicU64,
     /// Embedding-cache hits (embedding reused, weights rewritten).
@@ -280,7 +278,6 @@ impl Metrics {
             chain_majority_repairs: load(&self.chain_majority_repairs),
             chain_tie_breaks: load(&self.chain_tie_breaks),
             backend_attempt_failures: load(&self.backend_attempt_failures),
-            breaker_skips: load(&self.breaker_skips),
             lock_poison_recoveries: load(&self.lock_poison_recoveries),
             cache_hits: load(&self.cache_hits),
             cache_misses: load(&self.cache_misses),
@@ -315,7 +312,7 @@ pub struct MetricsSnapshot {
     pub rejected_unsolvable: u64,
     /// Rejections: isolated worker panics (500).
     pub rejected_internal: u64,
-    /// Rejections: all backends breaker-open or failed (503).
+    /// Rejections: every candidate backend failed (503).
     pub rejected_unavailable: u64,
     /// Rejections: whole-request deadline expired (408).
     pub rejected_request_timeout: u64,
@@ -390,8 +387,6 @@ pub struct MetricsSnapshot {
     pub chain_tie_breaks: u64,
     /// Failed backend attempts (errors + panics).
     pub backend_attempt_failures: u64,
-    /// First-choice backends skipped by an open breaker.
-    pub breaker_skips: u64,
     /// Poisoned locks recovered.
     pub lock_poison_recoveries: u64,
     /// Embedding-cache hits.

@@ -6,8 +6,8 @@
 //!
 //! * `POST /solve` — body is a JSON [`crate::api::SolveRequest`]; answers a
 //!   [`crate::api::SolveResponse`] or a typed [`Reject`] with its status.
-//! * `GET /metrics` — JSON counters, latency histograms, cache statistics,
-//!   per-backend circuit-breaker state.
+//! * `GET /metrics` — JSON counters, latency histograms and cache
+//!   statistics.
 //! * `GET /healthz` — liveness probe.
 //! * `POST /shutdown` — graceful drain: stop admissions, answer everything
 //!   already queued, then exit [`Server::wait`].
@@ -40,7 +40,7 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Engine (device, cache, router, breakers) configuration.
+    /// Engine (device, cache, router, classical budget) configuration.
     pub engine: EngineConfig,
     /// Admission queue configuration.
     pub queue: QueueConfig,
@@ -191,7 +191,6 @@ impl Handler for SolveHandler {
                 let payload = serde_json::json!({
                     "service": self.metrics.snapshot(),
                     "cache": self.engine.cache_stats(),
-                    "breakers": self.engine.breaker_panel(),
                 });
                 Action::Respond(Response::json(200, payload.to_string()))
             }
@@ -291,6 +290,7 @@ mod tests {
         let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
         assert!(v["service"]["requests_total"].is_u64());
         assert!(v["cache"]["capacity"].is_u64());
+        assert!(v["breakers"].is_null(), "the engine keeps no breakers: {v}");
         let (status, _) = roundtrip(addr, "GET", "/nope", b"").unwrap();
         assert_eq!(status, 404);
         let (status, _) = roundtrip(addr, "GET", "/solve", b"").unwrap();
@@ -390,20 +390,6 @@ mod tests {
         assert_eq!(body, br#"{"status":"draining"}"#);
         server.wait();
         assert!(server.shutdown_requested());
-    }
-
-    #[test]
-    fn metrics_report_breaker_state_per_backend() {
-        let server = small_server();
-        let addr = server.local_addr();
-        let (status, body) = roundtrip(addr, "GET", "/metrics", b"").unwrap();
-        assert_eq!(status, 200);
-        let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
-        for backend in ["annealer", "milp", "hill_climbing"] {
-            assert_eq!(v["breakers"][backend]["state"], "closed", "{backend}");
-            assert_eq!(v["breakers"][backend]["opened_total"], 0);
-        }
-        server.shutdown();
     }
 
     #[test]

@@ -22,18 +22,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The small-graph engine every drain here runs.
-fn engine_config(breaker_threshold: u32) -> EngineConfig {
+fn engine_config() -> EngineConfig {
     let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
     engine.device.num_reads = 10;
     engine.device.num_gauges = 2;
-    engine.breaker.failure_threshold = breaker_threshold;
-    engine.breaker.open_ms = 50;
     engine
 }
 
 /// A server with `faults` behind its engine's fault seam.
-fn faulty_server(faults: &Arc<SeededFaults>, workers: usize, breaker_threshold: u32) -> Server {
-    let mut config = ServerConfig::new(engine_config(breaker_threshold));
+fn faulty_server(faults: &Arc<SeededFaults>, workers: usize) -> Server {
+    let mut config = ServerConfig::new(engine_config());
     config.queue.workers = workers;
     config.queue.batch_size = 4;
     Server::start_with_faults(config, faults.clone()).expect("bind loopback")
@@ -94,6 +92,7 @@ fn deterministic_counters(s: &MetricsSnapshot, injected: Injected) -> Vec<(&'sta
         ("solved_total", s.solved_total),
         ("rejected_internal", s.rejected_internal),
         ("rejected_unavailable", s.rejected_unavailable),
+        ("backend_attempt_failures", s.backend_attempt_failures),
         ("worker_panics_caught", s.worker_panics_caught),
         ("worker_respawns", s.worker_respawns),
         ("injected panics", injected.panics),
@@ -118,7 +117,7 @@ fn fifty_fault_seeds_drain_cleanly() {
             backend_failure_rate: 0.1,
             ..FaultRates::default()
         });
-        let server = faulty_server(&faults, 2, 2);
+        let server = faulty_server(&faults, 2);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS)
             .map(|i| body(fault_seed * 100 + i as u64))
@@ -167,8 +166,8 @@ fn fifty_fault_seeds_drain_cleanly() {
 /// Same seeds + same fault rates at 1 worker and at 4 workers: the fault
 /// plan is keyed on request seeds, not scheduling, so the per-request
 /// outcomes, the injection counts and every counter they drive agree
-/// exactly. (Breakers are disabled here: their trips depend on attempt
-/// order, which is legitimately scheduling-dependent.)
+/// exactly. The engine runs exactly as served: no state carries from one
+/// request to the next, so nothing here depends on attempt order.
 #[test]
 fn fault_plan_is_identical_across_worker_counts() {
     silence_injected_panics();
@@ -183,7 +182,7 @@ fn fault_plan_is_identical_across_worker_counts() {
     let mut runs = Vec::new();
     for workers in [1usize, 4] {
         let faults = SeededFaults::new(rates);
-        let server = faulty_server(&faults, workers, 0);
+        let server = faulty_server(&faults, workers);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS).map(|i| body(i as u64)).collect();
         let results = replay(addr, bodies, 3);
@@ -222,9 +221,9 @@ fn an_idle_injector_is_indistinguishable_from_production() {
     let mut answers = Vec::new();
     for faulty in [false, true] {
         let server = if faulty {
-            faulty_server(&idle, 2, 5)
+            faulty_server(&idle, 2)
         } else {
-            let mut config = ServerConfig::new(engine_config(5));
+            let mut config = ServerConfig::new(engine_config());
             config.queue.workers = 2;
             config.queue.batch_size = 4;
             Server::start(config).expect("bind loopback")
@@ -266,7 +265,7 @@ fn the_pool_survives_repeated_total_worker_loss() {
         worker_kill_rate: 1.0,
         ..FaultRates::default()
     });
-    let server = faulty_server(&faults, 2, 0);
+    let server = faulty_server(&faults, 2);
     let addr = server.local_addr();
     for i in 0..6u64 {
         let (status, reply) = roundtrip(addr, "POST", "/solve", &body(i)).unwrap();
@@ -312,7 +311,7 @@ fn corruption_drains_with_zero_unflagged_answers() {
             unrepairable: !repair,
             ..FaultRates::default()
         });
-        let server = faulty_server(&faults, 2, 5);
+        let server = faulty_server(&faults, 2);
         let addr = server.local_addr();
         let bodies = (0..REQUESTS).map(|i| body(i as u64)).collect();
         let results = replay(addr, bodies, 3);

@@ -57,7 +57,7 @@ fn main() {
     let greedy = Greedy.run(problem, Duration::from_millis(1), 0);
     let climb = HillClimbing.run(problem, Duration::from_millis(100), 0);
     let exact = bb_mqo::solve(problem, &MqoBbConfig::default());
-    let (best_sel, optimal) = exact.best.clone().expect("solved");
+    let (best_sel, optimal) = exact.best.clone();
 
     println!("\noptimiser comparison:");
     println!("  greedy construction : {:>8.1}", greedy.best.1);

@@ -69,7 +69,7 @@ fn main() {
             ..MqoBbConfig::default()
         },
     );
-    let optimum = exact.best.as_ref().unwrap().1;
+    let optimum = exact.best.1;
     println!("\nseries-of-QUBOs decomposition:");
     println!("  blocks solved      : {}", out.blocks_solved);
     println!("  blocks improved    : {}", out.blocks_improved);

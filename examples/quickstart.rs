@@ -64,7 +64,7 @@ fn main() {
 
     // ── 4. The exact classical answer ──────────────────────────────────
     let classical = bb_mqo::solve(&problem, &MqoBbConfig::default());
-    let (c_selection, c_cost) = classical.best.expect("solved");
+    let (c_selection, c_cost) = classical.best;
     println!("branch & bound:  cost {c_cost} ({:?})", classical.stop);
 
     assert_eq!(*q_cost, c_cost, "both solvers find the optimum");

@@ -313,7 +313,7 @@ mod tests {
     fn decomposition_gets_close_to_the_exact_optimum() {
         let problem = big_problem(16, 3);
         let exact = bb_mqo::solve(&problem, &MqoBbConfig::default());
-        let optimum = exact.best.unwrap().1;
+        let optimum = exact.best.1;
         let out = solver(3)
             .solve_decomposed(
                 &problem,

@@ -46,7 +46,7 @@
 //!
 //! // ...and classically, for comparison.
 //! let classical = mqo::milp::bb_mqo::solve(&problem, &Default::default());
-//! assert_eq!(classical.best.unwrap().1, 2.0);
+//! assert_eq!(classical.best.1, 2.0);
 //! ```
 
 pub use mqo_annealer as annealer;

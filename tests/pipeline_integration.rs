@@ -31,7 +31,7 @@ fn quantum_pipeline_matches_exact_solver_on_paper_workloads() {
 
         let exact = bb_mqo::solve(&inst.problem, &MqoBbConfig::default());
         assert_eq!(exact.stop, StopReason::Optimal, "plans={plans}");
-        let optimum = exact.best.as_ref().unwrap().1;
+        let optimum = exact.best.1;
 
         let solver = QuantumMqoSolver::new(graph.clone(), device(150));
         let out = solver
@@ -112,7 +112,7 @@ fn broken_qubits_shrink_capacity_but_pipeline_still_works() {
         .solve_with_embedding(&inst.problem, inst.layout.embedding.clone(), 5)
         .unwrap();
     let exact = bb_mqo::solve(&inst.problem, &MqoBbConfig::default());
-    let optimum = exact.best.unwrap().1;
+    let optimum = exact.best.1;
     assert!(out.best.1 <= optimum * 1.05 + 1e-9);
 }
 

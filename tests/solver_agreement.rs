@@ -47,10 +47,7 @@ fn exact_solvers_agree_with_brute_force_across_generators() {
 
         let mqo = bb_mqo::solve(problem, &MqoBbConfig::default());
         assert_eq!(mqo.stop, StopReason::Optimal, "instance {i}");
-        assert!(
-            (mqo.best.as_ref().unwrap().1 - optimum).abs() < 1e-9,
-            "instance {i}: bb_mqo"
-        );
+        assert!((mqo.best.1 - optimum).abs() < 1e-9, "instance {i}: bb_mqo");
 
         let mapping = LogicalMapping::with_default_epsilon(problem);
         let qub = bb_qubo::solve(mapping.qubo(), &QuboBbConfig::default());
@@ -122,7 +119,7 @@ fn traces_are_consistent_between_solvers() {
     // Every solver's final trace value must equal its reported best cost.
     let problem = &instances()[0];
     let mqo = bb_mqo::solve(problem, &MqoBbConfig::default());
-    assert_eq!(mqo.trace.best(), Some(mqo.best.unwrap().1));
+    assert_eq!(mqo.trace.best(), Some(mqo.best.1));
     let climb = HillClimbing.run(problem, Duration::from_millis(30), 0);
     assert_eq!(climb.trace.best(), Some(climb.best.1));
 }
