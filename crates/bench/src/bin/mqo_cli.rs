@@ -250,9 +250,7 @@ fn solve(args: &Args) {
                 },
             );
             eprintln!("qubo-bb: {:?}, {} nodes", out.stop, out.nodes);
-            let (x, _) = out
-                .best
-                .unwrap_or_else(|| fail("QUBO branch-and-bound produced no incumbent"));
+            let (x, _) = out.best;
             let (sel, _) = mapping.decode_with_repair(&problem, &x);
             let cost = problem.selection_cost(&sel);
             (sel, cost)

@@ -83,10 +83,7 @@ fn main() {
                 }
             };
             queries = inst_queries;
-            let Some(best) = out.trace.best() else {
-                eprintln!("class {plans}, seed {seed}: no incumbent within budget; skipping");
-                continue;
-            };
+            let best = out.best.1;
             let Some(t) = out.trace.time_to_reach(best) else {
                 eprintln!("class {plans}, seed {seed}: inconsistent trace; skipping");
                 continue;

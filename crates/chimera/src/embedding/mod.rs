@@ -262,11 +262,10 @@ impl Embedding {
 /// structure then yield bit-identical embeddings, which in turn makes
 /// cached-hit solves bit-identical to cold solves.
 ///
-/// Strategy: scan every TRIAD block origin for a clique embedding that
-/// avoids the broken qubits (cheap, and exact for clique-shaped
-/// structures); if no origin works, fall back to the randomized heuristic
-/// embedder routing only the edges actually required, with `tries` (≥ 1)
-/// attempts.
+/// It runs the randomized heuristic embedder, routing only the edges
+/// actually required, with `tries` (≥ 1) attempts. Clique placement is the
+/// caller's first choice ([`crate::packing::Placer`]); this is the
+/// embedder for structures no TRIAD block hosts.
 pub fn embed_structure(
     graph: &ChimeraGraph,
     num_vars: usize,
@@ -277,14 +276,6 @@ pub fn embed_structure(
     use rand::SeedableRng;
     assert!(num_vars >= 1, "cannot embed zero variables");
     assert!(tries >= 1, "at least one heuristic attempt is required");
-    let m = triad::triad_block_side(num_vars);
-    for row in 0..=graph.rows().saturating_sub(m) {
-        for col in 0..=graph.cols().saturating_sub(m) {
-            if let Ok(e) = triad::triad(graph, row, col, num_vars) {
-                return Ok(e);
-            }
-        }
-    }
     let mut rng = rand::rngs::StdRng::seed_from_u64(structure_seed);
     heuristic::find_embedding(num_vars, edges, graph, &mut rng, tries)
 }
@@ -390,10 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn embed_structure_scans_triad_origins_around_broken_qubits() {
+    fn embed_structure_routes_around_broken_qubits() {
         let g = ChimeraGraph::new(2, 2);
-        // Kill the whole top-left cell: TRIAD at (0, 0) is impossible, but
-        // scanning finds another origin for a 4-clique.
+        // Kill half of the top-left cell: the heuristic routes the
+        // structure on the working qubits only.
         let dead: Vec<QubitId> = (0..2)
             .flat_map(|u| {
                 [
@@ -403,13 +394,12 @@ mod tests {
             })
             .collect();
         let broken = g.clone().with_broken(&dead);
-        assert!(triad::triad(&broken, 0, 0, 4).is_err());
         let edges = [
             (VarId(0), VarId(1)),
             (VarId(0), VarId(2)),
             (VarId(1), VarId(3)),
         ];
-        let e = embed_structure(&broken, 4, &edges, 1, 4).expect("another origin hosts the clique");
+        let e = embed_structure(&broken, 4, &edges, 1, 4).expect("three clean cells host it");
         assert_eq!(e.num_vars(), 4);
         assert!(e.verify(&broken, edges.iter().copied()).is_ok());
         for chain in e.chains() {

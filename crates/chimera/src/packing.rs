@@ -1,20 +1,17 @@
-//! Placement of one embedded instance: a cached, origin-independent
-//! canonical embedding relocated to the first fault-clean unit-cell region
-//! of the device graph.
+//! Placement of one TRIAD clique: an origin-independent canonical embedding
+//! relocated to the first fault-clean unit-cell region of the device graph.
 //!
 //! The paper programs one MQO instance per annealer run. A TRIAD clique
 //! embedding of an `n`-variable instance occupies a square block of unit
 //! cells, and its shape does not depend on where that block sits, so the
-//! embedding can be computed once per variable count and then placed:
+//! embedding depends only on the variable count and is then placed:
 //!
 //! * [`footprint_side`] — the per-instance cell footprint, derived from the
 //!   TRIAD capacity bound (`⌈n/4⌉` cells per side for an `n`-variable
 //!   clique);
 //! * [`canonical_embedding`] — the instance's embedding expressed relative
 //!   to its own region origin (a TRIAD anchored at cell `(0, 0)` of a
-//!   pristine `side × side` region graph). Canonical embeddings are what a
-//!   cache should store: they are placement-independent, so a warm hit
-//!   relocates to a fault-clean region without re-embedding;
+//!   pristine `side × side` region graph);
 //! * [`translate_embedding`] — relocates a canonical embedding to a concrete
 //!   origin on the real graph. Chimera is translation-invariant: every
 //!   intra-region coupler exists at every origin, so the translated chains
@@ -26,10 +23,12 @@
 //!
 //! Bit-identity note: the TRIAD construction is origin-relative, so
 //! translating the canonical embedding to origin `(r, c)` reproduces
-//! `triad(graph, r, c, n)` verbatim, and the placer scans origins in the
-//! same row-major order as the whole-graph TRIAD embedder
-//! ([`crate::embedding::embed_structure`]). Placing the canonical embedding therefore
-//! yields exactly the chains the whole-graph embedder would produce.
+//! `triad(graph, r, c, n)` verbatim, and the placer scans origins
+//! row-major. Placing the canonical embedding therefore yields exactly the
+//! chains a whole-graph scan of `triad` origins would produce; the
+//! `placement_equals_the_whole_graph_triad_scan` property keeps that scan
+//! as its oracle. The offline pipeline and the serving engine both place
+//! cliques through `QuantumMqoSolver::place_clique`.
 
 use crate::embedding::{triad, Embedding, EmbeddingError};
 use crate::graph::{ChimeraGraph, Side, CELL_SIZE, HALF_CELL};
@@ -46,20 +45,17 @@ pub fn footprint_side(num_vars: usize) -> usize {
 /// `K_num_vars` anchored at cell `(0, 0)` of a pristine
 /// `footprint_side × footprint_side` region graph.
 ///
-/// This is the relocatable artifact an embedding cache should hold. On a
-/// pristine region the TRIAD construction always succeeds, and it is exactly
-/// what the full-graph embedder (`embed_structure`'s TRIAD origin scan)
-/// produces at the first working origin — which is why placement-based
-/// solves stay bit-identical to the whole-graph path.
+/// On a pristine region the TRIAD construction always succeeds, and
+/// [`translate_embedding`] turns it into exactly `triad(graph, r, c, n)` at
+/// any origin `(r, c)`.
 pub fn canonical_embedding(num_vars: usize) -> Embedding {
     let side = footprint_side(num_vars);
     let region = ChimeraGraph::new(side, side);
     triad::triad(&region, 0, 0, num_vars).expect("TRIAD always fits its own pristine region block")
 }
 
-/// The pristine region graph a canonical embedding is expressed on. Its
-/// [`ChimeraGraph::fingerprint`] keys cached canonical embeddings, keeping
-/// them disjoint from whole-graph cache entries.
+/// The pristine `footprint_side × footprint_side` region graph a canonical
+/// embedding is expressed on.
 pub fn region_graph(num_vars: usize) -> ChimeraGraph {
     let side = footprint_side(num_vars);
     ChimeraGraph::new(side, side)

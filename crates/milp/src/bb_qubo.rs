@@ -47,8 +47,9 @@ impl Default for QuboBbConfig {
 /// Outcome of a QUBO branch-and-bound run.
 #[derive(Debug, Clone)]
 pub struct QuboBbOutcome {
-    /// Best assignment found, with its energy.
-    pub best: Option<(Vec<bool>, f64)>,
+    /// Best assignment found, with its energy. The root's greedy completion
+    /// seeds it, so every run has one.
+    pub best: (Vec<bool>, f64),
     /// Incumbent-improvement trace (energy over wall-clock time).
     pub trace: Trace,
     /// Whether and why the search terminated.
@@ -113,7 +114,7 @@ pub fn solve(qubo: &Qubo, config: &QuboBbConfig) -> QuboBbOutcome {
     let greedy = greedy_completion(qubo, &fixed, &order);
     let greedy_energy = qubo.energy(&greedy);
     trace.record(start.elapsed(), greedy_energy);
-    let mut best: Option<(Vec<bool>, f64)> = Some((greedy, greedy_energy));
+    let mut best = (greedy, greedy_energy);
 
     let mut heap = BinaryHeap::new();
     heap.push(Node {
@@ -126,7 +127,7 @@ pub fn solve(qubo: &Qubo, config: &QuboBbConfig) -> QuboBbOutcome {
     let mut stop = StopReason::Optimal;
     let mut certificate_lost = false;
     while let Some(node) = heap.pop() {
-        let incumbent = best.as_ref().map_or(f64::INFINITY, |(_, e)| *e);
+        let incumbent = best.1;
         if node.bound >= incumbent - config.tolerance {
             break;
         }
@@ -156,15 +157,14 @@ pub fn solve(qubo: &Qubo, config: &QuboBbConfig) -> QuboBbOutcome {
         let energy = qubo.energy(&completion);
         if energy < incumbent - config.tolerance {
             trace.record(start.elapsed(), energy);
-            best = Some((completion, energy));
+            best = (completion, energy);
         }
 
         let var = order[node.depth];
         for value in [false, true] {
             fixed[var] = Some(value);
             let child_bound = qubo_bound(qubo, &fixed);
-            let incumbent = best.as_ref().map_or(f64::INFINITY, |(_, e)| *e);
-            if child_bound < incumbent - config.tolerance {
+            if child_bound < best.1 - config.tolerance {
                 let mut values = node.values.clone();
                 values.push(value);
                 heap.push(Node {
@@ -254,7 +254,7 @@ mod tests {
             let (_, opt) = q.brute_force_minimum();
             let out = solve(&q, &QuboBbConfig::default());
             assert_eq!(out.stop, StopReason::Optimal, "case {case}");
-            let (x, e) = out.best.expect("solution");
+            let (x, e) = out.best;
             assert!((e - opt).abs() < 1e-9, "case {case}: {e} vs {opt}");
             assert!((q.energy(&x) - e).abs() < 1e-9);
             assert!(out.root_bound <= opt + 1e-9);
@@ -274,7 +274,7 @@ mod tests {
         let p = b.build().unwrap();
         let m = LogicalMapping::new(&p, 0.25);
         let out = solve(m.qubo(), &QuboBbConfig::default());
-        let (x, _) = out.best.unwrap();
+        let (x, _) = out.best;
         assert_eq!(x, vec![false, true, true, false]);
         assert_eq!(out.stop, StopReason::Optimal);
     }
@@ -291,7 +291,7 @@ mod tests {
             },
         );
         assert_eq!(out.stop, StopReason::Deadline);
-        let (x, e) = out.best.unwrap();
+        let (x, e) = out.best;
         assert!((q.energy(&x) - e).abs() < 1e-9);
     }
 

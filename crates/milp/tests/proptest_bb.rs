@@ -67,7 +67,7 @@ proptest! {
         let (_, optimum) = qubo.brute_force_minimum();
         let out = bb_qubo::solve(&qubo, &QuboBbConfig::default());
         prop_assert_eq!(out.stop, StopReason::Optimal);
-        let (x, e) = out.best.unwrap();
+        let (x, e) = out.best;
         prop_assert!((e - optimum).abs() < 1e-9);
         prop_assert!((qubo.energy(&x) - e).abs() < 1e-9);
     }

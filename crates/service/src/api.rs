@@ -80,7 +80,8 @@ pub struct SolveResponse {
     pub backend: Backend,
     /// Why the router picked that backend.
     pub route_reason: String,
-    /// Whether the embedding came from the cache (annealer backend only).
+    /// Whether the embedding came from the cache (annealer backend only;
+    /// a placed TRIAD clique never does).
     pub cache_hit: bool,
     /// Annealer reads performed (0 for classical backends).
     pub reads: usize,

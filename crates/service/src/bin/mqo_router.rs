@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Shards `POST /solve` requests across the cells by the instance's
-//! structure key so each cell's embedding cache serves a consistent slice
-//! of the workload; unreachable cells are skipped via per-cell circuit
+//! structure key, so each heuristically embedded structure is searched for
+//! on one cell and cached there (TRIAD-sized instances are placed directly
+//! and never touch a cache); unreachable cells are skipped via per-cell circuit
 //! breakers, and failed forwards replay transparently on healthy cells
 //! inside the client's deadline budget (`FAILOVER_BUDGET_MS` for requests
 //! without one). The rest runs at the library defaults of

@@ -1,11 +1,12 @@
-//! The embedding/programming cache.
+//! The cache of heuristic embeddings.
 //!
-//! Choi's minor-embedding construction depends only on the *structure* of
-//! the QUBO adjacency — which variables interact — never on the weights
-//! (Section 5 of the paper). Structurally identical MQO instances can
-//! therefore reuse one cached embedding and only re-derive the Ising
-//! weights, which turns the dominant per-request cost (placement/routing)
-//! into a lookup.
+//! A minor embedding depends only on the *structure* of the QUBO adjacency
+//! — which variables interact — never on the weights (Section 5 of the
+//! paper). The engine places TRIAD cliques directly, exactly as the offline
+//! pipeline does, and uses this cache only for instances no TRIAD block
+//! hosts: structurally identical ones reuse one heuristic embedding and only
+//! re-derive the Ising weights, which turns the heuristic search into a
+//! lookup.
 //!
 //! Keys pair the canonical structure hash of the logical QUBO
 //! (`Qubo::structure_hash`) with the topology fingerprint of the device
@@ -34,7 +35,7 @@ pub struct CacheKey {
 pub struct CacheStats {
     /// Lookups that found a reusable embedding.
     pub hits: u64,
-    /// Lookups that required a fresh placement.
+    /// Lookups that ran the heuristic embedder.
     pub misses: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,

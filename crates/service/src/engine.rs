@@ -22,10 +22,10 @@ use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
 use mqo_annealer::sa::SimulatedAnnealingSampler;
 use mqo_chimera::embedding::{embed_structure, Embedding, EmbeddingError};
 use mqo_chimera::graph::ChimeraGraph;
-use mqo_chimera::packing::{self, Placer};
 use mqo_core::ids::PlanId;
 use mqo_core::integrity::{self, DEFAULT_TOLERANCE};
 use mqo_core::logical::{LogicalMapping, DEFAULT_EPSILON};
+use mqo_core::problem::MqoProblem;
 use mqo_core::solution::Selection;
 use mqo_heuristics::HillClimbing;
 use mqo_milp::bb_mqo::{self, MqoBbConfig};
@@ -326,66 +326,38 @@ impl SolveEngine {
         response.wall_us = start.elapsed().as_micros() as u64;
     }
 
-    /// The canonical (region-relative) embedding of a logical structure,
-    /// through the cache. The cache key pairs the structure hash with the
-    /// fingerprint of the *pristine region graph* the canonical TRIAD lives
-    /// on — not the device graph — so a warm hit relocates to any
-    /// fault-clean region without re-embedding.
-    fn canonical_embedding(&self, logical: &LogicalMapping) -> (Arc<Embedding>, bool, usize) {
-        let n = logical.qubo().num_vars();
-        let side = packing::footprint_side(n);
-        let key = CacheKey {
-            structure: logical.qubo().structure_hash(),
-            graph: packing::region_graph(n).fingerprint(),
-        };
-        match self.cache.get(key) {
-            Some(e) => (e, true, side),
-            None => {
-                let e = Arc::new(packing::canonical_embedding(n));
-                self.cache.insert(key, Arc::clone(&e));
-                (e, false, side)
-            }
-        }
-    }
-
-    /// Places one instance on the device graph: the cached canonical TRIAD
-    /// relocated to the first fault-clean region (which scans exactly the
-    /// origins the whole-graph TRIAD embedder scans, so answers are
-    /// unchanged). Instances the placer cannot host fall back to the
-    /// whole-graph embedder, heuristic included.
-    fn placed_embedding(
+    /// The embedding of an instance no TRIAD block hosts, through the
+    /// cache. The key pairs the logical QUBO's structure hash with the
+    /// device graph's fingerprint; a miss runs the heuristic seeded by that
+    /// structure hash, so a hit is bit-identical to a cold solve. The flag
+    /// is `true` when the embedding came from the cache.
+    fn heuristic_embedding(
         &self,
-        logical: &LogicalMapping,
+        problem: &MqoProblem,
     ) -> Result<(Embedding, bool), EmbeddingError> {
-        let graph = &self.config.graph;
-        let (canonical, cache_hit, side) = self.canonical_embedding(logical);
-        if let Some(placement) = Placer::new(graph).place(&canonical, side) {
-            return Ok((placement.embedding, cache_hit));
-        }
+        let logical = LogicalMapping::new(problem, self.config.epsilon);
         let key = CacheKey {
             structure: logical.qubo().structure_hash(),
             graph: self.graph_fingerprint,
         };
-        match self.cache.get(key) {
-            Some(e) => Ok(((*e).clone(), true)),
-            None => {
-                let edges: Vec<_> = logical
-                    .qubo()
-                    .quadratic()
-                    .iter()
-                    .map(|&(a, b, _)| (a, b))
-                    .collect();
-                let e = embed_structure(
-                    graph,
-                    logical.qubo().num_vars(),
-                    &edges,
-                    key.structure,
-                    EMBED_TRIES,
-                )?;
-                self.cache.insert(key, Arc::new(e.clone()));
-                Ok((e, false))
-            }
+        if let Some(e) = self.cache.get(key) {
+            return Ok(((*e).clone(), true));
         }
+        let edges: Vec<_> = logical
+            .qubo()
+            .quadratic()
+            .iter()
+            .map(|&(a, b, _)| (a, b))
+            .collect();
+        let e = embed_structure(
+            &self.config.graph,
+            logical.qubo().num_vars(),
+            &edges,
+            key.structure,
+            EMBED_TRIES,
+        )?;
+        self.cache.insert(key, Arc::new(e.clone()));
+        Ok((e, false))
     }
 
     /// The device protocol this request runs under: server defaults with
@@ -449,11 +421,15 @@ impl SolveEngine {
     }
 
     fn solve_annealer(&self, req: &SolveRequest) -> Result<SolveResponse, AnnealerFailure> {
-        let logical = LogicalMapping::new(&req.problem, self.config.epsilon);
-        let (embedding, cache_hit) = self
-            .placed_embedding(&logical)
-            .map_err(AnnealerFailure::Embedding)?;
         let solver = self.annealer_solver(self.effective_device(req));
+        // The TRIAD clique goes where the offline `solve` puts it; only
+        // instances no TRIAD block hosts reach the cache.
+        let (embedding, cache_hit) = match solver.place_clique(req.problem.num_plans()) {
+            Some(clique) => (clique, false),
+            None => self
+                .heuristic_embedding(&req.problem)
+                .map_err(AnnealerFailure::Embedding)?,
+        };
         let outcome = solver
             .solve_with_embedding(&req.problem, embedding, req.seed)
             .map_err(|e| match e {
@@ -568,7 +544,6 @@ mod tests {
     use crate::testkit::{
         silence_injected_panics, FaultRates, Injected, SeededFaults, INJECTED_PANIC,
     };
-    use mqo_core::problem::MqoProblem;
 
     fn paper_example() -> MqoProblem {
         let mut b = MqoProblem::builder();
@@ -632,18 +607,51 @@ mod tests {
         assert_eq!(r.device_time_us, 3760.0);
     }
 
+    /// Five two-plan queries with chained savings: 10 variables, over the
+    /// 2×2-cell TRIAD bound of 8, so the heuristic embeds them.
+    fn heuristic_chain() -> MqoProblem {
+        let mut b = MqoProblem::builder();
+        let mut prev = None;
+        for _ in 0..5 {
+            let q = b.add_query(&[2.0, 3.0]);
+            let plans = b.plans_of(q);
+            if let Some(p) = prev {
+                b.add_saving(p, plans[0], 1.5).unwrap();
+            }
+            prev = Some(plans[1]);
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn second_identical_structure_is_a_cache_hit_with_identical_samples() {
         let e = engine();
-        let cold = e.solve(&SolveRequest::new(paper_example(), 7)).unwrap();
-        let warm = e.solve(&SolveRequest::new(paper_example(), 7)).unwrap();
+        let req = SolveRequest::new(heuristic_chain(), 7);
+        let cold = e.solve(&req).unwrap();
+        let warm = e.solve(&req).unwrap();
+        assert_eq!(cold.backend, Backend::Annealer);
         assert!(!cold.cache_hit);
         assert!(warm.cache_hit);
         assert_eq!(cold.selection, warm.selection);
         assert_eq!(cold.cost, warm.cost);
         assert_eq!(cold.reads, warm.reads);
+        assert_eq!(cold.qubits_used, warm.qubits_used);
         let stats = e.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.len), (1, 1, 1));
+    }
+
+    #[test]
+    fn triad_placed_answers_never_touch_the_cache() {
+        // The paper example fits one TRIAD block: it is placed like the
+        // offline `solve` places it, every time, with no cache lookup.
+        let e = engine();
+        for _ in 0..3 {
+            let r = e.solve(&SolveRequest::new(paper_example(), 7)).unwrap();
+            assert_eq!(r.backend, Backend::Annealer);
+            assert!(!r.cache_hit);
+        }
+        let stats = e.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 0));
     }
 
     #[test]
@@ -708,6 +716,10 @@ mod tests {
             "{}",
             r.route_reason
         );
+        // No TRIAD block hosts K100, so none was built or cached: the
+        // failed search leaves the cache empty.
+        let stats = e.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.len), (0, 1, 0));
     }
 
     #[test]

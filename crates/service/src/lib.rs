@@ -8,19 +8,21 @@
 //! ```text
 //! POST /solve ──▶ admission queue ──▶ batching workers ──▶ router
 //!                 (bounded depth,      (groups requests,    │
-//!                  per-request          sorts batches by    ├─▶ annealer ──▶ embedding
-//!                  deadlines, typed     structure key)      │               cache (LRU)
-//!                  429 rejections)                          ├─▶ MILP
+//!                  per-request          sorts batches by    ├─▶ annealer ──▶ TRIAD placement,
+//!                  deadlines, typed     (queries, plans))   │               else embedding
+//!                  429 rejections)                          │               cache (LRU)
+//!                                                           ├─▶ MILP
 //!                                                           └─▶ hill climbing
 //! ```
 //!
 //! * [`queue`] — bounded admission with per-request deadlines; overload
 //!   returns a typed rejection ([`api::Reject`]) instead of queuing without
 //!   bound, and graceful shutdown drains every admitted request.
-//! * [`cache`] — the embedding/programming cache. Choi's minor-embedding
-//!   construction is structure-dependent, not weight-dependent, so
-//!   structurally identical instances reuse a cached embedding and only
-//!   re-derive the Ising weights. Keys combine
+//! * [`cache`] — the cache of heuristic embeddings. A TRIAD clique is
+//!   placed directly, as the offline pipeline places it; instances no TRIAD
+//!   block hosts are embedded by the heuristic, whose result depends on the
+//!   structure, not the weights, so structurally identical instances reuse
+//!   it and only re-derive the Ising weights. Keys combine
 //!   `Qubo::structure_hash` with `ChimeraGraph::fingerprint`.
 //! * [`router`] — the paper's representability split (Section 6/7): instances
 //!   over the (possibly fault-degraded) Chimera capacity bound are routed to

@@ -1,9 +1,9 @@
 //! Bounded admission queue + batching worker pool + supervisor.
 //!
 //! The front-end enqueues; a worker pool, one worker per core by default,
-//! drains the queue in batches (grouping structurally similar requests so
-//! embedding-cache hits cluster), runs each solve on the worker's own thread,
-//! and answers each job through its [`Responder`]. Overload is a typed
+//! drains the queue in batches (each batch solved smallest instance first),
+//! runs each solve on the worker's own thread, and answers each job through
+//! its [`Responder`]. Overload is a typed
 //! [`Reject::QueueFull`] at admission time — the queue never grows without
 //! bound and never panics under pressure — and shutdown stops admissions
 //! while the workers drain everything already accepted.
@@ -350,8 +350,11 @@ impl SolveQueue {
                 batch
             };
             Metrics::inc(&metrics.batches_dispatched);
-            // Group structurally identical instances adjacently so the
-            // second one of a pair hits the embedding the first just cached.
+            // Smallest instances first (a stable sort by queries, then
+            // plans), so short solves do not wait behind long ones of the
+            // same batch. Cache hits do not depend on this order: one worker
+            // runs the whole batch, and whichever of two equal structures
+            // runs first caches the embedding the other one hits.
             batch.sort_by_key(|job| (job.req.problem.num_queries(), job.req.problem.num_plans()));
             let mut batch: VecDeque<Job> = batch.into();
             while let Some(job) = batch.pop_front() {

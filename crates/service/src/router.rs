@@ -11,6 +11,7 @@
 
 use crate::api::Backend;
 use mqo_chimera::capacity;
+use mqo_chimera::embedding::triad;
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_core::problem::MqoProblem;
 use serde::{Deserialize, Serialize};
@@ -49,7 +50,7 @@ pub fn route(problem: &MqoProblem, graph: &ChimeraGraph, cfg: &RouterConfig) -> 
 
     // A TRIAD clique hosts up to 4·min(rows, cols) chains regardless of the
     // savings structure — the unconditional representability bound.
-    let clique_cap = 4 * graph.rows().min(graph.cols());
+    let clique_cap = triad::max_clique(graph);
     let clique_fits = problem.num_plans() <= clique_cap;
 
     // The clustered capacity bound of Section 6: uniform queries of the

@@ -278,6 +278,11 @@ mod tests {
     const TINY: &[u8] =
         br#"{"problem": {"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}, "seed": 7}"#;
 
+    /// Five two-plan queries with chained savings: 10 plans, over the
+    /// 2×2-cell TRIAD bound of 8, so the cell embeds them heuristically and
+    /// caches the embedding.
+    const CHAIN: &[u8] = br#"{"problem": {"queries": [[2,3],[2,3],[2,3],[2,3],[2,3]], "savings": [[1,2,1.5],[3,4,1.5],[5,6,1.5],[7,8,1.5]]}, "seed": 7}"#;
+
     #[test]
     fn healthz_metrics_and_unknown_paths() {
         let server = small_server();
@@ -302,14 +307,13 @@ mod tests {
     fn solve_round_trip_with_cache_hit_on_repeat() {
         let server = small_server();
         let addr = server.local_addr();
-        let (status, body) = roundtrip(addr, "POST", "/solve", TINY).unwrap();
+        let (status, body) = roundtrip(addr, "POST", "/solve", CHAIN).unwrap();
         assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
         let cold: serde_json::Value = serde_json::from_slice(&body).unwrap();
-        assert_eq!(cold["cost"], 2.0);
         assert_eq!(cold["backend"], "annealer");
         assert_eq!(cold["cache_hit"], false);
 
-        let (status, body) = roundtrip(addr, "POST", "/solve", TINY).unwrap();
+        let (status, body) = roundtrip(addr, "POST", "/solve", CHAIN).unwrap();
         assert_eq!(status, 200);
         let warm: serde_json::Value = serde_json::from_slice(&body).unwrap();
         assert_eq!(warm["cache_hit"], true);
@@ -330,9 +334,9 @@ mod tests {
         let server = small_server();
         let addr = server.local_addr();
         let mut client = KeepAliveClient::new(addr, Duration::from_secs(30));
-        let cold = client.request("POST", "/solve", TINY).unwrap();
+        let cold = client.request("POST", "/solve", CHAIN).unwrap();
         assert_eq!(cold.status, 200, "{}", String::from_utf8_lossy(&cold.body));
-        let warm = client.request("POST", "/solve", TINY).unwrap();
+        let warm = client.request("POST", "/solve", CHAIN).unwrap();
         assert_eq!(warm.status, 200);
         let cold: serde_json::Value = serde_json::from_slice(&cold.body).unwrap();
         let warm: serde_json::Value = serde_json::from_slice(&warm.body).unwrap();

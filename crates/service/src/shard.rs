@@ -3,9 +3,10 @@
 //! A thin front process that consistently shards `POST /solve` requests
 //! across N `mqo_serve` *cells* by the instance's structure
 //! ([`structure_key`], which is weight-independent): structurally
-//! identical instances always land on the same cell, so each cell's
-//! embedding cache sees the full hit-rate benefit of its shard instead of
-//! every cell re-deriving every embedding.
+//! identical instances always land on the same cell. An instance no TRIAD
+//! block hosts is then embedded heuristically on one cell and hits that
+//! cell's cache afterwards, instead of every cell searching for it;
+//! TRIAD-sized instances are placed directly and never touch the cache.
 //!
 //! The router reuses the nonblocking event-loop front-end
 //! ([`crate::event_loop`]) for its own client side; forwarding happens on a
@@ -110,9 +111,9 @@ impl MqoRouterConfig {
 /// its savings pairs. Those fix the logical QUBO's edge set, so instances
 /// with equal keys share the cells' embedding-cache key
 /// (`Qubo::structure_hash`). Weight-independent, so instances differing
-/// only in costs/savings values still map to the same cell (and hit its
-/// cached embedding). `epsilon` only scales weights and does not enter the
-/// key.
+/// only in costs/savings values still map to the same cell (and, when the
+/// heuristic embeds them, hit its cached embedding). `epsilon` only scales
+/// weights and does not enter the key.
 ///
 /// O(queries + savings): the key never builds the QUBO, whose one-hot
 /// penalty is quadratic in plans per query, on the event-loop thread.
@@ -872,8 +873,11 @@ mod tests {
         // Same structure, different weights/seeds: one cell takes them all.
         let bodies: Vec<Vec<u8>> = (0..4)
             .map(|seed| {
+                // 10 plans: over the 2×2-cell TRIAD bound, so the cell
+                // embeds heuristically and caches the embedding.
                 format!(
-                    r#"{{"problem": {{"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}}, "seed": {seed}}}"#
+                    r#"{{"problem": {{"queries": [[2,3],[2,3],[2,3],[2,3],[2,3]], "savings": [[1,2,{}],[3,4,1.5],[5,6,1.5],[7,8,1.5]]}}, "seed": {seed}}}"#,
+                    1.0 + seed as f64
                 )
                 .into_bytes()
             })

@@ -13,32 +13,27 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
-/// Builds a random MQO instance small enough for the 2×2 test graph:
-/// 2–3 queries with 1–2 plans each plus random inter-query savings, all
-/// derived deterministically from `gen_seed`.
+/// Builds a random MQO instance the 2×2 test graph hosts only through the
+/// heuristic embedder, so every annealer solve goes through the embedding
+/// cache: 5–6 queries with 2 plans each (10–12 plans, over the TRIAD bound
+/// of 8) and random savings between consecutive queries, all derived
+/// deterministically from `gen_seed`.
 fn random_problem(gen_seed: u64) -> MqoProblem {
     let mut rng = ChaCha8Rng::seed_from_u64(gen_seed);
     let mut b = MqoProblem::builder();
-    let num_queries = rng.gen_range(2..=3);
+    let num_queries = rng.gen_range(5..=6);
     let queries: Vec<_> = (0..num_queries)
         .map(|_| {
-            let num_plans = rng.gen_range(1..=2);
-            let costs: Vec<f64> = (0..num_plans)
-                .map(|_| f64::from(rng.gen_range(1..=8)))
-                .collect();
+            let costs: Vec<f64> = (0..2).map(|_| f64::from(rng.gen_range(1..=8))).collect();
             b.add_query(&costs)
         })
         .collect();
-    for i in 0..queries.len() {
-        for j in (i + 1)..queries.len() {
-            if rng.gen_bool(0.7) {
-                let pi = b.plans_of(queries[i]);
-                let pj = b.plans_of(queries[j]);
-                let a = pi[rng.gen_range(0..pi.len())];
-                let c = pj[rng.gen_range(0..pj.len())];
-                let saving = f64::from(rng.gen_range(1..=5));
-                b.add_saving(a, c, saving).unwrap();
-            }
+    for pair in queries.windows(2) {
+        if rng.gen_bool(0.7) {
+            let a = b.plans_of(pair[0])[rng.gen_range(0..2usize)];
+            let c = b.plans_of(pair[1])[rng.gen_range(0..2usize)];
+            let saving = f64::from(rng.gen_range(1..=5));
+            b.add_saving(a, c, saving).unwrap();
         }
     }
     b.build().unwrap()
@@ -118,6 +113,10 @@ proptest! {
         req2.backend = Some(Backend::Annealer);
         let second = e.solve(&req2).unwrap();
         prop_assert!(second.cache_hit, "same structure, new weights: hit");
+        // The hit answers exactly as a cold solve of the rescaled instance.
+        let cold = engine(1).solve(&req2).unwrap();
+        prop_assert_eq!(&second.selection, &cold.selection);
+        prop_assert_eq!(second.cost, cold.cost);
         let stats = e.cache_stats();
         prop_assert_eq!((stats.hits, stats.misses), (1, 1));
     }

@@ -256,8 +256,14 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         self.solve_with_embedding(problem, embedding, seed)
     }
 
-    /// The TRIAD `K_n` on the first cell block whose qubits all work.
-    fn place_clique(&self, n: usize) -> Option<Embedding> {
+    /// The TRIAD `K_n` on the first cell block whose qubits all work, or
+    /// `None` when no block hosts it. A clique wider than the graph's TRIAD
+    /// bound ([`triad::max_clique`]) is declined before anything is built,
+    /// so an over-capacity request costs no embedding.
+    pub fn place_clique(&self, n: usize) -> Option<Embedding> {
+        if n > triad::max_clique(&self.graph) {
+            return None;
+        }
         Placer::new(&self.graph)
             .place(&packing::canonical_embedding(n), packing::footprint_side(n))
             .map(|p| p.embedding)
@@ -272,37 +278,6 @@ impl<S: Sampler> QuantumMqoSolver<S> {
             .rev()
             .find(|&n| self.place_clique(n).is_some())
             .unwrap_or(0)
-    }
-
-    /// Prepares the reusable half of a solve: the minor embedding of the
-    /// problem's interaction *structure*, independent of weights and of the
-    /// per-request seed.
-    ///
-    /// The embedding is computed deterministically from the structure hash
-    /// of the logical QUBO (TRIAD origin scan first, heuristic routing as
-    /// the fallback), so two structurally identical problems always prepare
-    /// the same embedding. A service layer can therefore cache the returned
-    /// embedding — keyed by
-    /// `(logical QUBO structure hash, graph fingerprint)` — and feed it back
-    /// through [`QuantumMqoSolver::solve_with_embedding`], which only
-    /// re-derives the weights (the cheap, per-request part of physical
-    /// mapping): a cache hit is bit-identical to a cold solve.
-    pub fn prepare_embedding(&self, problem: &MqoProblem) -> Result<Embedding, PipelineError> {
-        let logical = LogicalMapping::new(problem, self.epsilon);
-        let edges: Vec<_> = logical
-            .qubo()
-            .quadratic()
-            .iter()
-            .map(|&(a, b, _)| (a, b))
-            .collect();
-        let embedding = mqo_chimera::embedding::embed_structure(
-            &self.graph,
-            logical.qubo().num_vars(),
-            &edges,
-            logical.qubo().structure_hash(),
-            16,
-        )?;
-        Ok(embedding)
     }
 
     /// Solves using the heuristic sparse minor embedder instead of a TRIAD
@@ -378,28 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_embeddings_are_structure_deterministic_and_reusable() {
-        let problem = paper_example();
-        let s = solver();
-        let e1 = s.prepare_embedding(&problem).unwrap();
-        assert_eq!(s.prepare_embedding(&problem).unwrap(), e1);
-        // Same structure with different weights prepares the same embedding.
-        let mut b = MqoProblem::builder();
-        let q1 = b.add_query(&[7.0, 1.0]);
-        let q2 = b.add_query(&[2.0, 9.0]);
-        let (p2, p3) = (b.plans_of(q1)[1], b.plans_of(q2)[0]);
-        b.add_saving(p2, p3, 1.0).unwrap();
-        let other = b.build().unwrap();
-        assert_eq!(s.prepare_embedding(&other).unwrap(), e1);
-        // Feeding the prepared embedding back is bit-identical to solve().
-        let cold = s.solve(&problem, 11).unwrap();
-        let warm = s.solve_with_embedding(&problem, e1, 11).unwrap();
-        assert_eq!(cold.best, warm.best);
-        assert_eq!(cold.trace.points(), warm.trace.points());
-        assert_eq!(cold.reads, warm.reads);
-    }
-
-    #[test]
     fn trace_uses_device_time_quanta() {
         let problem = paper_example();
         let out = solver().solve(&problem, 3).unwrap();
@@ -452,6 +405,34 @@ mod tests {
         let problem = b.build().unwrap();
         let err = solver().solve(&problem, 0).unwrap_err();
         assert!(matches!(err, PipelineError::Embedding(_)));
+    }
+
+    #[test]
+    fn cliques_over_the_triad_bound_are_declined_before_building() {
+        // 12×12 cells host at most K48. A 2 000-plan request would need a
+        // 500×500-cell canonical TRIAD; it is declined without one.
+        let s = QuantumMqoSolver::new(ChimeraGraph::new(12, 12), solver().device);
+        let cap = triad::max_clique(&s.graph);
+        assert_eq!(cap, 48);
+        assert!(s.place_clique(cap).is_some());
+        assert!(s.place_clique(cap + 1).is_none());
+        let mut b = MqoProblem::builder();
+        for _ in 0..1_000 {
+            b.add_query(&[1.0, 2.0]);
+        }
+        let problem = b.build().unwrap();
+        assert_eq!(problem.num_plans(), 2_000);
+        let err = s.solve(&problem, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                PipelineError::Embedding(EmbeddingError::InsufficientCapacity {
+                    requested: 2_000,
+                    available: 48,
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

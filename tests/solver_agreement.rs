@@ -52,7 +52,7 @@ fn exact_solvers_agree_with_brute_force_across_generators() {
         let mapping = LogicalMapping::with_default_epsilon(problem);
         let qub = bb_qubo::solve(mapping.qubo(), &QuboBbConfig::default());
         assert_eq!(qub.stop, StopReason::Optimal, "instance {i}");
-        let (x, _) = qub.best.unwrap();
+        let (x, _) = qub.best;
         let sel = mapping
             .decode_strict(&x)
             .expect("QUBO optimum decodes to a valid selection");
