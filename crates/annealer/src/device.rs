@@ -190,12 +190,13 @@ impl<S: Sampler> QuantumAnnealer<S> {
         let true_ising = Ising::from_qubo(pm.physical_qubo());
         // Host-side embedding knowledge: chains in dense physical indices.
         let chains = pm.dense_chains();
-        self.run_ising_hinted(
+        self.run_ising_timed(
             &true_ising,
             pm.physical_qubo(),
             &SamplerHints { chains: &chains },
             seed,
         )
+        .map(|(set, _)| set)
     }
 
     /// Runs the protocol on a raw Ising problem without hardware validation
@@ -207,23 +208,13 @@ impl<S: Sampler> QuantumAnnealer<S> {
         true_qubo: &mqo_core::qubo::Qubo,
         seed: u64,
     ) -> Result<SampleSet, DeviceError> {
-        self.run_ising_hinted(true_ising, true_qubo, &SamplerHints::default(), seed)
-    }
-
-    /// [`QuantumAnnealer::run_ising`] with explicit embedding hints.
-    pub fn run_ising_hinted(
-        &self,
-        true_ising: &Ising,
-        true_qubo: &mqo_core::qubo::Qubo,
-        hints: &SamplerHints<'_>,
-        seed: u64,
-    ) -> Result<SampleSet, DeviceError> {
-        self.run_ising_timed(true_ising, true_qubo, hints, seed)
+        self.run_ising_timed(true_ising, true_qubo, &SamplerHints::default(), seed)
             .map(|(set, _)| set)
     }
 
-    /// [`QuantumAnnealer::run_ising_hinted`] with a host wall-clock
-    /// breakdown per protocol phase (used by the throughput benchmarks).
+    /// [`QuantumAnnealer::run_ising`] with explicit embedding hints and a
+    /// host wall-clock breakdown per protocol phase (used by the throughput
+    /// benchmarks).
     pub fn run_ising_timed(
         &self,
         true_ising: &Ising,

@@ -1,11 +1,10 @@
 //! Micro-benchmarks of the mapping pipeline (the `O(n·(m·l)²)`
-//! preprocessing of Theorem 4): logical mapping, physical mapping (per-chain
-//! vs global chain strengths — the ablation from DESIGN.md), and
-//! unembedding.
+//! preprocessing of Theorem 4): logical mapping, physical mapping with
+//! Choi's per-chain strengths, and unembedding.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mqo_chimera::graph::ChimeraGraph;
-use mqo_chimera::physical::{ChainStrengthMode, PhysicalMapping};
+use mqo_chimera::physical::PhysicalMapping;
 use mqo_core::logical::LogicalMapping;
 use mqo_workload::paper::{self, PaperWorkloadConfig};
 use rand::SeedableRng;
@@ -26,22 +25,6 @@ fn bench_mapping(c: &mut Criterion) {
         b.iter_batched(
             || inst.layout.embedding.clone(),
             |e| PhysicalMapping::new(logical.qubo(), e, &graph, 0.25).unwrap(),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("physical_mapping_global_strength", |b| {
-        b.iter_batched(
-            || inst.layout.embedding.clone(),
-            |e| {
-                PhysicalMapping::with_mode(
-                    logical.qubo(),
-                    e,
-                    &graph,
-                    0.25,
-                    ChainStrengthMode::GlobalMax,
-                )
-                .unwrap()
-            },
             BatchSize::SmallInput,
         )
     });

@@ -3,7 +3,7 @@
 //! ```text
 //! mqo_cli generate --kind paper|random|relational [--plans L] [--queries N] [--seed S] --out FILE
 //! mqo_cli info INSTANCE.json
-//! mqo_cli solve INSTANCE.json --algo qa|qa-sparse|bb|qubo-bb|climb|ga|greedy|decomposed
+//! mqo_cli solve INSTANCE.json --algo qa|bb|qubo-bb|climb|ga|greedy|decomposed
 //!          [--budget-ms MS] [--reads N] [--seed S] [--threads N] [--graph RxC]
 //! ```
 //!
@@ -26,7 +26,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  mqo_cli generate --kind paper|random|relational [--plans L] [--queries N] \
          [--seed S] [--graph RxC] --out FILE\n  mqo_cli info FILE\n  mqo_cli solve FILE \
-         --algo qa|qa-sparse|bb|qubo-bb|climb|ga|greedy|decomposed [--budget-ms MS] \
+         --algo qa|bb|qubo-bb|climb|ga|greedy|decomposed [--budget-ms MS] \
          [--reads N] [--seed S] [--threads N] [--graph RxC]"
     );
     std::process::exit(2)
@@ -203,11 +203,10 @@ fn solve(args: &Args) {
 
     let algo = flag(args, "algo").unwrap_or("bb");
     let (selection, cost) = match algo {
-        "qa" | "qa-sparse" | "decomposed" => {
+        "qa" | "decomposed" => {
             let solver = QuantumMqoSolver::new(graph, device());
             let best = match algo {
                 "qa" => solver.solve(&problem, seed).map(|out| out.best),
-                "qa-sparse" => solver.solve_sparse(&problem, seed, 16).map(|out| out.best),
                 _ => {
                     let out = solver
                         .solve_decomposed(&problem, &DecompositionConfig::default(), seed)
@@ -262,7 +261,7 @@ fn solve(args: &Args) {
                 .best
         }
         "greedy" => Greedy.run(&problem, budget, seed).best,
-        _ => usage(),
+        other => fail(format!("unknown algorithm {other}")),
     };
 
     problem

@@ -84,10 +84,10 @@ fn main() {
             };
             queries = inst_queries;
             let best = out.best.1;
-            let Some(t) = out.trace.time_to_reach(best) else {
-                eprintln!("class {plans}, seed {seed}: inconsistent trace; skipping");
-                continue;
-            };
+            let t = out
+                .trace
+                .time_to_reach(best)
+                .expect("bb_mqo records every incumbent in its trace");
             let is_proved = out.stop == StopReason::Optimal;
             if is_proved {
                 proved += 1;

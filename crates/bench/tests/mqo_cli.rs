@@ -67,10 +67,13 @@ fn unknown_and_removed_flags_are_rejected() {
         "0.5",
     ]);
     assert_usage_error(&removed, "unknown flag --fault-rate");
+    // `qa` embeds the way the server does; the heuristic-only mode is gone.
+    let sparse = run(&["solve", file, "--algo", "qa-sparse", "--graph", "2x2"]);
+    assert_usage_error(&sparse, "unknown algorithm qa-sparse");
     // Flags belong to their subcommand: `--algo` means nothing to generate.
     let foreign = run(&["generate", "--kind", "random", "--algo", "qa"]);
     assert_usage_error(&foreign, "unknown flag --algo");
-    assert!(misspelt.stdout.is_empty() && removed.stdout.is_empty());
+    assert!(misspelt.stdout.is_empty() && removed.stdout.is_empty() && sparse.stdout.is_empty());
 }
 
 #[test]

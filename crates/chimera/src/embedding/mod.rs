@@ -265,7 +265,10 @@ impl Embedding {
 /// It runs the randomized heuristic embedder, routing only the edges
 /// actually required, with `tries` (≥ 1) attempts. Clique placement is the
 /// caller's first choice ([`crate::packing::Placer`]); this is the
-/// embedder for structures no TRIAD block hosts.
+/// embedder for structures no TRIAD block hosts. The offline pipeline and
+/// the serving engine share it through one call,
+/// `mqo::pipeline::QuantumMqoSolver::embed_heuristic`, so both embed an
+/// instance the same way.
 pub fn embed_structure(
     graph: &ChimeraGraph,
     num_vars: usize,

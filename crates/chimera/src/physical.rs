@@ -24,22 +24,6 @@ use mqo_core::ids::VarId;
 use mqo_core::qubo::Qubo;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// How ferromagnetic chain strengths are chosen.
-///
-/// The paper (following Choi) computes a *per-chain* bound, keeping every
-/// weight as small as admissible because wide weight ranges degrade annealer
-/// precision. The global alternative applies the largest per-chain bound to
-/// every chain — simpler, but it inflates the energy range; the
-/// `chain_strength` criterion bench quantifies the difference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ChainStrengthMode {
-    /// Choi's per-chain bound (the paper's choice).
-    #[default]
-    PerChain,
-    /// One global strength: the maximum of the per-chain bounds.
-    GlobalMax,
-}
-
 /// Result of mapping one annealer sample back to logical variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnembedResult {
@@ -80,23 +64,6 @@ impl PhysicalMapping {
         embedding: Embedding,
         graph: &ChimeraGraph,
         epsilon: f64,
-    ) -> Result<Self, EmbeddingError> {
-        Self::with_mode(
-            logical,
-            embedding,
-            graph,
-            epsilon,
-            ChainStrengthMode::PerChain,
-        )
-    }
-
-    /// Like [`PhysicalMapping::new`] with an explicit chain-strength mode.
-    pub fn with_mode(
-        logical: &Qubo,
-        embedding: Embedding,
-        graph: &ChimeraGraph,
-        epsilon: f64,
-        mode: ChainStrengthMode,
     ) -> Result<Self, EmbeddingError> {
         assert!(epsilon > 0.0, "epsilon must be positive");
         assert_eq!(
@@ -184,10 +151,6 @@ impl PhysicalMapping {
             }
             let u = up.min(down).max(0.0);
             chain_strengths.push(u + epsilon);
-        }
-        if mode == ChainStrengthMode::GlobalMax {
-            let max = chain_strengths.iter().cloned().fold(0.0, f64::max);
-            chain_strengths.fill(max);
         }
 
         // Add the ferromagnetic chain terms along a spanning tree.
@@ -523,36 +486,6 @@ mod tests {
                 "single-qubit flip {i} beat the ground state"
             );
         }
-    }
-
-    #[test]
-    fn global_max_mode_uniformly_inflates_chain_strengths() {
-        let g = ChimeraGraph::new(3, 3);
-        let logical = dense_qubo(6);
-        let e = triad::triad(&g, 0, 0, 6).unwrap();
-        let per_chain = PhysicalMapping::new(&logical, e.clone(), &g, 0.25).unwrap();
-        let global =
-            PhysicalMapping::with_mode(&logical, e, &g, 0.25, ChainStrengthMode::GlobalMax)
-                .unwrap();
-        let max = (0..6)
-            .map(|v| per_chain.chain_strength(VarId::new(v)))
-            .fold(0.0, f64::max);
-        for v in 0..6 {
-            let v = VarId::new(v);
-            assert_eq!(global.chain_strength(v), max);
-            assert!(global.chain_strength(v) >= per_chain.chain_strength(v));
-        }
-        // The global mode never shrinks — and generally widens — the
-        // physical weight range the annealer must resolve.
-        assert!(
-            global.physical_qubo().max_abs_weight()
-                >= per_chain.physical_qubo().max_abs_weight() - 1e-9
-        );
-        // Its ground state is still correct.
-        let (phys_best, _) = global.physical_qubo().brute_force_minimum();
-        let un = global.unembed(&phys_best);
-        assert_eq!(un.broken_chains, 0);
-        assert_eq!(un.logical, logical.brute_force_minimum().0);
     }
 
     #[test]

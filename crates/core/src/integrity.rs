@@ -8,12 +8,6 @@
 //!
 //! * [`verify_selection`] — a claimed solution is structurally feasible and
 //!   its reported cost matches a from-scratch recomputation within tolerance;
-//! * [`verify_decoded_sample`] — a QUBO assignment decodes to a feasible
-//!   selection and its QUBO energy obeys the `energy = cost + offset`
-//!   identity of the logical mapping;
-//! * [`cross_check_sample`] / [`cross_check_gauge`] — a sample's Ising energy
-//!   agrees with the QUBO objective through the Ising round-trip and gauge
-//!   transformations;
 //! * [`verify_against_bound`] — a reported cost never undercuts a proven
 //!   optimum or lower bound (an impossibly *good* answer is corrupt too);
 //! * [`repair_selection`] — a deterministic min-delta repair for infeasible
@@ -24,10 +18,7 @@
 
 use crate::error::CoreError;
 use crate::ids::{PlanId, QueryId};
-use crate::ising::{bits_to_spins, Ising};
-use crate::logical::LogicalMapping;
 use crate::problem::MqoProblem;
-use crate::qubo::Qubo;
 use crate::solution::{CostEvaluator, Selection};
 use serde::{Deserialize, Serialize};
 
@@ -67,28 +58,6 @@ pub enum IntegrityError {
         /// Tolerance the comparison used.
         tolerance: f64,
     },
-    /// A QUBO assignment does not decode into a feasible selection.
-    InfeasibleAssignment(CoreError),
-    /// A QUBO energy disagrees with the `energy = cost + offset` identity of
-    /// the logical mapping (or with a reported energy).
-    EnergyMismatch {
-        /// Energy the producer claimed (or the identity predicts).
-        reported: f64,
-        /// Energy recomputed from the QUBO.
-        recomputed: f64,
-        /// Tolerance the comparison used.
-        tolerance: f64,
-    },
-    /// An Ising sample energy disagrees with the QUBO objective through the
-    /// QUBO ⇄ Ising round-trip or a gauge transformation.
-    CrossCheckMismatch {
-        /// Energy on the QUBO side.
-        qubo_energy: f64,
-        /// Energy on the Ising side.
-        ising_energy: f64,
-        /// Tolerance the comparison used.
-        tolerance: f64,
-    },
     /// A reported cost undercuts a proven optimum / lower bound — an
     /// impossibly good answer, which only corruption can produce.
     BelowProvenOptimum {
@@ -118,27 +87,6 @@ impl std::fmt::Display for IntegrityError {
                 "reported cost {reported} disagrees with recomputed cost {recomputed} \
                  (tolerance {tolerance})"
             ),
-            IntegrityError::InfeasibleAssignment(e) => {
-                write!(f, "assignment decodes to no feasible solution: {e}")
-            }
-            IntegrityError::EnergyMismatch {
-                reported,
-                recomputed,
-                tolerance,
-            } => write!(
-                f,
-                "energy {reported} disagrees with recomputed energy {recomputed} \
-                 (tolerance {tolerance})"
-            ),
-            IntegrityError::CrossCheckMismatch {
-                qubo_energy,
-                ising_energy,
-                tolerance,
-            } => write!(
-                f,
-                "QUBO energy {qubo_energy} disagrees with Ising energy {ising_energy} \
-                 (tolerance {tolerance})"
-            ),
             IntegrityError::BelowProvenOptimum { reported, bound } => write!(
                 f,
                 "reported cost {reported} undercuts the proven bound {bound}"
@@ -151,9 +99,7 @@ impl std::fmt::Display for IntegrityError {
 impl std::error::Error for IntegrityError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            IntegrityError::InvalidSelection(e)
-            | IntegrityError::InfeasibleAssignment(e)
-            | IntegrityError::Unrepairable(e) => Some(e),
+            IntegrityError::InvalidSelection(e) | IntegrityError::Unrepairable(e) => Some(e),
             _ => None,
         }
     }
@@ -185,87 +131,6 @@ pub fn verify_selection(
         });
     }
     Ok(recomputed)
-}
-
-/// Verifies a decoded QUBO sample: the assignment must decode strictly into
-/// a feasible selection, and the QUBO energy must obey the
-/// `energy(x) = cost(selection) + energy_offset()` identity of the logical
-/// mapping. Returns the selection and its recomputed cost.
-pub fn verify_decoded_sample(
-    mapping: &LogicalMapping,
-    problem: &MqoProblem,
-    x: &[bool],
-    tolerance: f64,
-) -> Result<(Selection, f64), IntegrityError> {
-    let selection = mapping
-        .decode_strict(x)
-        .map_err(IntegrityError::InfeasibleAssignment)?;
-    let cost = problem.selection_cost(&selection);
-    let energy = mapping.qubo().energy(x);
-    let predicted = cost + mapping.energy_offset();
-    if !within_tolerance(energy, predicted, tolerance) {
-        return Err(IntegrityError::EnergyMismatch {
-            reported: predicted,
-            recomputed: energy,
-            tolerance,
-        });
-    }
-    Ok((selection, cost))
-}
-
-/// Cross-checks a sample through the QUBO ⇄ Ising round-trip: the Ising
-/// energy of the corresponding spins must equal the QUBO objective.
-pub fn cross_check_sample(qubo: &Qubo, x: &[bool], tolerance: f64) -> Result<(), IntegrityError> {
-    if x.len() != qubo.num_vars() {
-        return Err(IntegrityError::InfeasibleAssignment(
-            CoreError::AssignmentLength {
-                expected: qubo.num_vars(),
-                actual: x.len(),
-            },
-        ));
-    }
-    let ising = Ising::from_qubo(qubo);
-    let qubo_energy = qubo.energy(x);
-    let ising_energy = ising.energy(&bits_to_spins(x));
-    if !within_tolerance(qubo_energy, ising_energy, tolerance) {
-        return Err(IntegrityError::CrossCheckMismatch {
-            qubo_energy,
-            ising_energy,
-            tolerance,
-        });
-    }
-    Ok(())
-}
-
-/// Cross-checks gauge invariance: transforming problem and spins by the same
-/// sign vector must leave the energy unchanged (`E_g(g·s) = E(s)`), which is
-/// the identity the device's gauge averaging relies on.
-pub fn cross_check_gauge(
-    ising: &Ising,
-    spins: &[i8],
-    signs: &[i8],
-    tolerance: f64,
-) -> Result<(), IntegrityError> {
-    if spins.len() != ising.num_spins() || signs.len() != ising.num_spins() {
-        return Err(IntegrityError::InfeasibleAssignment(
-            CoreError::AssignmentLength {
-                expected: ising.num_spins(),
-                actual: spins.len().min(signs.len()),
-            },
-        ));
-    }
-    let gauged_problem = ising.gauge_transformed(signs);
-    let gauged_spins: Vec<i8> = spins.iter().zip(signs).map(|(&s, &g)| s * g).collect();
-    let original = ising.energy(spins);
-    let gauged = gauged_problem.energy(&gauged_spins);
-    if !within_tolerance(original, gauged, tolerance) {
-        return Err(IntegrityError::CrossCheckMismatch {
-            qubo_energy: original,
-            ising_energy: gauged,
-            tolerance,
-        });
-    }
-    Ok(())
 }
 
 /// Checks a reported cost against a proven optimum (or lower bound): any
@@ -475,39 +340,6 @@ mod tests {
             verify_selection(&p, &short, 2.0, DEFAULT_TOLERANCE).unwrap_err(),
             IntegrityError::InvalidSelection(CoreError::AssignmentLength { .. })
         ));
-    }
-
-    #[test]
-    fn verify_decoded_sample_checks_feasibility_and_the_energy_identity() {
-        let p = example_problem();
-        let m = LogicalMapping::with_default_epsilon(&p);
-        let (sel, cost) =
-            verify_decoded_sample(&m, &p, &[false, true, true, false], DEFAULT_TOLERANCE).unwrap();
-        assert_eq!(cost, 2.0);
-        assert_eq!(sel.plans(), &[PlanId(1), PlanId(2)]);
-        assert!(matches!(
-            verify_decoded_sample(&m, &p, &[true, true, false, false], DEFAULT_TOLERANCE)
-                .unwrap_err(),
-            IntegrityError::InfeasibleAssignment(_)
-        ));
-    }
-
-    #[test]
-    fn cross_checks_pass_on_honest_data_and_catch_poisoned_weights() {
-        let p = example_problem();
-        let m = LogicalMapping::with_default_epsilon(&p);
-        for mask in 0u32..16 {
-            let x: Vec<bool> = (0..4).map(|i| mask & (1 << i) != 0).collect();
-            cross_check_sample(m.qubo(), &x, DEFAULT_TOLERANCE).unwrap();
-        }
-        let ising = Ising::from_qubo(m.qubo());
-        let spins = bits_to_spins(&[false, true, true, false]);
-        for signs in [[1i8, 1, 1, 1], [-1, 1, -1, 1], [-1, -1, -1, -1]] {
-            cross_check_gauge(&ising, &spins, &signs, DEFAULT_TOLERANCE).unwrap();
-        }
-        // Length mismatches are typed, not panics.
-        assert!(cross_check_sample(m.qubo(), &[true], DEFAULT_TOLERANCE).is_err());
-        assert!(cross_check_gauge(&ising, &spins, &[1i8], DEFAULT_TOLERANCE).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::router::{route, RouteDecision, RouterConfig};
 use mqo::pipeline::{PipelineError, QuantumMqoOutcome, QuantumMqoSolver, ResilienceConfig};
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
 use mqo_annealer::sa::SimulatedAnnealingSampler;
-use mqo_chimera::embedding::{embed_structure, Embedding, EmbeddingError};
+use mqo_chimera::embedding::{Embedding, EmbeddingError};
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_core::ids::PlanId;
 use mqo_core::integrity::{self, DEFAULT_TOLERANCE};
@@ -36,8 +36,6 @@ use std::time::{Duration, Instant};
 
 /// LRU bound of the embedding cache, entries.
 const CACHE_CAPACITY: usize = 128;
-/// Attempts of the heuristic embedder on a cache miss.
-const EMBED_TRIES: usize = 16;
 
 /// Engine configuration. [`EngineConfig::new`] applies service defaults
 /// sized for interactive latency (100 reads, not the paper's offline 1000)
@@ -328,14 +326,16 @@ impl SolveEngine {
 
     /// The embedding of an instance no TRIAD block hosts, through the
     /// cache. The key pairs the logical QUBO's structure hash with the
-    /// device graph's fingerprint; a miss runs the heuristic seeded by that
+    /// device graph's fingerprint; a miss runs the pipeline's
+    /// [`QuantumMqoSolver::embed_heuristic`], which is seeded by that
     /// structure hash, so a hit is bit-identical to a cold solve. The flag
     /// is `true` when the embedding came from the cache.
     fn heuristic_embedding(
         &self,
+        solver: &QuantumMqoSolver<SimulatedAnnealingSampler>,
         problem: &MqoProblem,
     ) -> Result<(Embedding, bool), EmbeddingError> {
-        let logical = LogicalMapping::new(problem, self.config.epsilon);
+        let logical = LogicalMapping::new(problem, solver.epsilon);
         let key = CacheKey {
             structure: logical.qubo().structure_hash(),
             graph: self.graph_fingerprint,
@@ -343,19 +343,7 @@ impl SolveEngine {
         if let Some(e) = self.cache.get(key) {
             return Ok(((*e).clone(), true));
         }
-        let edges: Vec<_> = logical
-            .qubo()
-            .quadratic()
-            .iter()
-            .map(|&(a, b, _)| (a, b))
-            .collect();
-        let e = embed_structure(
-            &self.config.graph,
-            logical.qubo().num_vars(),
-            &edges,
-            key.structure,
-            EMBED_TRIES,
-        )?;
+        let e = solver.embed_heuristic(logical.qubo())?;
         self.cache.insert(key, Arc::new(e.clone()));
         Ok((e, false))
     }
@@ -422,12 +410,12 @@ impl SolveEngine {
 
     fn solve_annealer(&self, req: &SolveRequest) -> Result<SolveResponse, AnnealerFailure> {
         let solver = self.annealer_solver(self.effective_device(req));
-        // The TRIAD clique goes where the offline `solve` puts it; only
-        // instances no TRIAD block hosts reach the cache.
+        // `QuantumMqoSolver::solve`'s policy with the heuristic behind the
+        // cache: TRIAD-placed instances never reach it.
         let (embedding, cache_hit) = match solver.place_clique(req.problem.num_plans()) {
             Some(clique) => (clique, false),
             None => self
-                .heuristic_embedding(&req.problem)
+                .heuristic_embedding(&solver, &req.problem)
                 .map_err(AnnealerFailure::Embedding)?,
         };
         let outcome = solver
@@ -544,6 +532,7 @@ mod tests {
     use crate::testkit::{
         silence_injected_panics, FaultRates, Injected, SeededFaults, INJECTED_PANIC,
     };
+    use mqo::pipeline::EMBED_TRIES;
 
     fn paper_example() -> MqoProblem {
         let mut b = MqoProblem::builder();

@@ -22,8 +22,7 @@
 
 use mqo_annealer::device::{DeviceError, QuantumAnnealer};
 use mqo_annealer::sampler::{ChainBreakStats, Sampler};
-use mqo_chimera::embedding::triad;
-use mqo_chimera::embedding::{Embedding, EmbeddingError};
+use mqo_chimera::embedding::{embed_structure, triad, Embedding, EmbeddingError};
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_chimera::packing::{self, Placer};
 use mqo_chimera::physical::PhysicalMapping;
@@ -31,11 +30,14 @@ use mqo_core::ids::QueryId;
 use mqo_core::integrity::RepairStats;
 use mqo_core::logical::LogicalMapping;
 use mqo_core::problem::MqoProblem;
+use mqo_core::qubo::Qubo;
 use mqo_core::solution::Selection;
 use mqo_core::trace::Trace;
 use mqo_heuristics::HillClimbing;
-use rand::SeedableRng;
 use std::time::Duration;
+
+/// Attempts of the heuristic embedder ([`QuantumMqoSolver::embed_heuristic`]).
+pub const EMBED_TRIES: usize = 16;
 
 /// Everything that can go wrong between an MQO instance and annealer reads.
 #[derive(Debug)]
@@ -234,25 +236,25 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         })
     }
 
-    /// Solves a small problem by embedding it as one global TRIAD clique
-    /// (works for any savings structure, up to `4·min(rows, cols)` plans).
+    /// Solves by the one annealer embedding policy, the one the serving
+    /// engine runs: the TRIAD clique on the first cell block whose qubits
+    /// all work ([`QuantumMqoSolver::place_clique`]), otherwise the
+    /// structure-seeded heuristic ([`QuantumMqoSolver::embed_heuristic`]).
     ///
-    /// The clique goes to the first cell block whose qubits all work, in
-    /// row-major order ([`Placer`]), so a defect near the top-left corner
-    /// does not reject an instance that fits elsewhere. On a graph where
-    /// origin `(0, 0)` works, that is where it lands.
+    /// The clique goes to the first working block in row-major order
+    /// ([`Placer`]), so a defect near the top-left corner does not reject
+    /// an instance that fits elsewhere. An instance no block hosts embeds
+    /// only the interaction edges it has, so sparse instances beyond the
+    /// clique bound still fit.
     pub fn solve(
         &self,
         problem: &MqoProblem,
         seed: u64,
     ) -> Result<QuantumMqoOutcome, PipelineError> {
-        let n = problem.num_plans();
-        let embedding =
-            self.place_clique(n)
-                .ok_or_else(|| EmbeddingError::InsufficientCapacity {
-                    requested: n,
-                    available: self.max_clique(),
-                })?;
+        let embedding = match self.place_clique(problem.num_plans()) {
+            Some(clique) => clique,
+            None => self.embed_heuristic(LogicalMapping::new(problem, self.epsilon).qubo())?,
+        };
         self.solve_with_embedding(problem, embedding, seed)
     }
 
@@ -269,10 +271,10 @@ impl<S: Sampler> QuantumMqoSolver<S> {
             .map(|p| p.embedding)
     }
 
-    /// Largest clique [`QuantumMqoSolver::solve`] can place on the graph
-    /// (0 when not even one qubit works). Placement is monotone in the
-    /// clique size — a smaller TRIAD's chains are sub-chains of a larger
-    /// one's at the same origin — so every smaller clique places too.
+    /// Largest clique [`QuantumMqoSolver::place_clique`] can place on the
+    /// graph (0 when not even one qubit works). Placement is monotone in
+    /// the clique size — a smaller TRIAD's chains are sub-chains of a
+    /// larger one's at the same origin — so every smaller clique places too.
     pub fn max_clique(&self) -> usize {
         (1..=triad::max_clique(&self.graph))
             .rev()
@@ -280,32 +282,20 @@ impl<S: Sampler> QuantumMqoSolver<S> {
             .unwrap_or(0)
     }
 
-    /// Solves using the heuristic sparse minor embedder instead of a TRIAD
-    /// clique: only the instance's *actual* interaction edges are routed, so
-    /// sparse problems far beyond the clique capacity still fit on the chip
-    /// (the "new mapping algorithms" direction of the paper's Section 7).
-    pub fn solve_sparse(
-        &self,
-        problem: &MqoProblem,
-        seed: u64,
-        tries: usize,
-    ) -> Result<QuantumMqoOutcome, PipelineError> {
-        let logical = LogicalMapping::new(problem, self.epsilon);
-        let edges: Vec<_> = logical
-            .qubo()
-            .quadratic()
-            .iter()
-            .map(|&(a, b, _)| (a, b))
-            .collect();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xE3BE);
-        let embedding = mqo_chimera::embedding::heuristic::find_embedding(
-            logical.qubo().num_vars(),
-            &edges,
+    /// The heuristic embedding of `qubo`'s interaction edges, for instances
+    /// no TRIAD block hosts: [`embed_structure`] seeded by
+    /// [`Qubo::structure_hash`] with [`EMBED_TRIES`] attempts. The result
+    /// depends only on the structure and the graph, so an embedding cached
+    /// under that hash is the one a fresh search would find.
+    pub fn embed_heuristic(&self, qubo: &Qubo) -> Result<Embedding, EmbeddingError> {
+        let edges: Vec<_> = qubo.quadratic().iter().map(|&(a, b, _)| (a, b)).collect();
+        embed_structure(
             &self.graph,
-            &mut rng,
-            tries,
-        )?;
-        self.solve_with_embedding(problem, embedding, seed)
+            qubo.num_vars(),
+            &edges,
+            qubo.structure_hash(),
+            EMBED_TRIES,
+        )
     }
 }
 
@@ -362,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_sparse_handles_instances_beyond_the_clique_capacity() {
+    fn solve_embeds_instances_beyond_the_clique_capacity() {
         // 12 queries × 2 plans = 24 vars: a 3×3 graph caps TRIAD at K12,
         // but a chain-structured savings graph routes fine (the greedy
         // embedder needs head-room; it does no chain ripping).
@@ -388,8 +378,8 @@ mod tests {
                 SimulatedAnnealingSampler::default(),
             ),
         );
-        assert!(s.solve(&problem, 0).is_err(), "clique embedding must fail");
-        let out = s.solve_sparse(&problem, 3, 16).expect("sparse embeds");
+        assert!(s.place_clique(24).is_none(), "no TRIAD block hosts K24");
+        let out = s.solve(&problem, 3).expect("the heuristic embeds");
         assert!(problem.validate_selection(&out.best.0).is_ok());
         let (_, optimum) = problem.brute_force_optimum();
         assert!(out.best.1 <= optimum + 2.0 + 1e-9);
@@ -397,20 +387,30 @@ mod tests {
 
     #[test]
     fn problems_too_large_for_the_graph_are_rejected() {
-        // 2×2 cells host at most K8 as one TRIAD.
+        // 2×2 cells have 32 qubits; 17 two-plan queries need 34 chains.
         let mut b = MqoProblem::builder();
-        for _ in 0..5 {
+        for _ in 0..17 {
             b.add_query(&[1.0, 2.0]);
         }
         let problem = b.build().unwrap();
         let err = solver().solve(&problem, 0).unwrap_err();
-        assert!(matches!(err, PipelineError::Embedding(_)));
+        assert!(
+            matches!(
+                err,
+                PipelineError::Embedding(EmbeddingError::InsufficientCapacity {
+                    requested: 34,
+                    available: 32,
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]
     fn cliques_over_the_triad_bound_are_declined_before_building() {
         // 12×12 cells host at most K48. A 2 000-plan request would need a
-        // 500×500-cell canonical TRIAD; it is declined without one.
+        // 500×500-cell canonical TRIAD; it is declined without one, and
+        // the heuristic finds more plans than the graph's 1 152 qubits.
         let s = QuantumMqoSolver::new(ChimeraGraph::new(12, 12), solver().device);
         let cap = triad::max_clique(&s.graph);
         assert_eq!(cap, 48);
@@ -428,7 +428,7 @@ mod tests {
                 err,
                 PipelineError::Embedding(EmbeddingError::InsufficientCapacity {
                     requested: 2_000,
-                    available: 48,
+                    available: 1_152,
                 })
             ),
             "{err}"

@@ -1,11 +1,10 @@
 //! Properties of the pipeline's one device run: whatever the chain problem
 //! and seed, `solve` either returns a valid plan selection, accounted read
-//! by read, or a typed, displayable error — it never panics and never
-//! fabricates an invalid answer. Equal seeds give equal answers.
+//! by read, or a typed, displayable embedding error — it never panics and
+//! never fabricates an invalid answer. Equal seeds give equal answers.
 
 use mqo::pipeline::PipelineError;
 use mqo::prelude::*;
-use mqo_chimera::embedding::EmbeddingError;
 use mqo_workload::paper::{self, PaperWorkloadConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -70,19 +69,14 @@ proptest! {
         seed in 0u64..200,
     ) {
         let problem = chain_problem(queries);
-        // 2×2 cells host at most a K8 TRIAD: up to four two-plan queries.
+        // 2×2 cells host at most a K8 TRIAD: up to four two-plan queries
+        // always place; longer chains go to the heuristic, which may fail.
         match solver(ChimeraGraph::new(2, 2), READS).solve(&problem, seed) {
-            Ok(out) => {
-                prop_assert!(queries <= 4);
-                assert_accounted(&problem, &out, READS);
-            }
+            Ok(out) => assert_accounted(&problem, &out, READS),
             Err(e) => {
                 prop_assert!(queries > 4);
                 prop_assert!(!format!("{e}").is_empty());
-                prop_assert!(matches!(
-                    e,
-                    PipelineError::Embedding(EmbeddingError::InsufficientCapacity { .. })
-                ));
+                prop_assert!(matches!(e, PipelineError::Embedding(_)));
             }
         }
     }
