@@ -126,9 +126,7 @@ pub enum Reject {
         detail: String,
     },
     /// A worker panicked while solving the request. The panic was isolated
-    /// (`catch_unwind`): the rest of the batch is unaffected and, when the
-    /// panic escalates into a worker death, the supervisor respawns the
-    /// thread.
+    /// (`catch_unwind`): the worker goes on to the next queued request.
     InternalError {
         /// Panic payload (or a placeholder for non-string payloads).
         detail: String,

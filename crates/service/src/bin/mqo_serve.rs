@@ -1,4 +1,4 @@
-//! `mqo_serve` — the batching MQO solve server.
+//! `mqo_serve` — the MQO solve server.
 //!
 //! ```text
 //! mqo_serve [--addr 127.0.0.1:7700] [--small] [--reads N] [--gauges N]
@@ -33,7 +33,7 @@ fn parse_options() -> Result<ServerConfig, String> {
             "--gauges" => engine.device.num_gauges = parse(&value("--gauges")?, "--gauges")?,
             "--help" | "-h" => {
                 println!(
-                    "mqo_serve: batching MQO solve server\n\
+                    "mqo_serve: MQO solve server\n\
                      --addr A            bind address (default 127.0.0.1:7700)\n\
                      --small             4-cell Chimera graph instead of the 12x12 D-Wave 2X\n\
                      --reads N           default annealing reads per request (100)\n\

@@ -1,6 +1,6 @@
 //! The solve engine: routing, the embedding cache, and the three backends
-//! behind one synchronous `solve` call. Workers of the batching queue share
-//! one engine; everything inside is `Sync`.
+//! behind one synchronous `solve` call. The queue's workers share one
+//! engine; everything inside is `Sync`.
 //!
 //! Robustness model (DESIGN.md §9): the request walks a stateless
 //! preference chain — annealer → MILP → hill climbing — and every backend
@@ -91,8 +91,8 @@ impl EngineConfig {
 /// field reaches it.
 pub trait FaultSeam: Send + Sync + std::fmt::Debug {
     /// Solve entry, outside the engine's own `catch_unwind`s: a panic here
-    /// reaches the queue worker, and a [`crate::queue::WorkerFatal`]
-    /// payload kills that worker.
+    /// reaches the queue worker's `catch_unwind`, which answers the request
+    /// `500 internal_error`.
     fn on_solve(&self, _req: &SolveRequest) {}
     /// Start of one backend attempt, inside its `catch_unwind`: a panic
     /// here fails that attempt like any backend failure, and the next link
@@ -158,7 +158,7 @@ impl SolveEngine {
 
     /// Solves one admitted request synchronously. Every failure path is a
     /// typed [`Reject`]; a panic outside the backend attempts escapes to
-    /// the batching worker, whose `catch_unwind` isolates it into a
+    /// the queue worker, whose `catch_unwind` isolates it into a
     /// `500 internal_error`.
     pub fn solve(&self, req: &SolveRequest) -> Result<SolveResponse, Reject> {
         let start = Instant::now();

@@ -1,23 +1,24 @@
 #![warn(missing_docs)]
 
-//! # mqo-service — a batching MQO solve server
+//! # mqo-service — an MQO solve server
 //!
 //! Long-running, std-only HTTP service over the Algorithm-1 pipeline (see
 //! DESIGN.md §8). A request travels through four layers:
 //!
 //! ```text
-//! POST /solve ──▶ admission queue ──▶ batching workers ──▶ router
-//!                 (bounded depth,      (groups requests,    │
-//!                  per-request          sorts batches by    ├─▶ annealer ──▶ TRIAD placement,
-//!                  deadlines, typed     (queries, plans))   │               else embedding
-//!                  429 rejections)                          │               cache (LRU)
-//!                                                           ├─▶ MILP
-//!                                                           └─▶ hill climbing
+//! POST /solve ──▶ admission queue ──▶ workers ──▶ router
+//!                 (bounded FIFO,       (one job    │
+//!                  per-request          at a time) ├─▶ annealer ──▶ TRIAD placement,
+//!                  deadlines, typed                │               else embedding
+//!                  429 rejections)                 │               cache (LRU)
+//!                                                  ├─▶ MILP
+//!                                                  └─▶ hill climbing
 //! ```
 //!
-//! * [`queue`] — bounded admission with per-request deadlines; overload
+//! * [`queue`] — a bounded FIFO with per-request deadlines; overload
 //!   returns a typed rejection ([`api::Reject`]) instead of queuing without
-//!   bound, and graceful shutdown drains every admitted request.
+//!   bound, each worker solves one job at a time in admission order, and
+//!   graceful shutdown drains every admitted request.
 //! * [`cache`] — the cache of heuristic embeddings. A TRIAD clique is
 //!   placed directly, as the offline pipeline places it; instances no TRIAD
 //!   block hosts are embedded by the heuristic, whose result depends on the

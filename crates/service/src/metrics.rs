@@ -164,10 +164,6 @@ pub struct Metrics {
     /// Requests served per connection, recorded when the connection closes
     /// (log₂ buckets; the `_us` field names are generic counts here).
     pub requests_per_connection: LatencyHistogram,
-    /// Worker panics caught and isolated by `catch_unwind`.
-    pub worker_panics_caught: AtomicU64,
-    /// Dead worker threads respawned by the supervisor.
-    pub worker_respawns: AtomicU64,
     /// Connection-handler panics caught at the HTTP front-end.
     pub conn_panics_caught: AtomicU64,
     /// Supervisor: dead cell processes respawned.
@@ -217,8 +213,6 @@ pub struct Metrics {
     pub backend_milp: AtomicU64,
     /// Requests answered by the hill-climbing backend.
     pub backend_hill_climbing: AtomicU64,
-    /// Batches dispatched by the scheduler.
-    pub batches_dispatched: AtomicU64,
     /// Requests currently queued (gauge).
     pub queue_depth: AtomicU64,
     /// End-to-end solve latency (dequeue → response ready).
@@ -261,8 +255,6 @@ impl Metrics {
             event_loop_wakeups: load(&self.event_loop_wakeups),
             shard_accepts: self.shard_accepts.iter().map(load).collect(),
             requests_per_connection: self.requests_per_connection.snapshot(),
-            worker_panics_caught: load(&self.worker_panics_caught),
-            worker_respawns: load(&self.worker_respawns),
             conn_panics_caught: load(&self.conn_panics_caught),
             cell_respawns: load(&self.cell_respawns),
             crash_loops_quarantined: load(&self.crash_loops_quarantined),
@@ -285,7 +277,6 @@ impl Metrics {
             backend_annealer: load(&self.backend_annealer),
             backend_milp: load(&self.backend_milp),
             backend_hill_climbing: load(&self.backend_hill_climbing),
-            batches_dispatched: load(&self.batches_dispatched),
             queue_depth: load(&self.queue_depth),
             solve_latency: self.solve_latency.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
@@ -340,10 +331,6 @@ pub struct MetricsSnapshot {
     /// Requests served per connection at close time (log₂ buckets).
     #[serde(default)]
     pub requests_per_connection: HistogramSnapshot,
-    /// Worker panics caught and isolated.
-    pub worker_panics_caught: u64,
-    /// Worker threads respawned by the supervisor.
-    pub worker_respawns: u64,
     /// Connection-handler panics caught.
     pub conn_panics_caught: u64,
     /// Cell processes respawned by the fleet supervisor.
@@ -401,8 +388,6 @@ pub struct MetricsSnapshot {
     pub backend_milp: u64,
     /// Hill-climbing answers.
     pub backend_hill_climbing: u64,
-    /// Batches dispatched by the scheduler.
-    pub batches_dispatched: u64,
     /// Requests queued right now.
     pub queue_depth: u64,
     /// Solve latency histogram.

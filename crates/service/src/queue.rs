@@ -1,23 +1,20 @@
-//! Bounded admission queue + batching worker pool + supervisor.
+//! Bounded admission queue and its worker pool.
 //!
 //! The front-end enqueues; a worker pool, one worker per core by default,
-//! drains the queue in batches (each batch solved smallest instance first),
-//! runs each solve on the worker's own thread, and answers each job through
-//! its [`Responder`]. Overload is a typed
-//! [`Reject::QueueFull`] at admission time — the queue never grows without
-//! bound and never panics under pressure — and shutdown stops admissions
-//! while the workers drain everything already accepted.
+//! takes the queued jobs one at a time in admission order (FIFO), runs each
+//! solve on the worker's own thread, and answers each job through its
+//! [`Responder`]. Overload is a typed [`Reject::QueueFull`] at admission
+//! time — the queue never grows without bound and never panics under
+//! pressure — and shutdown stops admissions while the workers drain
+//! everything already accepted.
 //!
 //! Robustness model (DESIGN.md §9):
 //!
-//! * every solve runs inside `catch_unwind`: a panicking request is answered
-//!   with a typed `500 internal_error` and the worker keeps draining its
-//!   batch — one poisoned request cannot take its batchmates down;
-//! * a caught panic whose payload is [`WorkerFatal`] escalates into a
-//!   *worker death*. The dying worker first pushes the rest of its batch
-//!   back onto the queue, so no admitted request is lost;
-//! * a supervisor thread joins panic-exited workers and respawns them,
-//!   counting respawns in `/metrics` (`worker_respawns`);
+//! * every solve runs inside `catch_unwind`: a panic of any payload is
+//!   answered with a typed `500 internal_error` and the worker takes the
+//!   next job. Outside that boundary a worker only locks the queue, records
+//!   two histograms and calls the responder, so a worker cannot die and
+//!   nothing needs respawning;
 //! * every lock acquisition recovers from poisoning via
 //!   [`crate::metrics::lock_recover`] — the queue state is a `VecDeque` of
 //!   independent jobs with no cross-field invariant, so a poisoned guard is
@@ -28,11 +25,11 @@ use crate::engine::SolveEngine;
 use crate::metrics::{lock_recover, wait_recover, Metrics};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Queue/scheduler knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +39,6 @@ pub struct QueueConfig {
     /// Worker threads draining the queue; each runs one solve at a time on
     /// its own thread (default: the machine's available parallelism).
     pub workers: usize,
-    /// Maximum requests one worker claims per wake-up.
-    pub batch_size: usize,
 }
 
 impl Default for QueueConfig {
@@ -51,28 +46,18 @@ impl Default for QueueConfig {
         QueueConfig {
             depth: 64,
             workers: mqo_annealer::resolve_threads(0),
-            batch_size: 8,
         }
     }
 }
 
-/// Panic payload that escalates a caught solve panic into a worker death:
-/// the worker answers the request, puts the rest of its batch back on the
-/// queue and unwinds, and the supervisor respawns it. A panic with any
-/// other payload costs only its own request.
-#[derive(Debug)]
-pub struct WorkerFatal(pub String);
-
 /// Extracts a human-readable message from a caught panic payload
-/// (`&str` and `String` payloads cover `panic!`; anything else but a
-/// [`WorkerFatal`] gets a placeholder rather than a lossy `Debug` dump).
+/// (`&str` and `String` payloads cover `panic!`; anything else gets a
+/// placeholder rather than a lossy `Debug` dump).
 #[must_use]
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(WorkerFatal(s)) = payload.downcast_ref::<WorkerFatal>() {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
@@ -104,8 +89,9 @@ impl Responder {
 }
 
 impl Drop for Responder {
-    /// Safety net: a responder dropped without answering (worker pool died
-    /// hard) still tells the client the service is going away.
+    /// Safety net: a responder dropped without answering (a queue dropped
+    /// with jobs no worker ran) still tells the client the service is
+    /// going away.
     fn drop(&mut self) {
         if let Some(f) = self.0.take() {
             f(Err(Reject::ShuttingDown));
@@ -127,16 +113,13 @@ struct QueueState {
     accepting: bool,
 }
 
-/// The admission queue, its worker pool, and the supervisor.
+/// The admission queue and its worker pool.
 pub struct SolveQueue {
     state: Mutex<QueueState>,
     wakeup: Condvar,
     config: QueueConfig,
     engine: Arc<SolveEngine>,
-    /// One slot per worker. `Some` while the worker (original or respawned)
-    /// is running; `None` after a normal drain exit.
-    workers: Mutex<Vec<Option<JoinHandle<()>>>>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for SolveQueue {
@@ -160,7 +143,6 @@ impl SolveQueue {
             config,
             engine,
             workers: Mutex::new(Vec::new()),
-            supervisor: Mutex::new(None),
         })
     }
 
@@ -171,69 +153,20 @@ impl SolveQueue {
         queue
     }
 
-    /// Spawns the worker pool and its supervisor (idempotent only in the
-    /// sense that calling it twice doubles the pool; call once).
+    /// Spawns the worker pool (calling it twice doubles the pool; call
+    /// once).
     pub fn spawn_workers(self: &Arc<Self>) {
-        let n = self.config.workers.max(1);
-        let recoveries = &self.engine.metrics().lock_poison_recoveries;
-        {
-            let mut workers = lock_recover(&self.workers, recoveries);
-            let base = workers.len();
-            for i in 0..n {
-                workers.push(Some(Self::spawn_worker(self, base + i)));
-            }
-        }
-        let mut supervisor = lock_recover(&self.supervisor, recoveries);
-        if supervisor.is_none() {
+        let mut workers =
+            lock_recover(&self.workers, &self.engine.metrics().lock_poison_recoveries);
+        let base = workers.len();
+        for i in 0..self.config.workers.max(1) {
             let queue = Arc::clone(self);
-            *supervisor = Some(
+            workers.push(
                 std::thread::Builder::new()
-                    .name("mqo-supervisor".to_string())
-                    .spawn(move || queue.supervisor_loop())
-                    .expect("spawning the supervisor thread"),
+                    .name(format!("mqo-worker-{}", base + i))
+                    .spawn(move || queue.worker_loop())
+                    .expect("spawning a worker thread"),
             );
-        }
-    }
-
-    fn spawn_worker(queue: &Arc<Self>, slot: usize) -> JoinHandle<()> {
-        let queue = Arc::clone(queue);
-        std::thread::Builder::new()
-            .name(format!("mqo-worker-{slot}"))
-            .spawn(move || queue.worker_loop())
-            .expect("spawning a worker thread")
-    }
-
-    /// Scans the worker pool, joining finished threads and respawning the
-    /// ones that exited by panic. Normal exits (drain complete) leave their
-    /// slot empty; the supervisor itself exits once the queue is draining
-    /// and every slot is empty.
-    fn supervisor_loop(self: &Arc<Self>) {
-        let metrics = Arc::clone(self.engine.metrics());
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let draining = !lock_recover(&self.state, &metrics.lock_poison_recoveries).accepting;
-            let mut workers = lock_recover(&self.workers, &metrics.lock_poison_recoveries);
-            let mut alive = 0usize;
-            for slot in 0..workers.len() {
-                match &workers[slot] {
-                    Some(handle) if handle.is_finished() => {
-                        let handle = workers[slot].take().expect("slot checked Some");
-                        if handle.join().is_err() {
-                            // Panic exit: the worker died mid-batch (its
-                            // remaining jobs are already back on the queue).
-                            Metrics::inc(&metrics.worker_respawns);
-                            workers[slot] = Some(Self::spawn_worker(self, slot));
-                            alive += 1;
-                        }
-                    }
-                    Some(_) => alive += 1,
-                    None => {}
-                }
-            }
-            drop(workers);
-            if draining && alive == 0 {
-                return;
-            }
         }
     }
 
@@ -288,120 +221,74 @@ impl SolveQueue {
     }
 
     /// Stops admissions, lets the workers drain every queued job, and joins
-    /// them (via the supervisor, which keeps respawning panic-exited workers
-    /// until the drain completes). Every admitted request receives an answer
-    /// before this returns.
+    /// them. Every admitted request receives an answer before this returns.
     pub fn shutdown(&self) {
         let recoveries = &self.engine.metrics().lock_poison_recoveries;
-        {
-            let mut state = lock_recover(&self.state, recoveries);
-            state.accepting = false;
-        }
+        lock_recover(&self.state, recoveries).accepting = false;
         self.wakeup.notify_all();
-        let supervisor = lock_recover(&self.supervisor, recoveries).take();
-        if let Some(handle) = supervisor {
-            let _ = handle.join();
-        }
-        // No supervisor (a queue built with `new` and never started, or a
-        // second shutdown): join whatever workers remain directly.
-        let handles: Vec<JoinHandle<()>> = lock_recover(&self.workers, recoveries)
-            .iter_mut()
-            .filter_map(Option::take)
-            .collect();
+        let handles = std::mem::take(&mut *lock_recover(&self.workers, recoveries));
         for handle in handles {
+            // A worker catches every solve panic, so it ends only by
+            // draining; there is no panic payload to report.
             let _ = handle.join();
         }
     }
 
-    /// Pushes the unprocessed remainder of a dying worker's batch back to
-    /// the queue front (preserving order) so surviving workers pick it up.
-    fn requeue(&self, batch: VecDeque<Job>) {
-        let metrics = self.engine.metrics();
+    /// Takes the oldest job, or `None` once the queue is draining and
+    /// empty.
+    fn next_job(&self, metrics: &Metrics) -> Option<Job> {
         let mut state = lock_recover(&self.state, &metrics.lock_poison_recoveries);
-        for job in batch.into_iter().rev() {
-            state.jobs.push_front(job);
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                metrics
+                    .queue_depth
+                    .store(state.jobs.len() as u64, Ordering::Relaxed);
+                return Some(job);
+            }
+            if !state.accepting {
+                return None;
+            }
+            state = wait_recover(self.wakeup.wait(state), &metrics.lock_poison_recoveries);
         }
-        metrics
-            .queue_depth
-            .store(state.jobs.len() as u64, Ordering::Relaxed);
-        drop(state);
-        self.wakeup.notify_all();
     }
 
     fn worker_loop(&self) {
         let metrics = Arc::clone(self.engine.metrics());
-        loop {
-            let mut batch = {
-                let mut state = lock_recover(&self.state, &metrics.lock_poison_recoveries);
-                loop {
-                    if !state.jobs.is_empty() {
-                        break;
-                    }
-                    if !state.accepting {
-                        return;
-                    }
-                    state = wait_recover(self.wakeup.wait(state), &metrics.lock_poison_recoveries);
-                }
-                let n = self.config.batch_size.max(1).min(state.jobs.len());
-                let batch: Vec<Job> = state.jobs.drain(..n).collect();
-                metrics
-                    .queue_depth
-                    .store(state.jobs.len() as u64, Ordering::Relaxed);
-                batch
-            };
-            Metrics::inc(&metrics.batches_dispatched);
-            // Smallest instances first (a stable sort by queries, then
-            // plans), so short solves do not wait behind long ones of the
-            // same batch. Cache hits do not depend on this order: one worker
-            // runs the whole batch, and whichever of two equal structures
-            // runs first caches the embedding the other one hits.
-            batch.sort_by_key(|job| (job.req.problem.num_queries(), job.req.problem.num_plans()));
-            let mut batch: VecDeque<Job> = batch.into();
-            while let Some(job) = batch.pop_front() {
-                if job
-                    .deadline
-                    .is_some_and(|deadline| Instant::now() >= deadline)
-                {
-                    Metrics::inc(&metrics.rejected_deadline);
-                    job.responder.respond(Err(Reject::DeadlineExceeded {
-                        deadline_ms: job.deadline_ms,
-                    }));
-                    continue;
-                }
-                let wait_us = job.enqueued.elapsed().as_micros() as u64;
-                metrics.queue_wait.record(wait_us);
-                let started = Instant::now();
-                // The engine is a shared reference either way; the unwind
-                // boundary only isolates the panic, it does not hand the
-                // closure anything another thread could observe half-updated
-                // (all engine state is itself poison-recovering).
-                let outcome = catch_unwind(AssertUnwindSafe(|| self.engine.solve(&job.req)));
-                metrics
-                    .solve_latency
-                    .record(started.elapsed().as_micros() as u64);
-                match outcome {
-                    Ok(result) => {
-                        let result = result.map(|mut response| {
-                            response.queue_wait_us = wait_us;
-                            response
-                        });
-                        job.responder.respond(result);
-                    }
-                    Err(payload) => {
-                        Metrics::inc(&metrics.worker_panics_caught);
-                        Metrics::inc(&metrics.rejected_internal);
-                        let detail = panic_message(payload.as_ref());
-                        job.responder.respond(Err(Reject::InternalError { detail }));
-                        // A fatal panic kills the worker. The batch
-                        // remainder goes back on the queue first: requests
-                        // are never lost, only delayed by the respawn.
-                        if payload.is::<WorkerFatal>() {
-                            self.requeue(batch);
-                            resume_unwind(payload);
-                        }
-                    }
-                }
+        while let Some(job) = self.next_job(&metrics) {
+            if job
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline)
+            {
+                Metrics::inc(&metrics.rejected_deadline);
+                job.responder.respond(Err(Reject::DeadlineExceeded {
+                    deadline_ms: job.deadline_ms,
+                }));
+                continue;
             }
+            let wait_us = job.enqueued.elapsed().as_micros() as u64;
+            metrics.queue_wait.record(wait_us);
+            let started = Instant::now();
+            // The engine is a shared reference either way; the unwind
+            // boundary only isolates the panic, it does not hand the closure
+            // anything another thread could observe half-updated (all engine
+            // state is itself poison-recovering).
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.engine.solve(&job.req)));
+            metrics
+                .solve_latency
+                .record(started.elapsed().as_micros() as u64);
+            let result = match outcome {
+                Ok(result) => result.map(|mut response| {
+                    response.queue_wait_us = wait_us;
+                    response
+                }),
+                Err(payload) => {
+                    Metrics::inc(&metrics.rejected_internal);
+                    Err(Reject::InternalError {
+                        detail: panic_message(payload.as_ref()),
+                    })
+                }
+            };
+            job.responder.respond(result);
         }
     }
 }
@@ -522,35 +409,37 @@ mod tests {
     }
 
     #[test]
-    fn batches_group_and_answer_every_request() {
+    fn one_worker_answers_every_request_in_admission_order() {
         let queue = SolveQueue::new(
             engine(),
             QueueConfig {
-                batch_size: 4,
                 workers: 1,
                 ..QueueConfig::default()
             },
         );
-        let receivers: Vec<_> = (0..8)
-            .map(|i| {
-                let mut req = SolveRequest::new(tiny_problem(), i);
-                req.backend = Some(Backend::HillClimbing);
-                submit(&queue, req).unwrap()
-            })
-            .collect();
+        let (tx, rx) = mpsc::channel();
+        for i in 0..8u64 {
+            let mut req = SolveRequest::new(tiny_problem(), i);
+            req.backend = Some(Backend::HillClimbing);
+            let tx = tx.clone();
+            let responder = Responder::new(move |answer| {
+                let _ = tx.send((i, answer));
+            });
+            assert!(queue.submit_with(req, responder).is_ok());
+        }
+        drop(tx);
         queue.spawn_workers();
         queue.shutdown();
-        for rx in receivers {
-            assert_eq!(rx.recv().unwrap().unwrap().cost, 2.0);
+        let answers: Vec<(u64, Answer)> = rx.iter().collect();
+        let order: Vec<u64> = answers.iter().map(|(i, _)| *i).collect();
+        assert_eq!(order, (0..8).collect::<Vec<_>>(), "FIFO: admission order");
+        for (_, answer) in answers {
+            assert_eq!(answer.unwrap().cost, 2.0);
         }
         let m = queue.engine.metrics().snapshot();
-        assert!(
-            m.batches_dispatched >= 2,
-            "8 jobs at batch size 4 need at least 2 batches, saw {}",
-            m.batches_dispatched
-        );
         assert_eq!(m.solved_total, 8);
         assert_eq!(m.queue_wait.count, 8);
+        assert_eq!(m.queue_depth, 0);
     }
 
     /// An engine like [`engine`]'s with `rates` behind its fault seam.
@@ -564,10 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn panicking_requests_answer_500_and_spare_their_batchmates() {
+    fn panicking_requests_answer_500_and_the_worker_takes_the_next_job() {
         silence_injected_panics();
         // Panic rate 0.5: a deterministic subset of seeds 0..16 panics, the
-        // rest solve normally — all inside the same worker.
+        // rest solve normally — all on the same worker.
         let rates = FaultRates {
             seed: 5,
             worker_panic_rate: 0.5,
@@ -578,7 +467,6 @@ mod tests {
             engine,
             QueueConfig {
                 workers: 1,
-                batch_size: 8,
                 ..QueueConfig::default()
             },
         );
@@ -611,57 +499,12 @@ mod tests {
         assert_eq!(panicked, expected);
         assert_eq!(faults.injected().panics, expected);
         let m = queue.engine.metrics().snapshot();
-        assert_eq!(m.worker_panics_caught, expected);
         assert_eq!(m.rejected_internal, expected);
         assert_eq!(m.solved_total, 16 - expected);
-        assert_eq!(m.worker_respawns, 0, "no kills: the worker never died");
-    }
-
-    #[test]
-    fn killed_workers_requeue_their_batch_and_are_respawned() {
-        silence_injected_panics();
-        // Every request panics AND escalates into a worker death: the
-        // supervisor must respawn once per request for the drain to finish.
-        let (engine, faults) = faulty_engine(FaultRates {
-            seed: 9,
-            worker_panic_rate: 1.0,
-            worker_kill_rate: 1.0,
-            ..FaultRates::default()
-        });
-        let queue = SolveQueue::new(
-            engine,
-            QueueConfig {
-                workers: 1,
-                batch_size: 4,
-                ..QueueConfig::default()
-            },
-        );
-        let receivers: Vec<_> = (0..6)
-            .map(|i| submit(&queue, SolveRequest::new(tiny_problem(), i)).unwrap())
-            .collect();
-        queue.spawn_workers();
-        queue.shutdown();
-        for rx in receivers {
-            match rx.recv().expect("killed workers never lose requests") {
-                Err(Reject::InternalError { detail }) => {
-                    assert!(detail.contains(INJECTED_PANIC), "{detail}");
-                }
-                other => panic!("expected InternalError, got {other:?}"),
-            }
-        }
-        let m = queue.engine.metrics().snapshot();
-        assert_eq!(m.worker_panics_caught, 6);
-        assert_eq!(faults.injected().kills, 6);
-        assert_eq!(
-            m.worker_respawns, 6,
-            "each worker death is matched by a respawn"
-        );
-        assert_eq!(m.solved_total, 0);
     }
 
     #[test]
     fn panic_message_reads_every_payload_kind() {
-        assert_eq!(panic_message(&WorkerFatal("gone".into())), "gone");
         assert_eq!(panic_message(&"static"), "static");
         assert_eq!(panic_message(&String::from("owned")), "owned");
         assert_eq!(panic_message(&7u8), "panic with non-string payload");

@@ -450,7 +450,6 @@ mod tests {
         config.queue = crate::queue::QueueConfig {
             depth: 1,
             workers: 1,
-            batch_size: 1,
         };
         let server = Server::start(config).unwrap();
         let addr = server.local_addr();
@@ -498,7 +497,7 @@ mod tests {
 
         let a = send(slow);
         wait_until(
-            &|| server.metrics().snapshot().batches_dispatched >= 1,
+            &|| server.metrics().snapshot().queue_wait.count >= 1,
             "worker claims the first request",
         );
         let b = send(slow);

@@ -13,8 +13,8 @@
 //! * [`pipeline`] — several requests written back-to-back on one
 //!   keep-alive connection before any answer is read (HTTP/1.1
 //!   pipelining); the answers come back in request order.
-//! * [`SeededFaults`] — the engine-side injector: worker panics, worker
-//!   deaths, backend failures and answer corruption, fired through
+//! * [`SeededFaults`] — the engine-side injector: worker panics, backend
+//!   failures and answer corruption, fired through
 //!   [`FaultSeam`] on SplitMix64 streams keyed on the request seed, so a
 //!   fault plan hits the same requests at any worker count.
 //! * [`KillPlan`] — seeded cell SIGKILLs, delivered by a driver thread
@@ -26,7 +26,7 @@ use crate::http::{
     read_capped_line, read_response, render_request, HttpError, HttpLimits, Request, ResponseParts,
     MAX_ANSWER_BODY,
 };
-use crate::queue::{panic_message, WorkerFatal};
+use crate::queue::panic_message;
 use crate::supervisor::Supervisor;
 use mqo_annealer::parallel::{derive_seed, splitmix64};
 use std::io::{self, BufReader, Read, Write};
@@ -205,7 +205,6 @@ pub fn pipeline(
 pub const INJECTED_PANIC: &str = "injected fault";
 
 const STREAM_PANIC: u64 = 0x4348_5041_4e49_0001;
-const STREAM_KILL: u64 = 0x4348_4b49_4c4c_0002;
 const STREAM_BACKEND: u64 = 0x4348_4241_434b_0003;
 const STREAM_CORRUPT: u64 = 0x4348_434f_5252_0005;
 const STREAM_CELL_KILL: u64 = 0x4348_4345_4c4c_0006;
@@ -243,9 +242,6 @@ pub struct FaultRates {
     pub seed: u64,
     /// Per-request probability that the solve panics at entry.
     pub worker_panic_rate: f64,
-    /// Probability that an injected panic is a [`WorkerFatal`] one, which
-    /// kills the worker after its request is answered.
-    pub worker_kill_rate: f64,
     /// Per-(request, backend) probability that a backend attempt panics
     /// before it runs.
     pub backend_failure_rate: f64,
@@ -278,12 +274,6 @@ impl FaultRates {
         roll(self.seed, STREAM_PANIC, req_seed, 0) < self.worker_panic_rate
     }
 
-    /// Whether the panic of `req_seed`, if it fires, kills the worker.
-    #[must_use]
-    pub fn worker_dies(&self, req_seed: u64) -> bool {
-        roll(self.seed, STREAM_KILL, req_seed, 0) < self.worker_kill_rate
-    }
-
     /// Whether `backend`'s attempt for `req_seed` fails.
     #[must_use]
     pub fn backend_fails(&self, req_seed: u64, backend: Backend) -> bool {
@@ -314,10 +304,8 @@ impl FaultRates {
 /// What a [`SeededFaults`] has injected so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Injected {
-    /// Panics at solve entry, fatal ones included.
+    /// Panics at solve entry.
     pub panics: u64,
-    /// Fatal panics: worker deaths.
-    pub kills: u64,
     /// Backend attempts failed.
     pub backend_failures: u64,
     /// Answers corrupted before the gate.
@@ -331,7 +319,6 @@ pub struct Injected {
 pub struct SeededFaults {
     rates: FaultRates,
     panics: AtomicU64,
-    kills: AtomicU64,
     backend_failures: AtomicU64,
     corruptions: AtomicU64,
 }
@@ -352,7 +339,6 @@ impl SeededFaults {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         Injected {
             panics: load(&self.panics),
-            kills: load(&self.kills),
             backend_failures: load(&self.backend_failures),
             corruptions: load(&self.corruptions),
         }
@@ -365,12 +351,7 @@ impl FaultSeam for SeededFaults {
             return;
         }
         self.panics.fetch_add(1, Ordering::Relaxed);
-        let message = format!("{INJECTED_PANIC}: worker panic (request seed {})", req.seed);
-        if self.rates.worker_dies(req.seed) {
-            self.kills.fetch_add(1, Ordering::Relaxed);
-            std::panic::panic_any(WorkerFatal(message));
-        }
-        panic!("{message}");
+        panic!("{INJECTED_PANIC}: worker panic (request seed {})", req.seed);
     }
 
     fn on_attempt(&self, req: &SolveRequest, backend: Backend) {
@@ -672,7 +653,6 @@ mod tests {
         };
         for req_seed in 0..1_000 {
             assert!(!rates.worker_panics(req_seed));
-            assert!(!rates.worker_dies(req_seed));
             assert!(!rates.backend_fails(req_seed, Backend::Annealer));
             assert!(rates.corruption(req_seed).is_none());
         }
@@ -723,7 +703,6 @@ mod tests {
         let rates = FaultRates {
             seed: 7,
             worker_panic_rate: 0.3,
-            worker_kill_rate: 0.5,
             backend_failure_rate: 0.3,
             ..FaultRates::default()
         };
@@ -745,13 +724,10 @@ mod tests {
         let rates = FaultRates {
             seed: 3,
             worker_panic_rate: 0.5,
-            worker_kill_rate: 0.5,
             backend_failure_rate: 0.5,
             ..FaultRates::default()
         };
         let panics: Vec<bool> = (0..400).map(|s| rates.worker_panics(s)).collect();
-        let kills: Vec<bool> = (0..400).map(|s| rates.worker_dies(s)).collect();
-        assert_ne!(panics, kills, "kill rolls use their own stream");
         let annealer: Vec<bool> = (0..400)
             .map(|s| rates.backend_fails(s, Backend::Annealer))
             .collect();
@@ -759,6 +735,7 @@ mod tests {
             .map(|s| rates.backend_fails(s, Backend::Milp))
             .collect();
         assert_ne!(annealer, milp, "backend rolls are per-backend");
+        assert_ne!(panics, annealer, "backend rolls use their own stream");
     }
 
     #[test]

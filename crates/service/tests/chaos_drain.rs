@@ -1,10 +1,10 @@
 //! Served drains under injected faults.
 //!
 //! A server whose engine carries a [`SeededFaults`] injector — worker
-//! panics, worker deaths, backend failures — must never lose a request:
-//! every replayed request ends as a valid solve (200) or a typed error
-//! (500/503 with a `reason` tag), the drain completes without hanging, and
-//! every killed worker is respawned. A second battery pins the determinism
+//! panics, backend failures — must never lose a request: every replayed
+//! request ends as a valid solve (200) or a typed error (500/503 with a
+//! `reason` tag), the drain completes without hanging, and a worker whose
+//! every request panics keeps serving. A second battery pins the determinism
 //! contract: the fault plan is keyed on request seeds, so identical seeds
 //! and rates produce identical injection counts, counters and per-request
 //! outcomes at any worker count, and an injector that never fires is
@@ -33,7 +33,6 @@ fn engine_config() -> EngineConfig {
 fn faulty_server(faults: &Arc<SeededFaults>, workers: usize) -> Server {
     let mut config = ServerConfig::new(engine_config());
     config.queue.workers = workers;
-    config.queue.batch_size = 4;
     Server::start_with_faults(config, faults.clone()).expect("bind loopback")
 }
 
@@ -93,18 +92,15 @@ fn deterministic_counters(s: &MetricsSnapshot, injected: Injected) -> Vec<(&'sta
         ("rejected_internal", s.rejected_internal),
         ("rejected_unavailable", s.rejected_unavailable),
         ("backend_attempt_failures", s.backend_attempt_failures),
-        ("worker_panics_caught", s.worker_panics_caught),
-        ("worker_respawns", s.worker_respawns),
         ("injected panics", injected.panics),
-        ("injected kills", injected.kills),
         ("injected backend failures", injected.backend_failures),
     ]
 }
 
-/// Fifty different fault plans: whatever mix of panics, worker deaths,
-/// and backend failures a seed produces, the drain is clean — every
-/// request is answered with a solve or a typed error, shutdown completes,
-/// and kills equal respawns.
+/// Fifty different fault plans: whatever mix of panics and backend
+/// failures a seed produces, the drain is clean — every request is
+/// answered with a solve or a typed error, shutdown completes, and every
+/// injected panic is one `500 internal_error`.
 #[test]
 fn fifty_fault_seeds_drain_cleanly() {
     silence_injected_panics();
@@ -113,7 +109,6 @@ fn fifty_fault_seeds_drain_cleanly() {
         let faults = SeededFaults::new(FaultRates {
             seed: fault_seed,
             worker_panic_rate: 0.3,
-            worker_kill_rate: 0.3,
             backend_failure_rate: 0.1,
             ..FaultRates::default()
         });
@@ -155,11 +150,7 @@ fn fifty_fault_seeds_drain_cleanly() {
             REQUESTS as u64,
             "seed {fault_seed}: outcomes must partition the requests"
         );
-        assert_eq!(s.worker_panics_caught, injected.panics, "seed {fault_seed}");
-        assert_eq!(
-            s.worker_respawns, injected.kills,
-            "seed {fault_seed}: every killed worker is respawned"
-        );
+        assert_eq!(s.rejected_internal, injected.panics, "seed {fault_seed}");
     }
 }
 
@@ -175,7 +166,6 @@ fn fault_plan_is_identical_across_worker_counts() {
     let rates = FaultRates {
         seed: 123,
         worker_panic_rate: 0.4,
-        worker_kill_rate: 0.2,
         backend_failure_rate: 0.3,
         ..FaultRates::default()
     };
@@ -225,7 +215,6 @@ fn an_idle_injector_is_indistinguishable_from_production() {
         } else {
             let mut config = ServerConfig::new(engine_config());
             config.queue.workers = 2;
-            config.queue.batch_size = 4;
             Server::start(config).expect("bind loopback")
         };
         let addr = server.local_addr();
@@ -235,9 +224,8 @@ fn an_idle_injector_is_indistinguishable_from_production() {
         let s = server.metrics().snapshot();
         assert_eq!(s.solved_total, REQUESTS as u64);
         assert_eq!(idle.injected(), Injected::default());
-        assert_eq!(s.worker_panics_caught, 0);
+        assert_eq!(s.rejected_internal, 0);
         assert_eq!(s.backend_attempt_failures, 0);
-        assert_eq!(s.worker_respawns, 0);
         // Strip the only nondeterministic fields (timings) before the
         // bit-identical comparison.
         for (_, _, v) in &mut results {
@@ -253,33 +241,36 @@ fn an_idle_injector_is_indistinguishable_from_production() {
     );
 }
 
-/// Total worker loss is survivable: with kill-on-panic at rate 1.0 every
-/// request takes a worker down, yet the supervisor keeps the pool alive
-/// and the server keeps answering its health probe.
+/// Panics cost requests, never workers: a stretch in which every request
+/// panics leaves the pool serving. The first six request seeds the plan
+/// panics on are all answered `500 internal_error`; six seeds it spares
+/// then answer 200 on the same server and the same two workers.
 #[test]
-fn the_pool_survives_repeated_total_worker_loss() {
+fn every_request_panicking_leaves_the_pool_serving() {
     silence_injected_panics();
-    let faults = SeededFaults::new(FaultRates {
+    let rates = FaultRates {
         seed: 7,
-        worker_panic_rate: 1.0,
-        worker_kill_rate: 1.0,
+        worker_panic_rate: 0.5,
         ..FaultRates::default()
-    });
+    };
+    let faults = SeededFaults::new(rates);
     let server = faulty_server(&faults, 2);
     let addr = server.local_addr();
-    for i in 0..6u64 {
-        let (status, reply) = roundtrip(addr, "POST", "/solve", &body(i)).unwrap();
-        assert_eq!(status, 500, "{}", String::from_utf8_lossy(&reply));
-        let v: serde_json::Value = serde_json::from_slice(&reply).unwrap();
-        assert_eq!(v["reason"], "internal_error");
+    let (panicking, spared): (Vec<u64>, Vec<u64>) = (0..64).partition(|&s| rates.worker_panics(s));
+    let results = replay(addr, panicking[..6].iter().map(|&s| body(s)).collect(), 2);
+    for (i, status, v) in &results {
+        assert_eq!(*status, 500, "request {i}: {v}");
+        assert_eq!(v["reason"], "internal_error", "request {i}");
     }
-    let (status, _) = roundtrip(addr, "GET", "/healthz", b"").unwrap();
-    assert_eq!(status, 200, "server must stay up after losing workers");
+    let results = replay(addr, spared[..6].iter().map(|&s| body(s)).collect(), 2);
+    for (i, status, v) in &results {
+        assert_eq!(*status, 200, "request {i}: {v}");
+    }
     server.shutdown();
     let s = server.metrics().snapshot();
-    assert_eq!(faults.injected().kills, 6);
-    assert_eq!(s.worker_respawns, 6);
+    assert_eq!(faults.injected().panics, 6);
     assert_eq!(s.rejected_internal, 6);
+    assert_eq!(s.solved_total, 6);
 }
 
 /// The answer-integrity acceptance drain: with corruption injected into
