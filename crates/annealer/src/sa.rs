@@ -371,11 +371,32 @@ fn has_avx2() -> bool {
     }
 }
 
-/// The build of the SA lane kernel this CPU runs: `"avx2"` or
-/// `"portable"`. Both give the same reads; benchmarks record it because
-/// they do not give the same reads per second.
+/// Whether this CPU runs the AVX-512 build of the lane kernel: it has the
+/// whole x86-64-v4 set of AVX-512 features, from the same cached probe.
+#[inline]
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        has!("avx512f")
+            && has!("avx512bw")
+            && has!("avx512cd")
+            && has!("avx512dq")
+            && has!("avx512vl")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The build of the SA lane kernel this CPU runs: `"avx512"`, `"avx2"` or
+/// `"portable"`. All three give the same reads; benchmarks record it
+/// because they do not give the same reads per second.
 pub fn lane_kernel() -> &'static str {
-    if has_avx2() {
+    if has_avx512() {
+        "avx512"
+    } else if has_avx2() {
         "avx2"
     } else {
         "portable"
@@ -425,14 +446,15 @@ impl ProgrammedSa {
     /// Unused lanes mirror the first read, and the walk ends when every
     /// lane is done.
     ///
-    /// One source, [`ProgrammedSa::lane_walk`], is compiled twice per
-    /// width: for the target's baseline (SSE2 on `x86_64`, where a packed
-    /// instruction holds 2 `f64` lanes) and, on `x86_64`, with AVX2
-    /// enabled, where one register holds 4. The AVX2 build is picked when
-    /// the CPU has it ([`lane_kernel`] names the build).
-    /// Both builds do the same IEEE multiplies, adds and compares (Rust
-    /// never contracts `a*b + c` into an FMA), so every read is
-    /// bit-identical on every host.
+    /// One source, [`ProgrammedSa::lane_walk`], is compiled three times
+    /// per width: for the target's baseline (SSE2 on `x86_64`, where a
+    /// packed instruction holds 2 `f64` lanes) and, on `x86_64`, with AVX2
+    /// enabled, where one register holds 4, and with the x86-64-v4 AVX-512
+    /// set enabled, where one register holds all 8 and the lanes' draw
+    /// words and bucket bounds load by gather. The widest build the CPU
+    /// has is picked ([`lane_kernel`] names it). All builds do the same IEEE
+    /// multiplies, adds and compares (Rust never contracts `a*b + c` into
+    /// an FMA), so every read is bit-identical on every host.
     fn anneal_lanes<const W: usize>(
         programs: &[&ProgrammedSa],
         rngs: &[ChaCha8Rng],
@@ -440,10 +462,32 @@ impl ProgrammedSa {
         scratch: &mut ReadScratch,
     ) {
         #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
+        if has_avx512() {
+            // SAFETY: the CPU supports the AVX-512 set, as just checked.
+            return unsafe { Self::anneal_lanes_avx512::<W>(programs, rngs, out, scratch) };
+        } else if has_avx2() {
             // SAFETY: the CPU supports AVX2, as just checked.
             return unsafe { Self::anneal_lanes_avx2::<W>(programs, rngs, out, scratch) };
         }
+        Self::lane_walk::<W>(programs, rngs, out, scratch);
+    }
+
+    /// [`ProgrammedSa::lane_walk`] built with the x86-64-v4 AVX-512 set
+    /// enabled (F, BW, CD, DQ and VL). `avx512f` implies FMA, but Rust
+    /// never fuses `a*b + c`, so this build rounds every multiply and add
+    /// as the others do.
+    ///
+    /// # Safety
+    ///
+    /// The CPU running it must support all five features.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
+    unsafe fn anneal_lanes_avx512<const W: usize>(
+        programs: &[&ProgrammedSa],
+        rngs: &[ChaCha8Rng],
+        out: &mut [i8],
+        scratch: &mut ReadScratch,
+    ) {
         Self::lane_walk::<W>(programs, rngs, out, scratch);
     }
 
@@ -463,8 +507,9 @@ impl ProgrammedSa {
         Self::lane_walk::<W>(programs, rngs, out, scratch);
     }
 
-    /// The body of [`ProgrammedSa::anneal_lanes`], inlined into each build:
-    /// a caller without AVX2 enabled gets the portable one.
+    /// The body of [`ProgrammedSa::anneal_lanes`], inlined into each of
+    /// its three builds: a caller with neither AVX2 nor AVX-512 enabled
+    /// gets the portable one.
     #[inline(always)]
     fn lane_walk<const W: usize>(
         programs: &[&ProgrammedSa],
@@ -729,10 +774,11 @@ mod tests {
             })
         }
 
-        /// Both builds of the `W`-lane walk, called directly: the portable
-        /// one against per-read `sample_into_fast`, and the AVX2 one
-        /// against the portable one.
-        fn both_builds_agree<const W: usize>(
+        /// Every build of the `W`-lane walk, called directly: the portable
+        /// one against per-read `sample_into_fast`, and the AVX2 and AVX-512
+        /// ones each against the portable one. A build this CPU cannot run
+        /// is skipped, with a message the first time.
+        fn every_build_agrees<const W: usize>(
             programs: &[&ProgrammedSa],
             streams: &[ChaCha8Rng],
             n: usize,
@@ -753,35 +799,45 @@ mod tests {
                 );
             }
             #[cfg(target_arch = "x86_64")]
-            if has_avx2() {
-                let mut avx2 = vec![0i8; reads * n];
-                // SAFETY: the CPU supports AVX2, as just checked.
-                unsafe {
-                    ProgrammedSa::anneal_lanes_avx2::<W>(
-                        programs,
-                        streams,
-                        &mut avx2,
-                        &mut scratch,
-                    );
+            {
+                type Build =
+                    unsafe fn(&[&ProgrammedSa], &[ChaCha8Rng], &mut [i8], &mut ReadScratch);
+                static SKIPPED: [std::sync::Once; 2] =
+                    [std::sync::Once::new(), std::sync::Once::new()];
+                let builds: [(&str, bool, Build); 2] = [
+                    ("AVX2", has_avx2(), ProgrammedSa::anneal_lanes_avx2::<W>),
+                    (
+                        "AVX-512",
+                        has_avx512(),
+                        ProgrammedSa::anneal_lanes_avx512::<W>,
+                    ),
+                ];
+                for ((name, runs, build), skipped) in builds.into_iter().zip(&SKIPPED) {
+                    if !runs {
+                        skipped.call_once(|| {
+                            eprintln!("no {name} on this CPU: skipped the {name} lane kernel")
+                        });
+                        continue;
+                    }
+                    let mut built = vec![0i8; reads * n];
+                    // SAFETY: the CPU supports the build's features, as just
+                    // checked.
+                    unsafe { build(programs, streams, &mut built, &mut scratch) };
+                    prop_assert_eq!(&built, &portable, "{} build, {} lanes", name, W);
                 }
-                prop_assert_eq!(avx2, portable, "{} lanes", W);
-                return Ok(());
             }
-            static SKIPPED: std::sync::Once = std::sync::Once::new();
-            SKIPPED.call_once(|| {
-                eprintln!("no AVX2 on this CPU: checked the portable lane kernel only")
-            });
             Ok(())
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Both builds of the lane kernel at every width, full or with
-            /// one spare lane, the shapes `sample_block_fast` runs. Hosts
-            /// with AVX2 never run the portable build otherwise.
+            /// Every build of the lane kernel at every width, full or with
+            /// one spare lane, the shapes `sample_block_fast` runs. A host
+            /// runs only its widest build otherwise: on an AVX-512 host this
+            /// is the only check of the portable and AVX2 builds.
             #[test]
-            fn avx2_and_portable_lane_kernels_agree(
+            fn every_lane_kernel_build_agrees(
                 ising in arb_ising(),
                 gauges in 1usize..=4,
                 spare in 0usize..=1,
@@ -804,9 +860,9 @@ mod tests {
                 let streams: Vec<ChaCha8Rng> = (0..LANES)
                     .map(|k| ChaCha8Rng::seed_from_u64(read_seed * 16 + k as u64))
                     .collect();
-                both_builds_agree::<2>(&programs[..2 - spare], &streams[..2 - spare], n)?;
-                both_builds_agree::<4>(&programs[..4 - spare], &streams[..4 - spare], n)?;
-                both_builds_agree::<8>(&programs[..8 - spare], &streams[..8 - spare], n)?;
+                every_build_agrees::<2>(&programs[..2 - spare], &streams[..2 - spare], n)?;
+                every_build_agrees::<4>(&programs[..4 - spare], &streams[..4 - spare], n)?;
+                every_build_agrees::<8>(&programs[..8 - spare], &streams[..8 - spare], n)?;
             }
         }
     }

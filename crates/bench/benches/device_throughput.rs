@@ -54,7 +54,9 @@ impl Args {
     fn parse() -> Args {
         let mut args = Args {
             qubits: vec![128, 1152],
-            reads: 24,
+            // Four blocks of `LANES` = 8 reads: 1, 2 or 4 workers each get
+            // whole blocks.
+            reads: 32,
             gauges: 4,
             threads: vec![1, resolve_threads(0).max(4)],
             write: true,

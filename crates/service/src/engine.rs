@@ -25,7 +25,7 @@ use mqo_chimera::graph::ChimeraGraph;
 use mqo_core::ids::PlanId;
 use mqo_core::integrity::{self, DEFAULT_TOLERANCE};
 use mqo_core::logical::{LogicalMapping, DEFAULT_EPSILON};
-use mqo_core::problem::MqoProblem;
+use mqo_core::qubo::Qubo;
 use mqo_core::solution::Selection;
 use mqo_heuristics::HillClimbing;
 use mqo_milp::bb_mqo::{self, MqoBbConfig};
@@ -333,17 +333,16 @@ impl SolveEngine {
     fn heuristic_embedding(
         &self,
         solver: &QuantumMqoSolver<SimulatedAnnealingSampler>,
-        problem: &MqoProblem,
+        qubo: &Qubo,
     ) -> Result<(Embedding, bool), EmbeddingError> {
-        let logical = LogicalMapping::new(problem, solver.epsilon);
         let key = CacheKey {
-            structure: logical.qubo().structure_hash(),
+            structure: qubo.structure_hash(),
             graph: self.graph_fingerprint,
         };
         if let Some(e) = self.cache.get(key) {
             return Ok(((*e).clone(), true));
         }
-        let e = solver.embed_heuristic(logical.qubo())?;
+        let e = solver.embed_heuristic(qubo)?;
         self.cache.insert(key, Arc::new(e.clone()));
         Ok((e, false))
     }
@@ -411,15 +410,17 @@ impl SolveEngine {
     fn solve_annealer(&self, req: &SolveRequest) -> Result<SolveResponse, AnnealerFailure> {
         let solver = self.annealer_solver(self.effective_device(req));
         // `QuantumMqoSolver::solve`'s policy with the heuristic behind the
-        // cache: TRIAD-placed instances never reach it.
+        // cache: TRIAD-placed instances never reach it. One logical mapping
+        // serves the structure hash and the solve.
+        let logical = LogicalMapping::new(&req.problem, solver.epsilon);
         let (embedding, cache_hit) = match solver.place_clique(req.problem.num_plans()) {
             Some(clique) => (clique, false),
             None => self
-                .heuristic_embedding(&solver, &req.problem)
+                .heuristic_embedding(&solver, logical.qubo())
                 .map_err(AnnealerFailure::Embedding)?,
         };
         let outcome = solver
-            .solve_with_embedding(&req.problem, embedding, req.seed)
+            .solve_with_mapping(&req.problem, &logical, embedding, req.seed)
             .map_err(|e| match e {
                 PipelineError::Embedding(e) => AnnealerFailure::Embedding(e),
                 other => AnnealerFailure::Fatal(other.to_string()),
@@ -533,6 +534,7 @@ mod tests {
         silence_injected_panics, FaultRates, Injected, SeededFaults, INJECTED_PANIC,
     };
     use mqo::pipeline::EMBED_TRIES;
+    use mqo_core::problem::MqoProblem;
 
     fn paper_example() -> MqoProblem {
         let mut b = MqoProblem::builder();

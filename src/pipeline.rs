@@ -181,6 +181,21 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         seed: u64,
     ) -> Result<QuantumMqoOutcome, PipelineError> {
         let logical = LogicalMapping::new(problem, self.epsilon);
+        self.solve_with_mapping(problem, &logical, embedding, seed)
+    }
+
+    /// [`QuantumMqoSolver::solve_with_embedding`] with the problem's
+    /// logical mapping already built, for callers that built it to choose
+    /// the embedding. `logical` must be `problem`'s mapping at this
+    /// solver's `epsilon`.
+    pub fn solve_with_mapping(
+        &self,
+        problem: &MqoProblem,
+        logical: &LogicalMapping,
+        embedding: Embedding,
+        seed: u64,
+    ) -> Result<QuantumMqoOutcome, PipelineError> {
+        debug_assert_eq!(logical.epsilon().to_bits(), self.epsilon.to_bits());
         let physical = PhysicalMapping::new(logical.qubo(), embedding, &self.graph, self.epsilon)?;
         let samples = self.device.run(&physical, &self.graph, seed)?;
 
@@ -251,11 +266,12 @@ impl<S: Sampler> QuantumMqoSolver<S> {
         problem: &MqoProblem,
         seed: u64,
     ) -> Result<QuantumMqoOutcome, PipelineError> {
+        let logical = LogicalMapping::new(problem, self.epsilon);
         let embedding = match self.place_clique(problem.num_plans()) {
             Some(clique) => clique,
-            None => self.embed_heuristic(LogicalMapping::new(problem, self.epsilon).qubo())?,
+            None => self.embed_heuristic(logical.qubo())?,
         };
-        self.solve_with_embedding(problem, embedding, seed)
+        self.solve_with_mapping(problem, &logical, embedding, seed)
     }
 
     /// The TRIAD `K_n` on the first cell block whose qubits all work, or
