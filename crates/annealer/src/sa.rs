@@ -865,6 +865,62 @@ mod tests {
                 every_build_agrees::<8>(&programs[..8 - spare], &streams[..8 - spare], n)?;
             }
         }
+
+        /// One served-scale input for every build at every width: a
+        /// 120-spin frustrated ring with chords, the default sweeps, two
+        /// gauges, and reads that end in different local minima. A build
+        /// that goes wrong only past the proptest's eight spins, or only on
+        /// a long walk, shows here.
+        #[test]
+        fn every_lane_kernel_build_agrees_at_served_scale() {
+            let n = 120;
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5A_0120);
+            let h = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let couplings = (0..n)
+                .flat_map(|i| [(i, (i + 1) % n), (i, (i + 7) % n), (i, (i + 31) % n)])
+                .map(|(a, b)| {
+                    let w = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    (VarId::new(a), VarId::new(b), w)
+                })
+                .collect();
+            let ising = Ising::new(h, couplings, 0.0);
+            let sampler = SimulatedAnnealingSampler::default();
+            let programmed: Vec<ProgrammedSa> = (0..2)
+                .map(|_| {
+                    let gauge = Gauge::random(n, &mut rng);
+                    sampler.program(gauge.apply(&ising), &SamplerHints::default(), &mut rng)
+                })
+                .collect();
+            let programs: Vec<&ProgrammedSa> = (0..LANES).map(|k| &programmed[k % 2]).collect();
+            let streams: Vec<ChaCha8Rng> = (0..LANES)
+                .map(|k| ChaCha8Rng::seed_from_u64(0x5A_0120 + k as u64))
+                .collect();
+
+            let mut reads = vec![0i8; LANES * n];
+            ProgrammedSa::lane_walk::<8>(
+                &programs,
+                &streams,
+                &mut reads,
+                &mut ReadScratch::default(),
+            );
+            let mut minima: Vec<u64> = reads
+                .chunks(n)
+                .zip(&programs)
+                .map(|(spins, prog)| prog.ising.energy(spins).to_bits())
+                .collect();
+            minima.sort_unstable();
+            minima.dedup();
+            assert!(minima.len() >= 4, "reads end in {} minima", minima.len());
+
+            let agree = |result: Result<(), TestCaseError>| {
+                if let Err(e) = result {
+                    panic!("{e:?}");
+                }
+            };
+            agree(every_build_agrees::<2>(&programs[..2], &streams[..2], n));
+            agree(every_build_agrees::<4>(&programs[..4], &streams[..4], n));
+            agree(every_build_agrees::<8>(&programs, &streams, n));
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@
 use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::engine::EngineConfig;
 use mqo_service::server::{Server, ServerConfig};
-use std::time::Duration;
 
 fn parse_options() -> Result<ServerConfig, String> {
     let mut config = ServerConfig::new(EngineConfig::new(ChimeraGraph::dwave_2x()));
@@ -71,37 +70,6 @@ fn main() {
         }
     };
     println!("listening on {}", server.local_addr());
-    let server = std::sync::Arc::new(server);
-    spawn_supervision_watchdog(&server);
     server.wait();
     println!("drained and stopped");
-}
-
-/// When spawned by a fleet supervisor (`MQO_SUPERVISED` set, stdin is a
-/// pipe the supervisor holds open), watch stdin for EOF: the pipe closes
-/// the instant the supervising process dies — even on SIGKILL, where its
-/// own cleanup never runs — so the cell drains itself instead of living
-/// on as an orphan. Standalone runs (no env var) are unaffected.
-fn spawn_supervision_watchdog(server: &std::sync::Arc<Server>) {
-    if std::env::var_os("MQO_SUPERVISED").is_none() {
-        return;
-    }
-    let server = std::sync::Arc::clone(server);
-    std::thread::spawn(move || {
-        use std::io::Read;
-        let mut sink = [0u8; 64];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-        eprintln!("mqo_serve: supervisor vanished (stdin closed); draining");
-        server.shutdown();
-        // A drain with no supervisor left must still terminate: give it a
-        // bounded grace, then exit hard. A clean drain beats this to it.
-        std::thread::sleep(Duration::from_secs(2));
-        std::process::exit(3);
-    });
 }

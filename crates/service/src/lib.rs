@@ -33,17 +33,16 @@
 //! * [`breaker`] — the router's per-cell circuit breakers; a cell whose
 //!   transport keeps failing is skipped in favour of the next cell on the
 //!   shard walk until a probe finds it healthy again (DESIGN.md §14).
-//! * [`supervisor`] — fleet supervision for `mqo_serve` cells run as child
-//!   processes: respawn with exponential backoff, crash-loop quarantine,
-//!   deadline-bounded health probes (DESIGN.md §14).
 //! * [`shard`] — the structure-sharded `mqo_router` front with zero-loss
-//!   failover: bounded in-flight journals and deterministic replay on
-//!   healthy cells within the client's deadline budget.
+//!   failover over externally managed cells: bounded in-flight journals
+//!   and deterministic replay on healthy cells within the client's
+//!   deadline budget (DESIGN.md §14). Restarting a dead cell process is
+//!   the service manager's job, not the router's.
 //! * [`testkit`] — test support only: the blocking HTTP reader that is the
 //!   incremental parser's differential oracle, minimal test clients, and
 //!   the seeded fault injectors that drive the engine's
-//!   [`engine::FaultSeam`] and [`Supervisor::kill_cell`] to prove the
-//!   recovery paths.
+//!   [`engine::FaultSeam`] and a test's cell kills to prove the recovery
+//!   paths.
 //!
 //! The `mqo_serve` and `mqo_router` binaries wire the layers together. The
 //! serving invariants (bit-identity by `(problem, seed)`, clean drains
@@ -62,7 +61,6 @@ pub mod queue;
 pub mod router;
 pub mod server;
 pub mod shard;
-pub mod supervisor;
 pub mod testkit;
 
 pub use api::{Backend, Reject, SolveRequest, SolveResponse};
@@ -75,6 +73,3 @@ pub use queue::{QueueConfig, SolveQueue};
 pub use router::{route, RouteDecision, RouterConfig};
 pub use server::{Server, ServerConfig};
 pub use shard::{next_deadline, structure_key, CellSnapshot, MqoRouter, MqoRouterConfig};
-pub use supervisor::{
-    RespawnPolicy, RespawnVerdict, SupervisedCellSnapshot, Supervisor, SupervisorConfig,
-};

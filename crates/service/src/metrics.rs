@@ -166,13 +166,6 @@ pub struct Metrics {
     pub requests_per_connection: LatencyHistogram,
     /// Connection-handler panics caught at the HTTP front-end.
     pub conn_panics_caught: AtomicU64,
-    /// Supervisor: dead cell processes respawned.
-    pub cell_respawns: AtomicU64,
-    /// Supervisor: cells quarantined after a crash loop (their shard range
-    /// is remapped to healthy cells).
-    pub crash_loops_quarantined: AtomicU64,
-    /// Supervisor: deadline-bounded `/healthz` probes that failed.
-    pub health_probe_failures: AtomicU64,
     /// Router: requests that completed on a fallback cell after at least
     /// one failed or 5xx attempt on another cell (transparent replay).
     pub failovers: AtomicU64,
@@ -256,9 +249,6 @@ impl Metrics {
             shard_accepts: self.shard_accepts.iter().map(load).collect(),
             requests_per_connection: self.requests_per_connection.snapshot(),
             conn_panics_caught: load(&self.conn_panics_caught),
-            cell_respawns: load(&self.cell_respawns),
-            crash_loops_quarantined: load(&self.crash_loops_quarantined),
-            health_probe_failures: load(&self.health_probe_failures),
             failovers: load(&self.failovers),
             deadline_budget_exhausted: load(&self.deadline_budget_exhausted),
             integrity_violations: load(&self.integrity_violations),
@@ -333,15 +323,6 @@ pub struct MetricsSnapshot {
     pub requests_per_connection: HistogramSnapshot,
     /// Connection-handler panics caught.
     pub conn_panics_caught: u64,
-    /// Cell processes respawned by the fleet supervisor.
-    #[serde(default)]
-    pub cell_respawns: u64,
-    /// Cells quarantined after a crash loop.
-    #[serde(default)]
-    pub crash_loops_quarantined: u64,
-    /// Failed deadline-bounded `/healthz` probes.
-    #[serde(default)]
-    pub health_probe_failures: u64,
     /// Requests completed via transparent replay on a fallback cell.
     #[serde(default)]
     pub failovers: u64,

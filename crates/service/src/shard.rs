@@ -31,9 +31,9 @@
 //!   (the private `FailoverJournal`): admission beyond the per-shard bound
 //!   answers a typed 429 instead of queueing without limit, and the journal
 //!   draining to zero is the drain invariant the kill-chaos tests assert;
-//! * cells **quarantined** by the fleet supervisor
-//!   ([`crate::supervisor::Supervisor`]) are skipped like open breakers:
-//!   the fall-through walk *is* the shard-range remap;
+//! * the cells are managed externally: the router never starts, restarts
+//!   or kills one. A dead or unanswering cell is routed around by its
+//!   breaker and the upstream timeout until it answers again;
 //! * any HTTP answer from a cell — including typed rejections — counts as
 //!   cell transport health; only transport errors trip the breaker, but
 //!   5xx answers are treated as replayable (the last one is passed through
@@ -48,7 +48,6 @@ use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
 use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
 use crate::http::{HttpError, HttpLimits, KeepAliveClient, Request, ResponseParts};
 use crate::metrics::{lock_recover, Metrics};
-use crate::supervisor::{Supervisor, SupervisorConfig};
 use mqo_core::logical::DEFAULT_EPSILON;
 use mqo_core::problem::MqoProblem;
 use std::collections::HashMap;
@@ -65,7 +64,7 @@ const FORWARDERS: usize = 4;
 /// Replay window for requests that carry no `deadline_ms` of their own,
 /// milliseconds. Requests with a client deadline use that instead.
 const FAILOVER_BUDGET_MS: u64 = 2_000;
-/// Pause between passes over the fleet, milliseconds: gives a respawning
+/// Pause between passes over the fleet, milliseconds: gives a restarting
 /// cell or a cooling breaker a moment before the next pass.
 const ROUND_BACKOFF_MS: u64 = 25;
 /// Outstanding requests allowed per shard (primary cell); admission beyond
@@ -86,10 +85,6 @@ pub struct MqoRouterConfig {
     /// Maximum passes over the fleet before a forward gives up (at least
     /// 1). Each pass tries every admissible cell once.
     pub failover_rounds: u32,
-    /// Spawn and supervise the cells as child processes (respawn on death,
-    /// quarantine on crash loop). `None` routes to externally managed
-    /// cells exactly as before.
-    pub supervisor: Option<SupervisorConfig>,
 }
 
 impl MqoRouterConfig {
@@ -102,7 +97,6 @@ impl MqoRouterConfig {
             upstream_timeout_ms: 10_000,
             breaker: BreakerConfig::default(),
             failover_rounds: 4,
-            supervisor: None,
         }
     }
 }
@@ -172,9 +166,6 @@ pub struct CellSnapshot {
     pub failures: u64,
     /// Idle pooled keep-alive connections to this cell.
     pub pooled: usize,
-    /// Whether the supervisor quarantined this cell (shard range remapped).
-    #[serde(default)]
-    pub quarantined: bool,
     /// Requests currently journaled against this cell's shard.
     #[serde(default)]
     pub journal_outstanding: usize,
@@ -248,9 +239,6 @@ struct Fleet {
     upstream_timeout: Duration,
     /// Passes over the fleet before a forward gives up.
     rounds: u32,
-    /// Per-cell quarantine flags; shared with the supervisor when one is
-    /// running, all-false otherwise.
-    quarantined: Arc<Vec<AtomicBool>>,
     journal: Arc<FailoverJournal>,
     metrics: Arc<Metrics>,
     lock_recoveries: AtomicU64,
@@ -324,10 +312,6 @@ impl Fleet {
             for step in 0..n {
                 let idx = (self.primary(hash) + step) % n;
                 let cell = &self.cells[idx];
-                if self.quarantined[idx].load(Ordering::SeqCst) {
-                    note(format!("{}: quarantined", cell.display));
-                    continue;
-                }
                 if !cell.breaker.admit() {
                     note(format!("{}: breaker open", cell.display));
                     continue;
@@ -452,7 +436,6 @@ impl Fleet {
                 forwarded: cell.forwarded.load(Ordering::Relaxed),
                 failures: cell.failures.load(Ordering::Relaxed),
                 pooled: lock_recover(&cell.pool, &self.lock_recoveries).len(),
-                quarantined: self.quarantined[idx].load(Ordering::SeqCst),
                 journal_outstanding: self.journal.outstanding(idx),
             })
             .collect()
@@ -491,7 +474,6 @@ struct RouterHandler {
     forward_tx: mpsc::Sender<ForwardJob>,
     metrics: Arc<Metrics>,
     shutdown: Arc<AtomicBool>,
-    supervisor: Option<Arc<Supervisor>>,
 }
 
 impl Handler for RouterHandler {
@@ -502,14 +484,12 @@ impl Handler for RouterHandler {
                 format!(r#"{{"status":"ok","cells":{}}}"#, self.fleet.cells.len()),
             )),
             ("GET", "/metrics") => {
-                let supervisor = self.supervisor.as_ref().map(|s| s.snapshots());
                 let payload = serde_json::json!({
                     "service": self.metrics.snapshot(),
                     "router": serde_json::json!({
                         "cells": self.fleet.cell_snapshots(),
                         "journal_depth": JOURNAL_DEPTH,
                     }),
-                    "supervisor": supervisor,
                 });
                 Action::Respond(Response::json(200, payload.to_string()))
             }
@@ -564,7 +544,7 @@ impl Handler for RouterHandler {
     }
 }
 
-/// A running structure-sharded router (optionally supervising its cells).
+/// A running structure-sharded router over externally managed cells.
 pub struct MqoRouter {
     addr: SocketAddr,
     fleet: Arc<Fleet>,
@@ -572,8 +552,6 @@ pub struct MqoRouter {
     shutdown: Arc<AtomicBool>,
     event_loop: Mutex<Option<EventLoop>>,
     forwarders: Mutex<Vec<JoinHandle<()>>>,
-    supervisor: Option<Arc<Supervisor>>,
-    supervisor_report: Mutex<Vec<String>>,
 }
 
 impl std::fmt::Debug for MqoRouter {
@@ -581,15 +559,13 @@ impl std::fmt::Debug for MqoRouter {
         f.debug_struct("MqoRouter")
             .field("addr", &self.addr)
             .field("cells", &self.fleet.cells.len())
-            .field("supervised", &self.supervisor.is_some())
             .finish()
     }
 }
 
 impl MqoRouter {
-    /// Binds the listener, optionally spawns and readies the supervised
-    /// fleet, resolves the cells, then spawns the event-loop shards and
-    /// the forwarder pool.
+    /// Binds the listener, resolves the cells, then spawns the event-loop
+    /// shards and the forwarder pool.
     pub fn start(config: MqoRouterConfig) -> io::Result<MqoRouter> {
         if config.cells.is_empty() {
             return Err(io::Error::new(
@@ -598,31 +574,6 @@ impl MqoRouter {
             ));
         }
         let metrics = Arc::new(Metrics::default());
-
-        // Supervision first: cells must exist (or be quarantined) before
-        // the router starts answering.
-        let mut supervisor = None;
-        let quarantined: Arc<Vec<AtomicBool>>;
-        if let Some(sup_config) = config.supervisor.clone() {
-            if sup_config.cells != config.cells {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "supervisor cell list must match the router cell list",
-                ));
-            }
-            let sup =
-                Supervisor::start(sup_config, Arc::clone(&metrics)).map_err(io::Error::other)?;
-            sup.wait_ready().map_err(io::Error::other)?;
-            quarantined = sup.quarantine_flags();
-            supervisor = Some(Arc::new(sup));
-        } else {
-            quarantined = Arc::new(
-                (0..config.cells.len())
-                    .map(|_| AtomicBool::new(false))
-                    .collect::<Vec<_>>(),
-            );
-        }
-
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let cells = config
@@ -650,7 +601,6 @@ impl MqoRouter {
             cells,
             upstream_timeout: Duration::from_millis(config.upstream_timeout_ms.max(1)),
             rounds: config.failover_rounds,
-            quarantined,
             journal,
             metrics: Arc::clone(&metrics),
             lock_recoveries: AtomicU64::new(0),
@@ -694,7 +644,6 @@ impl MqoRouter {
             forward_tx,
             metrics: Arc::clone(&metrics),
             shutdown: Arc::clone(&shutdown),
-            supervisor: supervisor.clone(),
         });
         let event_loop = EventLoop::spawn(
             listener,
@@ -711,8 +660,6 @@ impl MqoRouter {
             shutdown,
             event_loop: Mutex::new(Some(event_loop)),
             forwarders: Mutex::new(forwarders),
-            supervisor,
-            supervisor_report: Mutex::new(Vec::new()),
         })
     }
 
@@ -728,24 +675,11 @@ impl MqoRouter {
         &self.metrics
     }
 
-    /// Per-cell health (breaker state, traffic, pool size,
-    /// quarantine, journal occupancy).
+    /// Per-cell health (breaker state, traffic, pool size, journal
+    /// occupancy).
     #[must_use]
     pub fn cells(&self) -> Vec<CellSnapshot> {
         self.fleet.cell_snapshots()
-    }
-
-    /// The fleet supervisor, when this router spawned its own cells.
-    #[must_use]
-    pub fn supervisor(&self) -> Option<&Arc<Supervisor>> {
-        self.supervisor.as_ref()
-    }
-
-    /// How the supervised cells went down; empty before [`MqoRouter::wait`]
-    /// finishes (or when unsupervised).
-    #[must_use]
-    pub fn supervisor_report(&self) -> Vec<String> {
-        lock_recover(&self.supervisor_report, &self.fleet.lock_recoveries).clone()
     }
 
     /// True once a shutdown has been requested.
@@ -755,8 +689,8 @@ impl MqoRouter {
     }
 
     /// Blocks until shutdown is requested, drains the event loop (every
-    /// in-flight forward is answered), joins the forwarder pool, then
-    /// drains the supervised cells.
+    /// in-flight forward is answered), then joins the forwarder pool. The
+    /// cells keep running: they belong to whoever started them.
     pub fn wait(&self) {
         while !self.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(10));
@@ -774,10 +708,6 @@ impl MqoRouter {
                 .collect();
         for handle in handles {
             let _ = handle.join();
-        }
-        if let Some(supervisor) = &self.supervisor {
-            let report = supervisor.shutdown();
-            *lock_recover(&self.supervisor_report, &self.fleet.lock_recoveries) = report;
         }
     }
 
@@ -959,12 +889,7 @@ mod tests {
         assert_eq!(status, 200);
         let v: serde_json::Value = serde_json::from_slice(&body).unwrap();
         assert_eq!(v["router"]["cells"][0]["breaker"]["state"], "closed");
-        assert_eq!(v["router"]["cells"][0]["quarantined"], false);
         assert!(v["service"]["requests_total"].is_u64());
-        assert!(
-            v["supervisor"].is_null(),
-            "unsupervised router reports no supervisor panel"
-        );
         let (status, body) = roundtrip(router.local_addr(), "GET", "/healthz", b"").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, br#"{"status":"ok","cells":1}"#);

@@ -18,7 +18,8 @@
 //!   [`FaultSeam`] on SplitMix64 streams keyed on the request seed, so a
 //!   fault plan hits the same requests at any worker count.
 //! * [`KillPlan`] — seeded cell SIGKILLs, delivered by a driver thread
-//!   through [`Supervisor::kill_cell`].
+//!   through a kill closure the test supplies (the test owns the cell
+//!   processes, as a service manager would).
 
 use crate::api::{Backend, SolveRequest, SolveResponse};
 use crate::engine::FaultSeam;
@@ -27,7 +28,6 @@ use crate::http::{
     MAX_ANSWER_BODY,
 };
 use crate::queue::panic_message;
-use crate::supervisor::Supervisor;
 use mqo_annealer::parallel::{derive_seed, splitmix64};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -411,12 +411,14 @@ impl KillPlan {
         ((r * cells as f64) as usize).min(cells.saturating_sub(1))
     }
 
-    /// Runs the plan against `supervisor` on a new thread, soonest kill
-    /// first. The thread returns how many kills reached a live cell; a
-    /// kill that lands in a respawn backoff finds no victim.
+    /// Runs the plan over `cells` cells on a new thread, soonest kill
+    /// first: each kill calls `kill(cell)`, which reports whether it found
+    /// a live process to kill. The thread returns how many kills did.
     #[must_use]
-    pub fn drive(self, supervisor: Arc<Supervisor>) -> JoinHandle<u32> {
-        let cells = supervisor.snapshots().len();
+    pub fn drive<F>(self, cells: usize, mut kill: F) -> JoinHandle<u32>
+    where
+        F: FnMut(usize) -> bool + Send + 'static,
+    {
         let start = Instant::now();
         std::thread::spawn(move || {
             let mut kills: Vec<(u64, usize)> = (0..self.kills)
@@ -427,7 +429,7 @@ impl KillPlan {
             for (delay_ms, cell) in kills {
                 let due = start + Duration::from_millis(delay_ms);
                 std::thread::sleep(due.saturating_duration_since(Instant::now()));
-                delivered += u32::from(supervisor.kill_cell(cell));
+                delivered += u32::from(kill(cell));
             }
             delivered
         })

@@ -49,9 +49,17 @@ fn help_lists_exactly_the_accepted_flags() {
         help_flags(env!("CARGO_BIN_EXE_mqo_serve")),
         set(&["--addr", "--small", "--reads", "--gauges"])
     );
-    assert_eq!(
-        help_flags(env!("CARGO_BIN_EXE_mqo_router")),
-        set(&["--cells", "--addr", "--supervise", "--supervise-cell"])
+    let router = env!("CARGO_BIN_EXE_mqo_router");
+    assert_eq!(help_flags(router), set(&["--cells", "--addr"]));
+    // The router serves externally managed cells only: it spawns none.
+    let cells = "127.0.0.1:1,127.0.0.1:2";
+    assert_usage_error(
+        &run(router, &["--supervise", "x", "--cells", cells]),
+        "unknown flag --supervise",
+    );
+    assert_usage_error(
+        &run(router, &["--cells", cells, "--supervise-cell", "0:x"]),
+        "unknown flag --supervise-cell",
     );
 }
 
@@ -87,26 +95,6 @@ fn removed_flags_are_unknown() {
         let output = run(router, &["--cells", "127.0.0.1:1", flag, "1"]);
         assert_usage_error(&output, &format!("unknown flag {flag}"));
     }
-}
-
-#[test]
-fn supervise_cell_needs_supervise_and_an_index_in_range() {
-    let router = env!("CARGO_BIN_EXE_mqo_router");
-    let cells = "127.0.0.1:1,127.0.0.1:2";
-    let unsupervised = run(router, &["--cells", cells, "--supervise-cell", "0:cell"]);
-    assert_usage_error(&unsupervised, "--supervise-cell requires --supervise");
-    let out_of_range = run(
-        router,
-        &[
-            "--cells",
-            cells,
-            "--supervise",
-            "cell --addr {addr}",
-            "--supervise-cell",
-            "2:cell",
-        ],
-    );
-    assert_usage_error(&out_of_range, "--supervise-cell index 2 out of range");
 }
 
 /// A served binary: the child process, its stdout lines, and the address

@@ -1,15 +1,17 @@
-//! Fleet-supervision and zero-loss failover integration tests (ISSUE-10).
+//! Zero-loss failover integration tests: a `mqo_router` front over real
+//! `mqo_serve` cell processes (via `CARGO_BIN_EXE_mqo_serve`) that die by
+//! SIGKILL mid-drain.
 //!
-//! These tests drive *real* `mqo_serve` cell processes (via
-//! `CARGO_BIN_EXE_mqo_serve`) under a supervised `mqo_router` front and
-//! prove the robustness contract end to end:
+//! The router never starts or restarts a cell; here the test plays the
+//! service manager that does. It spawns every cell as a child process
+//! ([`Cells`]), SIGKILLs children on a seeded
+//! [`KillPlan`], and restarts a killed child on the same address when a
+//! test wants the cell back. The tests prove:
 //!
-//! * a SIGKILLed cell respawns and the fleet loses nothing — every request
-//!   ends as exactly one final outcome (a 200 solve or a typed error), and
-//!   the 50-seed drain under a seeded [`KillPlan`] completes with zero lost
-//!   requests and answers bit-identical to a solo unsupervised server;
-//! * a crash-looping cell is quarantined and its shard range remapped onto
-//!   the healthy cells;
+//! * the fleet loses nothing: every request ends as exactly one final
+//!   outcome (a 200 solve or a typed error), and the 50-seed drain under
+//!   the kill plan completes with zero lost requests and answers
+//!   bit-identical to a solo server;
 //! * transparent replay after a cell death returns answers bit-identical
 //!   to the first attempt — solves are deterministic by `(problem, seed)`,
 //!   which is the idempotency argument that makes replay safe;
@@ -20,10 +22,11 @@ use mqo_chimera::graph::ChimeraGraph;
 use mqo_service::engine::EngineConfig;
 use mqo_service::server::{Server, ServerConfig};
 use mqo_service::shard::{next_deadline, MqoRouter, MqoRouterConfig};
-use mqo_service::supervisor::SupervisorConfig;
 use mqo_service::testkit::{roundtrip, KillPlan};
 use proptest::prelude::*;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -31,34 +34,89 @@ use std::time::{Duration, Instant};
 /// A vector shared across the drain threads.
 type SharedVec<T> = Arc<Mutex<Vec<T>>>;
 
-/// A free loopback port: bind :0, read the address, drop the listener.
-/// The tiny reuse race is acceptable in tests.
-fn free_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind probe");
-    listener.local_addr().expect("probe addr").to_string()
+/// Starts the real `mqo_serve` binary on the small graph at `addr`, with
+/// the same solver knobs as [`solo_server`], so answers are comparable
+/// bit-for-bit. Returns the child and the address it printed after
+/// `listening on`, or `None` when it could not bind `addr`.
+fn spawn_cell(addr: &str) -> Option<(Child, SocketAddr)> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mqo_serve"))
+        .args(["--small", "--addr", addr, "--reads", "20", "--gauges", "2"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cell");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    let _ = stdout.read_line(&mut line);
+    // Keep the pipe open for the cell's later lines.
+    child.stdout = Some(stdout.into_inner());
+    match line.trim().strip_prefix("listening on ") {
+        Some(bound) => Some((child, bound.parse().expect("cell address"))),
+        None => {
+            let _ = child.wait();
+            None
+        }
+    }
 }
 
-/// The cell command template: the real `mqo_serve` binary on the small
-/// graph with the same solver knobs as [`solo_server`], so answers are
-/// comparable bit-for-bit.
-fn cell_command() -> Vec<String> {
-    [
-        env!("CARGO_BIN_EXE_mqo_serve"),
-        "--small",
-        "--addr",
-        "{addr}",
-        "--reads",
-        "20",
-        "--gauges",
-        "2",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
+/// The cell processes, owned by the test as a service manager would own
+/// them. Dropping the fleet kills whatever is still running, so a failed
+/// test leaks no process.
+struct Cells {
+    addrs: Vec<SocketAddr>,
+    children: Vec<Option<Child>>,
 }
 
-/// An in-process reference server configured identically to the supervised
-/// cells: the bit-identity oracle.
+impl Cells {
+    /// Starts `n` cells, each on a port the kernel picks.
+    fn start(n: usize) -> Cells {
+        let (children, addrs) = (0..n)
+            .map(|_| {
+                let (child, addr) = spawn_cell("127.0.0.1:0").expect("bind port 0");
+                (Some(child), addr)
+            })
+            .unzip();
+        Cells { addrs, children }
+    }
+
+    /// SIGKILLs cell `idx` (no drain: that is the point) and reaps it.
+    /// Returns whether a live process was killed.
+    fn kill(&mut self, idx: usize) -> bool {
+        let Some(mut child) = self.children[idx].take() else {
+            return false;
+        };
+        let killed = matches!(child.try_wait(), Ok(None)) && child.kill().is_ok();
+        let _ = child.wait();
+        killed
+    }
+
+    /// Starts cell `idx` again on its old address. The freed port can be
+    /// taken for a moment, say as another connection's source port, so a
+    /// cell that cannot bind is started again.
+    fn restart(&mut self, idx: usize) {
+        let addr = self.addrs[idx].to_string();
+        for _ in 0..100 {
+            if let Some((child, _)) = spawn_cell(&addr) {
+                self.children[idx] = Some(child);
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("cell {addr} could not bind its address again");
+    }
+}
+
+impl Drop for Cells {
+    fn drop(&mut self) {
+        for idx in 0..self.children.len() {
+            self.kill(idx);
+        }
+    }
+}
+
+/// An in-process reference server configured identically to the cells:
+/// the bit-identity oracle.
 fn solo_server() -> Server {
     let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
     engine.device.num_reads = 20;
@@ -66,20 +124,15 @@ fn solo_server() -> Server {
     Server::start(ServerConfig::new(engine)).expect("bind solo")
 }
 
-/// A supervised router over `n` freshly spawned cells. Fast breaker and
-/// backoff so kills and recoveries play out in test time.
-fn supervised_router(n: usize) -> MqoRouter {
-    let cells: Vec<String> = (0..n).map(|_| free_addr()).collect();
-    let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
-    sup.probe_interval_ms = 50;
-    sup.backoff_initial_ms = 50;
-    sup.backoff_max_ms = 500;
-    let mut config = MqoRouterConfig::new(cells);
-    config.supervisor = Some(sup);
+/// A router over `cells`. Fast breaker so kills and recoveries play out in
+/// test time.
+fn router_over(cells: &Cells) -> MqoRouter {
+    let addrs = cells.addrs.iter().map(SocketAddr::to_string).collect();
+    let mut config = MqoRouterConfig::new(addrs);
     config.breaker.failure_threshold = 1;
     config.breaker.open_ms = 100;
     config.upstream_timeout_ms = 2_000;
-    MqoRouter::start(config).expect("start supervised router")
+    MqoRouter::start(config).expect("start router")
 }
 
 /// One small two-query instance body under `seed`; all seeds share the
@@ -87,15 +140,6 @@ fn supervised_router(n: usize) -> MqoRouter {
 fn body(seed: u64) -> Vec<u8> {
     format!(
         r#"{{"problem": {{"queries": [[2,4],[3,1]], "savings": [[1,2,5.0]]}}, "seed": {seed}}}"#
-    )
-    .into_bytes()
-}
-
-/// A structurally different instance (three plans in query 0), for shard
-/// coverage in the quarantine test.
-fn body_alt(seed: u64) -> Vec<u8> {
-    format!(
-        r#"{{"problem": {{"queries": [[2,4,6],[3,1]], "savings": [[1,3,5.0]]}}, "seed": {seed}}}"#
     )
     .into_bytes()
 }
@@ -135,76 +179,30 @@ fn surface(reply: &[u8]) -> serde_json::Value {
 }
 
 #[test]
-fn sigkilled_cell_respawns_and_requests_keep_completing() {
-    let router = supervised_router(2);
-    let addr = router.local_addr();
-
-    // Warm the fleet, then SIGKILL cell 0 and keep sending: every request
-    // must still complete (transparent replay on the survivor plus the
-    // supervisor respawning the victim), and the respawn must be counted.
-    for seed in 0..4u64 {
-        let (status, reply) = solve_with_retry(addr, &body(seed), 20);
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
-    }
-    let supervisor = router.supervisor().expect("supervised").clone();
-    assert!(supervisor.kill_cell(0), "the warm cell was alive");
-    for seed in 4..12u64 {
-        let (status, reply) = solve_with_retry(addr, &body(seed), 20);
-        assert_eq!(
-            status,
-            200,
-            "request after kill: {}",
-            String::from_utf8_lossy(&reply)
-        );
-    }
-    // The monitor notices the death and respawns within its backoff.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while router.metrics().snapshot().cell_respawns == 0 {
-        assert!(Instant::now() < deadline, "respawn never happened");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let snapshot = router.metrics().snapshot();
-    assert!(snapshot.cell_respawns >= 1, "respawn counted");
-    assert_eq!(snapshot.crash_loops_quarantined, 0, "one kill is no loop");
-    // The respawned cell answers probes again.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let cells = supervisor.snapshots();
-        if cells.iter().all(|c| c.alive && !c.quarantined) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "cell 0 never came back: {cells:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    // A graceful router shutdown drains every supervised cell and reaps it.
-    router.shutdown();
-    let report = router.supervisor_report();
-    assert_eq!(report.len(), 2, "{report:?}");
-    assert!(
-        report
-            .iter()
-            .all(|line| line.ends_with(": drained and stopped")),
-        "{report:?}"
-    );
-}
-
-#[test]
 fn fifty_seed_kill_chaos_drain_loses_nothing_and_matches_solo() {
     // A seeded kill plan SIGKILLs cells at deterministic times while a
-    // 50-seed drain runs. Zero-loss: every seed must end as a 200 whose
-    // solution surface is bit-identical to a solo unsupervised server.
+    // 50-seed drain runs, and the test restarts each killed cell on its
+    // address at once, as a service manager would. Zero-loss: every seed
+    // must end as a 200 whose solution surface is bit-identical to a solo
+    // server.
     let plan = KillPlan {
         seed: 42,
         kills: 3,
         min_delay_ms: 200,
         max_delay_ms: 1_500,
     };
-    let router = supervised_router(2);
+    let cells = Arc::new(Mutex::new(Cells::start(2)));
+    let router = router_over(&cells.lock().unwrap());
     let addr = router.local_addr();
-    let killer = plan.drive(Arc::clone(router.supervisor().expect("supervised")));
+    let killer = plan.drive(2, {
+        let cells = Arc::clone(&cells);
+        move |idx| {
+            let mut cells = cells.lock().unwrap();
+            let killed = cells.kill(idx);
+            cells.restart(idx);
+            killed
+        }
+    });
     let solo = solo_server();
 
     let seeds: Vec<u64> = (0..50).collect();
@@ -257,30 +255,27 @@ fn fifty_seed_kill_chaos_drain_loses_nothing_and_matches_solo() {
         );
     }
 
-    // The plan actually fired and the supervisor recovered. The kill
-    // offsets may trail the drain, and a kill landing in a respawn-backoff
-    // window finds no victim, so count the kills the driver delivered and
-    // poll until each has its matching respawn on the books.
-    let delivered = u64::from(killer.join().expect("kill driver"));
-    assert!(delivered >= 1, "the kill plan never reached a live cell");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let snapshot = loop {
-        let s = router.metrics().snapshot();
-        if s.cell_respawns >= delivered {
-            break s;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "respawns lagged: {delivered} kills, {} respawns",
-            s.cell_respawns
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    // Every kill found a live cell (a restarted cell is alive from its
+    // spawn on), and every restarted cell came back on its address. The
+    // kill offsets may trail the drain, so join the driver first.
+    let delivered = killer.join().expect("kill driver");
+    assert_eq!(delivered, plan.kills, "every planned kill reached a cell");
+    for &cell in &cells.lock().unwrap().addrs {
+        let (status, _) = roundtrip(cell, "GET", "/healthz", b"").expect("cell is back");
+        assert_eq!(status, 200);
+    }
+    // The failover journal drains to zero: a forwarder drops its entry
+    // just after answering, so give the last ones a moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while router.cells().iter().any(|c| c.journal_outstanding > 0) {
+        assert!(Instant::now() < deadline, "journal never drained");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     assert_eq!(
-        snapshot.crash_loops_quarantined, 0,
-        "planned kills are no loop"
+        router.metrics().snapshot().integrity_violations,
+        0,
+        "no integrity violations"
     );
-    assert_eq!(snapshot.integrity_violations, 0, "no integrity violations");
 
     router.shutdown();
     solo.shutdown();
@@ -292,9 +287,9 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
     // every request exactly one final outcome — a 200 or a *typed* error —
     // even when a cell is SIGKILLed mid-drain. Nothing hangs, nothing is
     // answered twice, nothing vanishes.
-    let router = supervised_router(2);
+    let mut cells = Cells::start(2);
+    let router = router_over(&cells);
     let addr = router.local_addr();
-    let supervisor = router.supervisor().expect("supervised").clone();
 
     let total = 24usize;
     let next = Arc::new(AtomicUsize::new(0));
@@ -314,9 +309,9 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
             outcomes.lock().unwrap().push((i, status, reply));
         }));
     }
-    // Kill a cell while the drain is in flight.
+    // Kill a cell while the drain is in flight; nothing restarts it.
     std::thread::sleep(Duration::from_millis(60));
-    assert!(supervisor.kill_cell(0), "cell 0 was alive mid-drain");
+    assert!(cells.kill(0), "cell 0 was alive mid-drain");
     for handle in handles {
         handle.join().expect("drain thread");
     }
@@ -348,53 +343,6 @@ fn killed_cell_mid_drain_partitions_the_request_set() {
         solved >= total / 2,
         "transparent failover kept most of the drain alive ({solved}/{total})"
     );
-    router.shutdown();
-}
-
-#[test]
-fn crash_looping_cell_is_quarantined_and_its_shards_remap() {
-    // Cell 0 is spawned with a bogus flag, so it exits instantly, over and
-    // over: the supervisor must quarantine it instead of respawning
-    // forever, and the router must remap its shard range onto cell 1.
-    let cells = vec![free_addr(), free_addr()];
-    let mut sup = SupervisorConfig::new(cell_command(), cells.clone());
-    sup.commands[0] = vec![
-        env!("CARGO_BIN_EXE_mqo_serve").to_string(),
-        "--definitely-not-a-flag".to_string(),
-    ];
-    sup.backoff_initial_ms = 10;
-    sup.backoff_max_ms = 50;
-    sup.crash_loop_threshold = 3;
-    sup.probe_interval_ms = 50;
-    let mut config = MqoRouterConfig::new(cells);
-    config.supervisor = Some(sup);
-    config.breaker.failure_threshold = 1;
-    config.breaker.open_ms = 100;
-    config.upstream_timeout_ms = 2_000;
-    let router = MqoRouter::start(config).expect("start with one crash-looping cell");
-    let addr = router.local_addr();
-
-    let snapshot = router.metrics().snapshot();
-    assert!(
-        snapshot.crash_loops_quarantined >= 1,
-        "crash loop detected during startup"
-    );
-    let cells = router.cells();
-    assert!(
-        cells[0].quarantined && !cells[1].quarantined,
-        "exactly the broken cell is quarantined: {cells:?}"
-    );
-    // Both structures — whichever shard they hash to — answer via cell 1.
-    for body in [body(1), body_alt(1)] {
-        let (status, reply) = solve_with_retry(addr, &body, 10);
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
-    }
-    assert_eq!(
-        router.cells()[0].forwarded,
-        0,
-        "quarantined cell got nothing"
-    );
-    assert!(router.cells()[1].forwarded >= 2, "survivor took the remap");
     router.shutdown();
 }
 
@@ -472,129 +420,6 @@ proptest! {
                     break;
                 }
             }
-        }
-    }
-}
-
-/// A supervised cell must not outlive its supervisor. The supervisor hands
-/// every cell a stdin pipe plus `MQO_SUPERVISED=1`; the cell's watchdog
-/// sees EOF the instant the pipe's write end closes (which the kernel does
-/// even when the supervisor is SIGKILLed) and drains itself. This drives
-/// the cell directly: hold the pipe, prove the cell stays up, drop the
-/// pipe, prove the cell exits.
-#[test]
-fn supervised_cell_exits_when_the_supervisor_pipe_closes() {
-    let addr = free_addr();
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_mqo_serve"))
-        .args(["--small", "--addr", &addr, "--reads", "10"])
-        .env("MQO_SUPERVISED", "1")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn cell");
-    let stdin = child.stdin.take().expect("piped stdin");
-    let sock: SocketAddr = addr.parse().expect("cell addr");
-
-    // Wait until the cell answers /healthz, proving the watchdog does not
-    // fire while the pipe is open.
-    let ready = Instant::now();
-    loop {
-        if roundtrip(sock, "GET", "/healthz", b"").is_ok() {
-            break;
-        }
-        assert!(
-            ready.elapsed() < Duration::from_secs(10),
-            "cell never came up"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(
-        matches!(child.try_wait(), Ok(None)),
-        "cell stays alive while the supervisor holds the pipe"
-    );
-
-    // "Supervisor death": the write end closes, the cell must exit on its
-    // own — nobody is left to kill it.
-    drop(stdin);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => break,
-            Ok(None) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => {
-                let _ = child.kill();
-                let _ = child.wait();
-                panic!("cell outlived its supervisor: {other:?}");
-            }
-        }
-    }
-}
-
-/// End to end: SIGKILL a real supervised `mqo_router` process — its
-/// `Drop`/drain cleanup never runs — and prove the cells it spawned die on
-/// their own via the stdin watchdog instead of leaking as orphans.
-#[test]
-fn sigkilled_router_leaves_no_orphan_cells() {
-    let router_addr = free_addr();
-    let cell_a = free_addr();
-    let cell_b = free_addr();
-    let command = format!(
-        "{} --small --addr {{addr}} --reads 10",
-        env!("CARGO_BIN_EXE_mqo_serve")
-    );
-    let mut router = std::process::Command::new(env!("CARGO_BIN_EXE_mqo_router"))
-        .args([
-            "--addr",
-            &router_addr,
-            "--cells",
-            &format!("{cell_a},{cell_b}"),
-            "--supervise",
-            &command,
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn router");
-
-    // Wait until both cells answer: the fleet is up.
-    let ready = Instant::now();
-    for addr in [&cell_a, &cell_b] {
-        let sock: SocketAddr = addr.parse().expect("cell addr");
-        loop {
-            if roundtrip(sock, "GET", "/healthz", b"").is_ok() {
-                break;
-            }
-            if ready.elapsed() > Duration::from_secs(15) {
-                let _ = router.kill();
-                let _ = router.wait();
-                panic!("fleet never came up");
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
-    // SIGKILL the router: no drain, no Drop, no cleanup of any kind.
-    router.kill().expect("kill router");
-    let _ = router.wait();
-
-    // Both cells must notice the closed supervision pipe and exit: their
-    // ports stop answering within the watchdog's bounded grace.
-    let deadline = Instant::now() + Duration::from_secs(8);
-    for addr in [&cell_a, &cell_b] {
-        let sock: SocketAddr = addr.parse().expect("cell addr");
-        loop {
-            if roundtrip(sock, "GET", "/healthz", b"").is_err() {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "cell {addr} outlived the SIGKILLed router"
-            );
-            std::thread::sleep(Duration::from_millis(50));
         }
     }
 }
