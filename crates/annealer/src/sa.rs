@@ -311,41 +311,143 @@ impl ProgrammedSa {
     }
 }
 
-/// Words of a lane's draw buffer, and so the spins walked between two
-/// top-ups: a proposal consumes at most one word per lane.
+/// The spins walked between two [`LaneStreams::top_up`]s: a proposal
+/// consumes at most one word per lane, so a lane with `DRAW_CHUNK` words
+/// left cannot run dry within a chunk.
 const DRAW_CHUNK: usize = 64;
 
-/// The read streams of a `W`-lane walk, each buffered so the walk can
-/// peek a lane's next word and consume it by a count instead of a branch.
+/// Words one refill generates for a lane: 16 ChaCha8 blocks.
+const BATCH_WORDS: usize = 256;
+
+/// Words of a lane's keystream ring in [`ReadScratch::lane_words`]: two
+/// batches, so a refill, which happens with fewer than [`DRAW_CHUNK`]
+/// words left, only overwrites the batch already consumed.
+const RING_WORDS: usize = 2 * BATCH_WORDS;
+
+/// The ChaCha8 keystreams of a `W`-lane walk. Each lane continues its
+/// read stream where that stream's `ChaCha8Rng` stands, but generates the
+/// words itself, [`BATCH_WORDS`] at a time ([`chacha8_batch`]), into a ring
+/// the walk reads in place: lane `l`'s word at ring position `q` (counted
+/// from the first word of the block its walk starts in) is
+/// `rings[l][q % RING_WORDS]`.
 ///
 /// Kept as one array per field rather than one struct per lane, and the
-/// walk keeps its per-lane cursors in a local `[usize; W]`, so they stay in
-/// registers: it reads a word and bumps a cursor of every lane per
-/// proposal. With one struct per lane, an 8-lane walk on `cold-backlog`
-/// instances took 762 µs against 548 µs (DESIGN.md §10).
-struct LaneStreams<const W: usize> {
-    rngs: [ChaCha8Rng; W],
-    words: [[u32; DRAW_CHUNK]; W],
+/// walk keeps its per-lane cursors (ring positions) in a local `[usize;
+/// W]`, so they stay in registers: it reads a word and bumps a cursor of
+/// every lane per proposal. With one struct per lane, an 8-lane walk on
+/// `cold-backlog` instances took 762 µs against 548 µs (DESIGN.md §10).
+struct LaneStreams<'a, const W: usize> {
+    keys: [[u32; 8]; W],
+    streams: [u64; W],
+    /// The block each lane's next refill starts at.
+    blocks: [u64; W],
+    /// The ring positions each lane has generated up to.
+    filled: [usize; W],
+    rings: &'a mut [[u32; RING_WORDS]; W],
 }
 
-impl<const W: usize> LaneStreams<W> {
-    /// Streams whose buffers are all consumed: the first
-    /// [`LaneStreams::top_up`] takes `[DRAW_CHUNK; W]`.
-    fn new(rngs: [ChaCha8Rng; W]) -> Self {
-        LaneStreams {
-            rngs,
-            words: [[0; DRAW_CHUNK]; W],
-        }
+impl<'a, const W: usize> LaneStreams<'a, W> {
+    /// Streams that continue `rngs` from their next word, with nothing
+    /// generated yet, and each lane's first cursor: its word's offset in
+    /// its block.
+    #[inline(always)]
+    fn new(rngs: &[ChaCha8Rng; W], rings: &'a mut [[u32; RING_WORDS]; W]) -> (Self, [usize; W]) {
+        let pos = rngs.each_ref().map(ChaCha8Rng::get_word_pos);
+        let streams = LaneStreams {
+            keys: rngs.each_ref().map(|rng| {
+                let seed = rng.get_seed();
+                let (words, _) = seed.as_chunks::<4>();
+                std::array::from_fn(|k| u32::from_le_bytes(words[k]))
+            }),
+            streams: rngs.each_ref().map(ChaCha8Rng::get_stream),
+            blocks: pos.map(|p| (p / 16) as u64),
+            filled: [0; W],
+            rings,
+        };
+        (streams, pos.map(|p| (p % 16) as usize))
     }
 
-    /// Refills every lane's buffer to [`DRAW_CHUNK`] unconsumed words, in
-    /// stream order, after lane `l` consumed its first `used[l]`.
-    fn top_up(&mut self, used: &[usize; W]) {
-        for ((words, &used), rng) in self.words.iter_mut().zip(used).zip(&mut self.rngs) {
-            words.copy_within(used.., 0);
-            for word in &mut words[DRAW_CHUNK - used..] {
-                *word = rng.next_u32();
+    /// Generates the next batch of every lane that has fewer than
+    /// [`DRAW_CHUNK`] words left past its cursor.
+    #[inline(always)]
+    fn top_up(&mut self, cursor: &[usize; W]) {
+        for (l, &cursor) in cursor.iter().enumerate() {
+            if self.filled[l] < cursor + DRAW_CHUNK {
+                let at = self.filled[l] % RING_WORDS;
+                let batch = (&mut self.rings[l][at..at + BATCH_WORDS]).try_into();
+                chacha8_batch(
+                    &self.keys[l],
+                    self.streams[l],
+                    self.blocks[l],
+                    batch.unwrap(),
+                );
+                self.blocks[l] = self.blocks[l].wrapping_add((BATCH_WORDS / 16) as u64);
+                self.filled[l] += BATCH_WORDS;
             }
+        }
+    }
+}
+
+/// The ChaCha quarter-round on four state rows, each holding one word of
+/// 16 blocks.
+#[inline(always)]
+fn quarter_round(x: &mut [[u32; 16]; 16], a: usize, b: usize, c: usize, d: usize) {
+    let [mut ra, mut rb, mut rc, mut rd] = [x[a], x[b], x[c], x[d]];
+    for (((a, b), c), d) in ra.iter_mut().zip(&mut rb).zip(&mut rc).zip(&mut rd) {
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(16);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(12);
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(8);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(7);
+    }
+    [x[a], x[b], x[c], x[d]] = [ra, rb, rc, rd];
+}
+
+/// Blocks `block..block + 16` of the ChaCha8 keystream with `key` and
+/// `stream` (the djb layout `rand_chacha` uses: a 64-bit block counter in
+/// state words 12–13, the stream id in 14–15), written to `out` in
+/// keystream order: the words `ChaCha8Rng::next_u32` returns from word
+/// `16 · block` on.
+///
+/// The state is held transposed, one row per state word with one lane per
+/// block, so every round is 16-wide element-wise arithmetic that compiles
+/// to whatever vectors the calling build enables: this is inlined into
+/// each build of [`ProgrammedSa::lane_walk`] and needs no dispatch of its
+/// own.
+#[inline(always)]
+fn chacha8_batch(key: &[u32; 8], stream: u64, block: u64, out: &mut [u32; BATCH_WORDS]) {
+    const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
+    let counter: [u64; 16] = std::array::from_fn(|b| block.wrapping_add(b as u64));
+    // State word `w` of every block. Called again for the final addition
+    // rather than kept: the broadcasts cost nothing to redo, while in the
+    // AVX-512 build a kept copy of the state spills beside the working one.
+    let row = |w: usize| -> [u32; 16] {
+        match w {
+            0..4 => [CONSTANTS[w]; 16],
+            4..12 => [key[w - 4]; 16],
+            12 => counter.map(|c| c as u32),
+            13 => counter.map(|c| (c >> 32) as u32),
+            14 => [stream as u32; 16],
+            _ => [(stream >> 32) as u32; 16],
+        }
+    };
+    let mut x: [[u32; 16]; 16] = std::array::from_fn(row);
+    for _ in 0..4 {
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
+    }
+    for (w, words) in x.iter().enumerate() {
+        for (b, (&v, i)) in words.iter().zip(row(w)).enumerate() {
+            out[16 * b + w] = v.wrapping_add(i);
         }
     }
 }
@@ -521,14 +623,13 @@ impl ProgrammedSa {
         debug_assert!((1..=W).contains(&reads) && rngs.len() == reads);
         let lane_prog: [&ProgrammedSa; W] =
             std::array::from_fn(|l| programs[if l < reads { l } else { 0 }]);
-        let mut draws = LaneStreams::<W>::new(std::array::from_fn(|l| {
-            rngs[if l < reads { l } else { 0 }].clone()
-        }));
+        let mut lane_rngs: [ChaCha8Rng; W] =
+            std::array::from_fn(|l| rngs[if l < reads { l } else { 0 }].clone());
         let ising = &lane_prog[0].ising;
         let n = ising.num_spins();
         debug_assert_eq!(out.len(), reads * n);
         let spins = lane_rows::<W>(&mut scratch.lane_spins, n);
-        for (l, rng) in draws.rngs.iter_mut().enumerate() {
+        for (l, rng) in lane_rngs.iter_mut().enumerate() {
             for s in spins.iter_mut() {
                 s[l] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
             }
@@ -536,6 +637,11 @@ impl ProgrammedSa {
         if n == 0 {
             return;
         }
+        if scratch.lane_words.len() < W * RING_WORDS {
+            scratch.lane_words.resize(W * RING_WORDS, 0);
+        }
+        let rings = (&mut scratch.lane_words.as_chunks_mut().0[..W]).try_into();
+        let (mut draws, mut cursor) = LaneStreams::<W>::new(&lane_rngs, rings.unwrap());
         let (offsets, idx, _) = ising.adjacency();
         let weights = lane_rows::<W>(&mut scratch.lane_weights, idx.len());
         let fields = lane_rows::<W>(&mut scratch.lane_fields, n);
@@ -555,14 +661,11 @@ impl ProgrammedSa {
             }
         }
         let buckets = MetropolisBuckets::get();
-        // Words each lane consumed since its last top-up.
-        let mut next = [DRAW_CHUNK; W];
         for sweep in 0..lane_prog[0].betas.len() {
             let beta: [f64; W] = std::array::from_fn(|l| lane_prog[l].betas[sweep]);
             let mut active = [false; W];
             for start in (0..n).step_by(DRAW_CHUNK) {
-                draws.top_up(&next);
-                next = [0; W];
+                draws.top_up(&cursor);
                 for i in start..n.min(start + DRAW_CHUNK) {
                     let s = spins[i];
                     let f = fields[i];
@@ -574,14 +677,14 @@ impl ProgrammedSa {
                         let delta = -2.0 * s[l] * f[l];
                         arg[l] = -beta[l] * delta;
                         let draw = (delta > 0.0) & (arg[l] >= METROPOLIS_EXP_CUTOFF);
-                        // `next < DRAW_CHUNK`: the buffer was topped up at
-                        // most DRAW_CHUNK − 1 proposals ago (the `%` only
+                        // The ring holds at least DRAW_CHUNK words past
+                        // the cursor at the chunk's start (the `%` only
                         // spares the bounds check).
-                        word[l] = draws.words[l][next[l] % DRAW_CHUNK];
+                        word[l] = draws.rings[l][cursor[l] % RING_WORDS];
                         let (sure, open) = buckets.pretest(arg[l], word[l]);
                         accept[l] = (delta <= 0.0) | (draw & sure);
                         unsure[l] = draw & open;
-                        next[l] += usize::from(draw);
+                        cursor[l] += usize::from(draw);
                         active[l] |= draw | accept[l];
                     }
                     if unsure.contains(&true) {
@@ -920,6 +1023,108 @@ mod tests {
             agree(every_build_agrees::<2>(&programs[..2], &streams[..2], n));
             agree(every_build_agrees::<4>(&programs[..4], &streams[..4], n));
             agree(every_build_agrees::<8>(&programs, &streams, n));
+        }
+
+        /// Every build's lane keystream is the words `ChaCha8Rng::next_u32`
+        /// returns: from every offset in a block (word positions 0–17), and
+        /// across a carry of the block counter's low word past 2³² (streams
+        /// moved there with `set_word_pos`). Every lane draws more than
+        /// three batches and reads what the one-read kernel reads; after the
+        /// walk its ring holds the last two batches it generated.
+        #[test]
+        fn lane_keystream_matches_chacha8_words() {
+            let n = 64;
+            let mut rng = ChaCha8Rng::seed_from_u64(0xC4A_C4A8);
+            let h = (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect();
+            let couplings = (0..n)
+                .flat_map(|i| [(i, (i + 1) % n), (i, (i + 5) % n)])
+                .map(|(a, b)| (VarId::new(a), VarId::new(b), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let ising = Ising::new(h, couplings, 0.0);
+            let programmed = SimulatedAnnealingSampler::default().program(
+                ising,
+                &SamplerHints::default(),
+                &mut rng,
+            );
+            let programs = [&programmed; LANES];
+            // Blocks past which the walk's first, second and third batches
+            // carry into the counter's high word.
+            let carry =
+                |block: u128, offset: u128| ((1u128 << 32) - block) * 16 + offset - n as u128;
+            let positions: Vec<u128> = (0..18)
+                .chain([
+                    carry(8, 3),
+                    carry(16, 0),
+                    carry(20, 9),
+                    carry(31, 15),
+                    carry(40, 1),
+                ])
+                .chain([(1u128 << 36) + 7])
+                .collect();
+            assert_eq!(positions.len(), 3 * LANES);
+
+            type Build = unsafe fn(&[&ProgrammedSa], &[ChaCha8Rng], &mut [i8], &mut ReadScratch);
+            let portable: Build = ProgrammedSa::lane_walk::<LANES>;
+            let mut builds = vec![("portable", portable)];
+            #[cfg(target_arch = "x86_64")]
+            {
+                if has_avx2() {
+                    builds.push(("AVX2", ProgrammedSa::anneal_lanes_avx2::<LANES>));
+                }
+                if has_avx512() {
+                    builds.push(("AVX-512", ProgrammedSa::anneal_lanes_avx512::<LANES>));
+                }
+            }
+            for walk in positions.chunks(LANES) {
+                let streams: Vec<ChaCha8Rng> = walk
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &pos)| {
+                        let mut stream = ChaCha8Rng::seed_from_u64(77 + k as u64);
+                        stream.set_word_pos(pos);
+                        stream
+                    })
+                    .collect();
+                for &(name, build) in &builds {
+                    let mut scratch = ReadScratch::default();
+                    let mut reads = vec![0i8; LANES * n];
+                    // SAFETY: the CPU supports the build's features, as
+                    // checked when it was listed.
+                    unsafe { build(&programs, &streams, &mut reads, &mut scratch) };
+                    let rings = scratch.lane_words.as_chunks::<RING_WORDS>().0;
+                    for (l, (stream, &pos)) in streams.iter().zip(walk).enumerate() {
+                        let mut one = vec![0i8; n];
+                        let mut drawn = stream.clone();
+                        programmed.sample_into_fast(
+                            &mut drawn,
+                            &mut one,
+                            &mut ReadScratch::default(),
+                        );
+                        assert_eq!(&reads[l * n..(l + 1) * n], &one[..], "{name}, word {pos}");
+                        // Ring positions count from the first word of the
+                        // block the lane's walk starts in.
+                        let first_block = (pos + n as u128) / 16;
+                        let end = (drawn.get_word_pos() - first_block * 16) as usize;
+                        assert!(end > 3 * BATCH_WORDS, "{name}, word {pos}: {end} words");
+                        let words = |from: usize| {
+                            let mut reference = stream.clone();
+                            reference.set_word_pos(first_block * 16 + from as u128);
+                            (from..from + RING_WORDS).map(move |q| (q, reference.next_u32()))
+                        };
+                        // The last refill left between `end` and `end` +
+                        // DRAW_CHUNK + BATCH_WORDS words generated.
+                        let holds_up_to = |filled: usize| {
+                            words(filled - RING_WORDS)
+                                .all(|(q, word)| rings[l][q % RING_WORDS] == word)
+                        };
+                        let last = end.next_multiple_of(BATCH_WORDS);
+                        assert!(
+                            holds_up_to(last) || holds_up_to(last + BATCH_WORDS),
+                            "{name}, word {pos}: the ring is not the keystream"
+                        );
+                    }
+                }
+            }
         }
     }
 

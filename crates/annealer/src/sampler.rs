@@ -327,6 +327,9 @@ pub struct ReadScratch {
     /// Lane kernels: per-CSR-entry coupling weights, `W` consecutive
     /// values per entry.
     pub lane_weights: Vec<f64>,
+    /// Lane kernels: each lane's ChaCha8 keystream ring, a fixed number of
+    /// words per lane, generated ahead of the walk's draws.
+    pub lane_words: Vec<u32>,
 }
 
 /// Host-side structure hints the device may hand to a sampler.

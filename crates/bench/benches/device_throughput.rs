@@ -21,7 +21,11 @@
 //!     [--smoke] [--no-write]
 //! ```
 //!
-//! `--smoke` shrinks everything for CI (tiny reads, one size, no JSON).
+//! `--smoke` shrinks everything for CI (tiny reads, one size, no JSON,
+//! one timed pass per row).
+//!
+//! Each row is the median of [`TIMED_PASSES`] timed passes after one
+//! warm-up: on a shared host single passes swing by more than 2×.
 
 use mqo_annealer::behavioral::BehavioralSampler;
 use mqo_annealer::device::{DeviceConfig, PhaseTimings, QuantumAnnealer};
@@ -172,6 +176,9 @@ fn light_sqa() -> PathIntegralQmcSampler {
     })
 }
 
+/// Timed passes per row; the row reports the median one.
+const TIMED_PASSES: usize = 5;
+
 struct Measurement {
     reads_per_sec: f64,
     timings: PhaseTimings,
@@ -200,8 +207,8 @@ fn run_once<S: Sampler + Clone>(
     timings
 }
 
-/// Reads/sec of `run_ising` for one back-end at one thread count, with the
-/// per-phase host-time breakdown summed over the timed repetitions.
+/// Reads/sec of `run_ising` for one back-end at one thread count, and the
+/// per-phase host-time breakdown, of the median of the timed passes.
 fn throughput<S: Sampler + Clone>(
     sampler: &S,
     args: &Args,
@@ -209,21 +216,20 @@ fn throughput<S: Sampler + Clone>(
     ising: &Ising,
     qubo: &Qubo,
 ) -> Measurement {
-    // One warm-up, then a few timed repetitions.
     run_once(sampler, args, threads, ising, qubo);
-    let reps = if args.smoke { 1 } else { 5 };
-    let mut timings = PhaseTimings::default();
-    let start = Instant::now();
-    for _ in 0..reps {
-        let t = run_once(sampler, args, threads, ising, qubo);
-        timings.program_s += t.program_s;
-        timings.read_s += t.read_s;
-        timings.assemble_s += t.assemble_s;
-    }
-    Measurement {
-        reads_per_sec: (args.reads * reps) as f64 / start.elapsed().as_secs_f64(),
-        timings,
-    }
+    let passes = if args.smoke { 1 } else { TIMED_PASSES };
+    let mut timed: Vec<Measurement> = (0..passes)
+        .map(|_| {
+            let start = Instant::now();
+            let timings = run_once(sampler, args, threads, ising, qubo);
+            Measurement {
+                reads_per_sec: args.reads as f64 / start.elapsed().as_secs_f64(),
+                timings,
+            }
+        })
+        .collect();
+    timed.sort_by(|a, b| a.reads_per_sec.total_cmp(&b.reads_per_sec));
+    timed.swap_remove(passes / 2)
 }
 
 fn main() {
@@ -275,11 +281,12 @@ fn main() {
             .join(", ");
         let json = format!(
             "{{\n  \"benchmark\": \"device_throughput\",\n  \"problem_sizes_qubits\": [{sizes}],\n  \
-             \"reads_per_run\": {},\n  \"gauges_per_run\": {},\n  \"host\": {{ \"nproc\": \
+             \"reads_per_run\": {},\n  \"gauges_per_run\": {},\n  \"timed_passes\": {},\n  \"host\": {{ \"nproc\": \
              {host_parallelism}, \"cpu\": \"{}\", \"kernel\": \"{}\", \"sa_lane_kernel\": \"{}\" }},\n  \
              \"results\": [\n{entries}\n  ]\n}}\n",
             args.reads,
             args.gauges,
+            TIMED_PASSES,
             cpu_model(),
             os_release(),
             lane_kernel(),

@@ -40,7 +40,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -233,6 +233,43 @@ impl Default for LoopConfig {
     }
 }
 
+/// A one-way shutdown flag that threads can block on. `POST /shutdown` and
+/// `shutdown()` set it; the event-loop shards read it every iteration
+/// without locking, and `wait()` sleeps on it until it is set.
+#[derive(Debug, Default)]
+pub struct ShutdownLatch {
+    set: AtomicBool,
+    lock: Mutex<()>,
+    changed: Condvar,
+}
+
+impl ShutdownLatch {
+    /// Sets the flag and wakes every thread in [`ShutdownLatch::wait`].
+    pub fn set(&self) {
+        self.set.store(true, Ordering::SeqCst);
+        // Taking the lock orders this store before any waiter's check:
+        // a waiter either sees the flag or is already asleep when notified.
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.changed.notify_all();
+    }
+
+    /// True once the flag is set.
+    pub fn is_set(&self) -> bool {
+        self.set.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the flag is set.
+    pub fn wait(&self) {
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while !self.is_set() {
+            guard = self
+                .changed
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A running event-loop front-end: one thread per accept shard.
 #[derive(Debug)]
 pub struct EventLoop {
@@ -242,14 +279,14 @@ pub struct EventLoop {
 
 impl EventLoop {
     /// Spawns `SHARDS` event-loop threads over clones of `listener`.
-    /// The shards watch `shutdown`; flip it and [`EventLoop::wake`] to start
+    /// The shards watch `shutdown`; set it and [`EventLoop::wake`] to start
     /// a graceful drain.
     pub fn spawn(
         listener: TcpListener,
         config: LoopConfig,
         handler: Arc<dyn Handler>,
         metrics: Arc<Metrics>,
-        shutdown: Arc<AtomicBool>,
+        shutdown: Arc<ShutdownLatch>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
         let mut wakers = Vec::with_capacity(SHARDS);
@@ -292,7 +329,7 @@ impl EventLoop {
         Ok(EventLoop { wakers, handles })
     }
 
-    /// Wakes every shard's `poll` (call after flipping the shutdown flag).
+    /// Wakes every shard's `poll` (call after setting the shutdown latch).
     pub fn wake(&self) {
         for waker in &self.wakers {
             waker.wake();
@@ -385,7 +422,7 @@ struct Shard {
     waker: Waker,
     handler: Arc<dyn Handler>,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownLatch>,
     config: LoopConfig,
     /// Per-connection input-buffer cap: a full head plus a full body.
     read_cap: usize,
@@ -400,7 +437,7 @@ struct Shard {
 impl Shard {
     fn run(&mut self) {
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.is_set() {
                 self.begin_drain();
             }
             if self.draining && self.conns.is_empty() {
@@ -440,7 +477,7 @@ impl Shard {
             // Catch a /shutdown dispatched this iteration before flushing,
             // so its acknowledgement and every in-flight response goes out
             // with the drain's `connection: close` semantics.
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.is_set() {
                 self.begin_drain();
             }
             self.enforce_deadlines();
@@ -952,7 +989,7 @@ mod tests {
         EventLoop,
         std::net::SocketAddr,
         Arc<Metrics>,
-        Arc<AtomicBool>,
+        Arc<ShutdownLatch>,
     ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -963,7 +1000,7 @@ mod tests {
         };
         config_mut(&mut config);
         let metrics = Arc::new(Metrics::default());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(ShutdownLatch::default());
         let event_loop = EventLoop::spawn(
             listener,
             config,
@@ -975,8 +1012,8 @@ mod tests {
         (event_loop, addr, metrics, shutdown)
     }
 
-    fn stop(event_loop: EventLoop, shutdown: &AtomicBool) {
-        shutdown.store(true, Ordering::SeqCst);
+    fn stop(event_loop: EventLoop, shutdown: &ShutdownLatch) {
+        shutdown.set();
         event_loop.wake();
         event_loop.join();
     }
@@ -1061,10 +1098,10 @@ mod tests {
             ))
             .unwrap();
         std::thread::sleep(Duration::from_millis(2));
-        shutdown.store(true, Ordering::SeqCst);
+        shutdown.set();
         event_loop.wake();
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 200);
         assert!(
             parts.close,
@@ -1083,7 +1120,7 @@ mod tests {
             stream.write_all(&[*byte]).unwrap();
         }
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 200);
         drop(reader);
         drop(stream);
@@ -1091,7 +1128,7 @@ mod tests {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(b"GET /stall HT").unwrap();
         let mut reader = std::io::BufReader::new(&stream);
-        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 408);
         assert_eq!(metrics.snapshot().rejected_request_timeout, 1);
         drop(reader);
@@ -1131,9 +1168,9 @@ mod tests {
         wire.extend_from_slice(b"GET /bad HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
         stream.write_all(&wire).unwrap();
         let mut reader = std::io::BufReader::new(&stream);
-        let first = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let first = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(first.status, 200, "valid leading request still answers");
-        let second = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let second = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(second.status, 400, "malformed follow-up answers typed 400");
         assert!(second.close, "malformed request closes the connection");
         stop(event_loop, &shutdown);
@@ -1167,8 +1204,7 @@ mod tests {
             let mut stream = TcpStream::connect(addr).unwrap();
             stream.write_all(wire.as_bytes()).unwrap();
             let mut reader = std::io::BufReader::new(&stream);
-            let parts =
-                crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+            let parts = crate::http::read_response(&mut reader).unwrap();
             assert_eq!(parts.status, status, "{wire:?}");
             let v: serde_json::Value = serde_json::from_slice(&parts.body).unwrap();
             assert_eq!(v["reason"], reason);
@@ -1194,7 +1230,7 @@ mod tests {
         }
         let shed = TcpStream::connect(addr).unwrap();
         let mut reader = std::io::BufReader::new(&shed);
-        let parts = crate::http::read_response(&mut reader, crate::http::MAX_ANSWER_BODY).unwrap();
+        let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 503);
         assert_eq!(metrics.snapshot().connections_shed, 1);
         drop(reader);

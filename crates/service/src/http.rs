@@ -399,10 +399,10 @@ pub struct ResponseParts {
 /// The peer is untrusted: anything may listen at a cell address. The
 /// status line and header lines and the header count are held to the
 /// request caps of [`HttpLimits::default`], and the declared body to
-/// `max_body`, checked before anything is allocated. A tripped cap or
-/// broken framing is `InvalidData`, which callers handle like any
+/// [`MAX_ANSWER_BODY`], checked before anything is allocated. A tripped
+/// cap or broken framing is `InvalidData`, which callers handle like any
 /// transport failure.
-pub fn read_response<R: BufRead>(reader: &mut R, max_body: usize) -> io::Result<ResponseParts> {
+pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<ResponseParts> {
     let limits = HttpLimits::default();
     let next_line = |reader: &mut R| {
         read_capped_line(reader, limits.max_line_bytes).map_err(|e| match e {
@@ -441,7 +441,7 @@ pub fn read_response<R: BufRead>(reader: &mut R, max_body: usize) -> io::Result<
                     .trim()
                     .parse()
                     .ok()
-                    .filter(|&n| n <= max_body)
+                    .filter(|&n| n <= MAX_ANSWER_BODY)
                     .ok_or_else(|| {
                         invalid_response("content-length unparseable or over the cap")
                     })?;
@@ -539,7 +539,7 @@ impl KeepAliveClient {
         reader
             .get_mut()
             .write_all(&render_request(method, path, &self.host, body, false))?;
-        let parts = read_response(reader, MAX_ANSWER_BODY)?;
+        let parts = read_response(reader)?;
         if parts.close {
             self.stream = None;
         }

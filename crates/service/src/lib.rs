@@ -67,7 +67,7 @@ pub use api::{Backend, Reject, SolveRequest, SolveResponse};
 pub use breaker::{BreakerConfig, BreakerSnapshot, BreakerState, CircuitBreaker};
 pub use cache::{CacheKey, CacheStats, EmbeddingCache};
 pub use engine::{EngineConfig, FaultSeam, NoFaults, SolveEngine};
-pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
+pub use event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response, ShutdownLatch};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use queue::{QueueConfig, SolveQueue};
 pub use router::{route, RouteDecision, RouterConfig};

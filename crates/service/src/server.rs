@@ -25,15 +25,15 @@
 
 use crate::api::{Reject, SolveRequest};
 use crate::engine::{EngineConfig, FaultSeam, NoFaults, SolveEngine};
-use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
+use crate::event_loop::{
+    Action, Completer, EventLoop, Handler, LoopConfig, Response, ShutdownLatch,
+};
 use crate::http::Request;
 use crate::metrics::{lock_recover, Metrics};
 use crate::queue::{QueueConfig, Responder, SolveQueue};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Full server configuration.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ pub struct Server {
     queue: Arc<SolveQueue>,
     engine: Arc<SolveEngine>,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownLatch>,
     event_loop: Mutex<Option<EventLoop>>,
 }
 
@@ -99,7 +99,7 @@ impl Server {
             faults,
         ));
         let queue = SolveQueue::start(Arc::clone(&engine), config.queue);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(ShutdownLatch::default());
 
         let handler = Arc::new(SolveHandler {
             queue: Arc::clone(&queue),
@@ -143,7 +143,7 @@ impl Server {
     /// True once a shutdown has been requested (via [`Server::shutdown`] or
     /// `POST /shutdown`).
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.is_set()
     }
 
     /// Blocks until shutdown is requested, then drains and joins
@@ -151,9 +151,7 @@ impl Server {
     /// request already in flight (final responses carry
     /// `connection: close`), then the worker pool drains and joins.
     pub fn wait(&self) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.shutdown.wait();
         if let Some(event_loop) =
             lock_recover(&self.event_loop, &self.metrics.lock_poison_recoveries).take()
         {
@@ -168,7 +166,7 @@ impl Server {
 
     /// Requests a graceful shutdown and waits for the drain to finish.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.set();
         self.wait();
     }
 }
@@ -180,7 +178,7 @@ struct SolveHandler {
     queue: Arc<SolveQueue>,
     engine: Arc<SolveEngine>,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownLatch>,
 }
 
 impl Handler for SolveHandler {
@@ -199,7 +197,7 @@ impl Handler for SolveHandler {
                 // The drain pass the shard runs after this dispatch flushes
                 // the acknowledgement with `connection: close`; wait() wakes
                 // the remaining shards.
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.shutdown.set();
                 Action::Respond(Response::json(200, r#"{"status":"draining"}"#).closing())
             }
             ("GET", "/solve") | ("POST", "/healthz") | ("POST", "/metrics") => {
@@ -267,6 +265,7 @@ mod tests {
     use crate::http::KeepAliveClient;
     use crate::testkit::{pipeline, roundtrip};
     use mqo_chimera::graph::ChimeraGraph;
+    use std::time::{Duration, Instant};
 
     fn small_server() -> Server {
         let mut engine = EngineConfig::new(ChimeraGraph::new(2, 2));
@@ -394,6 +393,25 @@ mod tests {
         assert_eq!(body, br#"{"status":"draining"}"#);
         server.wait();
         assert!(server.shutdown_requested());
+    }
+
+    #[test]
+    fn wait_returns_within_a_second_of_post_shutdown() {
+        let server = Arc::new(small_server());
+        let (returned_tx, returned) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&server);
+        std::thread::spawn(move || {
+            waiter.wait();
+            let _ = returned_tx.send(Instant::now());
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let sent = Instant::now();
+        let (status, _) = roundtrip(server.local_addr(), "POST", "/shutdown", b"").unwrap();
+        assert_eq!(status, 200);
+        let returned = returned
+            .recv_timeout(Duration::from_secs(1))
+            .expect("wait() still blocked 1 s after POST /shutdown");
+        assert!(returned - sent < Duration::from_secs(1));
     }
 
     #[test]

@@ -45,7 +45,9 @@
 
 use crate::api::{Reject, SolveRequest};
 use crate::breaker::{BreakerConfig, BreakerSnapshot, CircuitBreaker};
-use crate::event_loop::{Action, Completer, EventLoop, Handler, LoopConfig, Response};
+use crate::event_loop::{
+    Action, Completer, EventLoop, Handler, LoopConfig, Response, ShutdownLatch,
+};
 use crate::http::{HttpError, HttpLimits, KeepAliveClient, Request, ResponseParts};
 use crate::metrics::{lock_recover, Metrics};
 use mqo_core::logical::DEFAULT_EPSILON;
@@ -54,7 +56,7 @@ use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -473,7 +475,7 @@ struct RouterHandler {
     fleet: Arc<Fleet>,
     forward_tx: mpsc::Sender<ForwardJob>,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownLatch>,
 }
 
 impl Handler for RouterHandler {
@@ -533,7 +535,7 @@ impl Handler for RouterHandler {
                 }
             }
             ("POST", "/shutdown") => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.shutdown.set();
                 Action::Respond(Response::json(200, r#"{"status":"draining"}"#).closing())
             }
             ("GET", "/solve") | ("POST", "/healthz") | ("POST", "/metrics") => {
@@ -549,7 +551,7 @@ pub struct MqoRouter {
     addr: SocketAddr,
     fleet: Arc<Fleet>,
     metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<ShutdownLatch>,
     event_loop: Mutex<Option<EventLoop>>,
     forwarders: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -605,7 +607,7 @@ impl MqoRouter {
             metrics: Arc::clone(&metrics),
             lock_recoveries: AtomicU64::new(0),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(ShutdownLatch::default());
 
         let (forward_tx, forward_rx) = mpsc::channel::<ForwardJob>();
         let forward_rx = Arc::new(Mutex::new(forward_rx));
@@ -685,16 +687,14 @@ impl MqoRouter {
     /// True once a shutdown has been requested.
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.is_set()
     }
 
     /// Blocks until shutdown is requested, drains the event loop (every
     /// in-flight forward is answered), then joins the forwarder pool. The
     /// cells keep running: they belong to whoever started them.
     pub fn wait(&self) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        self.shutdown.wait();
         if let Some(event_loop) = lock_recover(&self.event_loop, &self.fleet.lock_recoveries).take()
         {
             event_loop.wake();
@@ -713,7 +713,7 @@ impl MqoRouter {
 
     /// Requests a graceful shutdown and waits for the drain.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.set();
         self.wait();
     }
 }
@@ -964,7 +964,7 @@ mod tests {
             ))
             .unwrap();
         let mut reader = std::io::BufReader::new(stream);
-        let parts = read_response(&mut reader, HttpLimits::default().max_body).unwrap();
+        let parts = read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 503);
         let retry_after = parts.retry_after.expect("503 carries Retry-After");
         assert!(
@@ -972,6 +972,27 @@ mod tests {
             "Retry-After tracks the ~30 s breaker interval, got {retry_after}"
         );
         router.shutdown();
+    }
+
+    #[test]
+    fn wait_returns_within_a_second_of_post_shutdown() {
+        let cell = cell_server();
+        let router = Arc::new(router_over(&[&cell]));
+        let (returned_tx, returned) = mpsc::channel();
+        let waiter = Arc::clone(&router);
+        std::thread::spawn(move || {
+            waiter.wait();
+            let _ = returned_tx.send(Instant::now());
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let sent = Instant::now();
+        let (status, _) = roundtrip(router.local_addr(), "POST", "/shutdown", b"").unwrap();
+        assert_eq!(status, 200);
+        let returned = returned
+            .recv_timeout(Duration::from_secs(1))
+            .expect("wait() still blocked 1 s after POST /shutdown");
+        assert!(returned - sent < Duration::from_secs(1));
+        cell.shutdown();
     }
 
     #[test]
@@ -995,7 +1016,7 @@ mod tests {
             ))
             .unwrap();
         let mut reader = std::io::BufReader::new(stream);
-        let parts = read_response(&mut reader, HttpLimits::default().max_body).unwrap();
+        let parts = read_response(&mut reader).unwrap();
         assert_eq!(
             parts.status,
             429,

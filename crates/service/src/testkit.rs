@@ -25,7 +25,6 @@ use crate::api::{Backend, SolveRequest, SolveResponse};
 use crate::engine::FaultSeam;
 use crate::http::{
     read_capped_line, read_response, render_request, HttpError, HttpLimits, Request, ResponseParts,
-    MAX_ANSWER_BODY,
 };
 use crate::queue::panic_message;
 use mqo_annealer::parallel::{derive_seed, splitmix64};
@@ -157,7 +156,7 @@ pub fn read_request<S: RequestSource>(
 }
 
 /// One round trip on a fresh connection (`Connection: close`), returning
-/// `(status, body)`. Answers are capped at [`MAX_ANSWER_BODY`].
+/// `(status, body)`. Answers are capped at [`MAX_ANSWER_BODY`](crate::http::MAX_ANSWER_BODY).
 pub fn roundtrip(
     addr: SocketAddr,
     method: &str,
@@ -168,7 +167,7 @@ pub fn roundtrip(
     stream.write_all(&render_request(method, path, &addr.to_string(), body, true))?;
     stream.flush()?;
     let mut reader = BufReader::new(stream);
-    let parts = read_response(&mut reader, MAX_ANSWER_BODY)?;
+    let parts = read_response(&mut reader)?;
     Ok((parts.status, parts.body))
 }
 
@@ -195,7 +194,7 @@ pub fn pipeline(
                 "server closed the connection mid-pipeline",
             ));
         }
-        answers.push(read_response(&mut reader, MAX_ANSWER_BODY)?);
+        answers.push(read_response(&mut reader)?);
     }
     Ok(answers)
 }

@@ -162,6 +162,42 @@ impl<const DOUBLE_ROUNDS: usize> ChaChaAny<DOUBLE_ROUNDS> {
         self.counter = self.counter.wrapping_add(4);
     }
 
+    /// The 32-byte seed (the key), as `rand_chacha`'s `get_seed`.
+    pub fn get_seed(&self) -> [u8; 32] {
+        let mut seed = [0u8; 32];
+        for (chunk, k) in seed.chunks_exact_mut(4).zip(&self.key) {
+            chunk.copy_from_slice(&k.to_le_bytes());
+        }
+        seed
+    }
+
+    /// The stream id (state words 14–15), as `rand_chacha`'s `get_stream`.
+    pub fn get_stream(&self) -> u64 {
+        self.stream
+    }
+
+    /// The keystream position of the next `u32` drawn, in 32-bit words:
+    /// block `counter` starts at word `16 · counter`. The block counter is
+    /// 64 bits wide, so positions wrap at `2⁶⁸`, as `rand_chacha`'s
+    /// `get_word_pos`.
+    pub fn get_word_pos(&self) -> u128 {
+        // The buffer holds the four blocks before `counter`.
+        let block = self
+            .counter
+            .wrapping_sub(4)
+            .wrapping_add((self.index / 16) as u64);
+        u128::from(block) * 16 + (self.index % 16) as u128
+    }
+
+    /// Moves to keystream word `word_offset` (taken modulo `2⁶⁸`), as
+    /// `rand_chacha`'s `set_word_pos`: the buffer is refilled from that
+    /// word's block.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        self.counter = (word_offset / 16) as u64;
+        self.refill();
+        self.index = (word_offset % 16) as usize;
+    }
+
     #[inline]
     pub fn next_u32(&mut self) -> u32 {
         if self.index >= 64 {
@@ -255,6 +291,45 @@ mod tests {
                 0x83, 0xd5
             ]
         );
+    }
+
+    #[test]
+    fn word_pos_counts_draws_and_round_trips() {
+        let mut rng = ChaChaAny::<4>::from_seed_bytes([3u8; 32]);
+        let words: Vec<u32> = (0..200).map(|_| rng.next_u32()).collect();
+        let mut fresh = ChaChaAny::<4>::from_seed_bytes([3u8; 32]);
+        for k in 0..200 {
+            assert_eq!(fresh.get_word_pos(), k as u128);
+            fresh.next_u32();
+        }
+        fresh.next_u64();
+        assert_eq!(fresh.get_word_pos(), 202);
+        for pos in [0u128, 1, 15, 16, 17, 63, 64, 65, 130] {
+            let mut moved = ChaChaAny::<4>::from_seed_bytes([3u8; 32]);
+            moved.set_word_pos(pos);
+            assert_eq!(moved.get_word_pos(), pos);
+            assert_eq!(moved.next_u32(), words[pos as usize], "word {pos}");
+            assert_eq!(moved.get_word_pos(), pos + 1);
+        }
+        // Past a carry of the block counter's low word, and at the wrap.
+        for pos in [(1u128 << 36) - 5, (1 << 68) - 1] {
+            let mut moved = ChaChaAny::<4>::from_seed_bytes([3u8; 32]);
+            moved.set_word_pos(pos);
+            assert_eq!(moved.get_word_pos(), pos);
+            for _ in 0..70 {
+                moved.next_u32();
+            }
+            assert_eq!(moved.get_word_pos(), (pos + 70) % (1 << 68));
+        }
+    }
+
+    #[test]
+    fn seed_and_stream_read_back() {
+        let seed: [u8; 32] = std::array::from_fn(|i| (i * 7 + 1) as u8);
+        let mut rng = ChaChaAny::<4>::from_seed_bytes(seed);
+        rng.next_u32();
+        assert_eq!(rng.get_seed(), seed);
+        assert_eq!(rng.get_stream(), 0);
     }
 
     #[test]
