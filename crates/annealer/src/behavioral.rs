@@ -214,16 +214,22 @@ impl ProgrammedBehavioral {
     pub fn oracle(&self) -> &[i8] {
         &self.oracle
     }
+}
 
-    /// The read-phase equilibration kernel, generic over the RNG
-    /// (monomorphized over [`ChaCha8Rng`] on the device hot path).
+impl ProgrammedSampler for ProgrammedBehavioral {
+    fn num_spins(&self) -> usize {
+        self.ising.num_spins()
+    }
+
+    /// The read-phase equilibration kernel.
     ///
     /// Per-spin local fields are maintained incrementally: single-spin
     /// proposals read the cached field, and accepted flips — single-spin
     /// or whole-unit — patch the affected neighbourhoods in `O(deg)`.
     /// Unit-flip deltas are still evaluated by [`Units::flip_delta`] so
     /// the arithmetic matches the reference kernel exactly.
-    fn equilibrate<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [i8], fields: &mut Vec<f64>) {
+    fn sample_into(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
+        let fields = &mut scratch.fields;
         let ising = &self.ising;
         let units = &self.units;
         let n = ising.num_spins();
@@ -267,20 +273,6 @@ impl ProgrammedBehavioral {
                 }
             }
         }
-    }
-}
-
-impl ProgrammedSampler for ProgrammedBehavioral {
-    fn num_spins(&self) -> usize {
-        self.ising.num_spins()
-    }
-
-    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]) {
-        self.equilibrate(rng, out, &mut Vec::new());
-    }
-
-    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
-        self.equilibrate(rng, out, &mut scratch.fields);
     }
 }
 
@@ -351,8 +343,9 @@ mod tests {
         let programmed = sampler.program(ising.clone(), &SamplerHints::default(), &mut rng);
         let mut a = vec![0i8; ising.num_spins()];
         let mut b = vec![0i8; ising.num_spins()];
-        programmed.sample_into(&mut ChaCha8Rng::seed_from_u64(1), &mut a);
-        programmed.sample_into(&mut ChaCha8Rng::seed_from_u64(2), &mut b);
+        let mut scratch = ReadScratch::default();
+        programmed.sample_into(&mut ChaCha8Rng::seed_from_u64(1), &mut a, &mut scratch);
+        programmed.sample_into(&mut ChaCha8Rng::seed_from_u64(2), &mut b, &mut scratch);
         assert_eq!(a, b, "reads with no sweeps must replay the oracle state");
 
         // A fresh programming of a different problem yields its own oracle.
@@ -360,7 +353,7 @@ mod tests {
         let p2 = sampler.program(other, &SamplerHints::default(), &mut rng);
         assert_eq!(p2.num_spins(), 2);
         let mut c = vec![0i8; 2];
-        p2.sample_into(&mut ChaCha8Rng::seed_from_u64(3), &mut c);
+        p2.sample_into(&mut ChaCha8Rng::seed_from_u64(3), &mut c, &mut scratch);
         assert_eq!(c, vec![-1, 1], "descent solves the trivial field problem");
     }
 

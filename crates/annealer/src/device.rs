@@ -27,11 +27,11 @@
 //! pool ([`DeviceConfig::threads`]) while reassembling results in
 //! chronological order — a run is bit-identical at any thread count.
 //! Reads go to the sampler in fixed blocks of [`LANES`] (8) consecutive
-//! reads ([`ProgrammedSampler::sample_block_fast`]), which may span gauge
-//! batches. SA anneals a block in lock-step lanes, as one 8-lane walk for
-//! seven or eight reads, else as 4- and 2-lane walks with a lone read
-//! left to the one-read kernel; every other back-end runs one read at a
-//! time, and each read is the same either way.
+//! reads ([`ProgrammedSampler::sample_block`]), which may span gauge
+//! batches. SA anneals every read in a lane walk: a block as one 8-lane
+//! walk for seven or eight reads, else as 4- and 2-lane walks, with a lone
+//! read in a 2-lane walk whose spare lane mirrors it; every other back-end
+//! runs one read at a time, and each read is the same either way.
 //!
 //! **Defects.** The paper's machine has 55 permanently broken qubits; the
 //! graph carries them ([`ChimeraGraph::with_broken`]) and the embedders
@@ -276,7 +276,7 @@ impl<S: Sampler> QuantumAnnealer<S> {
         let time_per_read = self.config.time_per_read_us();
         let num_reads = self.config.num_reads;
         // Reads run in blocks of `LANES` consecutive reads, which the
-        // sampler may anneal together (`sample_block_fast`). Blocks are
+        // sampler may anneal together (`sample_block`). Blocks are
         // fixed by read index, so a run is the same at any thread count.
         let executed = parallel_map_with(
             num_reads.div_ceil(LANES),
@@ -303,7 +303,7 @@ impl<S: Sampler> QuantumAnnealer<S> {
                         read_in_gauge as u64,
                     )));
                 }
-                S::Programmed::sample_block_fast(
+                S::Programmed::sample_block(
                     programs,
                     rngs,
                     &mut spins[..block_reads.len() * n],
@@ -440,7 +440,7 @@ mod tests {
             .unwrap()
         };
         // Every split of a block into lane walks, a block and a tail, two
-        // blocks and a one-read tail, and more blocks than workers.
+        // blocks and a lone-read tail, and more blocks than workers.
         for num_reads in [1, 2, 3, 5, 6, 7, 8, 10, 17, 25] {
             let serial = run_with(num_reads, 1);
             assert_eq!(serial.len(), num_reads);

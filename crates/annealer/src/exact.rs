@@ -1,8 +1,9 @@
 //! Exhaustive "sampler" for tests: always returns a true ground state.
 
-use crate::sampler::{ProgrammedSampler, Sampler, SamplerHints};
+use crate::sampler::{ProgrammedSampler, ReadScratch, Sampler, SamplerHints};
 use mqo_core::ising::Ising;
 use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 /// Brute-force ground-state finder (`n ≤ 24`), used as an oracle in tests
 /// and to measure how close stochastic samplers get.
@@ -54,7 +55,7 @@ impl ProgrammedSampler for ProgrammedExact {
         self.ground.len()
     }
 
-    fn sample_into(&self, _rng: &mut dyn RngCore, out: &mut [i8]) {
+    fn sample_into(&self, _rng: &mut ChaCha8Rng, out: &mut [i8], _scratch: &mut ReadScratch) {
         out.copy_from_slice(&self.ground);
     }
 }

@@ -1,24 +1,27 @@
 //! Naive reference implementations of the annealing kernels.
 //!
-//! The hot kernels in [`crate::sa`], [`crate::sqa`], and
-//! [`crate::behavioral`] are written for throughput: monomorphized RNGs,
-//! flat SoA adjacency slices, reusable scratch buffers, and (for SA) an
-//! early exit once the system freezes. The implementations here are the
-//! *straight-line transcription* of the same algorithms — trait-object RNG,
-//! the [`mqo_core::ising::Ising::neighbours`] iterator, fresh allocations
-//! per call, no early exit — kept as executable documentation and as
-//! oracles: the proptest suite (`tests/proptest_kernels.rs`) asserts that
-//! fast and reference kernels produce **bit-identical** sample streams from
-//! the same RNG state.
+//! The kernels in [`crate::sa`], [`crate::sqa`], and [`crate::behavioral`]
+//! are written for throughput: the concrete `ChaCha8Rng`, flat SoA
+//! adjacency slices, reusable scratch buffers, and for SA a lane walk that
+//! anneals up to eight reads in lock-step, generates each lane's keystream
+//! itself, and ends once every lane is frozen. The implementations here
+//! are the *straight-line transcription* of the same algorithms — one read
+//! at a time, trait-object RNG, the
+//! [`mqo_core::ising::Ising::neighbours`] iterator, fresh allocations per
+//! call, no early exit — kept as executable documentation and as oracles:
+//! the proptest suite (`tests/proptest_kernels.rs`) asserts that kernel
+//! and reference produce **bit-identical** reads from the same RNG state
+//! and leave the stream at the same word.
 //!
 //! Both sides share the delta expressions and the field-update
 //! expressions applied in the same CSR neighbour order. They do not share
-//! the acceptance code: the hot kernels decide through
-//! [`crate::sampler::metropolis_accept`], whose table pre-test settles most
-//! draws without `exp`, while [`accept_exact`] here is the plain exact rule with
-//! the same draw-skipping cutoffs. Bit-identity therefore also checks the
-//! pre-test. SA's early-freeze exit needs no mirror here — a frozen sweep
-//! consumes no randomness and flips nothing, so the reference's remaining
+//! the acceptance code: the kernels decide through a table pre-test that
+//! settles most draws without `exp`
+//! ([`crate::sampler::metropolis_accept`], and its branch-free form in the
+//! lane walk), while [`accept_exact`] here is the plain exact rule with the
+//! same draw-skipping cutoffs. Bit-identity therefore also checks the
+//! pre-test. The lane walk's early exit needs no mirror here — a lane that
+//! sweeps without a draw or a flip is frozen, so the reference's remaining
 //! sweeps are exact no-ops.
 
 use crate::behavioral::ProgrammedBehavioral;

@@ -10,8 +10,8 @@
 //! small spread across reads.
 
 use crate::sampler::{
-    metropolis_accept, metropolis_threshold, MetropolisBuckets, ProgrammedSampler, ReadScratch,
-    Sampler, SamplerHints, METROPOLIS_EXP_CUTOFF,
+    metropolis_threshold, MetropolisBuckets, ProgrammedSampler, ReadScratch, Sampler, SamplerHints,
+    METROPOLIS_EXP_CUTOFF,
 };
 use mqo_core::ising::Ising;
 use rand::{Rng, RngCore};
@@ -130,185 +130,6 @@ fn schedule_powers(ratio: f64, sweeps: usize) -> Arc<[f64]> {
 pub struct ProgrammedSa {
     pub(crate) betas: Vec<f64>,
     pub(crate) ising: Ising,
-}
-
-impl ProgrammedSa {
-    /// The annealing kernel, generic over the RNG so the device's hot path
-    /// monomorphizes over [`ChaCha8Rng`] while the trait-object path reuses
-    /// the same code through `dyn RngCore` — identical draws either way.
-    ///
-    /// Each spin's local field is maintained incrementally: a proposal
-    /// costs `O(1)` (one load of the cached field) and only an *accepted*
-    /// flip pays `O(deg)` to update the neighbours' fields.
-    ///
-    /// Sweeps run in two regimes. While no spin is frozen (the hot phase —
-    /// typically the first half of the schedule) a sweep is a plain linear
-    /// scan over `0..n`: no bitmask reads, no bit-scanning chain, perfectly
-    /// predicted loop control. Once freezing begins, sweeps iterate the
-    /// *active-spin bitmask* instead. A spin whose proposal hits the
-    /// [`metropolis_accept`] cutoff (`−β·delta` below the point where the
-    /// 32-bit draw can no longer accept) is frozen: its field is unchanged
-    /// until a neighbour flips, and betas are non-decreasing, so every
-    /// later sweep would reject it deterministically without consuming
-    /// randomness — dropping it from the scan is a pure time saving with
-    /// bit-identical output. Accepted flips reactivate their neighbours.
-    /// Once the mask drains empty the kernel exits: all remaining sweeps
-    /// are draw-free no-ops.
-    ///
-    /// The regime split is stream-exact: freezes only ever happen at the
-    /// scan position, so during a sweep that *starts* with nothing frozen,
-    /// every not-yet-visited spin is still active and the linear scan
-    /// visits exactly the spins a full-mask scan would.
-    ///
-    /// Spins are kept as `±1.0` doubles (`sf`) for the duration of the
-    /// anneal so the proposal's critical path — load spin, load field,
-    /// two multiplies, compare — contains no `i8 → f64` conversion; `out`
-    /// is materialized once at the end. `sf[i]` always equals
-    /// `f64::from(out[i])` of the i8 formulation exactly, so every product
-    /// matches the reference kernel bit for bit.
-    ///
-    /// The hot loop uses unchecked indexing. Safety rests on invariants
-    /// [`Ising`] asserts at construction: every CSR neighbour index is
-    /// `< n`, `offsets` is monotone with `offsets[n] == idx.len() ==
-    /// w.len()`, and `out`/`fields`/`mask` are sized to `n` spins (and
-    /// `n.div_ceil(64)` words) right here.
-    fn anneal<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        out: &mut [i8],
-        fields: &mut Vec<f64>,
-        mask: &mut Vec<u64>,
-        sf: &mut Vec<f64>,
-    ) {
-        let n = self.ising.num_spins();
-        assert_eq!(out.len(), n);
-        sf.clear();
-        sf.extend((0..n).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }));
-        if n == 0 {
-            return;
-        }
-        let (offsets, idx, w) = self.ising.adjacency();
-        let h = self.ising.fields();
-        // Same expression and accumulation order as `Ising::local_field`,
-        // with `sf[j]` standing in for `f64::from(s[j])`.
-        fields.clear();
-        fields.extend((0..n).map(|i| {
-            let mut f = h[i];
-            for k in offsets[i] as usize..offsets[i + 1] as usize {
-                f += w[k] * sf[idx[k] as usize];
-            }
-            f
-        }));
-        let words = n.div_ceil(64);
-        mask.clear();
-        mask.resize(words, !0u64);
-        if !n.is_multiple_of(64) {
-            mask[words - 1] = !0u64 >> (64 - n % 64);
-        }
-        let mut frozen = 0usize;
-        'schedule: for &beta in &self.betas {
-            if frozen == 0 {
-                // Hot regime: linear sweep. Freezes that happen mid-sweep
-                // are always behind the scan position, so no skipping logic
-                // is needed within the sweep itself.
-                for i in 0..n {
-                    // SAFETY: `i < n` and all buffers hold `n` elements.
-                    let delta = unsafe { -2.0 * *sf.get_unchecked(i) * fields.get_unchecked(i) };
-                    if delta > 0.0 && -beta * delta < METROPOLIS_EXP_CUTOFF {
-                        mask[i / 64] &= !(1u64 << (i % 64)); // frozen without a draw
-                        frozen += 1;
-                        continue;
-                    }
-                    if metropolis_accept(rng, beta, delta) {
-                        // SAFETY: `i < n`; `offsets[i] <= offsets[i + 1] <=
-                        // idx.len() == w.len()`; every `idx[k] < n`.
-                        unsafe {
-                            let step = -*sf.get_unchecked(i);
-                            *sf.get_unchecked_mut(i) = step;
-                            let lo = *offsets.get_unchecked(i) as usize;
-                            let hi = *offsets.get_unchecked(i + 1) as usize;
-                            if frozen == 0 {
-                                for k in lo..hi {
-                                    let j = *idx.get_unchecked(k) as usize;
-                                    *fields.get_unchecked_mut(j) += 2.0 * w.get_unchecked(k) * step;
-                                }
-                            } else {
-                                // A spin froze earlier in this same sweep;
-                                // flips from here on must reactivate.
-                                for k in lo..hi {
-                                    let j = *idx.get_unchecked(k) as usize;
-                                    *fields.get_unchecked_mut(j) += 2.0 * w.get_unchecked(k) * step;
-                                    let (wj, bj) = (j / 64, (j % 64) as u32);
-                                    let word = *mask.get_unchecked(wj);
-                                    let set = word | 1u64 << bj;
-                                    frozen -= usize::from(word != set);
-                                    *mask.get_unchecked_mut(wj) = set;
-                                }
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            // Cold regime: bitmask sweep over the remaining active spins.
-            let mut active = false;
-            for wi in 0..words {
-                // Snapshot the word's bits: freezes only clear the bit
-                // being visited, so the snapshot stays valid until an
-                // accepted flip reactivates a not-yet-visited neighbour in
-                // this same word — only then is it re-synced from `mask`.
-                let mut pending = mask[wi];
-                while pending != 0 {
-                    let bit = pending.trailing_zeros();
-                    pending &= pending - 1;
-                    let i = wi * 64 + bit as usize;
-                    // SAFETY: `i < n` because the tail word's bits beyond
-                    // `n` were cleared at mask init and are never set
-                    // (reactivation only sets bits of real neighbours).
-                    let delta = unsafe { -2.0 * *sf.get_unchecked(i) * fields.get_unchecked(i) };
-                    if delta > 0.0 && -beta * delta < METROPOLIS_EXP_CUTOFF {
-                        mask[wi] &= !(1u64 << bit); // frozen without a draw
-                        frozen += 1;
-                        continue;
-                    }
-                    active = true;
-                    if metropolis_accept(rng, beta, delta) {
-                        // SAFETY: as in the hot regime.
-                        let mut resync = false;
-                        unsafe {
-                            let step = -*sf.get_unchecked(i);
-                            *sf.get_unchecked_mut(i) = step;
-                            let lo = *offsets.get_unchecked(i) as usize;
-                            let hi = *offsets.get_unchecked(i + 1) as usize;
-                            for k in lo..hi {
-                                let j = *idx.get_unchecked(k) as usize;
-                                *fields.get_unchecked_mut(j) += 2.0 * w.get_unchecked(k) * step;
-                                let (wj, bj) = (j / 64, (j % 64) as u32);
-                                let word = *mask.get_unchecked(wj);
-                                let set = word | 1u64 << bj;
-                                frozen -= usize::from(word != set);
-                                *mask.get_unchecked_mut(wj) = set;
-                                resync |= wj == wi && bj > bit;
-                            }
-                        }
-                        if resync {
-                            // A neighbour ahead of `i` in this word woke
-                            // up; this sweep must still visit it.
-                            pending = mask[wi] & (!0u64 << bit << 1);
-                        }
-                    }
-                }
-            }
-            if !active {
-                // Frozen: no draw was consumed and no spin moved, and betas
-                // are non-decreasing, so all remaining sweeps are no-ops.
-                break 'schedule;
-            }
-        }
-        for (o, &s) in out.iter_mut().zip(sf.iter()) {
-            *o = s as i8;
-        }
-    }
 }
 
 /// The spins walked between two [`LaneStreams::top_up`]s: a proposal
@@ -507,13 +328,18 @@ pub fn lane_kernel() -> &'static str {
 
 /// The width of the walk that takes the next reads of a block with `reads`
 /// left: the widest of 8 and 4 lanes that leaves at most one lane idle,
-/// else a 2-lane walk for two reads and the one-read kernel (width 1) for
-/// one. 10 reads run as 8 + 2, 7 as 8, 6 as 4 + 2, 5 as 4 + 1, 3 as 4.
+/// else 2 lanes, for two reads or one. 10 reads run as 8 + 2, 9 as 8 + 2
+/// (a lone read and its mirror), 7 as 8, 6 as 4 + 2, 5 as 4 + 2, 3 as 4.
+///
+/// A walk's cost grows with its width (120 spins, default schedule: about
+/// 280 µs at 2 lanes, 540 at 4, 770 at 8), so an 8-lane walk for every
+/// block would slow blocks of four reads; and a 1-lane walk was measured
+/// no faster than the 2-lane one (DESIGN.md §10).
 fn walk_width(reads: usize) -> usize {
     match reads {
         7.. => 8,
         3.. => 4,
-        r => r,
+        _ => 2,
     }
 }
 
@@ -529,9 +355,10 @@ impl ProgrammedSa {
         })
     }
 
-    /// The lane kernel: anneals `programs.len()` (1..=`W`) reads in
+    /// The SA read kernel: anneals `programs.len()` (1..=`W`) reads in
     /// lock-step over one CSR walk, one lane per read, each lane
-    /// bit-identical to [`ProgrammedSa::anneal`] on its stream.
+    /// bit-identical to [`ProgrammedSa::sample_into_reference`] on its
+    /// stream, and leaves each stream where the reference leaves it.
     ///
     /// Every lane has its own weights, fields, spins, betas and buffered
     /// ChaCha8 stream. The Metropolis decision is branch-free: each lane
@@ -543,10 +370,10 @@ impl ProgrammedSa {
     /// applied as a select, and the neighbour update adds `2·w·0 = ±0` for
     /// lanes that did not flip, which changes no field value (at most the
     /// sign of a zero field, which the `delta <= 0` test cannot see). A
-    /// lane is done after a sweep with no draw and no flip: as in the
-    /// scalar kernel's early exit, every later sweep is a no-op for it.
-    /// Unused lanes mirror the first read, and the walk ends when every
-    /// lane is done.
+    /// lane is done after a sweep with no draw and no flip: it consumes no
+    /// randomness and accepts nothing, and betas are non-decreasing, so
+    /// every later sweep is a no-op for it. Unused lanes mirror the first
+    /// read, and the walk ends when every lane is done.
     ///
     /// One source, [`ProgrammedSa::lane_walk`], is compiled three times
     /// per width: for the target's baseline (SSE2 on `x86_64`, where a
@@ -559,7 +386,7 @@ impl ProgrammedSa {
     /// an FMA), so every read is bit-identical on every host.
     fn anneal_lanes<const W: usize>(
         programs: &[&ProgrammedSa],
-        rngs: &[ChaCha8Rng],
+        rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
@@ -586,7 +413,7 @@ impl ProgrammedSa {
     #[target_feature(enable = "avx512f,avx512bw,avx512cd,avx512dq,avx512vl")]
     unsafe fn anneal_lanes_avx512<const W: usize>(
         programs: &[&ProgrammedSa],
-        rngs: &[ChaCha8Rng],
+        rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
@@ -602,7 +429,7 @@ impl ProgrammedSa {
     #[target_feature(enable = "avx2")]
     unsafe fn anneal_lanes_avx2<const W: usize>(
         programs: &[&ProgrammedSa],
-        rngs: &[ChaCha8Rng],
+        rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
@@ -615,7 +442,7 @@ impl ProgrammedSa {
     #[inline(always)]
     fn lane_walk<const W: usize>(
         programs: &[&ProgrammedSa],
-        rngs: &[ChaCha8Rng],
+        rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
         scratch: &mut ReadScratch,
     ) {
@@ -642,6 +469,7 @@ impl ProgrammedSa {
         }
         let rings = (&mut scratch.lane_words.as_chunks_mut().0[..W]).try_into();
         let (mut draws, mut cursor) = LaneStreams::<W>::new(&lane_rngs, rings.unwrap());
+        let first = cursor;
         let (offsets, idx, _) = ising.adjacency();
         let weights = lane_rows::<W>(&mut scratch.lane_weights, idx.len());
         let fields = lane_rows::<W>(&mut scratch.lane_fields, n);
@@ -651,7 +479,7 @@ impl ProgrammedSa {
             for (lw, &wk) in weights.iter_mut().zip(w) {
                 lw[l] = wk;
             }
-            // Same expression and accumulation order as `anneal`.
+            // Same expression and accumulation order as `Ising::local_field`.
             for i in 0..n {
                 let mut f = h[i];
                 for k in offsets[i] as usize..offsets[i + 1] as usize {
@@ -719,9 +547,16 @@ impl ProgrammedSa {
                 break;
             }
         }
-        for (r, read) in out.chunks_exact_mut(n).enumerate() {
+        #[cfg(test)]
+        crate::sampler::pretest_stats::note_draws(
+            (0..W).map(|l| (cursor[l] - first[l]) as u64).sum(),
+        );
+        // Each lane consumed one word per draw past where its spins left
+        // its stream.
+        for (l, (rng, read)) in rngs.iter_mut().zip(out.chunks_exact_mut(n)).enumerate() {
+            rng.set_word_pos(lane_rngs[l].get_word_pos() + (cursor[l] - first[l]) as u128);
             for (o, s) in read.iter_mut().zip(spins.iter()) {
-                *o = s[r] as i8;
+                *o = s[l] as i8;
             }
         }
     }
@@ -732,25 +567,15 @@ impl ProgrammedSampler for ProgrammedSa {
         self.ising.num_spins()
     }
 
-    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]) {
-        self.anneal(rng, out, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-    }
-
-    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
-        self.anneal(
-            rng,
-            out,
-            &mut scratch.fields,
-            &mut scratch.mask,
-            &mut scratch.spinf,
-        );
+    /// One read as a 2-lane walk whose spare lane mirrors it.
+    fn sample_into(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
+        Self::anneal_lanes::<2>(&[self], std::slice::from_mut(rng), out, scratch);
     }
 
     /// Splits the block into walks of the widest of 8 and 4 lanes that
-    /// leaves at most one lane idle, else a 2-lane walk for two reads and
-    /// the one-read kernel for one (`walk_width`); programmings that
-    /// cannot share a walk take the one-read kernel.
-    fn sample_block_fast(
+    /// leaves at most one lane idle, else a 2-lane walk (`walk_width`);
+    /// programmings that cannot share a walk run each read as its own walk.
+    fn sample_block(
         programs: &[&Self],
         rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
@@ -764,9 +589,9 @@ impl ProgrammedSampler for ProgrammedSa {
             let (progs, rngs) = (&programs[reads.clone()], &mut rngs[reads.clone()]);
             let out = &mut out[reads.start * n..reads.end * n];
             first = reads.end;
-            if width == 1 || !Self::share_a_walk(progs) {
+            if !Self::share_a_walk(progs) {
                 for (k, (prog, rng)) in progs.iter().zip(rngs.iter_mut()).enumerate() {
-                    prog.sample_into_fast(rng, &mut out[k * n..(k + 1) * n], scratch);
+                    prog.sample_into(rng, &mut out[k * n..(k + 1) * n], scratch);
                 }
                 continue;
             }
@@ -878,9 +703,10 @@ mod tests {
         }
 
         /// Every build of the `W`-lane walk, called directly: the portable
-        /// one against per-read `sample_into_fast`, and the AVX2 and AVX-512
-        /// ones each against the portable one. A build this CPU cannot run
-        /// is skipped, with a message the first time.
+        /// one against per-read `sample_into_reference`, reads and stream
+        /// positions, and the AVX2 and AVX-512 ones each against the
+        /// portable one. A build this CPU cannot run is skipped, with a
+        /// message the first time.
         fn every_build_agrees<const W: usize>(
             programs: &[&ProgrammedSa],
             streams: &[ChaCha8Rng],
@@ -889,10 +715,12 @@ mod tests {
             let reads = programs.len();
             let mut scratch = ReadScratch::default();
             let mut portable = vec![0i8; reads * n];
-            ProgrammedSa::lane_walk::<W>(programs, streams, &mut portable, &mut scratch);
+            let mut walked = streams.to_vec();
+            ProgrammedSa::lane_walk::<W>(programs, &mut walked, &mut portable, &mut scratch);
             for (k, (prog, stream)) in programs.iter().zip(streams).enumerate() {
                 let mut one = vec![0i8; n];
-                prog.sample_into_fast(&mut stream.clone(), &mut one, &mut scratch);
+                let mut drawn = stream.clone();
+                prog.sample_into_reference(&mut drawn, &mut one);
                 prop_assert_eq!(
                     &portable[k * n..(k + 1) * n],
                     &one[..],
@@ -900,11 +728,21 @@ mod tests {
                     W,
                     k
                 );
+                prop_assert_eq!(
+                    walked[k].get_word_pos(),
+                    drawn.get_word_pos(),
+                    "{} lanes, stream {}",
+                    W,
+                    k
+                );
             }
             #[cfg(target_arch = "x86_64")]
             {
                 type Build =
-                    unsafe fn(&[&ProgrammedSa], &[ChaCha8Rng], &mut [i8], &mut ReadScratch);
+                    unsafe fn(&[&ProgrammedSa], &mut [ChaCha8Rng], &mut [i8], &mut ReadScratch);
+                let positions = |streams: &[ChaCha8Rng]| -> Vec<u128> {
+                    streams.iter().map(ChaCha8Rng::get_word_pos).collect()
+                };
                 static SKIPPED: [std::sync::Once; 2] =
                     [std::sync::Once::new(), std::sync::Once::new()];
                 let builds: [(&str, bool, Build); 2] = [
@@ -923,10 +761,18 @@ mod tests {
                         continue;
                     }
                     let mut built = vec![0i8; reads * n];
+                    let mut built_streams = streams.to_vec();
                     // SAFETY: the CPU supports the build's features, as just
                     // checked.
-                    unsafe { build(programs, streams, &mut built, &mut scratch) };
+                    unsafe { build(programs, &mut built_streams, &mut built, &mut scratch) };
                     prop_assert_eq!(&built, &portable, "{} build, {} lanes", name, W);
+                    prop_assert_eq!(
+                        positions(&built_streams),
+                        positions(&walked),
+                        "{} build, {} lanes",
+                        name,
+                        W
+                    );
                 }
             }
             Ok(())
@@ -936,9 +782,10 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
             /// Every build of the lane kernel at every width, full or with
-            /// one spare lane, the shapes `sample_block_fast` runs. A host
-            /// runs only its widest build otherwise: on an AVX-512 host this
-            /// is the only check of the portable and AVX2 builds.
+            /// one spare lane, the shapes `sample_block` runs (a lone read
+            /// is a 2-lane walk with a spare lane). A host runs only its
+            /// widest build otherwise: on an AVX-512 host this is the only
+            /// check of the portable and AVX2 builds.
             #[test]
             fn every_lane_kernel_build_agrees(
                 ising in arb_ising(),
@@ -1002,7 +849,7 @@ mod tests {
             let mut reads = vec![0i8; LANES * n];
             ProgrammedSa::lane_walk::<8>(
                 &programs,
-                &streams,
+                &mut streams.clone(),
                 &mut reads,
                 &mut ReadScratch::default(),
             );
@@ -1020,6 +867,7 @@ mod tests {
                     panic!("{e:?}");
                 }
             };
+            agree(every_build_agrees::<2>(&programs[..1], &streams[..1], n));
             agree(every_build_agrees::<2>(&programs[..2], &streams[..2], n));
             agree(every_build_agrees::<4>(&programs[..4], &streams[..4], n));
             agree(every_build_agrees::<8>(&programs, &streams, n));
@@ -1029,8 +877,8 @@ mod tests {
         /// returns: from every offset in a block (word positions 0–17), and
         /// across a carry of the block counter's low word past 2³² (streams
         /// moved there with `set_word_pos`). Every lane draws more than
-        /// three batches and reads what the one-read kernel reads; after the
-        /// walk its ring holds the last two batches it generated.
+        /// three batches and reads what the reference kernel reads; after
+        /// the walk its ring holds the last two batches it generated.
         #[test]
         fn lane_keystream_matches_chacha8_words() {
             let n = 64;
@@ -1063,7 +911,8 @@ mod tests {
                 .collect();
             assert_eq!(positions.len(), 3 * LANES);
 
-            type Build = unsafe fn(&[&ProgrammedSa], &[ChaCha8Rng], &mut [i8], &mut ReadScratch);
+            type Build =
+                unsafe fn(&[&ProgrammedSa], &mut [ChaCha8Rng], &mut [i8], &mut ReadScratch);
             let portable: Build = ProgrammedSa::lane_walk::<LANES>;
             let mut builds = vec![("portable", portable)];
             #[cfg(target_arch = "x86_64")]
@@ -1085,21 +934,24 @@ mod tests {
                         stream
                     })
                     .collect();
+                // Each lane's read and stream after it, by the reference.
+                let referenced: Vec<(Vec<i8>, ChaCha8Rng)> = streams
+                    .iter()
+                    .map(|stream| {
+                        let (mut one, mut drawn) = (vec![0i8; n], stream.clone());
+                        programmed.sample_into_reference(&mut drawn, &mut one);
+                        (one, drawn)
+                    })
+                    .collect();
                 for &(name, build) in &builds {
                     let mut scratch = ReadScratch::default();
                     let mut reads = vec![0i8; LANES * n];
                     // SAFETY: the CPU supports the build's features, as
                     // checked when it was listed.
-                    unsafe { build(&programs, &streams, &mut reads, &mut scratch) };
+                    unsafe { build(&programs, &mut streams.clone(), &mut reads, &mut scratch) };
                     let rings = scratch.lane_words.as_chunks::<RING_WORDS>().0;
                     for (l, (stream, &pos)) in streams.iter().zip(walk).enumerate() {
-                        let mut one = vec![0i8; n];
-                        let mut drawn = stream.clone();
-                        programmed.sample_into_fast(
-                            &mut drawn,
-                            &mut one,
-                            &mut ReadScratch::default(),
-                        );
+                        let (one, drawn) = &referenced[l];
                         assert_eq!(&reads[l * n..(l + 1) * n], &one[..], "{name}, word {pos}");
                         // Ring positions count from the first word of the
                         // block the lane's walk starts in.
@@ -1189,49 +1041,33 @@ mod tests {
         let streams: Vec<ChaCha8Rng> = (0..LANES as u64)
             .map(|k| ChaCha8Rng::seed_from_u64(100 + k))
             .collect();
+        let programs = [&programmed; LANES];
         let mut scratch = ReadScratch::default();
         let mut out = vec![0i8; LANES * n];
-        let before = counts();
-        // Fallbacks of the one-read kernel, per read.
-        let fallbacks: Vec<u64> = streams
-            .iter()
-            .enumerate()
-            .map(|(k, stream)| {
-                let before = counts().1;
-                programmed.sample_into_fast(
-                    &mut stream.clone(),
-                    &mut out[k * n..(k + 1) * n],
-                    &mut scratch,
-                );
-                counts().1 - before
-            })
-            .collect();
-        let (draws, total) = (counts().0 - before.0, counts().1 - before.1);
+        // `(draws, exact-rule decisions)` of the walks of one width over
+        // all eight streams.
+        let mut walks = |width: usize| {
+            let before = counts();
+            for (programs, streams) in programs.chunks(width).zip(streams.chunks(width)) {
+                let (streams, out) = (&mut streams.to_vec(), &mut out[..width * n]);
+                match width {
+                    2 => ProgrammedSa::anneal_lanes::<2>(programs, streams, out, &mut scratch),
+                    4 => ProgrammedSa::anneal_lanes::<4>(programs, streams, out, &mut scratch),
+                    _ => ProgrammedSa::anneal_lanes::<8>(programs, streams, out, &mut scratch),
+                }
+            }
+            (counts().0 - before.0, counts().1 - before.1)
+        };
+        let (draws, exact) = walks(LANES);
         assert!(draws > 10_000, "{draws} draws");
         assert!(
-            total * 100 < draws,
-            "{total} of {draws} draws ran the exact rule"
+            exact * 100 < draws,
+            "{exact} of {draws} draws ran the exact rule"
         );
-        // A walk of every width leaves open exactly the draws the one-read
-        // kernel does on the same streams.
-        let programs = [&programmed; LANES];
-        let lane_fallbacks = |width: usize, scratch: &mut ReadScratch, out: &mut [i8]| {
-            let before = counts().1;
-            let (programs, streams) = (&programs[..width], &streams[..width]);
-            let out = &mut out[..width * n];
-            match width {
-                2 => ProgrammedSa::anneal_lanes::<2>(programs, streams, out, scratch),
-                4 => ProgrammedSa::anneal_lanes::<4>(programs, streams, out, scratch),
-                _ => ProgrammedSa::anneal_lanes::<8>(programs, streams, out, scratch),
-            }
-            counts().1 - before
-        };
-        for width in [2, 4, 8] {
-            assert_eq!(
-                lane_fallbacks(width, &mut scratch, &mut out),
-                fallbacks[..width].iter().sum::<u64>(),
-                "{width} lanes"
-            );
+        // Each lane draws and decides on its own: walks of every width
+        // count the same on the same streams.
+        for width in [2, 4] {
+            assert_eq!(walks(width), (draws, exact), "{width} lanes");
         }
     }
 

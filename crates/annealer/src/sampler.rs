@@ -37,11 +37,10 @@ pub const METROPOLIS_EXP_CUTOFF: f64 = -22.181;
 /// The drawn case is decided by [`metropolis_decide`]: a table pre-test
 /// settles all but about one draw in a thousand without evaluating
 /// [`metropolis_exp`], and the rest run the exact rule, so the decision is
-/// always the exact rule's. The one-read SA, SQA and behavioural kernels
-/// decide here; the SA lane kernel runs the same pre-test with the exact
-/// rule in its [`metropolis_threshold`] form. Their draw sequences and
-/// outputs are bit-identical to the plain exact rule of
-/// [`crate::reference`].
+/// always the exact rule's. The SQA and behavioural kernels decide here;
+/// the SA lane walk runs the same pre-test with the exact rule in its
+/// [`metropolis_threshold`] form. Their draw sequences and outputs are
+/// bit-identical to the plain exact rule of [`crate::reference`].
 #[inline]
 pub fn metropolis_accept<R: Rng + ?Sized>(rng: &mut R, beta: f64, delta: f64) -> bool {
     if delta <= 0.0 {
@@ -143,7 +142,7 @@ impl MetropolisBuckets {
     }
 }
 
-/// Test-only counters of the draws [`metropolis_decide`] takes and of the
+/// Test-only counters of the acceptance draws kernels take and of the
 /// draws the exact rule decides, per thread.
 #[cfg(test)]
 pub(crate) mod pretest_stats {
@@ -153,7 +152,8 @@ pub(crate) mod pretest_stats {
         static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     }
 
-    /// Adds `n` draws taken by [`super::metropolis_decide`].
+    /// Adds `n` draws taken by [`super::metropolis_decide`] or an SA lane
+    /// walk.
     pub(crate) fn note_draws(n: u64) {
         COUNTS.with(|c| c.set((c.get().0 + n, c.get().1)));
     }
@@ -269,12 +269,12 @@ static EXP_TABLE: [u64; 2 << EXP_TABLE_BITS] = [
 /// points differ from glibc's, each by 1 ulp).
 ///
 /// Straight-line code of IEEE multiplies, adds and one table load — no
-/// branch, no FMA, no libm — so the one-read kernels and the lane kernel
-/// evaluate it identically on every host and any CPU feature level, and a
-/// lane's copy vectorizes. `x = (k·N + j)·ln 2/N + r` with `|r| ≤ ln 2/2N`
-/// (Cody–Waite, exact for this range); then `e^x = 2^k · s_j(1 + tail_j) ·
-/// e^r`, with `e^r − 1` a degree-5 Taylor polynomial whose truncation error
-/// is below `10⁻¹⁸`.
+/// branch, no FMA, no libm — so the SQA and behavioural kernels and the
+/// SA lane walk evaluate it identically on every host and any CPU feature
+/// level, and a lane's copy vectorizes. `x = (k·N + j)·ln 2/N + r` with
+/// `|r| ≤ ln 2/2N` (Cody–Waite, exact for this range); then `e^x = 2^k ·
+/// s_j(1 + tail_j) · e^r`, with `e^r − 1` a degree-5 Taylor polynomial
+/// whose truncation error is below `10⁻¹⁸`.
 #[inline(always)]
 pub fn metropolis_exp(x: f64) -> f64 {
     let rounded = x * EXP_INV_LN2_N + EXP_ROUND;
@@ -293,15 +293,17 @@ pub fn metropolis_exp(x: f64) -> f64 {
 }
 
 /// Reads the device hands a sampler as one block
-/// ([`ProgrammedSampler::sample_block_fast`]): the width of the widest SA
-/// lane walk, which anneals that many reads in lock-step over one CSR walk.
-/// SA splits a shorter block into 4-lane and 2-lane walks and one-read
-/// kernel calls ([`crate::sa::ProgrammedSa`]).
+/// ([`ProgrammedSampler::sample_block`]): the width of the widest SA lane
+/// walk, which anneals that many reads in lock-step over one CSR walk. SA
+/// splits a shorter block into 4-lane and 2-lane walks, and runs a lone
+/// read as a 2-lane walk whose spare lane mirrors it
+/// ([`crate::sa::ProgrammedSa`]).
 pub const LANES: usize = 8;
 
 /// Reusable per-worker buffers threaded through
-/// [`ProgrammedSampler::sample_into_fast`], so hot read loops allocate
-/// nothing per read. A device worker owns one `ReadScratch` for its whole
+/// [`ProgrammedSampler::sample_into`] and
+/// [`ProgrammedSampler::sample_block`], so hot read loops allocate nothing
+/// per read. A device worker owns one `ReadScratch` for its whole
 /// chunk of reads; kernels resize the buffers they need and overwrite them
 /// completely, so stale contents never leak between reads.
 #[derive(Debug, Clone, Default)]
@@ -313,11 +315,6 @@ pub struct ReadScratch {
     pub spins: Vec<i8>,
     /// Per-slice energies for replica read-out.
     pub energies: Vec<f64>,
-    /// Active-spin bitmask words for kernels that skip frozen spins.
-    pub mask: Vec<u64>,
-    /// Spin configurations as `±1.0` doubles, for kernels whose hot loop
-    /// avoids `i8 ↔ f64` conversion entirely.
-    pub spinf: Vec<f64>,
     /// Lane kernels: per-spin local fields, `W` consecutive values (one
     /// per lane) per spin for a `W`-lane walk. Walks of every width reuse
     /// the same buffer.
@@ -366,7 +363,8 @@ pub trait Sampler: Send + Sync {
     /// Takes the Ising model by value so the programmed state is
     /// self-contained and can outlive the caller's borrow. `rng` is the
     /// *programming* stream; per-read randomness comes from the streams
-    /// handed to [`ProgrammedSampler::sample_into`].
+    /// handed to [`ProgrammedSampler::sample_into`] and
+    /// [`ProgrammedSampler::sample_block`].
     fn program(
         &self,
         ising: Ising,
@@ -378,21 +376,13 @@ pub trait Sampler: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Convenience: programs the problem and performs a single annealing
-    /// run, returning the final spin configuration (`±1` per spin).
-    fn sample(&self, ising: &Ising, rng: &mut dyn RngCore) -> Vec<i8> {
-        self.sample_hinted(ising, &SamplerHints::default(), rng)
-    }
-
-    /// Like [`Sampler::sample`], with embedding hints available.
-    fn sample_hinted(
-        &self,
-        ising: &Ising,
-        hints: &SamplerHints<'_>,
-        rng: &mut dyn RngCore,
-    ) -> Vec<i8> {
-        let programmed = self.program(ising.clone(), hints, rng);
+    /// run, returning the final spin configuration (`±1` per spin). The
+    /// read continues `rng` past the programming's draws and leaves it
+    /// after its own, so repeated calls on one stream draw fresh reads.
+    fn sample(&self, ising: &Ising, rng: &mut ChaCha8Rng) -> Vec<i8> {
+        let programmed = self.program(ising.clone(), &SamplerHints::default(), rng);
         let mut out = vec![0i8; ising.num_spins()];
-        programmed.sample_into(rng, &mut out);
+        programmed.sample_into(rng, &mut out, &mut ReadScratch::default());
         out
     }
 }
@@ -410,28 +400,22 @@ pub trait ProgrammedSampler: Send + Sync {
     /// Performs one annealing run, writing the final spin configuration
     /// (`±1` per spin) into `out`, which has length
     /// [`ProgrammedSampler::num_spins`]. Every element of `out` is
-    /// overwritten; the previous contents are scratch.
-    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]);
-
-    /// Monomorphic hot path of [`ProgrammedSampler::sample_into`]: the RNG
-    /// is the concrete [`ChaCha8Rng`] every device stream uses (no virtual
-    /// call per draw) and `scratch` supplies reusable buffers (no per-read
-    /// allocation). Must produce bit-identical output to `sample_into` on
-    /// the same RNG state; the default implementation simply delegates.
-    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
-        let _ = scratch;
-        self.sample_into(rng, out);
-    }
+    /// overwritten; the previous contents are scratch. `rng` is the
+    /// [`ChaCha8Rng`] every device stream uses, left after the read's last
+    /// draw, and `scratch` supplies reusable buffers (no per-read
+    /// allocation). The read is bit-identical to the kernel's transcription
+    /// in [`crate::reference`] on the same stream.
+    fn sample_into(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch);
 
     /// Performs one read per entry of `programs`, all programmings of one
     /// run: read `k` anneals `programs[k]` on stream `rngs[k]` into
     /// `out[k·n..(k + 1)·n]` (`n` = [`ProgrammedSampler::num_spins`], the
     /// same for every entry). Each read must be bit-identical to
-    /// [`ProgrammedSampler::sample_into_fast`] on its stream; the streams'
+    /// [`ProgrammedSampler::sample_into`] on its stream; the streams'
     /// positions afterwards are unspecified. The default runs the reads
     /// one at a time; kernels that can share work across reads (the SA
-    /// lane kernel) override it.
-    fn sample_block_fast(
+    /// lane walk) override it.
+    fn sample_block(
         programs: &[&Self],
         rngs: &mut [ChaCha8Rng],
         out: &mut [i8],
@@ -441,7 +425,7 @@ pub trait ProgrammedSampler: Send + Sync {
     {
         let n = programs.first().map_or(0, |p| p.num_spins());
         for (k, (prog, rng)) in programs.iter().zip(rngs.iter_mut()).enumerate() {
-            prog.sample_into_fast(rng, &mut out[k * n..(k + 1) * n], scratch);
+            prog.sample_into(rng, &mut out[k * n..(k + 1) * n], scratch);
         }
     }
 }

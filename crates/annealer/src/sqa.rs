@@ -160,9 +160,12 @@ pub struct ProgrammedSqa {
     pub(crate) ising: Ising,
 }
 
-impl ProgrammedSqa {
-    /// The PIQMC kernel, generic over the RNG (monomorphized over
-    /// [`ChaCha8Rng`] on the device hot path, `dyn RngCore` otherwise).
+impl ProgrammedSampler for ProgrammedSqa {
+    fn num_spins(&self) -> usize {
+        self.ising.num_spins()
+    }
+
+    /// The PIQMC kernel.
     ///
     /// Replica configurations live in one flat `slices` buffer (`k·n + i`),
     /// and each slice maintains its per-spin local fields incrementally: a
@@ -171,14 +174,13 @@ impl ProgrammedSqa {
     /// moves evaluate their external field from scratch exactly as before
     /// (both kernels share that arithmetic) and patch the fields of every
     /// affected neighbourhood when accepted.
-    fn anneal<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        out: &mut [i8],
-        slices: &mut Vec<i8>,
-        fields: &mut Vec<f64>,
-        energies: &mut Vec<f64>,
-    ) {
+    fn sample_into(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
+        let ReadScratch {
+            fields,
+            spins: slices,
+            energies,
+            ..
+        } = scratch;
         let ising = &self.ising;
         let n = ising.num_spins();
         debug_assert_eq!(out.len(), n);
@@ -272,26 +274,6 @@ impl ProgrammedSqa {
             }
         }
         out.copy_from_slice(&slices[best * n..(best + 1) * n]);
-    }
-}
-
-impl ProgrammedSampler for ProgrammedSqa {
-    fn num_spins(&self) -> usize {
-        self.ising.num_spins()
-    }
-
-    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]) {
-        self.anneal(rng, out, &mut Vec::new(), &mut Vec::new(), &mut Vec::new());
-    }
-
-    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
-        let ReadScratch {
-            fields,
-            spins,
-            energies,
-            ..
-        } = scratch;
-        self.anneal(rng, out, spins, fields, energies);
     }
 }
 

@@ -1,14 +1,13 @@
 //! Property-based bit-identity tests for the fast annealing kernels.
 //!
-//! The hot kernels (monomorphic RNG, SoA adjacency, incremental local
-//! fields, scratch reuse, SA's early-freeze exit) must produce **the exact
-//! same bytes** as two independent transcriptions of the algorithm: the
-//! trait-object path ([`ProgrammedSampler::sample_into`]) and the naive
-//! reference kernels in [`mqo_annealer::reference`]. These tests drive all
-//! three from identical RNG states over random problems and assert
-//! byte-for-byte equality — and additionally pin the device protocol's
-//! thread-count invariance for every back-end, which now rides on the
-//! persistent worker pool.
+//! The hot kernels (SA's lane walk, SoA adjacency, incremental local
+//! fields, scratch reuse, the walk's early exit) must produce **the exact
+//! same bytes** as the naive reference kernels in
+//! [`mqo_annealer::reference`], and leave the RNG stream where they leave
+//! it. These tests drive both from identical RNG states over random
+//! problems and assert byte-for-byte equality — and additionally pin the
+//! device protocol's thread-count invariance for every back-end, which
+//! rides on the persistent worker pool.
 
 use mqo_annealer::behavioral::BehavioralSampler;
 use mqo_annealer::device::{DeviceConfig, QuantumAnnealer};
@@ -45,11 +44,12 @@ fn arb_ising() -> impl Strategy<Value = Ising> {
     })
 }
 
-/// Draws one sample through each of the three code paths from the same RNG
-/// state and asserts the outputs and final RNG positions agree exactly.
-/// `reference` runs the naive transcription for the concrete programmed
-/// type (inherent method, so it cannot be dispatched through the trait).
-fn assert_three_way_identity<P: ProgrammedSampler>(
+/// Draws `reads` samples through the kernel and through the reference from
+/// the same RNG state and asserts the outputs and final RNG positions
+/// agree exactly. `reference` runs the naive transcription for the
+/// concrete programmed type (inherent method, so it cannot be dispatched
+/// through the trait).
+fn assert_matches_reference<P: ProgrammedSampler>(
     programmed: &P,
     reference: impl Fn(&mut ChaCha8Rng, &mut [i8]),
     read_seed: u64,
@@ -58,26 +58,30 @@ fn assert_three_way_identity<P: ProgrammedSampler>(
     let n = programmed.num_spins();
     let mut scratch = ReadScratch::default();
     // One persistent RNG + scratch per path, reused across reads — exactly
-    // how a device worker consumes its chunk.
-    let mut rng_dyn = ChaCha8Rng::seed_from_u64(read_seed);
+    // how `Sampler::sample` loops consume one stream.
     let mut rng_fast = ChaCha8Rng::seed_from_u64(read_seed);
     let mut rng_ref = ChaCha8Rng::seed_from_u64(read_seed);
     for read in 0..reads {
-        let mut a = vec![0i8; n];
-        let mut b = vec![0i8; n];
-        let mut c = vec![0i8; n];
-        programmed.sample_into(&mut rng_dyn, &mut a);
-        programmed.sample_into_fast(&mut rng_fast, &mut b, &mut scratch);
-        reference(&mut rng_ref, &mut c);
-        prop_assert_eq!(&a, &b, "dyn vs fast diverged at read {}", read);
-        prop_assert_eq!(&a, &c, "dyn vs reference diverged at read {}", read);
+        let mut fast = vec![0i8; n];
+        let mut reference_read = vec![0i8; n];
+        programmed.sample_into(&mut rng_fast, &mut fast, &mut scratch);
+        reference(&mut rng_ref, &mut reference_read);
+        prop_assert_eq!(
+            &fast,
+            &reference_read,
+            "kernel vs reference diverged at read {}",
+            read
+        );
         // The RNG stream positions must agree too, or later reads on a
         // shared stream would silently diverge.
-        let probe_a = rng_dyn.clone().next_u64();
-        let probe_b = rng_fast.clone().next_u64();
-        let probe_c = rng_ref.clone().next_u64();
-        prop_assert_eq!(probe_a, probe_b, "rng position dyn vs fast, read {}", read);
-        prop_assert_eq!(probe_a, probe_c, "rng position dyn vs ref, read {}", read);
+        let probe_fast = rng_fast.clone().next_u64();
+        let probe_ref = rng_ref.clone().next_u64();
+        prop_assert_eq!(
+            probe_fast,
+            probe_ref,
+            "rng position kernel vs ref, read {}",
+            read
+        );
     }
     Ok(())
 }
@@ -164,9 +168,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// SA: fast, trait-object, and reference kernels are bit-identical,
-    /// including RNG stream positions (the early-freeze exit must consume
-    /// exactly the draws the reference consumes).
+    /// SA: the lone-read entry (a 2-lane walk) and the reference kernel are
+    /// bit-identical, including RNG stream positions (the walk's early
+    /// exit and its position write-back must leave the stream exactly
+    /// where the reference leaves it).
     #[test]
     fn sa_kernels_are_bit_identical(
         ising in arb_ising(),
@@ -176,7 +181,7 @@ proptest! {
         let sampler = SimulatedAnnealingSampler::default();
         let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
         let programmed = sampler.program(ising, &SamplerHints::default(), &mut rng);
-        assert_three_way_identity(
+        assert_matches_reference(
             &programmed,
             |rng, out| programmed.sample_into_reference(rng, out),
             read_seed,
@@ -184,11 +189,11 @@ proptest! {
         )?;
     }
 
-    /// SA's block entry point (8-, 4- and 2-lane walks and one-read tails)
-    /// is bit-identical to per-read `sample_into_fast` and to the
-    /// reference kernel, for every block size up to two full 8-lane walks
-    /// and a tail, and for blocks that span several noisy gauge
-    /// programmings of one Ising.
+    /// SA's block entry point (8-, 4- and 2-lane walks, a lone read as a
+    /// 2-lane walk) is bit-identical to the reference kernel read by read,
+    /// stream positions included, for every block size up to two full
+    /// 8-lane walks and a tail, and for blocks that span several noisy
+    /// gauge programmings of one Ising.
     #[test]
     fn sa_blocks_match_per_read_kernels(
         ising in arb_ising(),
@@ -214,19 +219,19 @@ proptest! {
             .collect();
         let mut scratch = ReadScratch::default();
         let mut blocked = vec![0i8; block * n];
-        ProgrammedSa::sample_block_fast(&programs, &mut streams.clone(), &mut blocked, &mut scratch);
+        let mut walked = streams.clone();
+        ProgrammedSa::sample_block(&programs, &mut walked, &mut blocked, &mut scratch);
         for (k, (prog, stream)) in programs.iter().zip(&streams).enumerate() {
-            let mut fast = vec![0i8; n];
             let mut reference = vec![0i8; n];
-            prog.sample_into_fast(&mut stream.clone(), &mut fast, &mut scratch);
-            prog.sample_into_reference(&mut stream.clone(), &mut reference);
-            prop_assert_eq!(&blocked[k * n..(k + 1) * n], &fast[..], "block vs fast, read {}", k);
-            prop_assert_eq!(&fast, &reference, "fast vs reference, read {}", k);
+            let mut drawn = stream.clone();
+            prog.sample_into_reference(&mut drawn, &mut reference);
+            prop_assert_eq!(&blocked[k * n..(k + 1) * n], &reference[..], "read {}", k);
+            prop_assert_eq!(walked[k].get_word_pos(), drawn.get_word_pos(), "stream {}", k);
         }
     }
 
-    /// PIQMC: fast, trait-object, and reference kernels are bit-identical
-    /// across the replica sweep, cluster moves, and read-out argmin.
+    /// PIQMC: kernel and reference are bit-identical across the replica
+    /// sweep, cluster moves, and read-out argmin.
     #[test]
     fn sqa_kernels_are_bit_identical(
         ising in arb_ising(),
@@ -241,7 +246,7 @@ proptest! {
         });
         let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
         let programmed = sampler.program(ising, &SamplerHints::default(), &mut rng);
-        assert_three_way_identity(
+        assert_matches_reference(
             &programmed,
             |rng, out| programmed.sample_into_reference(rng, out),
             read_seed,
@@ -249,8 +254,8 @@ proptest! {
         )?;
     }
 
-    /// Behavioural back-end: fast, trait-object, and reference read kernels
-    /// are bit-identical around the shared oracle state.
+    /// Behavioural back-end: read kernel and reference are bit-identical
+    /// around the shared oracle state.
     #[test]
     fn behavioral_kernels_are_bit_identical(
         ising in arb_ising(),
@@ -260,7 +265,7 @@ proptest! {
         let sampler = BehavioralSampler::default();
         let mut rng = ChaCha8Rng::seed_from_u64(prog_seed);
         let programmed = sampler.program(ising, &SamplerHints::default(), &mut rng);
-        assert_three_way_identity(
+        assert_matches_reference(
             &programmed,
             |rng, out| programmed.sample_into_reference(rng, out),
             read_seed,
@@ -404,43 +409,45 @@ fn device_reads_match_pinned_digests() {
     );
 }
 
-/// SA behind the default one-read-at-a-time block entry point.
+/// SA with every read run by the reference kernel, one at a time through
+/// the default block entry point.
 #[derive(Clone, Default)]
-struct OneReadAtATime(SimulatedAnnealingSampler);
+struct ReferenceSa(SimulatedAnnealingSampler);
 
-struct OneRead(ProgrammedSa);
+struct ReferenceRead(ProgrammedSa);
 
-impl Sampler for OneReadAtATime {
-    type Programmed = OneRead;
+impl Sampler for ReferenceSa {
+    type Programmed = ReferenceRead;
 
-    fn program(&self, ising: Ising, hints: &SamplerHints<'_>, rng: &mut dyn RngCore) -> OneRead {
-        OneRead(self.0.program(ising, hints, rng))
+    fn program(
+        &self,
+        ising: Ising,
+        hints: &SamplerHints<'_>,
+        rng: &mut dyn RngCore,
+    ) -> ReferenceRead {
+        ReferenceRead(self.0.program(ising, hints, rng))
     }
 
     fn name(&self) -> &'static str {
-        "sa-one-read-at-a-time"
+        "sa-reference"
     }
 }
 
-impl ProgrammedSampler for OneRead {
+impl ProgrammedSampler for ReferenceRead {
     fn num_spins(&self) -> usize {
         self.0.num_spins()
     }
 
-    fn sample_into(&self, rng: &mut dyn RngCore, out: &mut [i8]) {
-        self.0.sample_into(rng, out);
-    }
-
-    fn sample_into_fast(&self, rng: &mut ChaCha8Rng, out: &mut [i8], scratch: &mut ReadScratch) {
-        self.0.sample_into_fast(rng, out, scratch);
+    fn sample_into(&self, rng: &mut ChaCha8Rng, out: &mut [i8], _scratch: &mut ReadScratch) {
+        self.0.sample_into_reference(rng, out);
     }
 }
 
-/// SA's lane blocks give the same reads as read by read on the pinned
-/// 48-spin instance, whose reads end in different local minima: block
-/// shapes with a lone tail read, one read per gauge, a 4 + 2 + 1 split, and
-/// full 8-lane walks (`(8, 2, 6)`, `(17, 3, 7)`) whose 8th lane anneals a
-/// read of its own.
+/// SA's lane blocks give the same reads as the reference kernel read by
+/// read on the pinned 48-spin instance, whose reads end in different local
+/// minima: full blocks (40 reads), one read per gauge in an 8 + 2 split
+/// (10), an 8-lane walk with a spare lane (7), one whose 8th lane anneals a
+/// read of its own (8), and two such walks and a lone read (17).
 #[test]
 fn device_runs_match_read_by_read() {
     let (ising, qubo) = pinned_ising();
@@ -454,7 +461,7 @@ fn device_runs_match_read_by_read() {
         let blocked = QuantumAnnealer::new(config, SimulatedAnnealingSampler::default())
             .run_ising(&ising, &qubo, seed)
             .unwrap();
-        let one_by_one = QuantumAnnealer::new(config, OneReadAtATime::default())
+        let one_by_one = QuantumAnnealer::new(config, ReferenceSa::default())
             .run_ising(&ising, &qubo, seed)
             .unwrap();
         assert_eq!(

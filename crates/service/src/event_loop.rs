@@ -40,7 +40,7 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,9 +68,13 @@ extern "C" {
     fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: std::os::raw::c_int) -> i32;
 }
 
-/// Blocks until a descriptor is ready or `timeout` passes, retrying EINTR.
-fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+/// Blocks until a descriptor is ready or `timeout` passes (never, for
+/// `None`), retrying EINTR. A timeout rounds up to whole milliseconds, so
+/// a deadline under a millisecond away sleeps instead of spinning.
+fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    let timeout_ms = timeout.map_or(-1, |t| {
+        i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+    });
     loop {
         let rc = unsafe {
             poll(
@@ -235,22 +239,38 @@ impl Default for LoopConfig {
 
 /// A one-way shutdown flag that threads can block on. `POST /shutdown` and
 /// `shutdown()` set it; the event-loop shards read it every iteration
-/// without locking, and `wait()` sleeps on it until it is set.
+/// without locking, and `wait()` sleeps on it until it is set. Setting it
+/// wakes every shard [`EventLoop::spawn`] registered, so an idle shard
+/// sleeps in `poll` with no timeout and still starts its drain at once.
 #[derive(Debug, Default)]
 pub struct ShutdownLatch {
     set: AtomicBool,
-    lock: Mutex<()>,
+    /// The shards' wakers; its lock also orders `set` against `wait`.
+    wakers: Mutex<Vec<Waker>>,
     changed: Condvar,
 }
 
 impl ShutdownLatch {
-    /// Sets the flag and wakes every thread in [`ShutdownLatch::wait`].
+    /// Sets the flag and wakes every registered shard and every thread in
+    /// [`ShutdownLatch::wait`].
     pub fn set(&self) {
         self.set.store(true, Ordering::SeqCst);
         // Taking the lock orders this store before any waiter's check:
         // a waiter either sees the flag or is already asleep when notified.
-        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        // A shard registered after this sees the flag on its first check.
+        for waker in self.lock().iter() {
+            waker.wake();
+        }
         self.changed.notify_all();
+    }
+
+    /// Wakes `waker`'s shard when the flag is set.
+    fn register(&self, waker: Waker) {
+        self.lock().push(waker);
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Waker>> {
+        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// True once the flag is set.
@@ -260,7 +280,7 @@ impl ShutdownLatch {
 
     /// Blocks until the flag is set.
     pub fn wait(&self) {
-        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.lock();
         while !self.is_set() {
             guard = self
                 .changed
@@ -273,14 +293,12 @@ impl ShutdownLatch {
 /// A running event-loop front-end: one thread per accept shard.
 #[derive(Debug)]
 pub struct EventLoop {
-    wakers: Vec<Waker>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl EventLoop {
     /// Spawns `SHARDS` event-loop threads over clones of `listener`.
-    /// The shards watch `shutdown`; set it and [`EventLoop::wake`] to start
-    /// a graceful drain.
+    /// The shards watch `shutdown`; set it to start a graceful drain.
     pub fn spawn(
         listener: TcpListener,
         config: LoopConfig,
@@ -289,7 +307,6 @@ impl EventLoop {
         shutdown: Arc<ShutdownLatch>,
     ) -> io::Result<EventLoop> {
         listener.set_nonblocking(true)?;
-        let mut wakers = Vec::with_capacity(SHARDS);
         let mut handles = Vec::with_capacity(SHARDS);
         for shard_id in 0..SHARDS {
             let listener = listener.try_clone()?;
@@ -299,7 +316,7 @@ impl EventLoop {
             let waker = Waker {
                 tx: Arc::new(wake_tx),
             };
-            wakers.push(waker.clone());
+            shutdown.register(waker.clone());
             let (completion_tx, completions) = mpsc::channel();
             let mut shard = Shard {
                 id: shard_id,
@@ -326,14 +343,7 @@ impl EventLoop {
                     .spawn(move || shard.run())?,
             );
         }
-        Ok(EventLoop { wakers, handles })
-    }
-
-    /// Wakes every shard's `poll` (call after setting the shutdown latch).
-    pub fn wake(&self) {
-        for waker in &self.wakers {
-            waker.wake();
-        }
+        Ok(EventLoop { handles })
     }
 
     /// Joins every shard thread; returns once all connections have drained.
@@ -525,13 +535,18 @@ impl Shard {
         (fds, listener_idx, first_conn, conn_ids)
     }
 
-    fn poll_timeout(&self, now: Instant) -> Duration {
-        // The base tick bounds how stale another shard's shutdown flag can
-        // go unnoticed; wakeup bytes cover everything latency-critical.
-        let mut timeout = Duration::from_millis(if self.draining { 10 } else { 100 });
+    /// Time to the nearest connection deadline, or `None` (no timeout)
+    /// when no connection has one: everything else that needs the shard,
+    /// shutdown included, arrives as a descriptor event or a wakeup byte.
+    fn poll_timeout(&self, now: Instant) -> Option<Duration> {
+        let mut timeout: Option<Duration> = None;
+        let mut until = |deadline: Instant| {
+            let left = deadline.saturating_duration_since(now);
+            timeout = Some(timeout.map_or(left, |t| t.min(left)));
+        };
         for conn in self.conns.values() {
             if let Some(deadline) = conn.read_deadline {
-                timeout = timeout.min(deadline.saturating_duration_since(now));
+                until(deadline);
             }
             let stalled_write = conn.out_pos < conn.out.len();
             let pure_idle = !conn.read_closed
@@ -539,8 +554,7 @@ impl Shard {
                 && conn.out.is_empty()
                 && conn.buf.is_empty();
             if stalled_write || pure_idle {
-                let expiry = conn.idle_since + Duration::from_millis(IDLE_TIMEOUT_MS);
-                timeout = timeout.min(expiry.saturating_duration_since(now));
+                until(conn.idle_since + Duration::from_millis(IDLE_TIMEOUT_MS));
             }
         }
         timeout
@@ -603,7 +617,7 @@ impl Shard {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // Transient accept failures (EMFILE, aborted handshake):
-                // leave the backlog for the next tick.
+                // leave the backlog for the next `poll`.
                 Err(_) => return,
             }
         }
@@ -1014,7 +1028,6 @@ mod tests {
 
     fn stop(event_loop: EventLoop, shutdown: &ShutdownLatch) {
         shutdown.set();
-        event_loop.wake();
         event_loop.join();
     }
 
@@ -1087,6 +1100,33 @@ mod tests {
         stop(event_loop, &shutdown);
     }
 
+    /// Setting the latch alone drains both shards, one of them holding an
+    /// idle keep-alive connection, and they exit within a second.
+    #[test]
+    fn setting_the_latch_drains_and_joins_both_shards_within_a_second() {
+        let (event_loop, addr, metrics, shutdown) = start_loop(|_| {});
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.write_all(&crate::http::render_request("GET", "/now", "t", b"", false))
+            .unwrap();
+        let mut reader = std::io::BufReader::new(&idle);
+        assert_eq!(crate::http::read_response(&mut reader).unwrap().status, 200);
+        assert_eq!(metrics.connections_active.load(Ordering::Relaxed), 1);
+        // Let both shards go back to sleep in `poll`.
+        std::thread::sleep(Duration::from_millis(50));
+        let set = Instant::now();
+        shutdown.set();
+        let (joined_tx, joined) = mpsc::channel();
+        std::thread::spawn(move || {
+            event_loop.join();
+            let _ = joined_tx.send(Instant::now());
+        });
+        let joined = joined
+            .recv_timeout(Duration::from_secs(1))
+            .expect("shards still running 1 s after the latch was set");
+        assert!(joined - set < Duration::from_secs(1));
+        assert_eq!(metrics.connections_active.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn drain_answers_in_flight_requests_with_connection_close() {
         let (event_loop, addr, _metrics, shutdown) = start_loop(|_| {});
@@ -1099,7 +1139,6 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(2));
         shutdown.set();
-        event_loop.wake();
         let mut reader = std::io::BufReader::new(&stream);
         let parts = crate::http::read_response(&mut reader).unwrap();
         assert_eq!(parts.status, 200);

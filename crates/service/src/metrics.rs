@@ -157,7 +157,7 @@ pub struct Metrics {
     /// still in flight (HTTP/1.1 pipelining).
     pub pipelined_requests: AtomicU64,
     /// Times the event loop woke from `poll` (readiness, wakeup byte, or
-    /// timeout tick).
+    /// a connection deadline; an idle loop does not wake).
     pub event_loop_wakeups: AtomicU64,
     /// Accepts per event-loop shard (slot = `shard_id % 16`).
     pub shard_accepts: [AtomicU64; MAX_TRACKED_SHARDS],

@@ -155,7 +155,6 @@ impl Server {
         if let Some(event_loop) =
             lock_recover(&self.event_loop, &self.metrics.lock_poison_recoveries).take()
         {
-            event_loop.wake();
             event_loop.join();
         }
         // Shards only exit once every connection has flushed, so every
@@ -195,8 +194,8 @@ impl Handler for SolveHandler {
             ("POST", "/solve") => self.handle_solve(request, completer),
             ("POST", "/shutdown") => {
                 // The drain pass the shard runs after this dispatch flushes
-                // the acknowledgement with `connection: close`; wait() wakes
-                // the remaining shards.
+                // the acknowledgement with `connection: close`; setting the
+                // latch wakes the other shard.
                 self.shutdown.set();
                 Action::Respond(Response::json(200, r#"{"status":"draining"}"#).closing())
             }
@@ -265,6 +264,7 @@ mod tests {
     use crate::http::KeepAliveClient;
     use crate::testkit::{pipeline, roundtrip};
     use mqo_chimera::graph::ChimeraGraph;
+    use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
     fn small_server() -> Server {
@@ -393,6 +393,19 @@ mod tests {
         assert_eq!(body, br#"{"status":"draining"}"#);
         server.wait();
         assert!(server.shutdown_requested());
+    }
+
+    /// With no connection open, the event-loop shards sleep in `poll`
+    /// with no timeout: nothing wakes them over a second.
+    #[test]
+    fn an_idle_server_does_not_wake_its_event_loop() {
+        let server = small_server();
+        let wakeups = || server.metrics().event_loop_wakeups.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(100));
+        let before = wakeups();
+        std::thread::sleep(Duration::from_secs(1));
+        assert_eq!(wakeups(), before, "event-loop wakeups over 1 idle second");
+        server.shutdown();
     }
 
     #[test]

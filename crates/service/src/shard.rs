@@ -697,7 +697,6 @@ impl MqoRouter {
         self.shutdown.wait();
         if let Some(event_loop) = lock_recover(&self.event_loop, &self.fleet.lock_recoveries).take()
         {
-            event_loop.wake();
             event_loop.join();
         }
         // The event loop dropped the handler — and with it the forward

@@ -7,8 +7,13 @@
 //!   queries of 2/3/4/5 plans on the intact 12×12 Chimera graph, and the
 //!   counts EXPERIMENTS.md states for the paper's machine (55 broken qubits,
 //!   defect seed `0xD2016`).
+//! * Table 1's hardness ordering: at `--small` scale, the 2-plan class is by
+//!   far the hardest for the MQO branch and bound, counted in explored nodes
+//!   so the test is deterministic.
 
+use mqo::milp::bb_mqo::{self, MqoBbConfig, StopReason};
 use mqo::prelude::*;
+use mqo::workload::paper::{self, PaperWorkloadConfig};
 use mqo_chimera::embedding::clustered::layout_uniform;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -69,4 +74,38 @@ fn capacity_of_the_paper_machine_matches_experiments_md() {
         .map(|plans| clustered_capacity(&graph, plans))
         .collect();
     assert_eq!(capacity, [527, 241, 142, 97]);
+}
+
+/// The harness's `--small` machine: the 4×4 Chimera graph with 6 qubits
+/// broken at the paper machine's defect seed.
+fn small_machine() -> ChimeraGraph {
+    let mut graph = ChimeraGraph::new(4, 4);
+    graph.break_random_qubits(6, &mut ChaCha8Rng::seed_from_u64(0xD2016));
+    graph
+}
+
+#[test]
+fn table_1_two_plan_instances_are_hardest_for_branch_and_bound() {
+    let graph = small_machine();
+    // (queries, nodes) per class of 2–5 plans per query, instance seed 0.
+    let explored: Vec<(usize, u64)> = (2..=5)
+        .map(|plans| {
+            let config = PaperWorkloadConfig::paper_class(plans);
+            let problem = paper::generate(&graph, &config, &mut ChaCha8Rng::seed_from_u64(0))
+                .expect("a paper-class instance")
+                .problem;
+            let outcome = bb_mqo::solve(&problem, &MqoBbConfig::default());
+            assert_eq!(outcome.stop, StopReason::Optimal, "{plans} plans");
+            (problem.num_queries(), outcome.nodes)
+        })
+        .collect();
+    let nodes: Vec<u64> = explored.iter().map(|&(_, nodes)| nodes).collect();
+    for (plans, &other) in (3..=5).zip(&nodes[1..]) {
+        assert!(
+            nodes[0] > 10 * other,
+            "2 plans: {} nodes, {plans} plans: {other}",
+            nodes[0]
+        );
+    }
+    assert_eq!(explored, [(59, 104_791), (27, 92), (16, 72), (11, 7)]);
 }

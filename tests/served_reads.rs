@@ -3,8 +3,9 @@
 //! lane-walk fault that changes a losing read passes them. Here the device
 //! run that `QuantumMqoSolver::solve` makes under the served protocol
 //! (`EngineConfig::new(ChimeraGraph::dwave_2x()).device`, SA) is digested
-//! read by read: spin bits and energy bits. 1, 2, 4, 8 and 10 reads run
-//! the one-read kernel, every lane-walk width and the 8 + 2 split, on two
+//! read by read: spin bits and energy bits. 1, 2, 4, 5, 8, 9 and 10 reads
+//! run every lane-walk width, a lone read as a 2-lane walk (alone, after a
+//! 4-lane walk and after an 8-lane one) and the 8 + 2 split, on two
 //! TRIAD-placed paper instances whose reads end in different local minima.
 
 use mqo::chimera::physical::PhysicalMapping;
@@ -69,8 +70,9 @@ fn digest_reads(problem: &MqoProblem, reads: usize, seed: u64) -> (u64, usize, u
     (h, physical.num_physical_vars(), energies.len())
 }
 
-/// Digests recorded before the AVX-512 build of the lane walk existed; every
-/// build of the walk must reproduce them.
+/// Digests recorded before the AVX-512 build of the lane walk existed, and
+/// the 5- and 9-read ones while a block's lone leftover read still ran a
+/// one-read scalar kernel; every build of the walk must reproduce them.
 #[test]
 fn served_device_reads_match_pinned_digests() {
     let graph = ChimeraGraph::dwave_2x();
@@ -78,24 +80,28 @@ fn served_device_reads_match_pinned_digests() {
         ("4x5", paper_instance(&graph, 4, 5), 120),
         ("20x2", paper_instance(&graph, 20, 2), 440),
     ];
-    let pinned: [[u64; 5]; 2] = [
+    let pinned: [[u64; 7]; 2] = [
         [
             0x8193_56fd_53be_75d5,
             0x86d3_5e0a_284b_bcdc,
             0x4167_830f_b920_64fd,
+            0x3b5c_1797_8a37_baad,
             0xb4bc_5085_71bf_0b2b,
+            0x7e12_2b6f_2189_5b98,
             0x134d_1914_1855_d56a,
         ],
         [
             0x6d7e_493c_3988_9ff4,
             0x8b8e_da00_8cd1_3e71,
             0x0ac5_d0ac_6977_89bc,
+            0xfd72_6f30_757b_069e,
             0x47ca_7208_1da6_efcb,
+            0xae14_3050_a27f_9c90,
             0xb471_36ae_f00b_630e,
         ],
     ];
     for ((name, problem, qubits), pinned) in cases.iter().zip(pinned) {
-        for (reads, want) in [1, 2, 4, 8, 10].into_iter().zip(pinned) {
+        for (reads, want) in [1, 2, 4, 5, 8, 9, 10].into_iter().zip(pinned) {
             let (digest, qubits_used, minima) = digest_reads(problem, reads, 7);
             assert_eq!(qubits_used, *qubits, "{name}");
             assert_eq!(minima, reads, "{name}, {reads} reads: shared minima");
